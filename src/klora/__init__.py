@@ -18,7 +18,6 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     LowRankPair,
-    kernel_eval,
     merge,
     numerical_rank,
     psd_check,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import parse_choice
 from .tensor import Tensor, absolute, mul, rectify, scalar_add, sign
 
 
@@ -35,13 +36,7 @@ _SCHEDULE_EXPONENT = {
 
 
 def parse_schedule_kind(name) -> ScheduleKind:
-    if isinstance(name, ScheduleKind):
-        return name
-    try:
-        return ScheduleKind(str(name).strip().lower())
-    except ValueError:
-        known = ", ".join(k.value for k in ScheduleKind)
-        raise ValueError(f"unknown schedule {name!r} (known: {known})") from None
+    return parse_choice(ScheduleKind, name, "schedule")
 
 
 class SparsifyMode(enum.Enum):
@@ -51,13 +46,7 @@ class SparsifyMode(enum.Enum):
 
 
 def parse_sparsify_mode(name) -> SparsifyMode:
-    if isinstance(name, SparsifyMode):
-        return name
-    try:
-        return SparsifyMode(str(name).strip().lower())
-    except ValueError:
-        known = ", ".join(m.value for m in SparsifyMode)
-        raise ValueError(f"unknown sparsify mode {name!r} (known: {known})") from None
+    return parse_choice(SparsifyMode, name, "sparsify mode")
 
 
 class Metric(enum.Enum):
@@ -66,23 +55,9 @@ class Metric(enum.Enum):
     W_MAGNITUDE = "w-magnitude"
 
 
-_METRIC_ALIASES = {
-    "sensitivity": Metric.SENSITIVITY,
-    "magnitude": Metric.MAGNITUDE,
-    "w-magnitude": Metric.W_MAGNITUDE,
-    "wmagnitude": Metric.W_MAGNITUDE,
-    "w_magnitude": Metric.W_MAGNITUDE,
-}
-
-
 def parse_metric(name) -> Metric:
-    if isinstance(name, Metric):
-        return name
-    key = str(name).strip().lower()
-    if key not in _METRIC_ALIASES:
-        known = ", ".join(m.value for m in Metric)
-        raise ValueError(f"unknown importance metric {name!r} (known: {known})")
-    return _METRIC_ALIASES[key]
+    aliases = {"wmagnitude": Metric.W_MAGNITUDE, "w_magnitude": Metric.W_MAGNITUDE}
+    return parse_choice(Metric, name, "importance metric", aliases)
 
 
 def _as_array(x) -> np.ndarray:

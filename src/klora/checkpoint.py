@@ -7,16 +7,18 @@ Layout (all integers and floats little-endian):
     layer count      u32
     per layer:
         m, n, r      u32 x 3
-        kind id      u16
+        kind id      u16      (the kind's kind_id in kernels.KINDS)
         coeff count  u32
-        coeffs       f64 x count   (order documented on KernelSpec)
+        coeffs       f64 x count   (in the order of the kind's row)
         A blob       f64 x (n * r), row-major
         B blob       f64 x (m * r), row-major
     checksum         8 bytes  blake2b(digest_size=8) of everything above
 
 Only the learnable adapter state is stored (factors and kernel
 coefficients); frozen base weights are not part of the format. Round-trips
-are bit-exact.
+are bit-exact. A file whose sizes disagree with its payload, whose rank
+exceeds min(m, n), or whose coefficient count does not fit its kind is
+rejected with a CheckpointError.
 """
 
 from __future__ import annotations
@@ -28,21 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelKind, KernelSpec, LowRankPair
+from .kernels import KINDS, KernelKind, KernelSpec, LowRankPair
 from .tensor import Tensor
 
 MAGIC = b"SNLA"
 FORMAT_VERSION = 1
-
-_KIND_IDS = {
-    KernelKind.LINEAR: 0,
-    KernelKind.P_LINEAR: 1,
-    KernelKind.SIGMOID: 2,
-    KernelKind.RBF: 3,
-    KernelKind.RBF_NORMALIZED: 4,
-    KernelKind.MIX_K: 5,
-}
-_IDS_TO_KIND = {v: k for k, v in _KIND_IDS.items()}
+_LAYER_HEADER = struct.Struct("<IIIHI")
 
 
 class CheckpointError(ValueError):
@@ -111,8 +104,8 @@ def save_checkpoint(source, path) -> None:
     records = _layer_records(source)
     parts = [MAGIC, struct.pack("<H", FORMAT_VERSION), struct.pack("<I", len(records))]
     for rec in records:
-        parts.append(struct.pack("<IIIHI", rec.m, rec.n, rec.r,
-                                 _KIND_IDS[rec.kind], rec.coefficients.size))
+        parts.append(_LAYER_HEADER.pack(rec.m, rec.n, rec.r,
+                                        KINDS[rec.kind].kind_id, rec.coefficients.size))
         parts.append(_f64_bytes(rec.coefficients))
         parts.append(_f64_bytes(rec.a))
         parts.append(_f64_bytes(rec.b))
@@ -137,25 +130,36 @@ def load_checkpoint(path) -> list:
     if hashlib.blake2b(payload, digest_size=8).digest() != digest:
         raise ChecksumError("checksum mismatch (file corrupted or truncated)")
 
-    offset = 6
-    (count,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
+    (count,) = struct.unpack_from("<I", payload, 6)
+    offset = 10
     records = []
-    for _ in range(count):
-        m, n, r, kind_id, n_coeff = struct.unpack_from("<IIIHI", payload, offset)
-        offset += struct.calcsize("<IIIHI")
-        if kind_id not in _IDS_TO_KIND:
+    for i in range(count):
+        if _LAYER_HEADER.size > len(payload) - offset:
+            raise CheckpointError(f"layer {i} header runs past the payload")
+        m, n, r, kind_id, n_coeff = _LAYER_HEADER.unpack_from(payload, offset)
+        offset += _LAYER_HEADER.size
+        row = next((row for row in KINDS.values() if row.kind_id == kind_id), None)
+        if row is None:
             raise CheckpointError(f"unknown kernel kind id {kind_id}")
-        coeffs = np.frombuffer(payload, dtype="<f8", count=n_coeff, offset=offset).copy()
-        offset += 8 * n_coeff
-        a = np.frombuffer(payload, dtype="<f8", count=n * r, offset=offset).copy().reshape(n, r)
-        offset += 8 * n * r
-        b = np.frombuffer(payload, dtype="<f8", count=m * r, offset=offset).copy().reshape(m, r)
-        offset += 8 * m * r
-        records.append(
-            LayerRecord(m=m, n=n, r=r, kind=_IDS_TO_KIND[kind_id],
-                        coefficients=coeffs, a=a, b=b)
-        )
+        if r > min(m, n):
+            raise CheckpointError(f"layer {i}: rank {r} exceeds min(m, n) = {min(m, n)}")
+        try:
+            pieces = row.pieces_for(n_coeff)
+        except ValueError as err:
+            raise CheckpointError(f"layer {i}: {err}") from None
+        if row.piecewise and pieces > r:
+            raise CheckpointError(f"layer {i}: piece count {pieces} exceeds rank {r}")
+        sizes = (n_coeff, n * r, m * r)
+        if 8 * sum(sizes) > len(payload) - offset:
+            raise CheckpointError(f"layer {i} needs {8 * sum(sizes)} bytes, the payload has "
+                                  f"{len(payload) - offset} left")
+        blobs = []
+        for size in sizes:
+            blobs.append(np.frombuffer(payload, dtype="<f8", count=size, offset=offset).copy())
+            offset += 8 * size
+        coeffs, a, b = blobs
+        records.append(LayerRecord(m=m, n=n, r=r, kind=row.kind, coefficients=coeffs,
+                                   a=a.reshape(n, r), b=b.reshape(m, r)))
     if offset != len(payload):
         raise CheckpointError(f"{len(payload) - offset} trailing bytes after last layer")
     return records

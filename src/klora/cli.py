@@ -273,7 +273,7 @@ def memory_model_cmd(out, layers, m, n, rank, kernel, pieces):
 @click.option("--h", "step", type=float, default=1e-5, show_default=True)
 @click.option("--tol", type=float, default=1e-5, show_default=True)
 def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
-    """Finite-difference validation of merge and sparsifier gradients."""
+    """Finite-difference validation of merge gradients for each kernel kind."""
     kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
     rank = min(rank, m, n)
     failures = 0
@@ -304,8 +304,8 @@ def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
 @common["out"]
 def run_all_cmd(config, out):
     """Run every experiment in the config (bundled default when omitted)."""
-    run_config = default_run_config() if config is None else load_config(config)
     try:
+        run_config = default_run_config() if config is None else load_config(config)
         paths, failures = ex.run_all(run_config, _out_dir(out))
     except ConfigError as err:
         raise click.ClickException(str(err)) from None

@@ -136,24 +136,21 @@ def apply_defaults(raw: dict) -> RunConfig:
     _check_range(int(model["rank"]) >= 1, "model.rank", "rank must be >= 1")
     _check_range(float(model["factor_std"]) > 0, "model.factor_std", "must be positive")
 
-    try:
-        parse_kernel_kind(kernel["kind"])
-    except ValueError as err:
-        raise ConfigError(f"value out of range for 'kernel.kind': {err}") from None
     _check_range(int(kernel["pieces"]) >= 1, "kernel.pieces", "must be >= 1")
 
     ratio = float(sparsity["budget_ratio"])
     _check_range(0.0 <= ratio <= 1.0, "sparsity.budget_ratio", f"{ratio} not in [0, 1]")
-    for key, parser in (
-        ("schedule", parse_schedule_kind),
-        ("alloc_period", parse_alloc_period),
-        ("sparsify_mode", parse_sparsify_mode),
-        ("importance_metric", parse_metric),
+    for key, value, parser in (
+        ("kernel.kind", kernel["kind"], parse_kernel_kind),
+        ("sparsity.schedule", sparsity["schedule"], parse_schedule_kind),
+        ("sparsity.alloc_period", sparsity["alloc_period"], parse_alloc_period),
+        ("sparsity.sparsify_mode", sparsity["sparsify_mode"], parse_sparsify_mode),
+        ("sparsity.importance_metric", sparsity["importance_metric"], parse_metric),
     ):
         try:
-            parser(sparsity[key])
+            parser(value)
         except ValueError as err:
-            raise ConfigError(f"value out of range for 'sparsity.{key}': {err}") from None
+            raise ConfigError(f"value out of range for '{key}': {err}") from None
     for key in ("smoothing_beta1", "smoothing_beta2"):
         _check_range(0.0 <= float(sparsity[key]) <= 1.0, f"sparsity.{key}", "not in [0, 1]")
 

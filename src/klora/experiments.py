@@ -7,17 +7,22 @@ execute concurrently because nothing is shared.
 
 from __future__ import annotations
 
+import inspect
 import math
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .allocation import BudgetSchedule, budget_at, parse_schedule_kind
 from .config import ConfigError, RunConfig, apply_defaults, dataset_from, trainer_config_from
 from .kernels import (
+    KINDS,
     KernelKind,
     KernelSpec,
     LowRankPair,
+    kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
@@ -46,10 +51,10 @@ def _fresh_pair(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: i
                 factor_std: float, scale: float | None = None) -> LowRankPair:
     """Fit-experiment factor init.
 
-    Both factors start Gaussian; the linear kernel starts with B at zero
-    (the classic zero-update init, and its only route to a zero merge since
-    it has no coefficients). Every kernel's merge is therefore zero before
-    the first step. `scale` switches to uniform [-scale, scale] draws for
+    Both factors start Gaussian; a kind without coefficients (linear)
+    starts with B at zero (the classic zero-update init, and its only route
+    to a zero merge). Every kernel's merge is therefore zero before the
+    first step. `scale` switches to uniform [-scale, scale] draws for
     the gradient-evolution probes.
     """
     if scale is not None:
@@ -58,7 +63,7 @@ def _fresh_pair(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: i
     else:
         a = factor_std * rng.normal(size=(n, r))
         b = factor_std * rng.normal(size=(m, r))
-        if kind is KernelKind.LINEAR:
+        if not KINDS[kind].coefficients:
             b = np.zeros((m, r))
     return LowRankPair(A=Tensor(a, requires_grad=True), B=Tensor(b, requires_grad=True))
 
@@ -82,9 +87,10 @@ def _fit_once(kind: KernelKind, target: np.ndarray, r: int, steps: int, lr: floa
         spec = KernelSpec.canonical(kind, pieces=pieces, trainable=True)
     else:
         spec = KernelSpec.zero_init(kind, pieces=pieces)
-        if piece_init_eps and spec.alpha_p is not None:
-            signs = np.where(np.arange(spec.alpha_p.data.size) % 2 == 0, 1.0, -1.0)
-            spec.alpha_p.data[:] = piece_init_eps * signs
+        if piece_init_eps and KINDS[kind].piecewise:
+            alpha_p = spec.coeffs[0]
+            signs = np.where(np.arange(alpha_p.data.size) % 2 == 0, 1.0, -1.0)
+            alpha_p.data[:] = piece_init_eps * signs
     params = [pair.A, pair.B, *spec.coefficients()]
     opt = Adam(params, lr=lr)
     target_t = Tensor(target)
@@ -306,25 +312,6 @@ def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
     return header, rows
 
 
-_COEFF_COUNT = {
-    KernelKind.LINEAR: 0,
-    KernelKind.P_LINEAR: None,  # pieces
-    KernelKind.MIX_K: None,  # pieces + 2
-    KernelKind.SIGMOID: 3,
-    KernelKind.RBF: 3,
-    KernelKind.RBF_NORMALIZED: 3,
-}
-
-
-def kernel_coefficient_count(kind, pieces: int = 2) -> int:
-    kind = parse_kernel_kind(kind)
-    if kind is KernelKind.P_LINEAR:
-        return pieces
-    if kind is KernelKind.MIX_K:
-        return pieces + 2
-    return _COEFF_COUNT[kind]
-
-
 MEMORY_MODES = ("full-ft", "low-rank", "low-rank-storing-delta")
 
 
@@ -387,141 +374,194 @@ def train_experiment(config: RunConfig) -> tuple:
 # -- run-all ------------------------------------------------------------------
 
 
-class AssertionOutcome:
-    def __init__(self):
-        self.failures = []
+def _report_only(driver):
+    return lambda params, config: (driver(**params), None)
 
-    def check(self, name: str, condition: bool, detail: str) -> None:
-        if not condition:
-            self.failures.append(f"{name}: {detail}")
+
+def _run_rank_sweep(params, config):
+    report = rank_sweep(**params)
+    return report, ("", *rank_table(report))
+
+
+def _run_schedule(params, config):
+    header, rows = schedule_table(**params)
+    report = ExperimentReport(name="schedule", config=params, seeds=[], per_seed=[],
+                              aggregates={"rows": len(rows)})
+    return report, ("", header, rows)
+
+
+def _run_memory_model(params, config):
+    estimates = {mode: memory_footprint_estimate(mode=mode, **params) for mode in MEMORY_MODES}
+    report = ExperimentReport(name="memory-model", config=params, seeds=[], per_seed=[],
+                              aggregates=estimates)
+    return report, None
+
+
+def _run_train(params, config):
+    sub_config = apply_defaults(_merge_dicts(config.to_dict(), params.get("config", {})))
+    sub_config.experiments = []
+    report, trace = train_experiment(sub_config)
+    return report, ("-sparsity", *alloc_trace_table(trace))
+
+
+def _check_mse_ordering(report, table, ordered, asserts):
+    frac = ordering_fraction(report, ordered)
+    report.aggregates["ordering_fraction"] = frac
+    need = float(asserts.get("min_seed_fraction", 0.8))
+    means = [report.aggregates["mean_final_mse"][parse_kernel_kind(k).value] for k in ordered]
+    if not all(a < b for a, b in zip(means, means[1:])):
+        yield f"mean MSE not ordered {ordered}: {means}"
+    if not frac >= need:
+        yield f"strict per-seed ordering fraction {frac} < {need}"
+
+
+def _check_max_final_mse(report, table, bounds, asserts):
+    for k, bound in bounds.items():
+        got = report.aggregates["mean_final_mse"][parse_kernel_kind(k).value]
+        if not got <= bound:
+            yield f"{k} mean MSE {got} > {bound}"
+
+
+def _check_max_rbf_mixk_ratio(report, table, bound, asserts):
+    ratio = report.aggregates.get("rbf_mixk_ratio")
+    if not (ratio is not None and ratio <= float(bound)):
+        yield f"rbf/mix-k gradient ratio {ratio} > {float(bound)}"
+
+
+def _check_rank_at_most(report, table, bounds, asserts):
+    for key, bound in bounds.items():
+        if not report.aggregates[key]["max"] <= bound:
+            yield f"{key} max rank {report.aggregates[key]['max']} > {bound}"
+
+
+def _check_rank_above(report, table, bounds, asserts):
+    for key, bound in bounds.items():
+        if not report.aggregates[key]["min"] > bound:
+            yield f"{key} min rank {report.aggregates[key]['min']} <= {bound}"
+
+
+def _check_schedule_values(report, table, values, asserts):
+    _, header, rows = table
+    for kind, t, expected in values:
+        kind_i = header.index(parse_schedule_kind(kind).value)
+        row = next((r for r in rows if r[0] == t), None)
+        if not (row is not None and row[kind_i] == expected):
+            yield f"{kind} at t={t}: {None if row is None else row[kind_i]} != {expected}"
+
+
+def _check_lowrank_fullft_ratio(report, table, target_rel, asserts):
+    target, rel = target_rel
+    est = report.aggregates
+    got = est["low-rank"]["optimizer_param_floats"] / est["full-ft"]["optimizer_param_floats"]
+    est["lowrank_fullft_ratio"] = got
+    if not abs(got - target) <= rel * target:
+        yield f"ratio {got} not within {rel} of {target}"
+
+
+def _check_max_final_loss(report, table, bound, asserts):
+    if not report.aggregates["final_loss"] <= bound:
+        yield f"final loss {report.aggregates['final_loss']} > {bound}"
+
+
+@dataclass(frozen=True)
+class ExperimentType:
+    """How `run-all` runs one experiment type.
+
+    `run(params, config)` returns the report and an optional CSV table
+    (file-name suffix, header, rows). `params` are the driver's parameter
+    names. `checks` maps each assert key, in evaluation order, to a
+    check(report, table, value, asserts) that yields one detail per
+    failure; None marks a key that another check reads.
+    """
+
+    run: Callable
+    params: frozenset
+    checks: dict
+
+
+def _params_of(driver, *fixed) -> frozenset:
+    return frozenset(inspect.signature(driver).parameters) - set(fixed)
+
+
+EXPERIMENT_TYPES = {
+    "fit-matrix": ExperimentType(
+        _report_only(fit_matrix_experiment), _params_of(fit_matrix_experiment),
+        {"mse_ordering": _check_mse_ordering, "min_seed_fraction": None,
+         "max_final_mse": _check_max_final_mse}),
+    "grad-evolution": ExperimentType(
+        _report_only(grad_evolution_experiment), _params_of(grad_evolution_experiment),
+        {"max_rbf_mixk_ratio": _check_max_rbf_mixk_ratio}),
+    "rank-sweep": ExperimentType(
+        _run_rank_sweep, _params_of(rank_sweep),
+        {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
+    "train": ExperimentType(
+        _run_train, _params_of(train_experiment), {"max_final_loss": _check_max_final_loss}),
+    "schedule": ExperimentType(
+        _run_schedule, _params_of(schedule_table), {"values": _check_schedule_values}),
+    "memory-model": ExperimentType(
+        _run_memory_model, _params_of(memory_footprint_estimate, "mode"),
+        {"lowrank_fullft_ratio": _check_lowrank_fullft_ratio}),
+}
+
+# params and assert keys that carry kernel names, and how to list the names
+_KERNEL_NAMES = {"kernel_kind": lambda v: [v], "kernels": list, "mse_ordering": list,
+                 "max_final_mse": list}
+_ENTRY_KEYS = ("name", "type", "params", "assert")
 
 
 def _validate_experiment_entries(entries) -> None:
-    known = {"fit-matrix", "grad-evolution", "rank-sweep", "train", "schedule", "memory-model"}
     for i, entry in enumerate(entries):
+        where = f"experiments[{i}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"experiments[{i}] must be an object")
-        etype = entry.get("type")
-        if etype not in known:
-            raise ConfigError(
-                f"experiments[{i}].type {etype!r} unknown (known: {', '.join(sorted(known))})"
-            )
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"experiments[{i}].params must be an object")
-        for key in ("kernels",):
-            if key in params:
-                for k in params[key]:
+            raise ConfigError(f"{where} must be an object")
+        for key in entry:
+            if key not in _ENTRY_KEYS:
+                raise ConfigError(f"unknown key '{where}.{key}' (known: {', '.join(_ENTRY_KEYS)})")
+        etype = EXPERIMENT_TYPES.get(entry.get("type"))
+        if etype is None:
+            raise ConfigError(f"{where}.type {entry.get('type')!r} unknown "
+                              f"(known: {', '.join(sorted(EXPERIMENT_TYPES))})")
+        for section, allowed in (("params", etype.params), ("assert", etype.checks)):
+            block = entry.get(section, {})
+            if not isinstance(block, dict):
+                raise ConfigError(f"{where}.{section} must be an object")
+            for key, value in block.items():
+                if key not in allowed:
+                    raise ConfigError(f"unknown key '{where}.{section}.{key}' "
+                                      f"(known: {', '.join(sorted(allowed))})")
+                for name in _KERNEL_NAMES.get(key, lambda v: [])(value):
                     try:
-                        parse_kernel_kind(k)
+                        parse_kernel_kind(name)
                     except ValueError as err:
-                        raise ConfigError(f"experiments[{i}].params.{key}: {err}") from None
-        if "kernel" in params:
-            try:
-                parse_kernel_kind(params["kernel"])
-            except ValueError as err:
-                raise ConfigError(f"experiments[{i}].params.kernel: {err}") from None
+                        raise ConfigError(f"{where}.{section}.{key}: {err}") from None
 
 
 def run_all(config: RunConfig, out_dir) -> tuple:
     """Execute every experiment in the config; returns (report paths, failures).
 
     All entries are validated before anything runs. Embedded `assert`
-    blocks are evaluated against each experiment's aggregates; failures
-    are collected, not fatal.
+    blocks are evaluated against each experiment's results; failures are
+    collected, not fatal.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries = config.experiments
-    _validate_experiment_entries(entries)
-    outcome = AssertionOutcome()
-    paths = []
-    for i, entry in enumerate(entries):
-        etype = entry["type"]
-        name = entry.get("name", f"{etype}-{i}")
-        params = dict(entry.get("params", {}))
-        checks = entry.get("assert", {})
-        if etype == "fit-matrix":
-            report = fit_matrix_experiment(**params)
-            report.name = name
-            if "mse_ordering" in checks:
-                frac = ordering_fraction(report, checks["mse_ordering"])
-                report.aggregates["ordering_fraction"] = frac
-                need = float(checks.get("min_seed_fraction", 0.8))
-                ordered = checks["mse_ordering"]
-                means = [report.aggregates["mean_final_mse"][parse_kernel_kind(k).value]
-                         for k in ordered]
-                outcome.check(name, all(a < b for a, b in zip(means, means[1:])),
-                              f"mean MSE not ordered {ordered}: {means}")
-                outcome.check(name, frac >= need,
-                              f"strict per-seed ordering fraction {frac} < {need}")
-            if "max_final_mse" in checks:
-                for k, bound in checks["max_final_mse"].items():
-                    got = report.aggregates["mean_final_mse"][parse_kernel_kind(k).value]
-                    outcome.check(name, got <= bound, f"{k} mean MSE {got} > {bound}")
-        elif etype == "grad-evolution":
-            report = grad_evolution_experiment(**params)
-            report.name = name
-            if "max_rbf_mixk_ratio" in checks:
-                ratio = report.aggregates.get("rbf_mixk_ratio")
-                bound = float(checks["max_rbf_mixk_ratio"])
-                outcome.check(name, ratio is not None and ratio <= bound,
-                              f"rbf/mix-k gradient ratio {ratio} > {bound}")
-        elif etype == "rank-sweep":
-            report = rank_sweep(**params)
-            report.name = name
-            header, rows = rank_table(report)
-            csv_path = out_dir / f"{name}.csv"
-            write_csv(csv_path, header, rows)
-            paths.append(csv_path)
-            for key, bound in checks.get("rank_at_most", {}).items():
-                got = report.aggregates[key]["max"]
-                outcome.check(name, got <= bound, f"{key} max rank {got} > {bound}")
-            for key, bound in checks.get("rank_above", {}).items():
-                got = report.aggregates[key]["min"]
-                outcome.check(name, got > bound, f"{key} min rank {got} <= {bound}")
-        elif etype == "schedule":
-            header, rows = schedule_table(**params)
-            csv_path = out_dir / f"{name}.csv"
-            write_csv(csv_path, header, rows)
-            paths.append(csv_path)
-            report = ExperimentReport(name=name, config=params, seeds=[],
-                                      per_seed=[], aggregates={"rows": len(rows)})
-            for kind, t, expected in checks.get("values", []):
-                kind_i = header.index(parse_schedule_kind(kind).value)
-                row = next((r for r in rows if r[0] == t), None)
-                outcome.check(name, row is not None and row[kind_i] == expected,
-                              f"{kind} at t={t}: {None if row is None else row[kind_i]} != {expected}")
-        elif etype == "memory-model":
-            checks_only = {k: v for k, v in params.items()}
-            estimates = {
-                mode: memory_footprint_estimate(mode=mode, **checks_only)
-                for mode in MEMORY_MODES
-            }
-            report = ExperimentReport(name=name, config=params, seeds=[], per_seed=[],
-                                      aggregates=estimates)
-            if "lowrank_fullft_ratio" in checks:
-                target, rel = checks["lowrank_fullft_ratio"]
-                got = (estimates["low-rank"]["optimizer_param_floats"]
-                       / estimates["full-ft"]["optimizer_param_floats"])
-                report.aggregates["lowrank_fullft_ratio"] = got
-                outcome.check(name, abs(got - target) <= rel * target,
-                              f"ratio {got} not within {rel} of {target}")
-        else:  # train
-            overrides = params.get("config", {})
-            sub_config = apply_defaults(_merge_dicts(config.to_dict(), overrides))
-            sub_config.experiments = []
-            report, trace = train_experiment(sub_config)
-            report.name = name
-            header, rows = alloc_trace_table(trace)
-            csv_path = out_dir / f"{name}-sparsity.csv"
-            write_csv(csv_path, header, rows)
-            paths.append(csv_path)
-            if "max_final_loss" in checks:
-                outcome.check(name, trace.final_loss <= checks["max_final_loss"],
-                              f"final loss {trace.final_loss} > {checks['max_final_loss']}")
+    _validate_experiment_entries(config.experiments)
+    paths, failures = [], []
+    for i, entry in enumerate(config.experiments):
+        etype = EXPERIMENT_TYPES[entry["type"]]
+        name = entry.get("name", f"{entry['type']}-{i}")
+        asserts = entry.get("assert", {})
+        report, table = etype.run(dict(entry.get("params", {})), config)
+        report.name = name
+        if table is not None:
+            suffix, header, rows = table
+            paths.append(out_dir / f"{name}{suffix}.csv")
+            write_csv(paths[-1], header, rows)
+        for key, check in etype.checks.items():
+            if check is not None and key in asserts:
+                failures += [f"{name}: {d}" for d in check(report, table, asserts[key], asserts)]
         paths.append(report.write(out_dir))
-    return paths, outcome.failures
+    return paths, failures
 
 
 def _merge_dicts(base: dict, overrides: dict) -> dict:

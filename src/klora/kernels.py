@@ -8,6 +8,8 @@ a column-normalized exponential of the piecewise-linear kernel plus a
 learnable offset, keeping gradients alive at large factor scales where a
 bare RBF flatlines.
 
+Every per-kind fact lives in the kind's row of `KINDS`; a new kind is one row.
+
 Coefficient conventions
 -----------------------
 zero_init: every learnable coefficient starts at 0 (so the merge is the
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
+from .choices import parse_choice
 from .tensor import (
     Tensor,
     add,
@@ -53,41 +57,6 @@ class KernelKind(enum.Enum):
     MIX_K = "mix-k"
 
 
-_KIND_ALIASES = {
-    "linear": KernelKind.LINEAR,
-    "plinear": KernelKind.P_LINEAR,
-    "p-linear": KernelKind.P_LINEAR,
-    "p_linear": KernelKind.P_LINEAR,
-    "sigmoid": KernelKind.SIGMOID,
-    "rbf": KernelKind.RBF,
-    "rbfnorm": KernelKind.RBF_NORMALIZED,
-    "rbf-norm": KernelKind.RBF_NORMALIZED,
-    "rbf-normalized": KernelKind.RBF_NORMALIZED,
-    "rbf_normalized": KernelKind.RBF_NORMALIZED,
-    "mixk": KernelKind.MIX_K,
-    "mix-k": KernelKind.MIX_K,
-    "mix_k": KernelKind.MIX_K,
-}
-
-#: Kinds whose value at (a, b) depends only on the two vectors.
-PAIRWISE_KINDS = frozenset(
-    {KernelKind.LINEAR, KernelKind.P_LINEAR, KernelKind.SIGMOID, KernelKind.RBF}
-)
-
-#: Kinds with piecewise segments (need 1 <= P <= r).
-PIECEWISE_KINDS = frozenset({KernelKind.P_LINEAR, KernelKind.MIX_K})
-
-
-def parse_kernel_kind(name) -> KernelKind:
-    if isinstance(name, KernelKind):
-        return name
-    key = str(name).strip().lower()
-    if key not in _KIND_ALIASES:
-        known = ", ".join(sorted(set(a.value for a in _KIND_ALIASES.values())))
-        raise ValueError(f"unknown kernel {name!r} (known: {known})")
-    return _KIND_ALIASES[key]
-
-
 def segment_bounds(r: int, pieces: int):
     """Split [0, r) into `pieces` contiguous near-equal half-open ranges."""
     if pieces < 1:
@@ -97,135 +66,204 @@ def segment_bounds(r: int, pieces: int):
     return [(r * (p - 1) // pieces, r * p // pieces) for p in range(1, pieces + 1)]
 
 
+# -- merge functions: (spec, B: m x r, A: n x r) -> m x n ---------------------
+
+
+def _linear(spec, b, a):
+    return matmul(b, transpose(a))
+
+
+def _sigmoid(spec, b, a):
+    alpha, beta, gamma = spec.coeffs
+    s = matmul(b, transpose(a))
+    logistic = reciprocal(scalar_add(exp(mul(beta, -s)), 1.0))
+    return add(mul(alpha, logistic), gamma)
+
+
+def _row_differences(b, a):
+    (m, r), n = b.data.shape, a.data.shape[0]
+    return sub(reshape(b, (m, 1, r)), reshape(a, (1, n, r)))
+
+
+def _rbf(spec, b, a):
+    alpha, beta, gamma = spec.coeffs
+    d2 = reduce_sum(square(_row_differences(b, a)), axis=2)
+    return add(mul(alpha, exp(mul(beta, -d2))), gamma)
+
+
+def _rbf_normalized(spec, b, a):
+    return column_softmax(_rbf(spec, b, a))
+
+
+def _p_linear(spec, b, a):
+    bounds = segment_bounds(b.data.shape[1], spec.pieces)
+    seg = segment_l2_norm(_row_differences(b, a), bounds)
+    return reduce_sum(mul(seg, spec.coeffs[0]), axis=2)
+
+
+def _mix_k(spec, b, a):
+    _, alpha, beta = spec.coeffs
+    kp = _p_linear(spec, b, a)
+    return add(add(kp, mul(alpha, column_softmax(kp))), beta)
+
+
+# -- the registry -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Coefficient:
+    """One learnable coefficient: a scalar, or a vector with one entry per piece."""
+
+    name: str
+    zero: float
+    canonical: float
+    per_piece: bool = False
+    positive: bool = False
+
+
+@dataclass(frozen=True)
+class KindRow:
+    """Every per-kind fact.
+
+    `kind_id` is the stable id in checkpoint format v1; `aliases` are the
+    accepted spellings besides the kind's value. `coefficients` lists the
+    per-piece vector first, then the scalars, in checkpoint order.
+    `merge(spec, B, A)` builds the m x n matrix of kernel values.
+    """
+
+    kind: KernelKind
+    kind_id: int
+    aliases: tuple
+    coefficients: tuple
+    merge: Callable
+
+    @property
+    def piecewise(self) -> bool:
+        return bool(self.coefficients) and self.coefficients[0].per_piece
+
+    def count(self, pieces: int) -> int:
+        """Number of coefficient values at the given piece count."""
+        return len(self.coefficients) + (pieces - 1 if self.piecewise else 0)
+
+    def pieces_for(self, count: int) -> int:
+        """Piece count implied by a coefficient-value count (2 for kinds without pieces)."""
+        pieces = count - len(self.coefficients) + 1 if self.piecewise else 2
+        if pieces < 1 or self.count(pieces) != count:
+            least = "at least " if self.piecewise else ""
+            raise ValueError(
+                f"{self.kind.value} kernel takes {least}{self.count(1)} coefficients, got {count}"
+            )
+        return pieces
+
+
+_ALPHA_P = Coefficient("alpha_p", zero=0.0, canonical=1.0, per_piece=True)
+_SIGMOID = (
+    Coefficient("alpha", zero=0.0, canonical=1.0),
+    Coefficient("beta", zero=1.0, canonical=1.0),
+    Coefficient("gamma", zero=0.0, canonical=0.0),
+)
+_RBF = (
+    Coefficient("alpha", zero=0.0, canonical=1.0),
+    Coefficient("beta", zero=1.0, canonical=1.0, positive=True),
+    Coefficient("gamma", zero=0.0, canonical=0.0),
+)
+_MIX_K = (
+    _ALPHA_P,
+    Coefficient("alpha", zero=0.0, canonical=1.0),
+    Coefficient("beta", zero=0.0, canonical=0.0),
+)
+
+KINDS = {
+    row.kind: row
+    for row in (
+        KindRow(KernelKind.LINEAR, 0, (), (), _linear),
+        KindRow(KernelKind.P_LINEAR, 1, ("plinear", "p_linear"), (_ALPHA_P,), _p_linear),
+        KindRow(KernelKind.SIGMOID, 2, (), _SIGMOID, _sigmoid),
+        KindRow(KernelKind.RBF, 3, (), _RBF, _rbf),
+        KindRow(KernelKind.RBF_NORMALIZED, 4, ("rbfnorm", "rbf-norm", "rbf_normalized"), _RBF,
+                _rbf_normalized),
+        KindRow(KernelKind.MIX_K, 5, ("mixk", "mix_k"), _MIX_K, _mix_k),
+    )
+}
+
+_SPELLINGS = {alias: row.kind for row in KINDS.values() for alias in row.aliases}
+
+
+def parse_kernel_kind(name) -> KernelKind:
+    return parse_choice(KernelKind, name, "kernel", _SPELLINGS)
+
+
+def kernel_coefficient_count(kind, pieces: int = 2) -> int:
+    return KINDS[parse_kernel_kind(kind)].count(pieces)
+
+
 @dataclass
 class KernelSpec:
-    """A kernel kind plus its learnable coefficients.
+    """A kernel kind, its piece count, and its learnable coefficient tensors.
 
-    Only the fields a kind uses are populated:
-      linear          -- none
-      p-linear        -- alpha_p (one scale per piece)
-      mix-k           -- alpha_p, alpha (mixing scale), beta (offset)
-      sigmoid         -- sig_alpha, sig_beta, sig_gamma
-      rbf, rbf-norm.  -- rbf_alpha, rbf_beta (> 0), rbf_gamma
+    `coeffs` holds one tensor per entry of `KINDS[kind].coefficients`, in
+    that order; `pieces` matters only to kinds with a per-piece coefficient.
     """
 
     kind: KernelKind
     pieces: int = 2
-    alpha_p: Tensor | None = None
-    alpha: Tensor | None = None
-    beta: Tensor | None = None
-    sig_alpha: Tensor | None = None
-    sig_beta: Tensor | None = None
-    sig_gamma: Tensor | None = None
-    rbf_alpha: Tensor | None = None
-    rbf_beta: Tensor | None = None
-    rbf_gamma: Tensor | None = None
+    coeffs: tuple = ()
 
     def __post_init__(self):
         self.kind = parse_kernel_kind(self.kind)
-        if self.kind in PIECEWISE_KINDS and self.pieces < 1:
+        self.coeffs = tuple(self.coeffs)
+        row = KINDS[self.kind]
+        if row.piecewise and self.pieces < 1:
             raise ValueError(f"piece count must be >= 1, got {self.pieces}")
-        if self.rbf_beta is not None and float(self.rbf_beta.data) <= 0.0:
-            raise ValueError("rbf_beta must be positive")
+        if len(self.coeffs) != len(row.coefficients):
+            raise ValueError(
+                f"{self.kind.value} kernel takes {len(row.coefficients)} coefficient tensors, "
+                f"got {len(self.coeffs)}"
+            )
+        for coeff, tensor in zip(row.coefficients, self.coeffs):
+            if coeff.positive and float(tensor.data) <= 0.0:
+                raise ValueError(f"{self.kind.value} coefficient {coeff.name} must be positive")
+
+    @classmethod
+    def _filled(cls, kind, pieces: int, trainable: bool, value) -> "KernelSpec":
+        kind = parse_kernel_kind(kind)
+        coeffs = [
+            Tensor(np.full(pieces if c.per_piece else (), value(c), dtype=np.float64),
+                   requires_grad=trainable)
+            for c in KINDS[kind].coefficients
+        ]
+        return cls(kind=kind, pieces=pieces, coeffs=coeffs)
 
     @classmethod
     def zero_init(cls, kind, pieces: int = 2, trainable: bool = True) -> "KernelSpec":
-        kind = parse_kernel_kind(kind)
-        t = lambda v: Tensor(np.asarray(v, dtype=np.float64), requires_grad=trainable)
-        spec = cls(kind=kind, pieces=pieces)
-        if kind in PIECEWISE_KINDS:
-            spec.alpha_p = t(np.zeros(pieces))
-        if kind is KernelKind.MIX_K:
-            spec.alpha = t(0.0)
-            spec.beta = t(0.0)
-        if kind is KernelKind.SIGMOID:
-            spec.sig_alpha = t(0.0)
-            spec.sig_beta = t(1.0)
-            spec.sig_gamma = t(0.0)
-        if kind in (KernelKind.RBF, KernelKind.RBF_NORMALIZED):
-            spec.rbf_alpha = t(0.0)
-            spec.rbf_beta = t(1.0)
-            spec.rbf_gamma = t(0.0)
-        return spec
+        return cls._filled(kind, pieces, trainable, lambda c: c.zero)
 
     @classmethod
     def canonical(cls, kind, pieces: int = 2, trainable: bool = False) -> "KernelSpec":
-        kind = parse_kernel_kind(kind)
-        t = lambda v: Tensor(np.asarray(v, dtype=np.float64), requires_grad=trainable)
-        spec = cls(kind=kind, pieces=pieces)
-        if kind in PIECEWISE_KINDS:
-            spec.alpha_p = t(np.ones(pieces))
-        if kind is KernelKind.MIX_K:
-            spec.alpha = t(1.0)
-            spec.beta = t(0.0)
-        if kind is KernelKind.SIGMOID:
-            spec.sig_alpha = t(1.0)
-            spec.sig_beta = t(1.0)
-            spec.sig_gamma = t(0.0)
-        if kind in (KernelKind.RBF, KernelKind.RBF_NORMALIZED):
-            spec.rbf_alpha = t(1.0)
-            spec.rbf_beta = t(1.0)
-            spec.rbf_gamma = t(0.0)
-        return spec
+        return cls._filled(kind, pieces, trainable, lambda c: c.canonical)
 
     def coefficients(self) -> list:
-        """Learnable coefficient tensors in the documented checkpoint order."""
-        order = {
-            KernelKind.LINEAR: [],
-            KernelKind.P_LINEAR: [self.alpha_p],
-            KernelKind.MIX_K: [self.alpha_p, self.alpha, self.beta],
-            KernelKind.SIGMOID: [self.sig_alpha, self.sig_beta, self.sig_gamma],
-            KernelKind.RBF: [self.rbf_alpha, self.rbf_beta, self.rbf_gamma],
-            KernelKind.RBF_NORMALIZED: [self.rbf_alpha, self.rbf_beta, self.rbf_gamma],
-        }[self.kind]
-        return [c for c in order if c is not None]
+        """Learnable coefficient tensors in checkpoint order."""
+        return list(self.coeffs)
 
     def coefficient_values(self) -> np.ndarray:
-        vals = [np.atleast_1d(c.data).ravel() for c in self.coefficients()]
+        vals = [np.atleast_1d(c.data).ravel() for c in self.coeffs]
         return np.concatenate(vals) if vals else np.zeros(0)
 
     @classmethod
     def from_coefficient_values(cls, kind, values, trainable: bool = True) -> "KernelSpec":
-        kind = parse_kernel_kind(kind)
+        row = KINDS[parse_kernel_kind(kind)]
         vals = np.asarray(values, dtype=np.float64).ravel()
-        t = lambda v: Tensor(np.asarray(v, dtype=np.float64), requires_grad=trainable)
-        if kind is KernelKind.LINEAR:
-            if vals.size:
-                raise ValueError("linear kernel takes no coefficients")
-            return cls(kind=kind)
-        if kind is KernelKind.P_LINEAR:
-            if vals.size < 1:
-                raise ValueError("p-linear kernel needs at least one piece coefficient")
-            return cls(kind=kind, pieces=vals.size, alpha_p=t(vals))
-        if kind is KernelKind.MIX_K:
-            if vals.size < 3:
-                raise ValueError("mix-k kernel needs at least 3 coefficients")
-            pieces = vals.size - 2
-            return cls(kind=kind, pieces=pieces, alpha_p=t(vals[:pieces]), alpha=t(vals[-2]), beta=t(vals[-1]))
-        if vals.size != 3:
-            raise ValueError(f"{kind.value} kernel needs exactly 3 coefficients")
-        if kind is KernelKind.SIGMOID:
-            return cls(kind=kind, sig_alpha=t(vals[0]), sig_beta=t(vals[1]), sig_gamma=t(vals[2]))
-        return cls(kind=kind, rbf_alpha=t(vals[0]), rbf_beta=t(vals[1]), rbf_gamma=t(vals[2]))
+        pieces = row.pieces_for(vals.size)
+        sizes = [pieces if c.per_piece else 1 for c in row.coefficients]
+        chunks = np.split(vals, np.cumsum(sizes)[:-1])
+        coeffs = [Tensor(chunk if c.per_piece else chunk[0], requires_grad=trainable)
+                  for c, chunk in zip(row.coefficients, chunks)]
+        return cls(kind=row.kind, pieces=pieces, coeffs=coeffs)
 
     def with_coefficients(self, tensors) -> "KernelSpec":
         """Copy of this spec with coefficient tensors replaced (same order)."""
-        tensors = list(tensors)
-        names = {
-            KernelKind.LINEAR: [],
-            KernelKind.P_LINEAR: ["alpha_p"],
-            KernelKind.MIX_K: ["alpha_p", "alpha", "beta"],
-            KernelKind.SIGMOID: ["sig_alpha", "sig_beta", "sig_gamma"],
-            KernelKind.RBF: ["rbf_alpha", "rbf_beta", "rbf_gamma"],
-            KernelKind.RBF_NORMALIZED: ["rbf_alpha", "rbf_beta", "rbf_gamma"],
-        }[self.kind]
-        present = [n for n in names if getattr(self, n) is not None]
-        if len(tensors) != len(present):
-            raise ValueError(f"expected {len(present)} coefficient tensors, got {len(tensors)}")
-        out = replace(self)
-        for name, tensor in zip(present, tensors):
-            setattr(out, name, tensor)
-        return out
+        return replace(self, coeffs=tuple(tensors))
 
 
 @dataclass
@@ -265,49 +303,6 @@ class LowRankPair:
         return cls(A=Tensor(a, requires_grad=trainable), B=Tensor(b, requires_grad=trainable))
 
 
-def _require(spec: KernelSpec, *names):
-    for name in names:
-        if getattr(spec, name) is None:
-            raise ValueError(f"{spec.kind.value} kernel needs coefficient {name!r}")
-
-
-def kernel_eval(spec: KernelSpec, a, b) -> Tensor:
-    """Evaluate a pairwise kernel between two r-vectors.
-
-    Defined for the linear, piecewise-linear, sigmoid, and RBF kinds; the
-    merge-level kinds (mix-k, rbf-normalized) need whole columns and are
-    only available through `merge`.
-    """
-    a, b = _as_vec(a), _as_vec(b)
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"length mismatch: {a.data.shape} vs {b.data.shape}")
-    kind = spec.kind
-    if kind is KernelKind.LINEAR:
-        return reduce_sum(mul(a, b))
-    if kind is KernelKind.P_LINEAR:
-        _require(spec, "alpha_p")
-        bounds = segment_bounds(a.data.shape[-1], spec.pieces)
-        seg = segment_l2_norm(sub(a, b), bounds)
-        return reduce_sum(mul(seg, spec.alpha_p))
-    if kind is KernelKind.SIGMOID:
-        _require(spec, "sig_alpha", "sig_beta", "sig_gamma")
-        s = reduce_sum(mul(a, b))
-        logistic = reciprocal(scalar_add(exp(mul(spec.sig_beta, -s)), 1.0))
-        return add(mul(spec.sig_alpha, logistic), spec.sig_gamma)
-    if kind is KernelKind.RBF:
-        _require(spec, "rbf_alpha", "rbf_beta", "rbf_gamma")
-        d2 = reduce_sum(square(sub(a, b)))
-        return add(mul(spec.rbf_alpha, exp(mul(spec.rbf_beta, -d2))), spec.rbf_gamma)
-    raise ValueError(f"{kind.value} has no pairwise form; use merge()")
-
-
-def _as_vec(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.data.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {t.data.shape}")
-    return t
-
-
 def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     """Merge a factor pair into the m x n update matrix.
 
@@ -316,33 +311,7 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     matrix) + beta; rbf-normalized applies that column softmax to the RBF
     matrix alone. The result participates in gradient recording.
     """
-    m, n, r = pair.m, pair.n, pair.r
-    kind = spec.kind
-    if kind is KernelKind.LINEAR:
-        return matmul(pair.B, transpose(pair.A))
-    if kind is KernelKind.SIGMOID:
-        _require(spec, "sig_alpha", "sig_beta", "sig_gamma")
-        s = matmul(pair.B, transpose(pair.A))
-        logistic = reciprocal(scalar_add(exp(mul(spec.sig_beta, -s)), 1.0))
-        return add(mul(spec.sig_alpha, logistic), spec.sig_gamma)
-
-    diff = sub(reshape(pair.B, (m, 1, r)), reshape(pair.A, (1, n, r)))
-    if kind in (KernelKind.RBF, KernelKind.RBF_NORMALIZED):
-        _require(spec, "rbf_alpha", "rbf_beta", "rbf_gamma")
-        d2 = reduce_sum(square(diff), axis=2)
-        k = add(mul(spec.rbf_alpha, exp(mul(spec.rbf_beta, -d2))), spec.rbf_gamma)
-        if kind is KernelKind.RBF:
-            return k
-        return column_softmax(k)
-
-    _require(spec, "alpha_p")
-    bounds = segment_bounds(r, spec.pieces)
-    seg = segment_l2_norm(diff, bounds)
-    kp = reduce_sum(mul(seg, spec.alpha_p), axis=2)
-    if kind is KernelKind.P_LINEAR:
-        return kp
-    _require(spec, "alpha", "beta")
-    return add(add(kp, mul(spec.alpha, column_softmax(kp))), spec.beta)
+    return KINDS[spec.kind].merge(spec, pair.B, pair.A)
 
 
 def numerical_rank(matrix, eps_rel: float) -> int:
@@ -359,16 +328,16 @@ def numerical_rank(matrix, eps_rel: float) -> int:
 
 
 def psd_check(spec: KernelSpec, points) -> float:
-    """Minimum eigenvalue of the kernel Gram matrix over the given points."""
+    """Minimum eigenvalue of the kernel Gram matrix (the merge of the points with themselves).
+
+    Kinds that normalize columns give a non-symmetric matrix and are rejected.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError(f"points must be a (k, r) array with k >= 1, got shape {pts.shape}")
-    k = pts.shape[0]
-    gram = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = kernel_eval(spec, pts[i], pts[j]).item()
-            gram[j, i] = gram[i, j]
+    gram = KINDS[spec.kind].merge(spec, Tensor(pts), Tensor(pts)).data
+    if not np.allclose(gram, gram.T):
+        raise ValueError(f"{spec.kind.value} Gram matrix is not symmetric")
     return float(np.linalg.eigvalsh(gram)[0])
 
 

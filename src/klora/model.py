@@ -32,6 +32,7 @@ from .allocation import (
     sensitivity,
     sparsify,
 )
+from .choices import parse_choice
 from .kernels import KernelKind, KernelSpec, LowRankPair, merge, parse_kernel_kind
 from .tensor import (
     Tensor,
@@ -60,13 +61,7 @@ class AllocPeriod(enum.Enum):
 
 
 def parse_alloc_period(name) -> AllocPeriod:
-    if isinstance(name, AllocPeriod):
-        return name
-    try:
-        return AllocPeriod(str(name).strip().lower())
-    except ValueError:
-        known = ", ".join(p.value for p in AllocPeriod)
-        raise ValueError(f"unknown allocation period {name!r} (known: {known})") from None
+    return parse_choice(AllocPeriod, name, "allocation period")
 
 
 # -- losses -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Harness drivers: fit targets, schedules, ranks, memory model, run-all, CLI."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,17 @@ from klora.kernels import numerical_rank
 from klora.model import RunTrace, TrainerConfig, fine_tune
 from klora.datasets import high_rank_regression
 from klora.reports import read_csv, write_csv
+
+
+SCHEDULE_ENTRY = {"name": "s", "type": "schedule", "params": {"b0": 100, "bT": 10, "T": 5}}
+
+# a misspelled param and a misspelled assert key, each in the second entry
+TYPO_ENTRIES = [
+    ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
+      "assert": {"lowrank_fullft_ratoi": [0.0208, 0.01]}},
+     "experiments[1].assert.lowrank_fullft_ratoi"),
+]
 
 
 class TestFitTargets:
@@ -278,6 +290,13 @@ class TestRunAll:
         paths, failures = run_all(cfg, tmp_path)
         assert len(failures) == 1 and "mem" in failures[0]
 
+    @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
+    def test_typo_in_later_entry_rejected_before_running(self, tmp_path, second, where):
+        cfg = apply_defaults({"experiments": [SCHEDULE_ENTRY, second]})
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            run_all(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainExperiment:
     def test_report_and_trace(self):
@@ -397,6 +416,19 @@ class TestCli:
         )
         assert result.exit_code != 0
         assert "poly" in result.output
+
+    @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
+    def test_run_all_reports_typo_as_click_error(self, tmp_path, second, where):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiments": [SCHEDULE_ENTRY, second]}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            cli_main, ["run-all", "--config", str(cfg_path), "--out", str(out)]
+        )
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "Error:" in result.output and where in result.output
+        assert list(out.iterdir()) == []
 
 
 def test_default_run_config_is_valid():

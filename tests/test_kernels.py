@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from klora.kernels import (
-    PAIRWISE_KINDS,
+    KINDS,
     KernelKind,
     KernelSpec,
     LowRankPair,
-    kernel_eval,
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
@@ -51,6 +50,11 @@ def elimination_rank(matrix, tol=1e-9):
     return rank
 
 
+def pairwise(spec, a, b):
+    """The kernel between two r-vectors: the 1 x 1 merge of B = [a] against A = [b]."""
+    return KINDS[spec.kind].merge(spec, Tensor(np.atleast_2d(a)), Tensor(np.atleast_2d(b))).item()
+
+
 def random_pair(rng, m, n, r, std=1.0):
     return LowRankPair(
         A=Tensor(rng.normal(0.0, std, size=(n, r)), requires_grad=True),
@@ -83,49 +87,40 @@ class TestSegmentBounds:
             segment_bounds(3, 4)
 
 
-class TestKernelEval:
+class TestPairwiseValues:
     def test_plinear_zero_distance(self):
         spec = KernelSpec.canonical(KernelKind.P_LINEAR, pieces=2)
         a = np.array([1.0, -2.0, 0.5, 3.0])
-        assert kernel_eval(spec, a, a).item() == 0.0
+        assert pairwise(spec, a, a) == 0.0
 
     def test_sigmoid_at_zero_inner_product(self):
-        spec = KernelSpec.canonical(KernelKind.SIGMOID)
-        spec.sig_alpha = Tensor(2.0)
-        spec.sig_gamma = Tensor(0.25)
+        spec = KernelSpec.from_coefficient_values(KernelKind.SIGMOID, [2.0, 1.0, 0.25])
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert kernel_eval(spec, a, b).item() == pytest.approx(2.0 * 0.5 + 0.25, abs=1e-15)
+        assert pairwise(spec, a, b) == pytest.approx(2.0 * 0.5 + 0.25, abs=1e-15)
 
     def test_plinear_hand_value(self):
         # r=4, P=2, unit piece scales, a=(1,2,3,4), b=0:
         # segments [0,2) and [2,4) give norm(1,2)=sqrt(5) and norm(3,4)=5.
         spec = KernelSpec.canonical(KernelKind.P_LINEAR, pieces=2)
-        val = kernel_eval(spec, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)).item()
+        val = pairwise(spec, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
         assert val == pytest.approx(math.sqrt(5.0) + 5.0, abs=1e-12)
 
     def test_linear_is_inner_product(self):
         spec = KernelSpec(kind=KernelKind.LINEAR)
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([4.0, -5.0, 6.0])
-        assert kernel_eval(spec, a, b).item() == pytest.approx(float(a @ b), abs=1e-12)
+        assert pairwise(spec, a, b) == pytest.approx(float(a @ b), abs=1e-12)
 
     def test_rbf_value(self):
         spec = KernelSpec.canonical(KernelKind.RBF)
         a = np.array([1.0, 1.0])
         b = np.array([0.0, 0.0])
-        assert kernel_eval(spec, a, b).item() == pytest.approx(math.exp(-2.0), abs=1e-15)
+        assert pairwise(spec, a, b) == pytest.approx(math.exp(-2.0), abs=1e-15)
 
     def test_length_mismatch_rejected(self):
-        spec = KernelSpec(kind=KernelKind.LINEAR)
-        with pytest.raises(ValueError, match="mismatch"):
-            kernel_eval(spec, np.zeros(3), np.zeros(4))
-
-    def test_merge_level_kinds_have_no_pairwise_form(self):
-        for kind in (KernelKind.MIX_K, KernelKind.RBF_NORMALIZED):
-            spec = KernelSpec.canonical(kind)
-            with pytest.raises(ValueError, match="pairwise"):
-                kernel_eval(spec, np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="ranks differ"):
+            LowRankPair(A=Tensor(np.zeros((4, 3))), B=Tensor(np.zeros((4, 4))))
 
     @pytest.mark.parametrize("kind", [KernelKind.LINEAR, KernelKind.P_LINEAR, KernelKind.RBF])
     def test_symmetry(self, kind):
@@ -134,9 +129,7 @@ class TestKernelEval:
         for _ in range(5):
             a = rng.normal(size=6)
             b = rng.normal(size=6)
-            assert kernel_eval(spec, a, b).item() == pytest.approx(
-                kernel_eval(spec, b, a).item(), rel=1e-12
-            )
+            assert pairwise(spec, a, b) == pytest.approx(pairwise(spec, b, a), rel=1e-12)
 
 
 class TestMerge:
@@ -157,11 +150,9 @@ class TestMerge:
         for seed in range(4):
             rng = np.random.default_rng(seed)
             pair = random_pair(rng, 7, 5, 3)
-            spec = KernelSpec.canonical(KernelKind.MIX_K, pieces=2)
             alpha = 1.7
-            spec.alpha = Tensor(alpha)
             beta = -0.3
-            spec.beta = Tensor(beta)
+            spec = KernelSpec.from_coefficient_values(KernelKind.MIX_K, [1.0, 1.0, alpha, beta])
             full = merge(spec, pair).data
             plain = merge(KernelSpec.canonical(KernelKind.P_LINEAR, pieces=2), pair).data
             col_sums = (full - plain - beta).sum(axis=0)
@@ -261,6 +252,12 @@ class TestPsd:
         spec = KernelSpec.canonical(KernelKind.RBF)
         assert psd_check(spec, np.array([[0.3, -0.7]])) >= 0.0
 
+    def test_column_normalized_kinds_rejected(self):
+        pts = np.random.default_rng(10).normal(size=(5, 2))
+        for kind in (KernelKind.MIX_K, KernelKind.RBF_NORMALIZED):
+            with pytest.raises(ValueError, match="not symmetric"):
+                psd_check(KernelSpec.canonical(kind), pts)
+
 
 class TestMergeGradients:
     def test_mixk_merge_loss_finite_difference_at_coarser_step(self):
@@ -272,16 +269,6 @@ class TestMergeGradients:
             lambda: reduce_sum(merge(spec, pair)), params, h=1e-4, tol=1e-5
         )
         assert report.passed, report.max_rel_err
-
-    @pytest.mark.parametrize("kind", sorted(PAIRWISE_KINDS, key=lambda k: k.value))
-    def test_kernel_eval_gradcheck_wrt_vectors_and_coefficients(self, kind):
-        rng = np.random.default_rng(37)
-        a = Tensor(rng.normal(0, 0.8, size=4), requires_grad=True)
-        b = Tensor(rng.normal(0, 0.8, size=4) + 2.0, requires_grad=True)
-        spec = KernelSpec.canonical(kind, pieces=2, trainable=True)
-        params = [a, b, *spec.coefficients()]
-        report = finite_diff_check(lambda: kernel_eval(spec, a, b), params, h=1e-5, tol=1e-5)
-        assert report.passed, f"{kind}: {report.max_rel_err}"
 
     def test_all_zero_factors_give_zero_factor_gradients_everywhere(self):
         # symmetric start: every kernel's factor gradient vanishes at the
@@ -361,7 +348,7 @@ class TestSpecPlumbing:
 
     def test_rbf_beta_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            KernelSpec(kind=KernelKind.RBF, rbf_alpha=Tensor(1.0), rbf_beta=Tensor(0.0), rbf_gamma=Tensor(0.0))
+            KernelSpec(kind=KernelKind.RBF, coeffs=(Tensor(1.0), Tensor(0.0), Tensor(0.0)))
 
     def test_pair_rank_validation(self):
         with pytest.raises(ValueError, match="rank"):

@@ -77,8 +77,8 @@ class TestAdaptedLinear:
         for flag in (False, True):
             rng2 = np.random.default_rng(11)
             layer = make_layer(rng2, kind=KernelKind.MIX_K, std=0.4, recompute_merge=flag)
-            layer.spec.alpha_p.data[:] = [0.3, -0.2]
-            layer.spec.alpha.data[...] = 0.5
+            layer.spec.coeffs[0].data[:] = [0.3, -0.2]
+            layer.spec.coeffs[1].data[...] = 0.5
             layer.budget = 10
             loss = mse_loss(layer.forward(Tensor(vals)), np.ones((3, 5)))
             backward(loss)
@@ -289,7 +289,7 @@ class TestTrainer:
         model = build_model(ds, cfg)
         trainer = Trainer(model, cfg, ds)
         trainer.layers[0].pair.A.data[:] = np.inf
-        trainer.layers[0].spec.alpha_p.data[:] = 1.0
+        trainer.layers[0].spec.coeffs[0].data[:] = 1.0
         with pytest.raises(RuntimeError, match="non-finite loss"):
             trainer.train_step(ds.x[:4], ds.y[:4])
 

@@ -1,12 +1,16 @@
 """Config validation, binary checkpoint round-trips, CSV and SVG output."""
 
+import hashlib
 import json
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from klora.checkpoint import (
     BadMagicError,
+    CheckpointError,
     ChecksumError,
     UnsupportedVersionError,
     install_records,
@@ -130,7 +134,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(3)
         for layer in model.adapted_layers():
             layer.pair.A.data[:] = rng.normal(size=layer.pair.A.data.shape)
-            layer.spec.alpha_p.data[:] = rng.normal(size=2)
+            layer.spec.coeffs[0].data[:] = rng.normal(size=2)
         path = tmp_path / "adapter.bin"
         save_checkpoint(model, path)
         records = load_checkpoint(path)
@@ -195,6 +199,93 @@ class TestCheckpoint:
             save_checkpoint(model, path)
             records = load_checkpoint(path)
             assert records[0].kind is kind
+
+
+def write_crafted(path, layers):
+    """Write format-v1 bytes with a valid checksum from raw per-layer fields.
+
+    Each layer is (m, n, r, kind id, coefficients, factor floats).
+    """
+    parts = [b"SNLA", struct.pack("<HI", 1, len(layers))]
+    for m, n, r, kind_id, coeffs, floats in layers:
+        parts.append(struct.pack("<IIIHI", m, n, r, kind_id, len(coeffs)))
+        parts.append(np.asarray(list(coeffs) + list(floats), dtype="<f8").tobytes())
+    payload = b"".join(parts)
+    path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+
+
+class TestCraftedCheckpoint:
+    def test_header_larger_than_payload(self, tmp_path):
+        path = tmp_path / "big.bin"
+        write_crafted(path, [(1000, 1000, 50, 0, [], [])])
+        with pytest.raises(CheckpointError, match="payload"):
+            load_checkpoint(path)
+
+    def test_rank_above_min_dimension(self, tmp_path):
+        path = tmp_path / "rank.bin"
+        write_crafted(path, [(1, 1, 2, 0, [], [0.0] * 4)])
+        with pytest.raises(CheckpointError, match="exceeds min"):
+            load_checkpoint(path)
+
+    def test_coefficient_count_must_fit_kind(self, tmp_path):
+        path = tmp_path / "coeffs.bin"
+        write_crafted(path, [(2, 2, 1, 0, [1.0, 2.0], [0.0] * 4)])
+        with pytest.raises(CheckpointError, match="linear kernel takes 0 coefficients"):
+            load_checkpoint(path)
+
+
+# A format-v1 file written before the kernel registry existed: one 2 x 2
+# layer per kind id 0..5, built by `golden_layers` below.
+GOLDEN_V1 = bytes.fromhex(
+    "534e4c41010006000000020000000200000001000000000000000000000000000000e0bf000000000000d8bf"
+    "000000000000d03f000000000000b03f020000000200000002000000010002000000000000000000e03f0000"
+    "00000000d0bf000000000000d8bf000000000000d0bf000000000000c0bf0000000000000000000000000000"
+    "c83f0000000000000000000000000000c8bf000000000000d8bf020000000200000001000000020003000000"
+    "000000000000f83f000000000000e83f000000000000c0bf000000000000d0bf000000000000c0bf00000000"
+    "0000c03f000000000000b0bf0200000002000000010000000300030000000000000000000040000000000000"
+    "e03f000000000000d03f000000000000c0bf0000000000000000000000000000b03f000000000000c0bf0200"
+    "00000200000001000000040003000000000000000000f0bf0000000000001040000000000000b03f00000000"
+    "00000000000000000000c03f0000000000000000000000000000c8bf02000000020000000200000005000400"
+    "0000000000000000d83f000000000000e4bf000000000000f43f00000000000004c0000000000000c03f0000"
+    "00000000d03f000000000000d83f000000000000e03f000000000000b0bf000000000000d0bf000000000000"
+    "dcbf000000000000e4bf96a2dd33167c3084"
+)
+
+
+def golden_layers():
+    """(kind, coefficients, A, B) per layer of GOLDEN_V1."""
+    coeffs = {
+        KernelKind.LINEAR: [],
+        KernelKind.P_LINEAR: [0.5, -0.25],
+        KernelKind.SIGMOID: [1.5, 0.75, -0.125],
+        KernelKind.RBF: [2.0, 0.5, 0.25],
+        KernelKind.RBF_NORMALIZED: [-1.0, 4.0, 0.0625],
+        KernelKind.MIX_K: [0.375, -0.625, 1.25, -2.5],
+    }
+    out = []
+    for i, (kind, values) in enumerate(coeffs.items()):
+        r = 2 if kind in (KernelKind.P_LINEAR, KernelKind.MIX_K) else 1
+        grid = np.arange(2 * r, dtype=float).reshape(2, r)
+        out.append((kind, values, (grid + i) / 8.0 - 0.5, -(grid * 3 + i) / 16.0 + 0.25))
+    return out
+
+
+class TestFormatV1:
+    def test_golden_file_loads_and_resaves_byte_for_byte(self, tmp_path):
+        path = tmp_path / "golden.bin"
+        path.write_bytes(GOLDEN_V1)
+        records = load_checkpoint(path)
+        assert len(records) == 6
+        for rec, (kind, values, a, b) in zip(records, golden_layers()):
+            assert rec.kind is kind
+            np.testing.assert_array_equal(rec.coefficients, values)
+            np.testing.assert_array_equal(rec.a, a)
+            np.testing.assert_array_equal(rec.b, b)
+        layers = [SimpleNamespace(pair=pair, spec=spec)
+                  for pair, spec in (rec.to_pair_and_spec() for rec in records)]
+        again = tmp_path / "again.bin"
+        save_checkpoint(layers, again)
+        assert again.read_bytes() == GOLDEN_V1
 
 
 class TestCsv:
