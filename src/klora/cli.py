@@ -16,6 +16,7 @@ import click
 import numpy as np
 
 from . import experiments as ex
+from .allocation import parse_schedule_kind
 from .checkpoint import save_checkpoint
 from .config import ConfigError, apply_defaults, load_config
 from .experiments import default_run_config
@@ -44,6 +45,20 @@ def _out_dir(out) -> Path:
     return path
 
 
+def _names(parse):
+    """Option callback: a name `parse` rejects is a usage error (exit code 2)."""
+
+    def callback(ctx, param, value):
+        for name in value if isinstance(value, tuple) else () if value is None else (value,):
+            try:
+                parse(name)
+            except ValueError as err:
+                raise click.BadParameter(str(err), ctx, param) from None
+        return value
+
+    return callback
+
+
 common = {
     "config": click.option("--config", type=click.Path(exists=True, dir_okay=False),
                            default=None, help="JSON run configuration."),
@@ -53,6 +68,7 @@ common = {
     "seeds": click.option("--seeds", type=int, default=5, show_default=True,
                           help="Number of seeds."),
     "kernel": click.option("--kernel", "kernels", multiple=True,
+                           callback=_names(parse_kernel_kind),
                            help="Kernel name (repeatable)."),
     "rank": click.option("--rank", type=int, default=4, show_default=True),
     "pieces": click.option("--pieces", type=int, default=2, show_default=True),
@@ -148,11 +164,12 @@ def rank_sweep_cmd(out, seed, seeds, kernels, pieces, size, ranks):
 @common["config"]
 @common["out"]
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--kernel", type=str, default=None, help="Override the kernel kind.")
+@click.option("--kernel", type=str, default=None, callback=_names(parse_kernel_kind),
+              help="Override the kernel kind.")
 @click.option("--rank", type=int, default=None, help="Override the adapter rank.")
 @click.option("--pieces", type=int, default=None)
 @click.option("--budget-ratio", type=float, default=None)
-@click.option("--schedule", type=str, default=None)
+@click.option("--schedule", type=str, default=None, callback=_names(parse_schedule_kind))
 @click.option("--alloc-period", type=click.Choice(["per-epoch", "per-step"]), default=None)
 @click.option("--sparsify-mode", type=click.Choice(["soft", "literal", "hard"]), default=None)
 @click.option("--epochs", type=int, default=None)
@@ -227,7 +244,7 @@ def alloc_trace_cmd(trace_path, out, svg):
 @click.option("--b0", type=int, default=1000, show_default=True)
 @click.option("--bt", "bT", type=int, default=0, show_default=True)
 @click.option("--steps", "T", type=int, default=10, show_default=True)
-@click.option("--schedule", "kinds", multiple=True,
+@click.option("--schedule", "kinds", multiple=True, callback=_names(parse_schedule_kind),
               help="Schedule kind (repeatable; default all four).")
 def schedule_cmd(out, b0, bT, T, kinds):
     """Tabulate the tunable-weight budget over training steps."""
@@ -245,7 +262,8 @@ def schedule_cmd(out, b0, bT, T, kinds):
 @click.option("--m", type=int, default=768, show_default=True)
 @click.option("--n", type=int, default=768, show_default=True)
 @common["rank"]
-@click.option("--kernel", type=str, default="mix-k", show_default=True)
+@click.option("--kernel", type=str, default="mix-k", show_default=True,
+              callback=_names(parse_kernel_kind))
 @common["pieces"]
 def memory_model_cmd(out, layers, m, n, rank, kernel, pieces):
     """Analytic parameter and optimizer-state float counts per strategy."""

@@ -1,8 +1,8 @@
 """Desk-scale experiment drivers behind the CLI.
 
 Each driver returns an ExperimentReport whose aggregates are recomputable
-from the per-seed entries; runs are deterministic per seed, and seeds can
-execute concurrently because nothing is shared.
+from the per-seed entries. The drivers run their seeds one after another;
+each run is deterministic per seed and shares no state with the others.
 """
 
 from __future__ import annotations
@@ -397,10 +397,18 @@ def _run_memory_model(params, config):
     return report, None
 
 
-def _run_train(params, config):
-    sub_config = apply_defaults(_merge_dicts(config.to_dict(), params.get("config", {})))
+def _train_config(params, config) -> RunConfig:
+    """The run config with the entry's `config` overrides applied."""
+    overrides = params.get("config", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("must be an object")
+    sub_config = apply_defaults(_merge_dicts(config.to_dict(), overrides))
     sub_config.experiments = []
-    report, trace = train_experiment(sub_config)
+    return sub_config
+
+
+def _run_train(params, config):
+    report, trace = train_experiment(_train_config(params, config))
     return report, ("-sparsity", *alloc_trace_table(trace))
 
 
@@ -469,48 +477,61 @@ class ExperimentType:
 
     `run(params, config)` returns the report and an optional CSV table
     (file-name suffix, header, rows). `params` are the driver's parameter
-    names. `checks` maps each assert key, in evaluation order, to a
-    check(report, table, value, asserts) that yields one detail per
-    failure; None marks a key that another check reads.
+    names and `required` those without a default. `checks` maps each
+    assert key, in evaluation order, to a check(report, table, value,
+    asserts) that yields one detail per failure; None marks a key that
+    another check reads.
     """
 
     run: Callable
     params: frozenset
+    required: frozenset
     checks: dict
 
 
-def _params_of(driver, *fixed) -> frozenset:
-    return frozenset(inspect.signature(driver).parameters) - set(fixed)
+def _params_of(driver, *fixed) -> tuple:
+    """The driver's parameter names, and those without a default, less `fixed`."""
+    params = [p for p in inspect.signature(driver).parameters.values() if p.name not in fixed]
+    return (frozenset(p.name for p in params),
+            frozenset(p.name for p in params if p.default is p.empty))
 
 
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
-        _report_only(fit_matrix_experiment), _params_of(fit_matrix_experiment),
+        _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment),
         {"mse_ordering": _check_mse_ordering, "min_seed_fraction": None,
          "max_final_mse": _check_max_final_mse}),
     "grad-evolution": ExperimentType(
-        _report_only(grad_evolution_experiment), _params_of(grad_evolution_experiment),
+        _report_only(grad_evolution_experiment), *_params_of(grad_evolution_experiment),
         {"max_rbf_mixk_ratio": _check_max_rbf_mixk_ratio}),
     "rank-sweep": ExperimentType(
-        _run_rank_sweep, _params_of(rank_sweep),
+        _run_rank_sweep, *_params_of(rank_sweep),
         {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
+    # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, _params_of(train_experiment), {"max_final_loss": _check_max_final_loss}),
+        _run_train, frozenset({"config"}), frozenset(),
+        {"max_final_loss": _check_max_final_loss}),
     "schedule": ExperimentType(
-        _run_schedule, _params_of(schedule_table), {"values": _check_schedule_values}),
+        _run_schedule, *_params_of(schedule_table), {"values": _check_schedule_values}),
     "memory-model": ExperimentType(
-        _run_memory_model, _params_of(memory_footprint_estimate, "mode"),
+        _run_memory_model, *_params_of(memory_footprint_estimate, "mode"),
         {"lowrank_fullft_ratio": _check_lowrank_fullft_ratio}),
 }
 
-# params and assert keys that carry kernel names, and how to list the names
-_KERNEL_NAMES = {"kernel_kind": lambda v: [v], "kernels": list, "mse_ordering": list,
-                 "max_final_mse": list}
+# params and assert keys that carry names: how to list the names, and their parser
+_NAMES = {
+    "kernel_kind": (lambda v: [v], parse_kernel_kind),
+    "kernels": (list, parse_kernel_kind),
+    "mse_ordering": (list, parse_kernel_kind),
+    "max_final_mse": (list, parse_kernel_kind),
+    "kinds": (list, parse_schedule_kind),
+    "values": (lambda v: [row[0] for row in v], parse_schedule_kind),
+}
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
 
-def _validate_experiment_entries(entries) -> None:
-    for i, entry in enumerate(entries):
+def _validate_experiment_entries(config: RunConfig) -> None:
+    for i, entry in enumerate(config.experiments):
         where = f"experiments[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{where} must be an object")
@@ -529,11 +550,22 @@ def _validate_experiment_entries(entries) -> None:
                 if key not in allowed:
                     raise ConfigError(f"unknown key '{where}.{section}.{key}' "
                                       f"(known: {', '.join(sorted(allowed))})")
-                for name in _KERNEL_NAMES.get(key, lambda v: [])(value):
+                if key in _NAMES:
+                    listed, parse = _NAMES[key]
                     try:
-                        parse_kernel_kind(name)
-                    except ValueError as err:
+                        for name in listed(value):
+                            parse(name)
+                    except (TypeError, ValueError, IndexError, KeyError) as err:
                         raise ConfigError(f"{where}.{section}.{key}: {err}") from None
+        params = entry.get("params", {})
+        missing = sorted(etype.required - set(params))
+        if missing:
+            raise ConfigError(f"missing key '{where}.params.{missing[0]}'")
+        if entry["type"] == "train":
+            try:
+                _train_config(params, config)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"{where}.params.config: {err}") from None
 
 
 def run_all(config: RunConfig, out_dir) -> tuple:
@@ -543,9 +575,9 @@ def run_all(config: RunConfig, out_dir) -> tuple:
     blocks are evaluated against each experiment's results; failures are
     collected, not fatal.
     """
+    _validate_experiment_entries(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _validate_experiment_entries(config.experiments)
     paths, failures = [], []
     for i, entry in enumerate(config.experiments):
         etype = EXPERIMENT_TYPES[entry["type"]]

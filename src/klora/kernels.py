@@ -39,12 +39,10 @@ from .tensor import (
     reciprocal,
     record_and_backward,
     reduce_sum,
-    reshape,
     scalar_add,
-    square,
-    sub,
-    segment_l2_norm,
+    squared_distances,
     transpose,
+    weighted_segment_distances,
 )
 
 
@@ -80,15 +78,9 @@ def _sigmoid(spec, b, a):
     return add(mul(alpha, logistic), gamma)
 
 
-def _row_differences(b, a):
-    (m, r), n = b.data.shape, a.data.shape[0]
-    return sub(reshape(b, (m, 1, r)), reshape(a, (1, n, r)))
-
-
 def _rbf(spec, b, a):
     alpha, beta, gamma = spec.coeffs
-    d2 = reduce_sum(square(_row_differences(b, a)), axis=2)
-    return add(mul(alpha, exp(mul(beta, -d2))), gamma)
+    return add(mul(alpha, exp(mul(beta, -squared_distances(b, a)))), gamma)
 
 
 def _rbf_normalized(spec, b, a):
@@ -97,8 +89,7 @@ def _rbf_normalized(spec, b, a):
 
 def _p_linear(spec, b, a):
     bounds = segment_bounds(b.data.shape[1], spec.pieces)
-    seg = segment_l2_norm(_row_differences(b, a), bounds)
-    return reduce_sum(mul(seg, spec.coeffs[0]), axis=2)
+    return weighted_segment_distances(b, a, spec.coeffs[0], bounds)
 
 
 def _mix_k(spec, b, a):
@@ -309,7 +300,9 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     Entry (i, j) is the kernel between A's row j and B's row i. The mixed
     kind adds alpha * (softmax down each column of the piecewise-linear
     matrix) + beta; rbf-normalized applies that column softmax to the RBF
-    matrix alone. The result participates in gradient recording.
+    matrix alone. The result participates in gradient recording. Distances
+    come from the fused ops in `klora.tensor`, so a merge holds O(mn * P)
+    floats for P pieces and never an (m, n, r) array.
     """
     return KINDS[spec.kind].merge(spec, pair.B, pair.A)
 

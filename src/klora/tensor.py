@@ -326,33 +326,109 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     return _make(data, (a,), bwd_axis)
 
 
-def segment_l2_norm(a: Tensor, bounds) -> Tensor:
-    """Per-segment l2 norms along the last axis.
+# -- pairwise row distances -----------------------------------------------------
 
-    `bounds` is a list of half-open (start, end) index ranges; the output
-    gains a trailing axis of length len(bounds). The subgradient of a
-    zero-norm segment is 0.
+# Entries with d² <= _GUARD * (|b_s|² + |a_s|²) are recomputed from explicit
+# row differences: there the Gram identity cancels away most of d²'s digits.
+# An unguarded distance keeps a relative error of about eps / (2 * _GUARD),
+# near 1e-10.
+_GUARD = 1e-6
+
+
+def _segment_sq_distances(b: np.ndarray, a: np.ndarray, s: int, e: int):
+    """Squared distances between the rows of b[:, s:e] (m x k) and a[:, s:e] (n x k).
+
+    Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j, so no
+    (m, n, k) array is formed. Returns (d2, guarded): the m x n matrix of d²,
+    and None or the guarded entries as (i, j, diff), where diff[k] =
+    b[i[k], s:e] - a[j[k], s:e] gave d2[i[k], j[k]]. Every unguarded entry
+    exceeds a nonnegative bound, so d² needs no clamp at zero.
     """
-    x = a.data
-    r = x.shape[-1]
+    bs, as_ = b[:, s:e], a[:, s:e]
+    nb = np.einsum("ik,ik->i", bs, bs)[:, None]
+    na = np.einsum("jk,jk->j", as_, as_)[None, :]
+    d2 = bs @ as_.T
+    d2 *= -2.0
+    d2 += nb
+    d2 += na
+    if np.min(d2, initial=np.inf) > _GUARD * (nb.max(initial=0.0) + na.max(initial=0.0)):
+        return d2, None  # no entry is near cancellation
+    i, j = np.nonzero(d2 <= _GUARD * (nb + na))
+    diff = bs[i] - as_[j]
+    d2[i, j] = np.einsum("kr,kr->k", diff, diff)
+    return d2, (i, j, diff)
+
+
+def _check_factors(b: Tensor, a: Tensor) -> None:
+    if b.data.ndim != 2 or a.data.ndim != 2 or b.data.shape[1] != a.data.shape[1]:
+        raise ValueError(f"need (m, r) and (n, r) matrices, got {b.data.shape} and {a.data.shape}")
+
+
+def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
+    """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
+
+    Row i of B (m x r) against row j of A (n x r), with segment p the
+    columns [start, end) of bounds[p]. One recorded op with a closed-form
+    backward; it holds P matrices of m x n, never an (m, n, r) array. The
+    subgradient at a zero distance is 0.
+    """
+    _check_factors(b, a)
+    r = b.data.shape[1]
     for s, e in bounds:
         if not (0 <= s < e <= r):
             raise ValueError(f"segment ({s}, {e}) out of range for axis length {r}")
-    out = np.empty(x.shape[:-1] + (len(bounds),))
-    for p, (s, e) in enumerate(bounds):
-        seg = x[..., s:e]
-        out[..., p] = np.sqrt((seg * seg).sum(axis=-1))
+    if alpha_p.data.shape != (len(bounds),):
+        raise ValueError(f"need {len(bounds)} segment weights, got shape {alpha_p.data.shape}")
+    pieces = []
+    out = np.zeros((b.data.shape[0], a.data.shape[0]))
+    for (s, e), w in zip(bounds, alpha_p.data):
+        d, guarded = _segment_sq_distances(b.data, a.data, s, e)
+        np.sqrt(d, out=d)
+        out += w * d
+        pieces.append((s, e, d, guarded))
 
     def bwd(g):
-        gx = np.zeros_like(x)
-        for p, (s, e) in enumerate(bounds):
-            norm = out[..., p]
-            safe = np.where(norm > 0.0, norm, 1.0)
-            scale = np.where(norm > 0.0, g[..., p] / safe, 0.0)
-            gx[..., s:e] += x[..., s:e] * scale[..., None]
-        return (gx,)
+        gb = np.zeros_like(b.data)
+        ga = np.zeros_like(a.data)
+        galpha = np.empty(len(bounds))
+        for p, (s, e, d, guarded) in enumerate(pieces):
+            galpha[p] = np.vdot(g, d)
+            w = alpha_p.data[p]
+            bs, as_ = b.data[:, s:e], a.data[:, s:e]
+            # sum_j W_ij (b_i - a_j) with W = w g / d, in Gram form; that form
+            # cancels badly at the guarded entries, so they use their differences
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weight = g / d
+            if guarded is not None:
+                i, j, diff = guarded
+                weight[i, j] = 0.0
+                dg = d[i, j]
+                scale = np.where(dg > 0.0, w * g[i, j] / np.where(dg > 0.0, dg, 1.0), 0.0)
+                np.add.at(gb[:, s:e], i, scale[:, None] * diff)
+                np.add.at(ga[:, s:e], j, -scale[:, None] * diff)
+            weight *= w
+            gb[:, s:e] += weight.sum(axis=1)[:, None] * bs - weight @ as_
+            ga[:, s:e] += weight.sum(axis=0)[:, None] * as_ - weight.T @ bs
+        return gb, ga, galpha
 
-    return _make(out, (a,), bwd)
+    return _make(out, (b, a, alpha_p), bwd)
+
+
+def squared_distances(b: Tensor, a: Tensor) -> Tensor:
+    """The m x n matrix |b_i - a_j|² between rows of B (m x r) and A (n x r).
+
+    One recorded op with a closed-form backward and no (m, n, r) array.
+    """
+    _check_factors(b, a)
+    d2, _ = _segment_sq_distances(b.data, a.data, 0, b.data.shape[1])
+
+    def bwd(g):
+        # d(d²)/db_i = 2 (b_i - a_j) is bounded, so the Gram form is accurate here
+        gb = 2.0 * (g.sum(axis=1)[:, None] * b.data - g @ a.data)
+        ga = 2.0 * (g.sum(axis=0)[:, None] * a.data - g.T @ b.data)
+        return gb, ga
+
+    return _make(d2, (b, a), bwd)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -34,12 +34,19 @@ from klora.reports import read_csv, write_csv
 
 SCHEDULE_ENTRY = {"name": "s", "type": "schedule", "params": {"b0": 100, "bT": 10, "T": 5}}
 
-# a misspelled param and a misspelled assert key, each in the second entry
+# bad second entries: a misspelled param and assert key, a missing required
+# param, an out-of-range train override, and misspelled schedule names
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
       "assert": {"lowrank_fullft_ratoi": [0.0208, 0.01]}},
      "experiments[1].assert.lowrank_fullft_ratoi"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]]}}, "experiments[1].params.r"),
+    ({"type": "train", "params": {"config": {"train": {"lr": -1}}}},
+     "experiments[1].params.config"),
+    ({"type": "schedule", "params": {"kinds": ["cubik"]}}, "experiments[1].params.kinds"),
+    ({"type": "schedule", "assert": {"values": [["cubik", 5, 125]]}},
+     "experiments[1].assert.values"),
 ]
 
 
@@ -429,6 +436,41 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and where in result.output
         assert list(out.iterdir()) == []
+
+
+BAD_NAME_COMMANDS = [
+    ["fit-matrix", "--kernel", "poly"],
+    ["grad-evolution", "--kernel", "poly"],
+    ["rank-sweep", "--kernel", "linear", "--kernel", "poly"],
+    ["grad-check", "--kernel", "poly"],
+    ["memory-model", "--kernel", "poly"],
+    ["schedule", "--schedule", "cubik"],
+    ["train", "--kernel", "poly"],
+    ["train", "--schedule", "cubik"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_NAME_COMMANDS, ids=lambda a: "-".join(a[:2]))
+def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args):
+    out = tmp_path / "out"
+    extra = [] if args[0] == "grad-check" else ["--out", str(out)]
+    result = CliRunner().invoke(cli_main, args + extra)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"unknown {'schedule' if args[-1] == 'cubik' else 'kernel'} '{args[-1]}'" \
+        in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["memory-model", "--kernel", "MixK"],
+    ["memory-model", "--kernel", "p_linear"],
+    ["memory-model", "--kernel", "rbfnorm"],
+    ["schedule", "--schedule", " Cubic ", "--schedule", "LINEAR"],
+])
+def test_cli_keeps_accepted_spellings(tmp_path, args):
+    result = CliRunner().invoke(cli_main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
 
 
 def test_default_run_config_is_valid():

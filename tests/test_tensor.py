@@ -23,13 +23,14 @@ from klora.tensor import (
     reduce_mean,
     reduce_sum,
     reshape,
-    segment_l2_norm,
     sign,
     softmax,
     square,
+    squared_distances,
     stop_gradient,
     sub,
     transpose,
+    weighted_segment_distances,
 )
 
 
@@ -72,12 +73,6 @@ def test_sign_carries_zero_gradient():
     grads = record_and_backward(lambda: mul(sign(x), x).sum(), [x])
     # d(sign(x) * x)/dx with sign detached is sign(x).
     np.testing.assert_array_equal(grads[x].data, [-1.0, 1.0])
-
-
-def test_segment_l2_norm_345():
-    v = Tensor([3.0, 4.0])
-    out = segment_l2_norm(v, [(0, 2)])
-    np.testing.assert_allclose(out.data, [5.0])
 
 
 def test_unreachable_parameter_gets_zero_gradient():
@@ -135,7 +130,9 @@ def _random_smooth_input(rng, shape, low=0.3, high=1.5):
         ("matmul", lambda a, b: matmul(a, transpose(b)).sum()),
         ("transpose", lambda a, b: mul(transpose(a), transpose(b)).sum()),
         ("reshape", lambda a, b: square(reshape(a, (8, 2))).sum()),
-        ("segnorm", lambda a, b: segment_l2_norm(a, [(0, 2), (2, 4)]).sum()),
+        ("segdist", lambda a, b: mul(weighted_segment_distances(
+            a, b, Tensor([0.7, -1.3]), [(0, 1), (1, 4)]), transpose(b)).sum()),
+        ("sqdist", lambda a, b: mul(squared_distances(a, b), transpose(a)).sum()),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, builder):
