@@ -8,6 +8,7 @@ bundled default) and exits nonzero when an embedded assertion fails.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -59,6 +60,19 @@ def _names(parse):
     return callback
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """A bad argument value is a usage error (exit code 2), not a traceback.
+
+    The drivers and `apply_defaults` raise ValueError (ConfigError is one)
+    for argument values they cannot run with.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
+
+
 common = {
     "config": click.option("--config", type=click.Path(exists=True, dir_okay=False),
                            default=None, help="JSON run configuration."),
@@ -100,11 +114,12 @@ def fit_matrix_cmd(out, seed, seeds, kernels, rank, pieces, size, target_rank, d
                    steps, lr, factor_std, piece_init_eps):
     """Fit random matrices with kernel merges; report final MSE per kernel."""
     kernels = kernels or ex.DEFAULT_KERNELS
-    report = ex.fit_matrix_experiment(
-        m=size, n=size, r=rank, target_rank=target_rank, kernels=kernels, steps=steps,
-        lr=lr, seeds=seeds, density=density, pieces=pieces, factor_std=factor_std,
-        piece_init_eps=piece_init_eps, seed_base=seed,
-    )
+    with _usage_errors():
+        report = ex.fit_matrix_experiment(
+            m=size, n=size, r=rank, target_rank=target_rank, kernels=kernels, steps=steps,
+            lr=lr, seeds=seeds, density=density, pieces=pieces, factor_std=factor_std,
+            piece_init_eps=piece_init_eps, seed_base=seed,
+        )
     path = report.write(_out_dir(out))
     for kind, mse in report.aggregates["mean_final_mse"].items():
         click.echo(f"{kind}: mean final MSE {mse:.6g}")
@@ -124,10 +139,11 @@ def fit_matrix_cmd(out, seed, seeds, kernels, rank, pieces, size, target_rank, d
 def grad_evolution_cmd(out, seed, seeds, kernels, rank, pieces, scale, steps):
     """Trace gradient magnitudes through each kernel merge."""
     kernels = kernels or ("mix-k", "rbf", "linear")
-    report = ex.grad_evolution_experiment(
-        kernels=kernels, scale=scale, steps=steps, seeds=seeds, r=rank, pieces=pieces,
-        seed_base=seed,
-    )
+    with _usage_errors():
+        report = ex.grad_evolution_experiment(
+            kernels=kernels, scale=scale, steps=steps, seeds=seeds, r=rank, pieces=pieces,
+            seed_base=seed,
+        )
     path = report.write(_out_dir(out))
     for kind, mag in report.aggregates["static_mean_abs_gradient"].items():
         click.echo(f"{kind}: mean |grad| {mag:.6g}")
@@ -198,7 +214,8 @@ def train_cmd(config, out, seed, kernel, rank, pieces, budget_ratio, schedule,
         raw["sparsity"]["alloc_period"] = alloc_period
     if sparsify_mode is not None:
         raw["sparsity"]["sparsify_mode"] = sparsify_mode
-    run_config = apply_defaults(raw)
+    with _usage_errors():
+        run_config = apply_defaults(raw)
 
     from .config import dataset_from, trainer_config_from
 
@@ -268,10 +285,11 @@ def schedule_cmd(out, b0, bT, T, kinds):
 def memory_model_cmd(out, layers, m, n, rank, kernel, pieces):
     """Analytic parameter and optimizer-state float counts per strategy."""
     dims = [(m, n)] * layers
-    estimates = {
-        mode: ex.memory_footprint_estimate(dims, rank, mode, kernel_kind=kernel, pieces=pieces)
-        for mode in ex.MEMORY_MODES
-    }
+    with _usage_errors():
+        estimates = {
+            mode: ex.memory_footprint_estimate(dims, rank, mode, kernel_kind=kernel, pieces=pieces)
+            for mode in ex.MEMORY_MODES
+        }
     out_dir = _out_dir(out)
     path = out_dir / "memory-model.json"
     path.write_text(json.dumps(estimates, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,8 +1,10 @@
 """Desk-scale experiment drivers behind the CLI.
 
 Each driver returns an ExperimentReport whose aggregates are recomputable
-from the per-seed entries. The drivers run their seeds one after another;
-each run is deterministic per seed and shares no state with the others.
+from the per-seed entries. The fitting drivers run the seeds of one kernel
+stacked on a leading axis, one recorded graph and one optimizer step for all
+of them; the seeds share no values, so each seed's results are those of a
+run on its own. Every run is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .kernels import (
 )
 from .model import Adam, RunTrace, fine_tune
 from .reports import ExperimentReport, StopWatch, write_csv
-from .tensor import Tensor, backward, reduce_mean, square, sub
+from .tensor import Tensor, backward, reduce_mean, reduce_sum, square, sub
 
 DEFAULT_KERNELS = ("mix-k", "p-linear", "linear")
 
@@ -47,9 +49,9 @@ def make_fit_target(rng: np.random.Generator, m: int, n: int, rank: int,
     return target
 
 
-def _fresh_pair(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: int,
-                factor_std: float, scale: float | None = None) -> LowRankPair:
-    """Fit-experiment factor init.
+def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: int,
+                   factor_std: float, scale: float | None = None) -> tuple:
+    """Fit-experiment factor init: the (A, B) arrays of one seed.
 
     Both factors start Gaussian; a kind without coefficients (linear)
     starts with B at zero (the classic zero-update init, and its only route
@@ -65,14 +67,29 @@ def _fresh_pair(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: i
         b = factor_std * rng.normal(size=(m, r))
         if not KINDS[kind].coefficients:
             b = np.zeros((m, r))
-    return LowRankPair(A=Tensor(a, requires_grad=True), B=Tensor(b, requires_grad=True))
+    return a, b
 
 
-def _fit_once(kind: KernelKind, target: np.ndarray, r: int, steps: int, lr: float,
-              pieces: int, factor_std: float, seed: int, record_points: int = 40,
-              init_scale: float | None = None, canonical_coeffs: bool = False,
-              piece_init_eps: float = 0.0):
-    """One fitting run; divergence is recorded, not fatal.
+def _check_fit_args(seeds: int, lr: float) -> None:
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if lr < 0:
+        raise ValueError("learning rate must be nonnegative")
+
+
+def _fit(kind: KernelKind, targets: np.ndarray, seeds, r: int, steps: int, lr: float,
+         pieces: int, factor_std: float, record_points: int = 40,
+         init_scale: float | None = None, canonical_coeffs: bool = False,
+         piece_init_eps: float = 0.0) -> list:
+    """Fit one kernel to every seed's target at once; returns one run dict per seed.
+
+    The targets (S, m, n), the factors (S, n, r) and (S, m, r) and the
+    coefficients are stacked on a leading seed axis, and each step records
+    one graph whose loss is the sum of the per-seed mean squared errors, so
+    every seed gets exactly its own gradient and shares no values with the
+    others. Each seed's factors come from its own stream. A seed whose loss
+    turns non-finite is marked diverged and keeps the parameters it had at
+    that step; the others carry on.
 
     `piece_init_eps` > 0 starts the piece coefficients antisymmetric
     (+eps, -eps, ...), which keeps the merged values mean-centered and
@@ -80,9 +97,11 @@ def _fit_once(kind: KernelKind, target: np.ndarray, r: int, steps: int, lr: floa
     additive offset racing the other way) that can trap the mixed kernel
     at this step budget.
     """
-    m, n = target.shape
-    rng = np.random.default_rng([seed, 0xF1])
-    pair = _fresh_pair(kind, rng, m, n, r, factor_std, scale=init_scale)
+    _, m, n = targets.shape
+    factors = [_fresh_factors(kind, np.random.default_rng([seed, 0xF1]), m, n, r, factor_std,
+                              scale=init_scale) for seed in seeds]
+    pair = LowRankPair(A=Tensor(np.stack([a for a, _ in factors]), requires_grad=True),
+                       B=Tensor(np.stack([b for _, b in factors]), requires_grad=True))
     if canonical_coeffs:
         spec = KernelSpec.canonical(kind, pieces=pieces, trainable=True)
     else:
@@ -91,38 +110,40 @@ def _fit_once(kind: KernelKind, target: np.ndarray, r: int, steps: int, lr: floa
             alpha_p = spec.coeffs[0]
             signs = np.where(np.arange(alpha_p.data.size) % 2 == 0, 1.0, -1.0)
             alpha_p.data[:] = piece_init_eps * signs
+    spec = spec.stacked(len(seeds))
     params = [pair.A, pair.B, *spec.coefficients()]
     opt = Adam(params, lr=lr)
-    target_t = Tensor(target)
+    target_t = Tensor(targets)
     record_every = max(1, steps // record_points) if steps else 1
-    trace = []
-    grad_trace = []
-    diverged = False
+    traces = [[] for _ in seeds]
+    grad_traces = [[] for _ in seeds]
+    live = np.ones(len(seeds), dtype=bool)
+    held = None  # parameters of the diverged seeds, as of their divergence
     for step in range(steps):
         opt.zero_grad()
-        loss = reduce_mean(square(sub(merge(spec, pair), target_t)))
-        value = float(loss.data)
-        if not math.isfinite(value):
-            diverged = True
-            break
-        backward(loss)
+        losses = reduce_mean(square(sub(merge(spec, pair), target_t)), axis=(-2, -1))
+        values = losses.data
+        diverging = live & ~np.isfinite(values)
+        if diverging.any():
+            live &= ~diverging
+            if not live.any():
+                break
+            held = [p.data[~live] for p in params]  # boolean indexing copies
+        backward(reduce_sum(losses))
         if step % record_every == 0:
-            trace.append([step, value])
-            ga = pair.A.grad
-            gb = pair.B.grad
-            mag = 0.0
-            count = 0
-            for g in (ga, gb):
-                if g is not None:
-                    mag += float(np.abs(g).sum())
-                    count += g.size
-            grad_trace.append([step, mag / max(count, 1)])
+            # mean |gradient| over both factors, per seed
+            mag = np.abs(pair.A.grad).sum(axis=(-2, -1)) + np.abs(pair.B.grad).sum(axis=(-2, -1))
+            for s in np.flatnonzero(live):
+                traces[s].append([step, float(values[s])])
+                grad_traces[s].append([step, float(mag[s]) / ((m + n) * r)])
         opt.step()
-    final = float(reduce_mean(square(sub(merge(spec, pair), target_t))).data)
-    if not math.isfinite(final):
-        diverged = True
-    return {"final_mse": final, "diverged": diverged, "trace": trace,
-            "grad_trace": grad_trace}
+        if held is not None:
+            for p, kept in zip(params, held):
+                p.data[~live] = kept
+    finals = reduce_mean(square(sub(merge(spec, pair), target_t)), axis=(-2, -1)).data
+    return [{"final_mse": float(final), "diverged": not (ok and math.isfinite(final)),
+             "trace": trace, "grad_trace": grad_trace}
+            for final, ok, trace, grad_trace in zip(finals, live, traces, grad_traces)]
 
 
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int | None = None,
@@ -138,27 +159,31 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     kernels within a seed so comparisons are paired.
     """
     watch = StopWatch()
+    _check_fit_args(seeds, lr)
     if target_rank is None:
         target_rank = min(m, n)
     if target_rank > min(m, n):
         raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
-    per_seed = []
-    for seed in seed_list:
-        target = make_fit_target(np.random.default_rng([seed, 0x7A]), m, n, target_rank, density)
-        entry = {
+    targets = np.stack([
+        make_fit_target(np.random.default_rng([seed, 0x7A]), m, n, target_rank, density)
+        for seed in seed_list
+    ])
+    per_seed = [
+        {
             "seed": seed,
             "target_rank": int(numerical_rank(target, 1e-9)),
             "baseline_mse": float(np.mean(target * target)),
             "kernels": {},
         }
-        for kind in kinds:
-            entry["kernels"][kind.value] = _fit_once(
-                kind, target, r, steps, lr, pieces, factor_std, seed,
-                piece_init_eps=piece_init_eps,
-            )
-        per_seed.append(entry)
+        for seed, target in zip(seed_list, targets)
+    ]
+    for kind in kinds:
+        runs = _fit(kind, targets, seed_list, r, steps, lr, pieces, factor_std,
+                    piece_init_eps=piece_init_eps)
+        for entry, run in zip(per_seed, runs):
+            entry["kernels"][kind.value] = run
     aggregates = {
         "mean_final_mse": {
             kind.value: float(np.mean([s["kernels"][kind.value]["final_mse"] for s in per_seed]))
@@ -199,18 +224,21 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
     and the RBF/mixed ratio when both kinds are present.
     """
     watch = StopWatch()
+    _check_fit_args(seeds, lr)
     if scale <= 0:
         raise ValueError("factor scale must be positive")
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
-    per_seed = []
-    for seed in seed_list:
-        target = make_fit_target(np.random.default_rng([seed, 0x7B]), m, n, min(m, n), 1.0)
-        entry = {"seed": seed, "kernels": {}}
-        for kind in kinds:
-            run = _fit_once(kind, target, r, steps, lr, pieces, factor_std=1.0,
-                            seed=seed, init_scale=scale, canonical_coeffs=True)
-            rng = np.random.default_rng([seed, 0xC3])
+    targets = np.stack([
+        make_fit_target(np.random.default_rng([seed, 0x7B]), m, n, min(m, n), 1.0)
+        for seed in seed_list
+    ])
+    per_seed = [{"seed": seed, "kernels": {}} for seed in seed_list]
+    for kind in kinds:
+        runs = _fit(kind, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
+                    init_scale=scale, canonical_coeffs=True)
+        for entry, run in zip(per_seed, runs):
+            rng = np.random.default_rng([entry["seed"], 0xC3])
             probe = LowRankPair(
                 A=Tensor(rng.uniform(-scale, scale, size=(n, r)), requires_grad=True),
                 B=Tensor(rng.uniform(-scale, scale, size=(m, r)), requires_grad=True),
@@ -218,7 +246,6 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
             static = mean_abs_factor_gradient(KernelSpec.canonical(kind, pieces=pieces), probe)
             run["static_mean_abs_gradient"] = static
             entry["kernels"][kind.value] = run
-        per_seed.append(entry)
     aggregates = {
         "static_mean_abs_gradient": {
             kind.value: float(

@@ -64,7 +64,7 @@ def segment_bounds(r: int, pieces: int):
     return [(r * (p - 1) // pieces, r * p // pieces) for p in range(1, pieces + 1)]
 
 
-# -- merge functions: (spec, B: m x r, A: n x r) -> m x n ---------------------
+# -- merge functions: (spec, B: m x r, A: n x r) -> m x n, per stacked slice ----
 
 
 def _linear(spec, b, a):
@@ -88,7 +88,7 @@ def _rbf_normalized(spec, b, a):
 
 
 def _p_linear(spec, b, a):
-    bounds = segment_bounds(b.data.shape[1], spec.pieces)
+    bounds = segment_bounds(b.data.shape[-1], spec.pieces)
     return weighted_segment_distances(b, a, spec.coeffs[0], bounds)
 
 
@@ -212,7 +212,7 @@ class KernelSpec:
                 f"got {len(self.coeffs)}"
             )
         for coeff, tensor in zip(row.coefficients, self.coeffs):
-            if coeff.positive and float(tensor.data) <= 0.0:
+            if coeff.positive and np.any(tensor.data <= 0.0):
                 raise ValueError(f"{self.kind.value} coefficient {coeff.name} must be positive")
 
     @classmethod
@@ -256,35 +256,50 @@ class KernelSpec:
         """Copy of this spec with coefficient tensors replaced (same order)."""
         return replace(self, coeffs=tuple(tensors))
 
+    def stacked(self, count: int) -> "KernelSpec":
+        """This spec's coefficients repeated for a stack of `count` factor pairs.
+
+        A per-piece coefficient becomes (count, P) and a scalar (count, 1, 1),
+        so that each broadcasts against its own slice of a (count, m, n) merge.
+        """
+        def stack(c):
+            data = c.data.reshape((1, -1) if c.data.ndim else (1, 1, 1))
+            return Tensor(np.repeat(data, count, axis=0), requires_grad=c.requires_grad)
+
+        return self.with_coefficients(stack(c) for c in self.coeffs)
+
 
 @dataclass
 class LowRankPair:
-    """The factor matrices A (n x r) and B (m x r) for one adapted weight."""
+    """The factor matrices A (n x r) and B (m x r) for one adapted weight.
+
+    A stacked pair holds S independent pairs as A (S, n, r) and B (S, m, r);
+    its merge is the (S, m, n) stack of their merges.
+    """
 
     A: Tensor
     B: Tensor
 
     def __post_init__(self):
-        if self.A.data.ndim != 2 or self.B.data.ndim != 2:
-            raise ValueError("factors must be matrices")
-        if self.A.data.shape[1] != self.B.data.shape[1]:
-            raise ValueError(
-                f"factor ranks differ: A has {self.A.data.shape[1]}, B has {self.B.data.shape[1]}"
-            )
+        a, b = self.A.data.shape, self.B.data.shape
+        if len(a) not in (2, 3) or len(b) != len(a) or a[:-2] != b[:-2]:
+            raise ValueError(f"factors must be matrices or equal stacks of them, got {a} and {b}")
+        if a[-1] != b[-1]:
+            raise ValueError(f"factor ranks differ: A has {a[-1]}, B has {b[-1]}")
         if self.r > min(self.m, self.n):
             raise ValueError(f"rank {self.r} exceeds min(m, n) = {min(self.m, self.n)}")
 
     @property
     def n(self) -> int:
-        return self.A.data.shape[0]
+        return self.A.data.shape[-2]
 
     @property
     def m(self) -> int:
-        return self.B.data.shape[0]
+        return self.B.data.shape[-2]
 
     @property
     def r(self) -> int:
-        return self.A.data.shape[1]
+        return self.A.data.shape[-1]
 
     @classmethod
     def random(cls, m: int, n: int, r: int, rng: np.random.Generator, std: float = 0.02,
@@ -295,7 +310,7 @@ class LowRankPair:
 
 
 def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
-    """Merge a factor pair into the m x n update matrix.
+    """Merge a factor pair into the m x n update matrix (a stacked pair, slice by slice).
 
     Entry (i, j) is the kernel between A's row j and B's row i. The mixed
     kind adds alpha * (softmax down each column of the piecewise-linear

@@ -98,8 +98,10 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        # `[()]` turns the moments of a 0-d parameter into numpy scalars, on
+        # which arithmetic is several times faster than on 0-d arrays
+        self._m = [np.zeros_like(p.data)[()] for p in self.params]
+        self._v = [np.zeros_like(p.data)[()] for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -113,10 +115,16 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
+            # in place for arrays; a numpy scalar is rebound, hence the stores
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            self._m[i], self._v[i] = m, v
+            m_hat = m / bc1
+            v_hat = v / bc2
+            # a fresh array: the caller may still hold the old one
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

@@ -308,6 +308,7 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
+    """Mean over all entries, or over `axis` (an int or a tuple of ints)."""
     if axis is None:
         n = a.data.size
         data = np.asarray(a.data.mean())
@@ -316,12 +317,12 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
             return (np.broadcast_to(g / n, a.data.shape),)
 
         return _make(data, (a,), bwd)
-    ax = axis % a.data.ndim
-    n = a.data.shape[ax]
-    data = a.data.mean(axis=ax)
+    axes = tuple(ax % a.data.ndim for ax in (axis if isinstance(axis, tuple) else (axis,)))
+    n = math.prod(a.data.shape[ax] for ax in axes)
+    data = a.data.mean(axis=axes)
 
     def bwd_axis(g):
-        return (np.broadcast_to(np.expand_dims(g / n, ax), a.data.shape),)
+        return (np.broadcast_to(np.expand_dims(g / n, axes), a.data.shape),)
 
     return _make(data, (a,), bwd_axis)
 
@@ -336,79 +337,96 @@ _GUARD = 1e-6
 
 
 def _segment_sq_distances(b: np.ndarray, a: np.ndarray, s: int, e: int):
-    """Squared distances between the rows of b[:, s:e] (m x k) and a[:, s:e] (n x k).
+    """Squared distances between the rows of b[..., s:e] (m x k) and a[..., s:e] (n x k).
 
     Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j, so no
-    (m, n, k) array is formed. Returns (d2, guarded): the m x n matrix of d²,
-    and None or the guarded entries as (i, j, diff), where diff[k] =
-    b[i[k], s:e] - a[j[k], s:e] gave d2[i[k], j[k]]. Every unguarded entry
-    exceeds a nonnegative bound, so d² needs no clamp at zero.
+    (m, n, k) array is formed. Leading axes are a batch of independent
+    slices. Returns (d2, guarded): the (..., m, n) array of d², and None or
+    the guarded entries as (index, diff), where index is the tuple of index
+    arrays of those entries in d2 (batch axes, then i, then j) and diff[k]
+    the row difference b_i[s:e] - a_j[s:e] that gave entry k. Every
+    unguarded entry exceeds a nonnegative bound, so d² needs no clamp at zero.
     """
-    bs, as_ = b[:, s:e], a[:, s:e]
-    nb = np.einsum("ik,ik->i", bs, bs)[:, None]
-    na = np.einsum("jk,jk->j", as_, as_)[None, :]
-    d2 = bs @ as_.T
+    bs, as_ = b[..., s:e], a[..., s:e]
+    nb = np.einsum("...ik,...ik->...i", bs, bs)[..., :, None]
+    na = np.einsum("...jk,...jk->...j", as_, as_)[..., None, :]
+    d2 = bs @ np.swapaxes(as_, -1, -2)
     d2 *= -2.0
     d2 += nb
     d2 += na
     if np.min(d2, initial=np.inf) > _GUARD * (nb.max(initial=0.0) + na.max(initial=0.0)):
         return d2, None  # no entry is near cancellation
-    i, j = np.nonzero(d2 <= _GUARD * (nb + na))
-    diff = bs[i] - as_[j]
-    d2[i, j] = np.einsum("kr,kr->k", diff, diff)
-    return d2, (i, j, diff)
+    index = np.nonzero(d2 <= _GUARD * (nb + na))
+    *lead, i, j = index
+    diff = bs[(*lead, i)] - as_[(*lead, j)]
+    d2[index] = np.einsum("kr,kr->k", diff, diff)
+    return d2, (index, diff)
 
 
 def _check_factors(b: Tensor, a: Tensor) -> None:
-    if b.data.ndim != 2 or a.data.ndim != 2 or b.data.shape[1] != a.data.shape[1]:
-        raise ValueError(f"need (m, r) and (n, r) matrices, got {b.data.shape} and {a.data.shape}")
+    bs, as_ = b.data.shape, a.data.shape
+    if len(bs) < 2 or len(as_) != len(bs) or bs[:-2] != as_[:-2] or bs[-1] != as_[-1]:
+        raise ValueError(f"need (m, r) and (n, r) matrices or equal stacks of them, "
+                         f"got {bs} and {as_}")
+
+
+def _slice_dot(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum(g * d) over the last two axes, per slice, as one BLAS dot product each."""
+    lead = d.shape[:-2]
+    g = np.ascontiguousarray(g).reshape(*lead, 1, -1)
+    return (g @ d.reshape(*lead, -1, 1))[..., 0, 0]
 
 
 def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
     """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
 
     Row i of B (m x r) against row j of A (n x r), with segment p the
-    columns [start, end) of bounds[p]. One recorded op with a closed-form
-    backward; it holds P matrices of m x n, never an (m, n, r) array. The
+    columns [start, end) of bounds[p]. B and A may carry the same leading
+    batch axes, with alpha_p shaped (..., P): every slice is computed on its
+    own, with its own weights. One recorded op with a closed-form backward;
+    it holds P arrays of m x n per slice, never an (m, n, r) array. The
     subgradient at a zero distance is 0.
     """
     _check_factors(b, a)
-    r = b.data.shape[1]
+    lead, r = b.data.shape[:-2], b.data.shape[-1]
     for s, e in bounds:
         if not (0 <= s < e <= r):
             raise ValueError(f"segment ({s}, {e}) out of range for axis length {r}")
-    if alpha_p.data.shape != (len(bounds),):
-        raise ValueError(f"need {len(bounds)} segment weights, got shape {alpha_p.data.shape}")
+    if alpha_p.data.shape != (*lead, len(bounds)):
+        raise ValueError(f"need {len(bounds)} segment weights per slice, "
+                         f"got shape {alpha_p.data.shape}")
     pieces = []
-    out = np.zeros((b.data.shape[0], a.data.shape[0]))
-    for (s, e), w in zip(bounds, alpha_p.data):
+    out = np.zeros((*lead, b.data.shape[-2], a.data.shape[-2]))
+    for p, (s, e) in enumerate(bounds):
         d, guarded = _segment_sq_distances(b.data, a.data, s, e)
         np.sqrt(d, out=d)
-        out += w * d
+        out += alpha_p.data[..., p, None, None] * d
         pieces.append((s, e, d, guarded))
 
     def bwd(g):
         gb = np.zeros_like(b.data)
         ga = np.zeros_like(a.data)
-        galpha = np.empty(len(bounds))
+        galpha = np.empty(alpha_p.data.shape)
         for p, (s, e, d, guarded) in enumerate(pieces):
-            galpha[p] = np.vdot(g, d)
-            w = alpha_p.data[p]
-            bs, as_ = b.data[:, s:e], a.data[:, s:e]
+            galpha[..., p] = _slice_dot(g, d)
+            w = alpha_p.data[..., p]
+            bs, as_ = b.data[..., s:e], a.data[..., s:e]
             # sum_j W_ij (b_i - a_j) with W = w g / d, in Gram form; that form
             # cancels badly at the guarded entries, so they use their differences
             with np.errstate(divide="ignore", invalid="ignore"):
                 weight = g / d
             if guarded is not None:
-                i, j, diff = guarded
-                weight[i, j] = 0.0
-                dg = d[i, j]
-                scale = np.where(dg > 0.0, w * g[i, j] / np.where(dg > 0.0, dg, 1.0), 0.0)
-                np.add.at(gb[:, s:e], i, scale[:, None] * diff)
-                np.add.at(ga[:, s:e], j, -scale[:, None] * diff)
-            weight *= w
-            gb[:, s:e] += weight.sum(axis=1)[:, None] * bs - weight @ as_
-            ga[:, s:e] += weight.sum(axis=0)[:, None] * as_ - weight.T @ bs
+                index, diff = guarded
+                *lead_i, i, j = index
+                weight[index] = 0.0
+                dg = d[index]
+                wg = w[tuple(lead_i)] * g[index]
+                scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
+                np.add.at(gb[..., s:e], (*lead_i, i), scale[:, None] * diff)
+                np.add.at(ga[..., s:e], (*lead_i, j), -scale[:, None] * diff)
+            weight *= w[..., None, None]
+            gb[..., s:e] += weight.sum(axis=-1)[..., None] * bs - weight @ as_
+            ga[..., s:e] += weight.sum(axis=-2)[..., None] * as_ - np.swapaxes(weight, -1, -2) @ bs
         return gb, ga, galpha
 
     return _make(out, (b, a, alpha_p), bwd)
@@ -417,15 +435,16 @@ def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) ->
 def squared_distances(b: Tensor, a: Tensor) -> Tensor:
     """The m x n matrix |b_i - a_j|² between rows of B (m x r) and A (n x r).
 
+    B and A may carry the same leading batch axes, one matrix per slice.
     One recorded op with a closed-form backward and no (m, n, r) array.
     """
     _check_factors(b, a)
-    d2, _ = _segment_sq_distances(b.data, a.data, 0, b.data.shape[1])
+    d2, _ = _segment_sq_distances(b.data, a.data, 0, b.data.shape[-1])
 
     def bwd(g):
         # d(d²)/db_i = 2 (b_i - a_j) is bounded, so the Gram form is accurate here
-        gb = 2.0 * (g.sum(axis=1)[:, None] * b.data - g @ a.data)
-        ga = 2.0 * (g.sum(axis=0)[:, None] * a.data - g.T @ b.data)
+        gb = 2.0 * (g.sum(axis=-1)[..., None] * b.data - g @ a.data)
+        ga = 2.0 * (g.sum(axis=-2)[..., None] * a.data - np.swapaxes(g, -1, -2) @ b.data)
         return gb, ga
 
     return _make(d2, (b, a), bwd)
@@ -447,8 +466,8 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 
 
 def column_softmax(a: Tensor) -> Tensor:
-    """Softmax down each column (over the row index) of a matrix."""
-    return softmax(a, axis=0)
+    """Softmax down each column (over the row index) of a matrix or a stack of them."""
+    return softmax(a, axis=-2)
 
 
 # -- backward pass ------------------------------------------------------------

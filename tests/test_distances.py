@@ -161,11 +161,13 @@ def test_fused_ops_match_explicit_differences(case):
         assert np.all(np.isfinite(grad))
 
 
-def _gradients(merge_fn, kind, pieces, a, b, weights):
+def _gradients(merge_fn, kind, pieces, a, b, weights, values=None, spec=None):
+    """The merge and the gradients of sum(weights * merge) by A, B and each coefficient."""
     pair = LowRankPair(A=Tensor(a.copy(), requires_grad=True),
                        B=Tensor(b.copy(), requires_grad=True))
-    spec = KernelSpec.from_coefficient_values(
-        kind, KernelSpec.canonical(kind, pieces=pieces).coefficient_values() * 0.9 + 0.05)
+    if values is None:
+        values = KernelSpec.canonical(kind, pieces=pieces).coefficient_values() * 0.9 + 0.05
+    spec = spec or KernelSpec.from_coefficient_values(kind, values)
     params = [pair.A, pair.B, *spec.coefficients()]
     out = merge_fn(spec, pair)
     grads = record_and_backward(lambda: reduce_sum(mul(merge_fn(spec, pair), weights)), params)
@@ -201,3 +203,26 @@ def test_merge_holds_no_m_n_r_array(kind):
     finally:
         tracemalloc.stop()
     assert peak < m * n * r * 8 / 4, f"{kind.value}: peak {peak} bytes"
+
+
+@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.RBF,
+                                  KernelKind.RBF_NORMALIZED])
+def test_stacked_merge_equals_merge_of_each_slice(kind):
+    # three slices with their own factors and coefficients; one slice has a
+    # row pair inside the cancellation guard
+    rng = np.random.default_rng([7, len(kind.value)])
+    a, b = 0.5 * rng.normal(size=(3, 20, 6)), 0.5 * rng.normal(size=(3, 24, 6))
+    a[1, 4] = b[1, 9] + 1e-9
+    weights = rng.normal(size=(3, 24, 20))
+    base = KernelSpec.canonical(kind, pieces=3).coefficient_values()
+    values = [base * 0.9 + 0.05 + 0.1 * rng.uniform(size=base.size) for _ in range(3)]
+    solo = [_gradients(merge, kind, 3, a[s], b[s], Tensor(weights[s]), values[s])
+            for s in range(3)]
+    specs = [KernelSpec.from_coefficient_values(kind, v) for v in values]
+    stacked = specs[0].stacked(3)
+    for c, *slices in zip(stacked.coeffs, *(spec.coeffs for spec in specs)):
+        c.data[...] = np.stack([x.data for x in slices]).reshape(c.data.shape)
+    batched = _gradients(merge, kind, 3, a, b, Tensor(weights), spec=stacked)
+    for s in range(3):
+        for got, want in zip(batched, solo[s]):
+            np.testing.assert_array_equal(got[s].reshape(want.shape), want)

@@ -26,7 +26,8 @@ from klora.experiments import (
     schedule_table,
     train_experiment,
 )
-from klora.kernels import numerical_rank
+from klora.experiments import _fit
+from klora.kernels import KernelKind, numerical_rank
 from klora.model import RunTrace, TrainerConfig, fine_tune
 from klora.datasets import high_rank_regression
 from klora.reports import read_csv, write_csv
@@ -104,6 +105,34 @@ class TestFitMatrix:
         # nonzero piece coefficients make the step-0 merge nonzero
         run = report.per_seed[0]["kernels"]["p-linear"]
         assert run["final_mse"] != pytest.approx(report.per_seed[0]["baseline_mse"])
+
+    def test_each_seed_of_a_batch_equals_its_solo_run(self):
+        params = dict(m=10, n=8, r=3, steps=80, density=0.5, piece_init_eps=0.5,
+                      kernels=("mix-k", "p-linear", "linear"))
+        batch = fit_matrix_experiment(seeds=3, seed_base=4, **params)
+        for i, entry in enumerate(batch.per_seed):
+            solo = fit_matrix_experiment(seeds=1, seed_base=4 + i, **params).per_seed[0]
+            assert entry == solo
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [KernelKind.MIX_K, KernelKind.LINEAR])
+    def test_diverged_seed_leaves_the_others_unchanged(self, kind):
+        rng = np.random.default_rng(5)
+        # the second target's squared error overflows, and so do its gradients:
+        # a diverged seed that kept stepping would end at nan, not at inf
+        targets = np.stack([rng.normal(size=(8, 6)), 1e308 * rng.normal(size=(8, 6))])
+
+        def fit(index, seeds):
+            return _fit(kind, targets[index], seeds, r=2, steps=30, lr=1e-2, pieces=2,
+                        factor_std=1.0)
+
+        healthy, diverged = fit([0, 1], [0, 1])
+        assert healthy == fit([0], [0])[0]
+        assert not healthy["diverged"] and healthy["trace"]
+        assert diverged["diverged"] and diverged["trace"] == []
+        solo = fit([1], [1])[0]
+        assert solo["final_mse"] == diverged["final_mse"] == np.inf
+        assert solo == diverged
 
     def test_nonlinear_kernels_beat_linear_on_dense_targets(self):
         # dense-target analogue: with two-wide segments (r=4, P=2) both
@@ -438,27 +467,35 @@ class TestCli:
         assert list(out.iterdir()) == []
 
 
-BAD_NAME_COMMANDS = [
-    ["fit-matrix", "--kernel", "poly"],
-    ["grad-evolution", "--kernel", "poly"],
-    ["rank-sweep", "--kernel", "linear", "--kernel", "poly"],
-    ["grad-check", "--kernel", "poly"],
-    ["memory-model", "--kernel", "poly"],
-    ["schedule", "--schedule", "cubik"],
-    ["train", "--kernel", "poly"],
-    ["train", "--schedule", "cubik"],
+# unknown names, then values out of range; each with the message it must print
+BAD_INPUT_COMMANDS = [
+    (["fit-matrix", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["grad-evolution", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["rank-sweep", "--kernel", "linear", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["grad-check", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["memory-model", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["schedule", "--schedule", "cubik"], "unknown schedule 'cubik'"),
+    (["train", "--kernel", "poly"], "unknown kernel 'poly'"),
+    (["train", "--schedule", "cubik"], "unknown schedule 'cubik'"),
+    (["train", "--budget-ratio", "2"], "value out of range for 'sparsity.budget_ratio'"),
+    (["memory-model", "--rank", "-1"], "rank must be nonnegative"),
+    (["fit-matrix", "--size", "8", "--target-rank", "9"], "target rank 9 exceeds min(m, n)"),
+    (["fit-matrix", "--lr", "-1"], "learning rate must be nonnegative"),
+    (["fit-matrix", "--seeds", "0"], "seeds must be >= 1, got 0"),
+    (["grad-evolution", "--seeds", "0"], "seeds must be >= 1, got 0"),
 ]
 
 
-@pytest.mark.parametrize("args", BAD_NAME_COMMANDS, ids=lambda a: "-".join(a[:2]))
-def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args):
+@pytest.mark.parametrize("args, message", BAD_INPUT_COMMANDS,
+                         ids=["-".join(args[:2]) for args, _ in BAD_INPUT_COMMANDS])
+def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args, message):
     out = tmp_path / "out"
     extra = [] if args[0] == "grad-check" else ["--out", str(out)]
     result = CliRunner().invoke(cli_main, args + extra)
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"unknown {'schedule' if args[-1] == 'cubik' else 'kernel'} '{args[-1]}'" \
-        in result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
     assert not out.exists()
 
 

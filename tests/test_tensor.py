@@ -133,6 +133,15 @@ def _random_smooth_input(rng, shape, low=0.3, high=1.5):
         ("segdist", lambda a, b: mul(weighted_segment_distances(
             a, b, Tensor([0.7, -1.3]), [(0, 1), (1, 4)]), transpose(b)).sum()),
         ("sqdist", lambda a, b: mul(squared_distances(a, b), transpose(a)).sum()),
+        # stacks of two 2 x 4 factor matrices, with per-slice weights drawn from a
+        ("segdist_stacked", lambda a, b: square(weighted_segment_distances(
+            reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4)), reshape(reduce_mean(a, axis=1), (2, 2)),
+            [(0, 1), (1, 4)])).sum()),
+        ("sqdist_stacked", lambda a, b: square(mul(
+            reshape(reduce_mean(reshape(b, (2, 8)), axis=1), (2, 1, 1)),
+            squared_distances(reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4))))).sum()),
+        ("softmax_cols_stacked", lambda a, b: mul(
+            column_softmax(reshape(a, (2, 2, 4))), reshape(b, (2, 2, 4))).sum()),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, builder):
