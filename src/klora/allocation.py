@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choices import parse_choice
-from .tensor import Tensor, absolute, mul, rectify, scalar_add, sign
+from .tensor import Tensor, absolute, mul, rectify, scalar_add, soft_threshold
 
 
 class ScheduleKind(enum.Enum):
@@ -263,10 +263,9 @@ def sparsify_with_threshold(delta_w: Tensor, tau: float, mode=SparsifyMode.SOFT_
     if mode is SparsifyMode.HARD_MASK:
         mask = Tensor((np.abs(delta_w.data) > tau).astype(np.float64))
         return mul(delta_w, mask)
-    head = rectify(scalar_add(absolute(delta_w), -tau))
     if mode is SparsifyMode.SOFT_SIGN:
-        return mul(sign(delta_w), head)
-    return mul(delta_w, head)
+        return soft_threshold(delta_w, tau)
+    return mul(delta_w, rectify(scalar_add(absolute(delta_w), -tau)))
 
 
 def sparsify(delta_w: Tensor, b: int, mode=SparsifyMode.SOFT_SIGN) -> Tensor:

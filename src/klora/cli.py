@@ -165,8 +165,9 @@ def rank_sweep_cmd(out, seed, seeds, kernels, pieces, size, ranks):
     """Numerical rank of merged matrices across kernels and ranks."""
     kernels = kernels or ex.DEFAULT_KERNELS
     ranks = ranks or (2, 4, 8)
-    report = ex.rank_sweep(m=size, n=size, r_values=ranks, kernels=kernels,
-                           seeds=seeds, pieces=pieces, seed_base=seed)
+    with _usage_errors():
+        report = ex.rank_sweep(m=size, n=size, r_values=ranks, kernels=kernels,
+                               seeds=seeds, pieces=pieces, seed_base=seed)
     out_dir = _out_dir(out)
     header, rows = ex.rank_table(report)
     write_csv(out_dir / "rank-sweep.csv", header, rows)
@@ -194,7 +195,8 @@ def rank_sweep_cmd(out, seed, seeds, kernels, pieces, size, ranks):
 def train_cmd(config, out, seed, kernel, rank, pieces, budget_ratio, schedule,
               alloc_period, sparsify_mode, epochs, checkpoint_path):
     """Fine-tune adapters on the configured synthetic task."""
-    run_config = _load(config)
+    with _usage_errors():
+        run_config = _load(config)
     raw = run_config.to_dict()
     if seed is not None:
         raw["train"]["seed"] = seed

@@ -70,9 +70,13 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
     return a, b
 
 
-def _check_fit_args(seeds: int, lr: float) -> None:
+def _check_seeds(seeds: int) -> None:
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+
+
+def _check_fit_args(seeds: int, lr: float) -> None:
+    _check_seeds(seeds)
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
 
@@ -269,6 +273,10 @@ def rank_sweep(m: int = 64, n: int = 64, r_values=(2, 4, 8), kernels=DEFAULT_KER
                seed_base: int = 0) -> ExperimentReport:
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
     watch = StopWatch()
+    _check_seeds(seeds)
+    for r in r_values:
+        if not 1 <= r <= min(m, n):
+            raise ValueError(f"rank {r} outside [1, min(m, n) = {min(m, n)}]")
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     per_seed = []

@@ -32,6 +32,7 @@ from .choices import parse_choice
 from .tensor import (
     Tensor,
     add,
+    column_mix,
     column_softmax,
     exp,
     matmul,
@@ -94,8 +95,7 @@ def _p_linear(spec, b, a):
 
 def _mix_k(spec, b, a):
     _, alpha, beta = spec.coeffs
-    kp = _p_linear(spec, b, a)
-    return add(add(kp, mul(alpha, column_softmax(kp))), beta)
+    return column_mix(_p_linear(spec, b, a), alpha, beta)
 
 
 # -- the registry -------------------------------------------------------------

@@ -10,6 +10,7 @@ allocation event (per epoch by default).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ from .kernels import KernelKind, KernelSpec, LowRankPair, merge, parse_kernel_ki
 from .tensor import (
     Tensor,
     add,
+    affine,
     backward,
     checkpoint,
     exp,
@@ -86,7 +88,12 @@ def cross_entropy_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a fixed parameter list."""
+    """Adaptive-moment optimizer over a fixed parameter list.
+
+    The moments of all parameters live in one flat `m` and one flat `v`
+    buffer, so a step makes the same few numpy calls for any number of
+    parameters.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -98,10 +105,11 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        # `[()]` turns the moments of a 0-d parameter into numpy scalars, on
-        # which arithmetic is several times faster than on 0-d arrays
-        self._m = [np.zeros_like(p.data)[()] for p in self.params]
-        self._v = [np.zeros_like(p.data)[()] for p in self.params]
+        bounds = list(itertools.accumulate((p.data.size for p in self.params), initial=0))
+        self._slots = [(slice(lo, hi), p.data.shape)
+                       for p, lo, hi in zip(self.params, bounds, bounds[1:])]
+        self._m = np.zeros(bounds[-1])
+        self._v = np.zeros(bounds[-1])
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -111,21 +119,23 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            # in place for arrays; a numpy scalar is rebound, hence the stores
-            m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            self._m[i], self._v[i] = m, v
-            m_hat = m / bc1
-            v_hat = v / bc2
-            # a fresh array: the caller may still hold the old one
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if not self.params:
+            return
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad
+                            for p in self.params], axis=None)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        # the parameters become views of one fresh array: callers may still
+        # hold the old ones
+        data = np.concatenate([p.data for p in self.params], axis=None)
+        data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        for p, (part, shape) in zip(self.params, self._slots):
+            p.data = data[part].reshape(shape)
 
 
 # -- layers -------------------------------------------------------------------
@@ -181,11 +191,7 @@ class AdaptedLinear:
         return sparsify(dw, min(int(self.budget), self.cap), self.sparsify_mode)
 
     def forward(self, x: Tensor) -> Tensor:
-        w_eff = add(Tensor(self.w0), self.delta_w())
-        y = matmul(x, transpose(w_eff))
-        if self.bias is not None:
-            y = add(y, Tensor(self.bias))
-        return y
+        return affine(x, self.w0, self.delta_w(), self.bias)
 
     def trainables(self) -> list:
         return [self.pair.A, self.pair.B, *self.spec.coefficients()]

@@ -6,8 +6,9 @@ hanging off the output. Recordings are per-run and single-use; `backward`
 walks the graph once and writes gradients onto the leaf tensors it finds.
 
 Everything is float64 and row-major. Subgradients at the kinks of
-`rectify` and `absolute` are fixed to zero, and `sign` / `stop_gradient`
-carry no gradient at all (their outputs are detached constants).
+`rectify`, `absolute` and `soft_threshold` are fixed to zero, and `sign` /
+`stop_gradient` carry no gradient at all (their outputs are detached
+constants).
 """
 
 from __future__ import annotations
@@ -238,6 +239,22 @@ def rectify(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), bwd)
 
 
+def soft_threshold(x: Tensor, tau: float) -> Tensor:
+    """sign(x) * max(|x| - tau, 0) as one recorded op; tau carries no gradient.
+
+    The subgradient is 0 where |x| <= tau, kinks and x = 0 included. Forward
+    and backward repeat, in order, the floating-point operations of
+    mul(sign(x), rectify(scalar_add(absolute(x), -tau))).
+    """
+    sgn = np.sign(x.data)
+    shifted = np.abs(x.data) - float(tau)
+
+    def bwd(g):
+        return ((g * sgn) * (shifted > 0.0) * sgn,)
+
+    return _make(sgn * np.maximum(shifted, 0.0), (x,), bwd)
+
+
 def sign(a: Tensor) -> Tensor:
     """Elementwise sign with zero gradient (the output is detached)."""
     return Tensor(np.sign(a.data))
@@ -264,6 +281,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ bt, at @ g
 
     return _make(data, (a, b), bwd)
+
+
+def affine(x: Tensor, w0: np.ndarray, delta: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    """x (w0 + delta)^T (+ bias) for a batch of rows x, as one recorded op.
+
+    w0 and bias are constants; gradients go to x and delta. Forward and
+    backward repeat, in order, the floating-point operations of
+    add(matmul(x, transpose(add(Tensor(w0), delta))), Tensor(bias)).
+    """
+    if x.data.ndim != 2 or delta.data.shape != w0.shape or x.data.shape[1] != w0.shape[1]:
+        raise ValueError(f"affine needs x (k, n) and weights (m, n), got x {x.data.shape}, "
+                         f"w0 {w0.shape} and delta {delta.data.shape}")
+    w = w0 + delta.data
+    y = x.data @ w.T
+    if bias is not None:
+        y += bias
+
+    def bwd(g):
+        gx = g @ w if x.requires_grad else None
+        # the transpose of x^T g, a view: the chain's weight gradient has that layout
+        return gx, (x.data.T @ g).T
+
+    return _make(y, (x, delta), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -450,13 +490,18 @@ def squared_distances(b: Tensor, a: Tensor) -> Tensor:
     return _make(d2, (b, a), bwd)
 
 
+def _softmax_data(x: np.ndarray, ax: int) -> np.ndarray:
+    if x.shape[ax] == 0:
+        raise ValueError("softmax over an empty axis")
+    e = x - x.max(axis=ax, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=ax, keepdims=True)
+    return e
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
     ax = axis % a.data.ndim
-    if a.data.shape[ax] == 0:
-        raise ValueError("softmax over an empty axis")
-    z = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=ax, keepdims=True)
+    s = _softmax_data(a.data, ax)
 
     def bwd(g):
         dot = (g * s).sum(axis=ax, keepdims=True)
@@ -468,6 +513,28 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 def column_softmax(a: Tensor) -> Tensor:
     """Softmax down each column (over the row index) of a matrix or a stack of them."""
     return softmax(a, axis=-2)
+
+
+def column_mix(k: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
+    """k + alpha * column_softmax(k) + beta, as one recorded op.
+
+    k is a matrix or a stack of them; alpha and beta are 0-d, or (S, 1, 1)
+    for a stack of S, one value per slice. Forward and backward repeat, in
+    order, the floating-point operations of
+    add(add(k, mul(alpha, column_softmax(k))), beta).
+    """
+    ax = k.data.ndim - 2
+    s = _softmax_data(k.data, ax)
+    data = k.data + alpha.data * s
+    data += beta.data
+
+    def bwd(g):
+        gs = g * alpha.data
+        dot = (gs * s).sum(axis=ax, keepdims=True)
+        gk = g + s * (gs - dot)
+        return gk, _unbroadcast(g * s, alpha.data.shape), _unbroadcast(g, beta.data.shape)
+
+    return _make(data, (k, alpha, beta), bwd)
 
 
 # -- backward pass ------------------------------------------------------------

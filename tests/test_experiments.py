@@ -467,7 +467,8 @@ class TestCli:
         assert list(out.iterdir()) == []
 
 
-# unknown names, then values out of range; each with the message it must print
+# unknown names, then values out of range; each with the message it must print.
+# BAD_CONFIG stands for a config file holding {"kernel": {"pieces": 0}}.
 BAD_INPUT_COMMANDS = [
     (["fit-matrix", "--kernel", "poly"], "unknown kernel 'poly'"),
     (["grad-evolution", "--kernel", "poly"], "unknown kernel 'poly'"),
@@ -483,12 +484,18 @@ BAD_INPUT_COMMANDS = [
     (["fit-matrix", "--lr", "-1"], "learning rate must be nonnegative"),
     (["fit-matrix", "--seeds", "0"], "seeds must be >= 1, got 0"),
     (["grad-evolution", "--seeds", "0"], "seeds must be >= 1, got 0"),
+    (["rank-sweep", "--rank", "99", "--size", "8"], "rank 99 outside [1, min(m, n) = 8]"),
+    (["rank-sweep", "--seeds", "0"], "seeds must be >= 1, got 0"),
+    (["train", "--config", "BAD_CONFIG"], "value out of range for 'kernel.pieces'"),
 ]
 
 
 @pytest.mark.parametrize("args, message", BAD_INPUT_COMMANDS,
                          ids=["-".join(args[:2]) for args, _ in BAD_INPUT_COMMANDS])
 def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args, message):
+    bad_config = tmp_path / "bad-config.json"
+    bad_config.write_text('{"kernel": {"pieces": 0}}')
+    args = [str(bad_config) if arg == "BAD_CONFIG" else arg for arg in args]
     out = tmp_path / "out"
     extra = [] if args[0] == "grad-check" else ["--out", str(out)]
     result = CliRunner().invoke(cli_main, args + extra)

@@ -120,6 +120,37 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(theta.data, [1.0, -2.0])
 
+    def test_flat_state_matches_per_parameter_updates(self):
+        # the per-parameter update the flat buffers replaced is the reference:
+        # every parameter, 0-d ones and missing gradients included, gets its bits
+        rng = np.random.default_rng(12)
+        shapes = [(3, 2), (), (4,), (), (2, 2, 2)]
+        ref = [rng.normal(size=s) for s in shapes]
+        params = [Tensor(r.copy(), requires_grad=True) for r in ref]
+        opt = Adam(params, lr=0.05)
+        m = [np.zeros(s) for s in shapes]
+        v = [np.zeros(s) for s in shapes]
+        for t in range(1, 7):
+            grads = [None if (t + i) % 3 == 0 else rng.normal(size=s)
+                     for i, s in enumerate(shapes)]
+            for p, g in zip(params, grads):
+                p.grad = g
+            held = [p.data for p in params]
+            held_values = [h.copy() for h in held]
+            opt.step()
+            for i, g in enumerate(grads):
+                g = np.zeros(shapes[i]) if g is None else g
+                m[i] = m[i] * 0.9 + (1.0 - 0.9) * g
+                v[i] = v[i] * 0.999 + (1.0 - 0.999) * (g * g)
+                m_hat, v_hat = m[i] / (1.0 - 0.9**t), v[i] / (1.0 - 0.999**t)
+                ref[i] = ref[i] - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            for p, r in zip(params, ref):
+                assert p.data.shape == r.shape
+                assert np.asarray(p.data).tobytes() == np.asarray(r).tobytes()
+            # a caller holding the previous arrays sees them unchanged
+            for h, before in zip(held, held_values):
+                np.testing.assert_array_equal(h, before)
+
 
 class TestLosses:
     def test_mse_hand_value(self):

@@ -9,8 +9,11 @@ from klora.tensor import (
     GradientReport,
     Tensor,
     absolute,
+    add,
+    affine,
     backward,
     checkpoint,
+    column_mix,
     column_softmax,
     exp,
     finite_diff_check,
@@ -24,6 +27,7 @@ from klora.tensor import (
     reduce_sum,
     reshape,
     sign,
+    soft_threshold,
     softmax,
     square,
     squared_distances,
@@ -112,6 +116,22 @@ def _random_smooth_input(rng, shape, low=0.3, high=1.5):
     return mags * signs
 
 
+# constants for the affine cases, and a mask and offset that pin three
+# entries of a soft_threshold input at 0, +tau and -tau (tau = 0.7) whatever
+# the perturbation, so the check runs with entries sitting on the kinks
+_W0 = np.random.default_rng(43).normal(size=(4, 4))
+_BIAS = np.random.default_rng(44).normal(size=4)
+_KINK_MASK = np.ones((4, 4))
+_KINK_MASK[0, :3] = 0.0
+_KINK_OFFSET = np.zeros((4, 4))
+_KINK_OFFSET[0, 1:3] = 0.7, -0.7
+
+
+def _per_slice(t, fn):
+    """fn of each half of a 4 x 4 tensor, as the (2, 1, 1) scalars of a stack of two."""
+    return reshape(reduce_mean(reshape(fn(t), (2, 8)), axis=1), (2, 1, 1))
+
+
 @pytest.mark.parametrize(
     "name,builder",
     [
@@ -142,6 +162,18 @@ def _random_smooth_input(rng, shape, low=0.3, high=1.5):
             squared_distances(reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4))))).sum()),
         ("softmax_cols_stacked", lambda a, b: mul(
             column_softmax(reshape(a, (2, 2, 4))), reshape(b, (2, 2, 4))).sum()),
+        ("column_mix", lambda a, b: mul(
+            column_mix(a, reduce_mean(b), reduce_mean(square(b))), b).sum()),
+        ("column_mix_stacked", lambda a, b: mul(column_mix(
+            reshape(a, (2, 2, 4)), _per_slice(b, lambda t: t), _per_slice(b, square)),
+            reshape(b, (2, 2, 4))).sum()),
+        ("soft_threshold", lambda a, b: mul(soft_threshold(a, 0.7), b).sum()),
+        ("soft_threshold_kinks", lambda a, b: mul(soft_threshold(
+            add(mul(a, Tensor(_KINK_MASK)), Tensor(_KINK_OFFSET)), 0.7), b).sum()),
+        ("soft_threshold_tau0", lambda a, b: mul(
+            soft_threshold(mul(a, Tensor(_KINK_MASK)), 0.0), b).sum()),
+        ("affine", lambda a, b: square(affine(a, _W0, b, _BIAS)).sum()),
+        ("affine_no_bias", lambda a, b: square(affine(a, _W0, b)).sum()),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, builder):
