@@ -74,11 +74,13 @@ def sensitivity(param, grad) -> np.ndarray:
 
 
 class ImportanceState:
-    """Smoothed per-entry sensitivity and its deviation for one layer.
+    """Smoothed per-entry sensitivity and its deviation over one flat arena.
 
-    The first update seeds the smoothed sensitivity with the raw value and
-    the deviation with zero; later updates apply exponential moving
-    averages with constants beta1 (sensitivity) and beta2 (deviation).
+    The trainer keeps one state over the flat parameter vector of its
+    optimizer; a layer's score reads the slices of its factors. The first
+    update seeds the smoothed sensitivity with the raw value and the
+    deviation with zero; later updates apply exponential moving averages
+    with constants beta1 (sensitivity) and beta2 (deviation).
     """
 
     def __init__(self, beta1: float = 0.85, beta2: float = 0.85):
@@ -87,44 +89,41 @@ class ImportanceState:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.t = -1
-        self.i_bar_a = None
-        self.u_bar_a = None
-        self.i_bar_b = None
-        self.u_bar_b = None
+        self.i_bar = None
+        self.u_bar = None
 
     @property
     def initialized(self) -> bool:
         return self.t >= 0
 
-    def update(self, raw_a, raw_b) -> None:
-        raw_a = np.asarray(raw_a, dtype=np.float64)
-        raw_b = np.asarray(raw_b, dtype=np.float64)
+    def update(self, raw) -> None:
+        raw = np.asarray(raw, dtype=np.float64)
         if not self.initialized:
-            self.i_bar_a = raw_a.copy()
-            self.u_bar_a = np.zeros_like(raw_a)
-            self.i_bar_b = raw_b.copy()
-            self.u_bar_b = np.zeros_like(raw_b)
+            self.i_bar = raw.copy()
+            self.u_bar = np.zeros_like(raw)
             self.t = 0
             return
-        if raw_a.shape != self.i_bar_a.shape or raw_b.shape != self.i_bar_b.shape:
+        if raw.shape != self.i_bar.shape:
             raise ValueError("sensitivity shape changed between updates")
         b1, b2 = self.beta1, self.beta2
-        self.i_bar_a = b1 * self.i_bar_a + (1.0 - b1) * raw_a
-        self.u_bar_a = b2 * self.u_bar_a + (1.0 - b2) * np.abs(self.i_bar_a - raw_a)
-        self.i_bar_b = b1 * self.i_bar_b + (1.0 - b1) * raw_b
-        self.u_bar_b = b2 * self.u_bar_b + (1.0 - b2) * np.abs(self.i_bar_b - raw_b)
+        self.i_bar = b1 * self.i_bar + (1.0 - b1) * raw
+        self.u_bar = b2 * self.u_bar + (1.0 - b2) * np.abs(self.i_bar - raw)
         self.t += 1
 
 
-def layer_score(state: ImportanceState | None, metric, pair=None, merged=None) -> float:
-    """Per-layer importance score under the chosen metric (always >= 0)."""
+def layer_score(state: ImportanceState | None, metric, pair=None, merged=None,
+                parts=(slice(None),)) -> float:
+    """Per-layer importance score under the chosen metric (always >= 0).
+
+    Under the sensitivity metric the score sums, over `parts` (slices of
+    the state's arena, by default all of it), the mean of i_bar * u_bar.
+    """
     metric = parse_metric(metric)
     if metric is Metric.SENSITIVITY:
         if state is None or not state.initialized:
             raise ValueError("sensitivity metric needs an updated importance state")
-        return float(
-            (state.i_bar_a * state.u_bar_a).mean() + (state.i_bar_b * state.u_bar_b).mean()
-        )
+        i_bar, u_bar = state.i_bar, state.u_bar
+        return float(sum((i_bar[part] * u_bar[part]).mean() for part in parts))
     if metric is Metric.MAGNITUDE:
         if pair is None:
             raise ValueError("magnitude metric needs the factor pair")
@@ -168,10 +167,11 @@ def budget_at(schedule: BudgetSchedule, t: int) -> int:
 
 @dataclass
 class AllocationResult:
-    """Per-layer integer budgets plus the global budget they were drawn from."""
+    """Per-layer integer budgets, the global budget and the scores it was split by."""
 
     budgets: list
     global_budget: int
+    scores: list
 
 
 def alloc(scores, caps, budget: int) -> AllocationResult:
@@ -235,7 +235,7 @@ def alloc(scores, caps, budget: int) -> AllocationResult:
                         remaining -= 1
                 order = [l for l in order if budgets[l] < caps[l]]
             break
-    return AllocationResult(budgets=budgets, global_budget=budget)
+    return AllocationResult(budgets=budgets, global_budget=budget, scores=scores)
 
 
 def threshold_for_budget(delta_w, b: int) -> float:

@@ -244,8 +244,12 @@ def train_cmd(config, out, seed, kernel, rank, pieces, budget_ratio, schedule,
               help="Also render the sparsity heatmap.")
 def alloc_trace_cmd(trace_path, out, svg):
     """Export per-layer, per-epoch sparsity ratios from a training trace."""
-    trace = RunTrace.from_dict(json.loads(Path(trace_path).read_text(encoding="utf-8")))
-    header, rows = ex.alloc_trace_table(trace)
+    try:
+        trace = RunTrace.from_dict(json.loads(Path(trace_path).read_text(encoding="utf-8")))
+        header, rows = ex.alloc_trace_table(trace)
+    except (TypeError, ValueError) as err:
+        # from_dict raises TypeError for a missing or unknown key
+        raise click.UsageError(f"malformed trace {trace_path}: {err}") from None
     out_dir = _out_dir(out)
     csv_path = out_dir / "sparsity-ratios.csv"
     write_csv(csv_path, header, rows)
@@ -268,7 +272,8 @@ def alloc_trace_cmd(trace_path, out, svg):
 def schedule_cmd(out, b0, bT, T, kinds):
     """Tabulate the tunable-weight budget over training steps."""
     kinds = kinds or ("constant", "linear", "quadratic", "cubic")
-    header, rows = ex.schedule_table(b0=b0, bT=bT, T=T, kinds=kinds)
+    with _usage_errors():
+        header, rows = ex.schedule_table(b0=b0, bT=bT, T=T, kinds=kinds)
     out_dir = _out_dir(out)
     path = out_dir / "schedule.csv"
     write_csv(path, header, rows)
@@ -313,6 +318,8 @@ def memory_model_cmd(out, layers, m, n, rank, kernel, pieces):
 def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
     """Finite-difference validation of merge gradients for each kernel kind."""
     kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
+    if min(m, n, rank, seeds) < 1:
+        raise click.UsageError(f"m, n, rank and seeds must be >= 1, got {m}, {n}, {rank}, {seeds}")
     rank = min(rank, m, n)
     failures = 0
     for kind in kinds:
@@ -323,7 +330,8 @@ def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
                 A=Tensor(rng.normal(size=(n, rank)), requires_grad=True),
                 B=Tensor(rng.normal(size=(m, rank)), requires_grad=True),
             )
-            spec = KernelSpec.canonical(kind, pieces=min(pieces, rank), trainable=True)
+            with _usage_errors():
+                spec = KernelSpec.canonical(kind, pieces=min(pieces, rank), trainable=True)
             weights = Tensor(rng.normal(size=(m, n)))
             params = [pair.A, pair.B, *spec.coefficients()]
             report = finite_diff_check(

@@ -324,6 +324,9 @@ def alloc_trace_table(trace: RunTrace):
     header = ["epoch"] + [f"layer_{i}" for i in range(n_layers)]
     rows = [[0] + [0.0] * n_layers]  # warm start: nothing sparsified yet
     for record in trace.epochs:
+        if len(record.ratios) != n_layers:
+            raise ValueError(f"epoch {record.epoch} has {len(record.ratios)} ratios "
+                             f"for {n_layers} layers")
         rows.append([record.epoch + 1] + [float(x) for x in record.ratios])
     return header, rows
 

@@ -2,9 +2,9 @@
 
 An adapted layer keeps its base weight frozen and adds a budget-sparsified
 kernel merge of its low-rank factors; only the factors and kernel
-coefficients train. The trainer refreshes per-layer sensitivity statistics
-every step and re-divides the decaying global budget across layers at each
-allocation event (per epoch by default).
+coefficients train. The trainer refreshes one sensitivity state over the
+optimizer's flat parameter vector every step and re-divides the decaying
+global budget across layers at each allocation event (per epoch by default).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import enum
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,7 +92,8 @@ class Adam:
 
     The moments of all parameters live in one flat `m` and one flat `v`
     buffer, so a step makes the same few numpy calls for any number of
-    parameters.
+    parameters. `step` returns the flat parameters it stepped from and the
+    flat gradient, in the same layout.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -115,12 +116,12 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> None:
+    def step(self) -> tuple:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         if not self.params:
-            return
+            return np.zeros(0), np.zeros(0)
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad
                             for p in self.params], axis=None)
         m, v = self._m, self._v
@@ -133,9 +134,10 @@ class Adam:
         # the parameters become views of one fresh array: callers may still
         # hold the old ones
         data = np.concatenate([p.data for p in self.params], axis=None)
-        data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        stepped = data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         for p, (part, shape) in zip(self.params, self._slots):
-            p.data = data[part].reshape(shape)
+            p.data = stepped[part].reshape(shape)
+        return data, g
 
 
 # -- layers -------------------------------------------------------------------
@@ -359,6 +361,8 @@ class TrainerConfig:
             raise ValueError("lr must be nonnegative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
+            raise ValueError("steps_per_epoch must be >= 1 or None")
         if not 0.0 <= self.budget_ratio <= 1.0:
             raise ValueError("budget_ratio must lie in [0, 1]")
 
@@ -373,17 +377,6 @@ class EpochRecord:
     scores: list
     grad_norms: list
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "mean_loss": self.mean_loss,
-            "global_budget": self.global_budget,
-            "budgets": list(self.budgets),
-            "ratios": list(self.ratios),
-            "scores": list(self.scores),
-            "grad_norms": list(self.grad_norms),
-        }
-
 
 @dataclass
 class RunTrace:
@@ -396,43 +389,23 @@ class RunTrace:
     duration_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": self.config,
-            "layer_caps": list(self.layer_caps),
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "epochs": [e.to_dict() for e in self.epochs],
-            "duration_s": self.duration_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunTrace":
-        trace = cls(
-            seed=d["seed"],
-            config=d["config"],
-            layer_caps=list(d["layer_caps"]),
-            initial_loss=d["initial_loss"],
-            final_loss=d["final_loss"],
-            duration_s=d.get("duration_s", 0.0),
-        )
-        trace.epochs = [
-            EpochRecord(
-                epoch=e["epoch"],
-                mean_loss=e["mean_loss"],
-                global_budget=e["global_budget"],
-                budgets=list(e["budgets"]),
-                ratios=list(e["ratios"]),
-                scores=list(e["scores"]),
-                grad_norms=list(e["grad_norms"]),
-            )
-            for e in d["epochs"]
-        ]
+        """Rebuild a trace from `to_dict` output; a missing or unknown key is a TypeError."""
+        trace = cls(**d)
+        trace.epochs = [EpochRecord(**e) for e in trace.epochs]
         return trace
 
 
 class Trainer:
-    """Wires per-step importance updates to scheduled budget reallocation."""
+    """Wires per-step importance updates to scheduled budget reallocation.
+
+    Its state is flat: Adam's parameter, moment and gradient vectors and one
+    importance arena aligned with them. A layer's score and grad norm reduce
+    the slices of its two factors; the kernel-coefficient slices are skipped.
+    """
 
     def __init__(self, model: TinyModel, config: TrainerConfig, dataset):
         self.model = model
@@ -442,10 +415,11 @@ class Trainer:
         self.params = model.trainables()
         self.opt = Adam(self.params, lr=config.lr, beta1=config.adam_beta1,
                         beta2=config.adam_beta2, eps=config.adam_eps)
-        self.states = [
-            ImportanceState(config.smoothing_beta1, config.smoothing_beta2)
-            for _ in self.layers
-        ]
+        self.importance = ImportanceState(config.smoothing_beta1, config.smoothing_beta2)
+        slice_of = {id(p): part for p, (part, _) in zip(self.params, self.opt._slots)}
+        self.factor_parts = [(slice_of[id(layer.pair.A)], slice_of[id(layer.pair.B)])
+                             for layer in self.layers]
+        self.grad = None  # the flat gradient of the last step
         n = dataset.x.shape[0]
         self.steps_per_epoch = config.steps_per_epoch or max(1, n // config.batch_size)
         total_steps = max(1, config.epochs * self.steps_per_epoch)
@@ -469,24 +443,29 @@ class Trainer:
                 f"(kernel={self.config.kernel_kind.value}, lr={self.config.lr})"
             )
         backward(loss)
-        for layer, state in zip(self.layers, self.states):
-            a, b = layer.pair.A, layer.pair.B
-            ga = a.grad if a.grad is not None else np.zeros_like(a.data)
-            gb = b.grad if b.grad is not None else np.zeros_like(b.data)
-            state.update(sensitivity(a.data, ga), sensitivity(b.data, gb))
-        self.opt.step()
+        data, self.grad = self.opt.step()
+        self.importance.update(sensitivity(data, self.grad))
         self.global_step += 1
         return value
 
     def layer_scores(self) -> list:
         metric = self.config.importance_metric
         scores = []
-        for layer, state in zip(self.layers, self.states):
+        for layer, parts in zip(self.layers, self.factor_parts):
             merged = layer.merged().data if metric is Metric.W_MAGNITUDE else None
-            scores.append(layer_score(state, metric, pair=layer.pair, merged=merged))
+            scores.append(layer_score(self.importance, metric, pair=layer.pair, merged=merged,
+                                      parts=parts))
         return scores
 
+    def grad_norms(self) -> list:
+        """Per-layer norm of the last step's factor gradients."""
+        g = self.grad
+        return [math.sqrt((g[a] * g[a]).sum() + (g[b] * g[b]).sum())
+                for a, b in self.factor_parts]
+
     def allocate(self) -> AllocationResult:
+        if self.global_step == 0:
+            raise ValueError("allocation needs at least one completed step")
         t = min(self.global_step, self.schedule.T)
         target = budget_at(self.schedule, t)
         scores = self.layer_scores()
@@ -495,11 +474,6 @@ class Trainer:
         for layer, b in zip(self.layers, result.budgets):
             layer.budget = b
         return result
-
-    def epoch_boundary(self) -> AllocationResult:
-        if self.global_step == 0:
-            raise ValueError("allocation needs at least one completed step")
-        return self.allocate()
 
     def fine_tune(self) -> RunTrace:
         start = time.perf_counter()
@@ -521,19 +495,11 @@ class Trainer:
                 lo = step * cfg.batch_size
                 idx = np.take(perm, np.arange(lo, lo + cfg.batch_size), mode="wrap")
                 losses.append(self.train_step(self.dataset.x[idx], self.dataset.y[idx]))
-                for i, layer in enumerate(self.layers):
-                    ga = layer.pair.A.grad
-                    gb = layer.pair.B.grad
-                    sq = 0.0
-                    if ga is not None:
-                        sq += float((ga * ga).sum())
-                    if gb is not None:
-                        sq += float((gb * gb).sum())
-                    norms[i] += math.sqrt(sq)
+                norms += self.grad_norms()
                 if cfg.alloc_period is AllocPeriod.PER_STEP:
                     result = self.allocate()
             if cfg.alloc_period is AllocPeriod.PER_EPOCH:
-                result = self.epoch_boundary()
+                result = self.allocate()
             caps = [layer.cap for layer in self.layers]
             trace.epochs.append(
                 EpochRecord(
@@ -542,7 +508,7 @@ class Trainer:
                     global_budget=result.global_budget,
                     budgets=list(result.budgets),
                     ratios=[1.0 - b / c for b, c in zip(result.budgets, caps)],
-                    scores=self.layer_scores(),
+                    scores=result.scores,
                     grad_norms=(norms / self.steps_per_epoch).tolist(),
                 )
             )

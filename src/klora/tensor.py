@@ -6,9 +6,8 @@ hanging off the output. Recordings are per-run and single-use; `backward`
 walks the graph once and writes gradients onto the leaf tensors it finds.
 
 Everything is float64 and row-major. Subgradients at the kinks of
-`rectify`, `absolute` and `soft_threshold` are fixed to zero, and `sign` /
-`stop_gradient` carry no gradient at all (their outputs are detached
-constants).
+`rectify`, `absolute` and `soft_threshold` are fixed to zero, and `sign`
+carries no gradient at all (its output is a detached constant).
 """
 
 from __future__ import annotations
@@ -258,11 +257,6 @@ def soft_threshold(x: Tensor, tau: float) -> Tensor:
 def sign(a: Tensor) -> Tensor:
     """Elementwise sign with zero gradient (the output is detached)."""
     return Tensor(np.sign(a.data))
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity forward; no gradient flows back through the result."""
-    return Tensor(a.data)
 
 
 # -- linear algebra ----------------------------------------------------------

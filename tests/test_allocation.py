@@ -50,29 +50,29 @@ class TestSensitivity:
 class TestImportanceState:
     def test_first_update_seeds_state(self):
         st = ImportanceState(beta1=0.85, beta2=0.85)
-        raw = np.full((2, 2), 0.5)
-        st.update(raw, raw)
+        raw = np.full(4, 0.5)
+        st.update(raw)
         assert st.t == 0
-        np.testing.assert_array_equal(st.i_bar_a, raw)
-        np.testing.assert_array_equal(st.u_bar_a, np.zeros((2, 2)))
+        np.testing.assert_array_equal(st.i_bar, raw)
+        np.testing.assert_array_equal(st.u_bar, np.zeros(4))
 
     def test_constant_stream_keeps_uncertainty_zero(self):
         for b1, b2 in [(0.85, 0.85), (0.5, 0.99), (0.0, 0.0), (1.0, 1.0)]:
             st = ImportanceState(beta1=b1, beta2=b2)
-            raw = np.array([[1.25]])
+            raw = np.array([1.25])
             for _ in range(10):
-                st.update(raw, raw)
-                np.testing.assert_array_equal(st.u_bar_a, np.zeros((1, 1)))
-                np.testing.assert_array_equal(st.i_bar_a, raw)
+                st.update(raw)
+                np.testing.assert_array_equal(st.u_bar, np.zeros(1))
+                np.testing.assert_array_equal(st.i_bar, raw)
 
     def test_no_smoothing_tracks_raw(self):
         st = ImportanceState(beta1=0.0, beta2=0.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
-            raw = np.abs(rng.normal(size=(2, 3)))
-            st.update(raw, raw)
-            np.testing.assert_array_equal(st.i_bar_a, raw)
-            np.testing.assert_array_equal(st.u_bar_a, np.zeros((2, 3)))
+            raw = np.abs(rng.normal(size=6))
+            st.update(raw)
+            np.testing.assert_array_equal(st.i_bar, raw)
+            np.testing.assert_array_equal(st.u_bar, np.zeros(6))
 
     def test_alternating_stream_matches_scalar_recurrence_oracle(self):
         b1 = b2 = 0.85
@@ -80,31 +80,33 @@ class TestImportanceState:
         i_bar = u_bar = None
         for step in range(10):
             raw = float(step % 2)
-            arr = np.array([[raw]])
-            st.update(arr, arr)
+            st.update(np.array([raw]))
             if i_bar is None:
                 i_bar, u_bar = raw, 0.0
             else:
                 i_bar = b1 * i_bar + (1 - b1) * raw
                 u_bar = b2 * u_bar + (1 - b2) * abs(i_bar - raw)
-            assert st.i_bar_a[0, 0] == pytest.approx(i_bar, abs=1e-15)
-            assert st.u_bar_a[0, 0] == pytest.approx(u_bar, abs=1e-15)
+            assert st.i_bar[0] == pytest.approx(i_bar, abs=1e-15)
+            assert st.u_bar[0] == pytest.approx(u_bar, abs=1e-15)
 
     def test_uncertainty_stays_nonnegative(self):
         rng = np.random.default_rng(2)
         st = ImportanceState(beta1=0.7, beta2=0.6)
         for _ in range(50):
-            raw_a = np.abs(rng.normal(size=(3, 2)))
-            raw_b = np.abs(rng.normal(size=(4, 2)))
-            st.update(raw_a, raw_b)
-            assert (st.u_bar_a >= 0).all() and (st.u_bar_b >= 0).all()
+            st.update(np.abs(rng.normal(size=14)))
+            assert (st.u_bar >= 0).all()
+
+    def test_shape_change_rejected(self):
+        st = ImportanceState()
+        st.update(np.ones(3))
+        with pytest.raises(ValueError, match="shape changed"):
+            st.update(np.ones(4))
 
 
 class TestLayerScore:
     def test_fresh_state_sensitivity_is_zero(self):
         st = ImportanceState()
-        raw = np.abs(np.random.default_rng(0).normal(size=(2, 2)))
-        st.update(raw, raw)
+        st.update(np.abs(np.random.default_rng(0).normal(size=8)))
         assert layer_score(st, Metric.SENSITIVITY) == 0.0
 
     def test_uninitialized_state_rejected(self):
@@ -120,15 +122,20 @@ class TestLayerScore:
             layer_score(None, Metric.W_MAGNITUDE)
 
     def test_sensitivity_matches_elementwise_oracle(self):
+        # a (3, 2) factor A, a (2, 2) factor B and two kernel coefficients
+        # the score skips, laid out as in the trainer's flat arena
         rng = np.random.default_rng(3)
         st = ImportanceState(beta1=0.9, beta2=0.8)
         for _ in range(4):
-            st.update(np.abs(rng.normal(size=(3, 2))), np.abs(rng.normal(size=(2, 2))))
-        expected = float(
-            np.mean(st.i_bar_a * st.u_bar_a) + np.mean(st.i_bar_b * st.u_bar_b)
-        )
-        assert layer_score(st, "sensitivity") == pytest.approx(expected, rel=1e-15)
-        assert layer_score(st, "sensitivity") >= 0.0
+            st.update(np.abs(rng.normal(size=12)))
+        a, b = slice(0, 6), slice(6, 10)
+        score = layer_score(st, "sensitivity", parts=(a, b))
+        i_a, u_a = st.i_bar[a].reshape(3, 2), st.u_bar[a].reshape(3, 2)
+        i_b, u_b = st.i_bar[b].reshape(2, 2), st.u_bar[b].reshape(2, 2)
+        expected = float(np.mean(i_a * u_a) + np.mean(i_b * u_b))
+        assert score == expected
+        assert score >= 0.0
+        assert layer_score(st, "sensitivity") == pytest.approx(np.mean(st.i_bar * st.u_bar))
 
     def test_metric_aliases(self):
         assert parse_metric("W-Magnitude") is Metric.W_MAGNITUDE
@@ -353,3 +360,4 @@ def test_allocation_result_invariants_on_example():
     assert isinstance(result, AllocationResult)
     assert sum(result.budgets) == 100
     assert all(b <= 40 for b in result.budgets)
+    assert result.scores == [0.5, 0.3, 0.2]

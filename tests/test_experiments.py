@@ -264,6 +264,7 @@ class TestAllocTraceExport:
     def test_round_trip_through_json(self):
         trace = self._trace()
         again = RunTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
+        assert again == trace
         assert alloc_trace_table(again) == alloc_trace_table(trace)
 
 
@@ -487,15 +488,38 @@ BAD_INPUT_COMMANDS = [
     (["rank-sweep", "--rank", "99", "--size", "8"], "rank 99 outside [1, min(m, n) = 8]"),
     (["rank-sweep", "--seeds", "0"], "seeds must be >= 1, got 0"),
     (["train", "--config", "BAD_CONFIG"], "value out of range for 'kernel.pieces'"),
+    (["schedule", "--b0", "-5"], "need 0 <= bT <= b0, got bT=0, b0=-5"),
+    (["schedule", "--steps", "0"], "need T >= 1, got 0"),
+    (["grad-check", "--pieces", "0"], "piece count must be >= 1, got 0"),
+    (["grad-check", "--m", "0"], "m, n, rank and seeds must be >= 1, got 0, 6, 4, 5"),
+    (["grad-check", "--seeds", "0"], "m, n, rank and seeds must be >= 1, got 8, 6, 4, 0"),
+    (["alloc-trace", "NOT_JSON"], "Expecting value: line 1 column 1"),
+    (["alloc-trace", "NO_CONFIG"], "missing 4 required positional arguments: 'config'"),
+    (["alloc-trace", "UNKNOWN_KEY"], "unexpected keyword argument 'loss'"),
+    (["alloc-trace", "NO_LAYERS"], "trace has no layers"),
+    (["alloc-trace", "RAGGED"], "epoch 0 has 0 ratios for 1 layers"),
 ]
+
+# files the commands above name by a placeholder
+_TRACE = {"seed": 0, "config": {}, "layer_caps": [4], "initial_loss": 1.0, "final_loss": 0.5}
+BAD_INPUT_FILES = {
+    "BAD_CONFIG": '{"kernel": {"pieces": 0}}',
+    "NOT_JSON": "not json",
+    "NO_CONFIG": '{"seed": 0}',
+    "UNKNOWN_KEY": json.dumps({**_TRACE, "loss": 1.0}),
+    "NO_LAYERS": json.dumps({**_TRACE, "layer_caps": []}),
+    "RAGGED": json.dumps({**_TRACE, "epochs": [{
+        "epoch": 0, "mean_loss": 1.0, "global_budget": 2, "budgets": [2], "ratios": [],
+        "scores": [1.0], "grad_norms": [0.1]}]}),
+}
 
 
 @pytest.mark.parametrize("args, message", BAD_INPUT_COMMANDS,
                          ids=["-".join(args[:2]) for args, _ in BAD_INPUT_COMMANDS])
 def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args, message):
-    bad_config = tmp_path / "bad-config.json"
-    bad_config.write_text('{"kernel": {"pieces": 0}}')
-    args = [str(bad_config) if arg == "BAD_CONFIG" else arg for arg in args]
+    for placeholder, text in BAD_INPUT_FILES.items():
+        (tmp_path / placeholder).write_text(text)
+    args = [str(tmp_path / arg) if arg in BAD_INPUT_FILES else arg for arg in args]
     out = tmp_path / "out"
     extra = [] if args[0] == "grad-check" else ["--out", str(out)]
     result = CliRunner().invoke(cli_main, args + extra)

@@ -253,7 +253,7 @@ class TestTrainer:
         a_before = trainer.layers[0].pair.A.data.copy()
         trainer.train_step(ds.x[:16], ds.y[:16])
         np.testing.assert_array_equal(trainer.layers[0].pair.A.data, a_before)
-        assert trainer.states[0].initialized
+        assert trainer.importance.initialized
 
     def test_determinism_same_seed_same_final_loss(self):
         traces = [fine_tune(small_config(seed=5), small_dataset(5)) for _ in range(2)]
@@ -286,14 +286,14 @@ class TestTrainer:
                         assert nz <= layer.budget
                         total += nz
                     assert total <= last_alloc.global_budget
-            last_alloc = trainer.epoch_boundary()
+            last_alloc = trainer.allocate()
 
     def test_epoch_boundary_requires_a_step(self):
         ds = small_dataset()
         cfg = small_config()
         trainer = Trainer(build_model(ds, cfg), cfg, ds)
         with pytest.raises(ValueError, match="at least one"):
-            trainer.epoch_boundary()
+            trainer.allocate()
 
     def test_early_boundary_budget_tracks_cubic_law(self):
         ds = small_dataset()
@@ -302,7 +302,7 @@ class TestTrainer:
         trainer = Trainer(model, cfg, ds)
         trainer.train_step(ds.x[:16], ds.y[:16])
         trainer.global_step = 4  # pretend the first epoch finished
-        result = trainer.epoch_boundary()
+        result = trainer.allocate()
         frac = (1.0 - 4 / trainer.schedule.T) ** 3
         expected = trainer.schedule.bT + frac * (trainer.schedule.b0 - trainer.schedule.bT)
         assert result.global_budget == int(math.floor(expected + 0.5))
@@ -323,6 +323,16 @@ class TestTrainer:
         trainer.layers[0].spec.coeffs[0].data[:] = 1.0
         with pytest.raises(RuntimeError, match="non-finite loss"):
             trainer.train_step(ds.x[:4], ds.y[:4])
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_per_epoch_below_one_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps_per_epoch"):
+            small_config(steps_per_epoch=steps)
+
+    def test_steps_per_epoch_none_is_one_pass(self):
+        ds = small_dataset()
+        cfg = small_config(steps_per_epoch=None)
+        assert Trainer(build_model(ds, cfg), cfg, ds).steps_per_epoch == 64 // 16
 
     def test_per_step_allocation_runs(self):
         ds = small_dataset()

@@ -31,7 +31,6 @@ from klora.tensor import (
     softmax,
     square,
     squared_distances,
-    stop_gradient,
     sub,
     transpose,
     weighted_segment_distances,
@@ -62,14 +61,6 @@ def test_column_softmax_uniform():
     col = Tensor(np.full((4, 1), 3.7))
     out = column_softmax(col)
     np.testing.assert_allclose(out.data, 0.25)
-
-
-def test_stop_gradient_detaches_one_factor():
-    x = Tensor(3.0, requires_grad=True)
-    out = mul(stop_gradient(x), x)
-    assert out.item() == 9.0
-    grads = record_and_backward(lambda: mul(stop_gradient(x), x), [x])
-    np.testing.assert_array_equal(grads[x].data, 3.0)
 
 
 def test_sign_carries_zero_gradient():
