@@ -257,8 +257,12 @@ def threshold_for_budget(delta_w, b: int) -> float:
     return float(np.partition(a, idx)[idx])
 
 
-def sparsify_with_threshold(delta_w: Tensor, tau: float, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
-    """Apply a fixed magnitude threshold; tau never carries gradient."""
+def sparsify_with_threshold(delta_w: Tensor, tau, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
+    """Apply a fixed magnitude threshold; tau never carries gradient.
+
+    tau is a float, or an (S, 1, 1) array of per-slice thresholds for a
+    stack of S matrices.
+    """
     mode = parse_sparsify_mode(mode)
     if mode is SparsifyMode.HARD_MASK:
         mask = Tensor((np.abs(delta_w.data) > tau).astype(np.float64))
@@ -268,12 +272,19 @@ def sparsify_with_threshold(delta_w: Tensor, tau: float, mode=SparsifyMode.SOFT_
     return mul(delta_w, rectify(scalar_add(absolute(delta_w), -tau)))
 
 
-def sparsify(delta_w: Tensor, b: int, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
+def sparsify(delta_w: Tensor, b, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
     """Keep the b largest-magnitude update entries; zero the rest.
 
     The threshold is an order statistic of the current values and is
     treated as a constant, so gradients flow to surviving entries only.
     With distinct magnitudes exactly min(b, size) entries stay nonzero.
+    For a stack of S matrices, `b` is a sequence of S budgets: each slice
+    gets its own threshold, applied as one (S, 1, 1) array.
     """
-    tau = threshold_for_budget(delta_w.data, b)
-    return sparsify_with_threshold(delta_w, tau, mode)
+    if np.ndim(b) == 0:
+        return sparsify_with_threshold(delta_w, threshold_for_budget(delta_w.data, b), mode)
+    if delta_w.data.ndim != 3 or len(b) != delta_w.data.shape[0]:
+        raise ValueError(f"need one budget per slice of an (S, m, n) stack, got {len(b)} "
+                         f"budgets for shape {delta_w.data.shape}")
+    tau = np.array([threshold_for_budget(d, bk) for d, bk in zip(delta_w.data, b)])
+    return sparsify_with_threshold(delta_w, tau.reshape(-1, 1, 1), mode)

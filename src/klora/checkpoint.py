@@ -17,8 +17,8 @@ Layout (all integers and floats little-endian):
 Only the learnable adapter state is stored (factors and kernel
 coefficients); frozen base weights are not part of the format. Round-trips
 are bit-exact. A file whose sizes disagree with its payload, whose rank
-exceeds min(m, n), or whose coefficient count does not fit its kind is
-rejected with a CheckpointError.
+lies outside [1, min(m, n)], or whose coefficient count does not fit its
+kind is rejected with a CheckpointError.
 """
 
 from __future__ import annotations
@@ -143,6 +143,8 @@ def load_checkpoint(path) -> list:
             raise CheckpointError(f"unknown kernel kind id {kind_id}")
         if r > min(m, n):
             raise CheckpointError(f"layer {i}: rank {r} exceeds min(m, n) = {min(m, n)}")
+        if r == 0:
+            raise CheckpointError(f"layer {i}: rank 0 (no writer stores a layer without factors)")
         try:
             pieces = row.pieces_for(n_coeff)
         except ValueError as err:

@@ -155,6 +155,9 @@ def apply_defaults(raw: dict) -> RunConfig:
         _check_range(0.0 <= float(sparsity[key]) <= 1.0, f"sparsity.{key}", "not in [0, 1]")
 
     _check_range(float(train["lr"]) >= 0.0, "train.lr", "must be nonnegative")
+    for key in ("adam_beta1", "adam_beta2"):
+        _check_range(0.0 <= float(train[key]) < 1.0, f"train.{key}", "not in [0, 1)")
+    _check_range(float(train["adam_eps"]) > 0.0, "train.adam_eps", "must be positive")
     _check_range(int(train["epochs"]) >= 0, "train.epochs", "must be >= 0")
     _check_range(int(train["batch_size"]) >= 1, "train.batch_size", "must be >= 1")
     spe = train["steps_per_epoch"]

@@ -42,6 +42,7 @@ from .tensor import (
     reduce_sum,
     scalar_add,
     squared_distances,
+    stack,
     transpose,
     weighted_segment_distances,
 )
@@ -262,11 +263,28 @@ class KernelSpec:
         A per-piece coefficient becomes (count, P) and a scalar (count, 1, 1),
         so that each broadcasts against its own slice of a (count, m, n) merge.
         """
-        def stack(c):
-            data = c.data.reshape((1, -1) if c.data.ndim else (1, 1, 1))
+        def stack_of(c):
+            data = c.data.reshape((1, *_slice_shape(c)))
             return Tensor(np.repeat(data, count, axis=0), requires_grad=c.requires_grad)
 
-        return self.with_coefficients(stack(c) for c in self.coeffs)
+        return self.with_coefficients(stack_of(c) for c in self.coeffs)
+
+    @classmethod
+    def stack(cls, specs) -> "KernelSpec":
+        """One spec for a stack of factor pairs whose specs share kind and piece count.
+
+        Its coefficients are recorded stacks of theirs, shaped as in `stacked`,
+        so gradients flow back to each spec's own coefficient tensors.
+        """
+        first = specs[0]
+        return first.with_coefficients(
+            stack([spec.coeffs[i] for spec in specs], _slice_shape(c))
+            for i, c in enumerate(first.coeffs))
+
+
+def _slice_shape(coeff: Tensor) -> tuple:
+    """A coefficient's shape in one slice of a stack: scalars become (1, 1)."""
+    return coeff.data.shape if coeff.data.ndim else (1, 1)
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 An adapted layer keeps its base weight frozen and adds a budget-sparsified
 kernel merge of its low-rank factors; only the factors and kernel
-coefficients train. The trainer refreshes one sensitivity state over the
-optimizer's flat parameter vector every step and re-divides the decaying
-global budget across layers at each allocation event (per epoch by default).
+coefficients train. A forward pass merges and sparsifies each group of
+same-shaped layers as one stack (`group_deltas`). The trainer refreshes one
+sensitivity state over the optimizer's flat parameter vector every step and
+re-divides the decaying global budget across layers at each allocation
+event (per epoch by default).
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ from .tensor import (
     scalar_mul,
     softmax,
     square,
+    stack,
     sub,
+    take,
     transpose,
 )
 
@@ -87,6 +91,15 @@ def cross_entropy_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
 # -- optimizer ----------------------------------------------------------------
 
 
+def _check_adam_settings(beta1: float, beta2: float, eps: float) -> None:
+    """Both moment decay rates must lie in [0, 1) and eps must be positive."""
+    for name, beta in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"Adam {name} must lie in [0, 1), got {beta}")
+    if not eps > 0.0:
+        raise ValueError(f"Adam eps must be positive, got {eps}")
+
+
 class Adam:
     """Adaptive-moment optimizer over a fixed parameter list.
 
@@ -100,6 +113,7 @@ class Adam:
                  eps: float = 1e-8):
         if lr < 0:
             raise ValueError("learning rate must be nonnegative")
+        _check_adam_settings(beta1, beta2, eps)
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -176,30 +190,59 @@ class AdaptedLinear:
     def cap(self) -> int:
         return self.m * self.n
 
+    def group_key(self) -> tuple:
+        """Layers with equal keys merge and sparsify as one stack (see `group_deltas`)."""
+        return (self.m, self.n, self.pair.r, self.spec.kind, self.spec.pieces,
+                self.sparsify_mode, self.recompute_merge, self.budget is None)
+
     def merged(self) -> Tensor:
-        if not self.recompute_merge:
-            return merge(self.spec, self.pair)
-        tensors = [self.pair.A, self.pair.B, *self.spec.coefficients()]
-
-        def rebuild(a, b, *coeffs):
-            return merge(self.spec.with_coefficients(coeffs), LowRankPair(A=a, B=b))
-
-        return checkpoint(rebuild, *tensors)
+        return _merge(self.spec, self.pair, self.recompute_merge)
 
     def delta_w(self) -> Tensor:
-        dw = self.merged()
-        if self.budget is None:
-            return dw
-        return sparsify(dw, min(int(self.budget), self.cap), self.sparsify_mode)
+        """This layer's sparsified update, as a group of one."""
+        return group_deltas([self])[0]
 
-    def forward(self, x: Tensor) -> Tensor:
-        return affine(x, self.w0, self.delta_w(), self.bias)
+    def forward(self, x: Tensor, delta: Tensor) -> Tensor:
+        """x (W0 + delta)ᵀ + bias, with delta this layer's update from `group_deltas`."""
+        return affine(x, self.w0, delta, self.bias)
 
     def trainables(self) -> list:
         return [self.pair.A, self.pair.B, *self.spec.coefficients()]
 
     def nonzero_updates(self) -> int:
         return int(np.count_nonzero(self.delta_w().data))
+
+
+def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
+    if not recompute:
+        return merge(spec, pair)
+
+    def rebuild(a, b, *coeffs):
+        return merge(spec.with_coefficients(coeffs), LowRankPair(A=a, B=b))
+
+    return checkpoint(rebuild, pair.A, pair.B, *spec.coefficients())
+
+
+def group_deltas(layers) -> list:
+    """The sparsified updates of layers that share one `group_key`, in order.
+
+    Several layers are merged as one stack of their factor pairs and
+    coefficients, sparsified with one budget and one threshold per slice,
+    and each gets its slice; the merge and the sparsify are one call each.
+    A group of one stacks nothing and records the same nodes as a lone layer.
+    """
+    first = layers[0]
+    if len(layers) == 1:
+        spec, pair = first.spec, first.pair
+    else:
+        spec = KernelSpec.stack([layer.spec for layer in layers])
+        pair = LowRankPair(A=stack([layer.pair.A for layer in layers]),
+                           B=stack([layer.pair.B for layer in layers]))
+    dw = _merge(spec, pair, first.recompute_merge)
+    if first.budget is not None:
+        budgets = [min(int(layer.budget), layer.cap) for layer in layers]
+        dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], first.sparsify_mode)
+    return [take(dw, k) for k in range(len(layers))] if len(layers) > 1 else [dw]
 
 
 class AttentionBlock:
@@ -222,19 +265,21 @@ class AttentionBlock:
     def projections(self) -> list:
         return [self.wq, self.wk, self.wv, self.wo]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, deltas) -> Tensor:
+        """The block on x, with `deltas` the updates of wq, wk, wv and wo."""
+        dq, dk, dv, do = deltas
         batch = x.data.shape[0]
         t, dh = self.tokens, self.head_dim
         if x.data.shape[1] != t * dh:
             raise ValueError(f"expected width {t * dh}, got {x.data.shape[1]}")
         flat = reshape(x, (batch * t, dh))
-        q = reshape(self.wq.forward(flat), (batch, t, dh))
-        k = reshape(self.wk.forward(flat), (batch, t, dh))
-        v = reshape(self.wv.forward(flat), (batch, t, dh))
+        q = reshape(self.wq.forward(flat, dq), (batch, t, dh))
+        k = reshape(self.wk.forward(flat, dk), (batch, t, dh))
+        v = reshape(self.wv.forward(flat, dv), (batch, t, dh))
         scores = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(dh))
         attn = softmax(scores, axis=2)
         ctx = reshape(matmul(attn, v), (batch * t, dh))
-        return reshape(self.wo.forward(ctx), (batch, t * dh))
+        return reshape(self.wo.forward(ctx, do), (batch, t * dh))
 
 
 class TinyModel:
@@ -286,14 +331,27 @@ class TinyModel:
 
     def forward(self, x) -> Tensor:
         h = x if isinstance(x, Tensor) else Tensor(x)
+        deltas = iter(self.deltas())
         for kind, block in self.blocks:
             if kind == "linear":
-                h = block.forward(h)
+                h = block.forward(h, next(deltas))
             elif kind == "attention":
-                h = block.forward(h)
+                h = block.forward(h, [next(deltas) for _ in range(4)])
             else:
                 h = rectify(h)
         return h
+
+    def deltas(self) -> list:
+        """Every adapted layer's update, in `adapted_layers` order; one `group_deltas` per group."""
+        layers = self.adapted_layers()
+        groups = {}
+        for i, layer in enumerate(layers):
+            groups.setdefault(layer.group_key(), []).append(i)
+        out = [None] * len(layers)
+        for members in groups.values():
+            for i, delta in zip(members, group_deltas([layers[i] for i in members])):
+                out[i] = delta
+        return out
 
     def adapted_layers(self) -> list:
         """Every adapted weight matrix, attention projections included."""
@@ -359,6 +417,7 @@ class TrainerConfig:
         self.importance_metric = parse_metric(self.importance_metric)
         if self.lr < 0:
             raise ValueError("lr must be nonnegative")
+        _check_adam_settings(self.adam_beta1, self.adam_beta2, self.adam_eps)
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.steps_per_epoch is not None and self.steps_per_epoch < 1:

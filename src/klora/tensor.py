@@ -122,6 +122,11 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
+def _constant(c):
+    """A float, or an array of per-slice constants as given."""
+    return c if isinstance(c, np.ndarray) else float(c)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
     if g.shape == shape:
@@ -177,8 +182,9 @@ def scalar_mul(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), bwd)
 
 
-def scalar_add(a: Tensor, c: float) -> Tensor:
-    c = float(c)
+def scalar_add(a: Tensor, c) -> Tensor:
+    """a + c for a constant c: a float, or an array that broadcasts to a's shape."""
+    c = _constant(c)
 
     def bwd(g):
         return (g,)
@@ -238,15 +244,17 @@ def rectify(a: Tensor) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), bwd)
 
 
-def soft_threshold(x: Tensor, tau: float) -> Tensor:
+def soft_threshold(x: Tensor, tau) -> Tensor:
     """sign(x) * max(|x| - tau, 0) as one recorded op; tau carries no gradient.
 
-    The subgradient is 0 where |x| <= tau, kinks and x = 0 included. Forward
-    and backward repeat, in order, the floating-point operations of
+    tau is a float, or an array that broadcasts to x's shape (one threshold
+    per slice of a stack, shaped (S, 1, 1)). The subgradient is 0 where
+    |x| <= tau, kinks and x = 0 included. Forward and backward repeat, in
+    order, the floating-point operations of
     mul(sign(x), rectify(scalar_add(absolute(x), -tau))).
     """
     sgn = np.sign(x.data)
-    shifted = np.abs(x.data) - float(tau)
+    shifted = np.abs(x.data) - _constant(tau)
 
     def bwd(g):
         return ((g * sgn) * (shifted > 0.0) * sgn,)
@@ -319,6 +327,73 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _make(data, (a,), bwd)
+
+
+# -- stacks -------------------------------------------------------------------
+
+
+def stack(parts, part_shape=None) -> Tensor:
+    """The parts on a new leading axis, each viewed as `part_shape` first, as one recorded op.
+
+    The backward hands each part a view of its slice of the incoming gradient.
+    """
+    parts = tuple(parts)
+    data = np.array([p.data for p in parts])  # several times faster than np.stack here
+    if part_shape is not None:
+        data = data.reshape((len(parts), *part_shape))
+
+    def bwd(g):
+        return tuple(g[k].reshape(p.data.shape) for k, p in enumerate(parts))
+
+    return _make(data, parts, bwd)
+
+
+class _SliceGrad:
+    """The gradient of slice k of a stack; `_backprop` writes it into the stack's gradient."""
+
+    __slots__ = ("k", "g")
+
+    def __init__(self, k: int, g: np.ndarray):
+        self.k = k
+        self.g = g
+
+
+def take(x: Tensor, k: int) -> Tensor:
+    """Slice k of a stack along its leading axis, as one recorded op.
+
+    The backward fills slice k of the stack's gradient alone; see `_assemble`.
+    """
+
+    def bwd(g):
+        return (_SliceGrad(k, g),)
+
+    return _make(x.data[k], (x,), bwd)
+
+
+def _assemble(shape: tuple, parts: list, rest) -> np.ndarray:
+    """A stack's gradient from its slices' gradients, plus `rest` (a whole-stack one or None).
+
+    The slices take the memory layout of the first slice gradient: when it
+    is transposed (an `affine` weight gradient is), each slice is stored
+    transposed, so every later reduction over a slice adds in the order it
+    would on that slice's own gradient. Slices nobody took are zero; a
+    slice's first gradient is copied, not added to zero, so signed zeros
+    survive.
+    """
+    first = parts[0].g
+    if first.ndim >= 2 and not first.flags.c_contiguous and first.T.flags.c_contiguous:
+        axes = (0, *range(len(shape) - 1, 0, -1))
+        out = np.zeros(tuple(shape[ax] for ax in axes)).transpose(axes)
+    else:
+        out = np.zeros(shape)
+    written = set()
+    for part in parts:
+        if part.k in written:
+            out[part.k] += part.g
+        else:
+            out[part.k] = part.g
+            written.add(part.k)
+    return out if rest is None else out + rest
 
 
 # -- reductions ---------------------------------------------------------------
@@ -556,8 +631,11 @@ def _backprop(out: Tensor, seed: np.ndarray) -> None:
         return
     topo = _toposort(out)
     grads = {out.node_id: np.asarray(seed, dtype=np.float64)}
+    slices = {}  # node id -> the _SliceGrads of a stack's slices
     for node in reversed(topo):
         g = grads.pop(node.node_id, None)
+        if slices and node.node_id in slices:
+            g = _assemble(node.data.shape, slices.pop(node.node_id), g)
         if g is None:
             continue
         if node._backward is None:
@@ -565,6 +643,9 @@ def _backprop(out: Tensor, seed: np.ndarray) -> None:
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
+                continue
+            if type(pg) is _SliceGrad:
+                slices.setdefault(parent.node_id, []).append(pg)
                 continue
             prev = grads.get(parent.node_id)
             grads[parent.node_id] = pg if prev is None else prev + pg
@@ -626,16 +707,27 @@ class GradientReport:
     passed: bool
 
 
+# Each evaluation of a checked program is taken to be exact to within
+# _EVAL_ROUNDING * eps * |value|: sums, exponentials and softmaxes lose a few
+# bits to rounding, and 16 covers every merge kind at h from 1e-6 to 1e-4.
+_EVAL_ROUNDING = 16.0
+
+
 def finite_diff_check(program, params, h: float, tol: float) -> GradientReport:
     """Compare recorded gradients against central differences.
 
-    Relative error per coordinate, with an absolute fallback when both the
-    analytic and numeric values are below 1e-8. Raises FloatingPointError
-    when an evaluation produces non-finite values (an unstable
-    configuration, e.g. an unnormalized RBF overflow).
+    The error of a coordinate is the part of |fd - analytic| beyond the
+    central difference's own rounding bound,
+    _EVAL_ROUNDING * eps * (|f(x + h)| + |f(x - h)|) / (2h), relative to
+    max(|fd|, |analytic|). Without that allowance a tiny but correct
+    gradient entry fails on rounding alone, and more so the smaller h is.
+    Coordinates where both values are below 1e-8 are skipped. Raises
+    FloatingPointError when an evaluation produces non-finite values (an
+    unstable configuration, e.g. an unnormalized RBF overflow).
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    rounding = _EVAL_ROUNDING * np.finfo(np.float64).eps / (2.0 * h)
     analytic = record_and_backward(program, params)
     per_param = []
     for p in params:
@@ -657,7 +749,8 @@ def finite_diff_check(program, params, h: float, tol: float) -> GradientReport:
             ad = float(aflat[i])
             if abs(fd) < 1e-8 and abs(ad) < 1e-8:
                 continue
-            err = max(err, abs(fd - ad) / max(abs(fd), abs(ad)))
+            excess = abs(fd - ad) - rounding * (abs(f_plus) + abs(f_minus))
+            err = max(err, excess / max(abs(fd), abs(ad)))
         per_param.append(err)
     max_err = max(per_param) if per_param else 0.0
     return GradientReport(per_param=per_param, max_rel_err=max_err, h=h, passed=max_err < tol)

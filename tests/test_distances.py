@@ -226,3 +226,24 @@ def test_stacked_merge_equals_merge_of_each_slice(kind):
     for s in range(3):
         for got, want in zip(batched, solo[s]):
             np.testing.assert_array_equal(got[s].reshape(want.shape), want)
+
+
+def _grad_check_case(kind, seed):
+    """The draw of `klora grad-check` at its defaults (8 x 6, rank 4, 2 pieces)."""
+    rng = np.random.default_rng([seed, 0xEC])
+    a, b = rng.normal(size=(6, 4)), rng.normal(size=(8, 4))
+    spec = KernelSpec.canonical(kind, pieces=2, trainable=True)
+    return a, b, Tensor(rng.normal(size=(8, 6))), spec
+
+
+@pytest.mark.parametrize("kind, seed", [(KernelKind.RBF_NORMALIZED, 0), (KernelKind.RBF, 12)])
+def test_grad_check_failures_were_not_gradient_errors(kind, seed):
+    # the entries `klora grad-check` used to fail on (gradients near 1e-8 to
+    # 1e-6) agree with the composed oracle to rounding: the check, not the
+    # gradient, was at fault
+    a, b, weights, spec = _grad_check_case(kind, seed)
+    fused = _gradients(merge, kind, 2, a, b, weights, spec=spec)
+    oracle = _gradients(composed_merge, kind, 2, a, b, weights, spec=spec)
+    scale = max(np.abs(x).max() for x in oracle[1:])
+    for got, want in zip(fused[1:], oracle[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15 * scale)

@@ -530,6 +530,29 @@ def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("train, key", [
+    ({"adam_beta1": 1.0}, "train.adam_beta1"), ({"adam_beta2": 1.5}, "train.adam_beta2"),
+    ({"adam_eps": -1}, "train.adam_eps"),
+])
+def test_cli_train_rejects_out_of_range_adam_setting(tmp_path, train, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": train}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"value out of range for '{key}'" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [[], ["--h", "1e-4", "--seeds", "20"], ["--h", "1e-6"]],
+                         ids=["defaults", "h1e-4-seeds20", "h1e-6"])
+def test_cli_grad_check_passes(args):
+    result = CliRunner().invoke(cli_main, ["grad-check", *args])
+    assert result.exit_code == 0, result.output
+    assert result.output.count("PASS") == 6
+
+
 @pytest.mark.parametrize("args", [
     ["memory-model", "--kernel", "MixK"],
     ["memory-model", "--kernel", "p_linear"],

@@ -41,7 +41,7 @@ class TestAdaptedLinear:
         layer = make_layer(rng)
         x = rng.normal(size=(7, 4))
         expected = x @ layer.w0.T + layer.bias
-        np.testing.assert_array_equal(layer.forward(Tensor(x)).data, expected)
+        np.testing.assert_array_equal(layer.forward(Tensor(x), layer.delta_w()).data, expected)
 
     def test_zero_budget_matches_base_regardless_of_factors(self):
         rng = np.random.default_rng(1)
@@ -49,7 +49,7 @@ class TestAdaptedLinear:
         layer.budget = 0
         x = rng.normal(size=(3, 4))
         expected = x @ layer.w0.T + layer.bias
-        np.testing.assert_array_equal(layer.forward(Tensor(x)).data, expected)
+        np.testing.assert_array_equal(layer.forward(Tensor(x), layer.delta_w()).data, expected)
 
     def test_linear_full_budget_matches_plain_adapter_oracle(self):
         rng = np.random.default_rng(2)
@@ -57,7 +57,8 @@ class TestAdaptedLinear:
         layer.budget = layer.cap
         x = rng.normal(size=(6, 4))
         oracle = x @ (layer.w0 + layer.pair.B.data @ layer.pair.A.data.T).T + layer.bias
-        np.testing.assert_allclose(layer.forward(Tensor(x)).data, oracle, atol=1e-12)
+        np.testing.assert_allclose(layer.forward(Tensor(x), layer.delta_w()).data, oracle,
+                                   atol=1e-12)
 
     def test_effective_weight_is_base_plus_sparsified_merge(self):
         rng = np.random.default_rng(3)
@@ -67,7 +68,7 @@ class TestAdaptedLinear:
         assert np.count_nonzero(dw) <= 7
         x = np.eye(4)
         np.testing.assert_allclose(
-            layer.forward(Tensor(x)).data, x @ (layer.w0 + dw).T + layer.bias
+            layer.forward(Tensor(x), layer.delta_w()).data, x @ (layer.w0 + dw).T + layer.bias
         )
 
     def test_recompute_merge_gradients_identical(self):
@@ -80,7 +81,7 @@ class TestAdaptedLinear:
             layer.spec.coeffs[0].data[:] = [0.3, -0.2]
             layer.spec.coeffs[1].data[...] = 0.5
             layer.budget = 10
-            loss = mse_loss(layer.forward(Tensor(vals)), np.ones((3, 5)))
+            loss = mse_loss(layer.forward(Tensor(vals), layer.delta_w()), np.ones((3, 5)))
             backward(loss)
             results.append(
                 (float(loss.data), layer.pair.A.grad.copy(), layer.pair.B.grad.copy())
@@ -110,6 +111,19 @@ class TestAdam:
         g = 6.0
         expected = 3.0 - 0.1 * g / (abs(g) + 1e-8)
         assert float(theta.data) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"beta1": 1.0}, "beta1 must lie in"), ({"beta1": -0.1}, "beta1 must lie in"),
+        ({"beta2": 1.5}, "beta2 must lie in"), ({"beta2": float("nan")}, "beta2 must lie in"),
+        ({"eps": -1.0}, "eps must be positive"), ({"eps": 0.0}, "eps must be positive"),
+    ])
+    def test_out_of_range_settings_rejected(self, settings, message):
+        theta = Tensor(1.0, requires_grad=True)
+        with pytest.raises(ValueError, match=message):
+            Adam([theta], lr=0.1, **settings)
+        adam_settings = {f"adam_{name}": value for name, value in settings.items()}
+        with pytest.raises(ValueError, match=message):
+            TrainerConfig(**adam_settings)
 
     def test_zero_lr_freezes_parameters(self):
         theta = Tensor([1.0, -2.0], requires_grad=True)

@@ -51,6 +51,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sparsity.budget_ratio"):
             apply_defaults({"sparsity": {"budget_ratio": 1.5}})
 
+    @pytest.mark.parametrize("key, value", [
+        ("adam_beta1", 1.0), ("adam_beta1", -0.1), ("adam_beta2", 1.5), ("adam_beta2", 1.0),
+        ("adam_eps", -1.0), ("adam_eps", 0.0), ("adam_eps", float("nan")),
+    ])
+    def test_adam_setting_out_of_range_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"value out of range for 'train.{key}'"):
+            apply_defaults({"train": {key: value}})
+
+    def test_adam_settings_at_the_edges_accepted(self):
+        cfg = apply_defaults({"train": {"adam_beta1": 0.0, "adam_beta2": 0.0, "adam_eps": 1e-300}})
+        assert cfg.train["adam_eps"] == 1e-300
+
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigError, match="unknown key 'train.momentum'"):
             apply_defaults({"train": {"momentum": 0.9}})

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from klora.kernels import KernelKind, KernelSpec, LowRankPair, merge
 from klora.tensor import (
     GradientReport,
     Tensor,
+    _make,
     absolute,
     add,
     affine,
@@ -26,6 +28,8 @@ from klora.tensor import (
     reduce_mean,
     reduce_sum,
     reshape,
+    scalar_add,
+    scalar_mul,
     sign,
     soft_threshold,
     softmax,
@@ -200,6 +204,55 @@ def test_finite_diff_check_reports_nonfinite():
     a = Tensor([700.0], requires_grad=True)
     with pytest.raises(FloatingPointError):
         finite_diff_check(lambda: exp(square(a)).sum(), [a], h=1e-4, tol=1e-5)
+
+
+def _merge_program(kind, seed, grad_scale=1.0):
+    """The program `klora grad-check` checks at its defaults, its gradient scaled by grad_scale."""
+    rng = np.random.default_rng([seed, 0xEC])
+    pair = LowRankPair(A=Tensor(rng.normal(size=(6, 4)), requires_grad=True),
+                       B=Tensor(rng.normal(size=(8, 4)), requires_grad=True))
+    spec = KernelSpec.canonical(kind, pieces=2, trainable=True)
+    weights = Tensor(rng.normal(size=(8, 6)))
+
+    def program():
+        out = reduce_sum(mul(merge(spec, pair), weights))
+        return _make(out.data, (out,), lambda g: (g * grad_scale,))
+
+    return program, [pair.A, pair.B, *spec.coefficients()]
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("kind, seed", [(KernelKind.RBF_NORMALIZED, 0), (KernelKind.RBF, 12)])
+def test_finite_diff_check_passes_tiny_correct_gradients(kind, seed, h):
+    # these draws have gradient entries near 1e-8 to 1e-6, where the central
+    # difference's rounding alone once gave relative errors up to 1e-3
+    program, params = _merge_program(kind, seed)
+    assert finite_diff_check(program, params, h=h, tol=1e-5).passed
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_finite_diff_check_fails_a_gradient_off_by_1e_4(kind, h):
+    program, params = _merge_program(kind, 0, grad_scale=1.0 + 1e-4)
+    report = finite_diff_check(program, params, h=h, tol=1e-5)
+    assert not report.passed
+    assert report.max_rel_err > 5e-5
+
+
+def test_finite_diff_check_rounding_allowance_stays_small():
+    # f = 0.8 + 7e-7 * sum(a): the difference is exact up to rounding, whose
+    # bound 16 eps (2 * 0.8) / (2h) is near 3e-10 at h = 1e-5; an error of
+    # 1e-9 on a gradient of 7e-7 still fails
+    a = Tensor(np.zeros(3), requires_grad=True)
+
+    def program(slope):
+        def f():
+            out = scalar_add(scalar_mul(a, 7e-7).sum(), 0.8)
+            return _make(out.data, (out,), lambda g: (g * slope / 7e-7,))
+        return f
+
+    assert finite_diff_check(program(7e-7), [a], h=1e-5, tol=1e-5).passed
+    assert not finite_diff_check(program(7e-7 + 1e-9), [a], h=1e-5, tol=1e-5).passed
 
 
 def test_gradient_report_shape():
