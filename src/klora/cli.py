@@ -17,9 +17,10 @@ import click
 import numpy as np
 
 from . import experiments as ex
-from .allocation import parse_schedule_kind
+from .allocation import SparsifyMode, parse_schedule_kind
 from .checkpoint import save_checkpoint
-from .config import ConfigError, apply_defaults, load_config
+from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
+                     trainer_config_from)
 from .experiments import default_run_config
 from .kernels import (
     KernelKind,
@@ -28,16 +29,10 @@ from .kernels import (
     merge,
     parse_kernel_kind,
 )
-from .model import RunTrace, Trainer, build_model
+from .model import AllocPeriod, RunTrace, Trainer, build_model
 from .reports import write_csv
 from .svgplot import emit_heatmap_svg
 from .tensor import Tensor, finite_diff_check, reduce_sum, mul
-
-
-def _load(config_path) -> "RunConfig":
-    if config_path is None:
-        return apply_defaults({})
-    return load_config(config_path)
 
 
 def _out_dir(out) -> Path:
@@ -177,50 +172,35 @@ def rank_sweep_cmd(out, seed, seeds, kernels, pieces, size, ranks):
     click.echo(f"report: {path}")
 
 
+# train's override options: each is named after the leaf of the document key it sets
+_OVERRIDE_KEYS = {key.split(".")[1]: key for key in SETTINGS}
+
+
 @main.command("train")
 @common["config"]
 @common["out"]
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--kernel", type=str, default=None, callback=_names(parse_kernel_kind),
+@click.option("--kernel", "kind", type=str, default=None, callback=_names(parse_kernel_kind),
               help="Override the kernel kind.")
 @click.option("--rank", type=int, default=None, help="Override the adapter rank.")
 @click.option("--pieces", type=int, default=None)
 @click.option("--budget-ratio", type=float, default=None)
 @click.option("--schedule", type=str, default=None, callback=_names(parse_schedule_kind))
-@click.option("--alloc-period", type=click.Choice(["per-epoch", "per-step"]), default=None)
-@click.option("--sparsify-mode", type=click.Choice(["soft", "literal", "hard"]), default=None)
+@click.option("--alloc-period", type=click.Choice([p.value for p in AllocPeriod]), default=None)
+@click.option("--sparsify-mode", type=click.Choice([m.value for m in SparsifyMode]),
+              default=None)
 @click.option("--epochs", type=int, default=None)
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(dir_okay=False),
               default=None, help="Write the trained adapter state here.")
-def train_cmd(config, out, seed, kernel, rank, pieces, budget_ratio, schedule,
-              alloc_period, sparsify_mode, epochs, checkpoint_path):
+def train_cmd(config, out, checkpoint_path, **overrides):
     """Fine-tune adapters on the configured synthetic task."""
     with _usage_errors():
-        run_config = _load(config)
-    raw = run_config.to_dict()
-    if seed is not None:
-        raw["train"]["seed"] = seed
-    if epochs is not None:
-        raw["train"]["epochs"] = epochs
-    if kernel is not None:
-        raw["kernel"]["kind"] = kernel
-    if pieces is not None:
-        raw["kernel"]["pieces"] = pieces
-    if rank is not None:
-        raw["model"]["rank"] = rank
-    if budget_ratio is not None:
-        raw["sparsity"]["budget_ratio"] = budget_ratio
-    if schedule is not None:
-        raw["sparsity"]["schedule"] = schedule
-    if alloc_period is not None:
-        raw["sparsity"]["alloc_period"] = alloc_period
-    if sparsify_mode is not None:
-        raw["sparsity"]["sparsify_mode"] = sparsify_mode
-    with _usage_errors():
+        raw = {} if config is None else load_config(config).to_dict()
+        for option, value in overrides.items():
+            if value is not None:
+                section, key = _OVERRIDE_KEYS[option].split(".")
+                raw.setdefault(section, {})[key] = value
         run_config = apply_defaults(raw)
-
-    from .config import dataset_from, trainer_config_from
-
     dataset = dataset_from(run_config)
     trainer_cfg = trainer_config_from(run_config)
     model = build_model(dataset, trainer_cfg)
@@ -320,6 +300,8 @@ def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
     kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
     if min(m, n, rank, seeds) < 1:
         raise click.UsageError(f"m, n, rank and seeds must be >= 1, got {m}, {n}, {rank}, {seeds}")
+    if not (step > 0 and tol > 0):
+        raise click.UsageError(f"h and tol must be positive, got {step}, {tol}")
     rank = min(rank, m, n)
     failures = 0
     for kind in kinds:
@@ -352,7 +334,7 @@ def run_all_cmd(config, out):
     """Run every experiment in the config (bundled default when omitted)."""
     try:
         run_config = default_run_config() if config is None else load_config(config)
-        paths, failures = ex.run_all(run_config, _out_dir(out))
+        paths, failures = ex.run_all(run_config, out)
     except ConfigError as err:
         raise click.ClickException(str(err)) from None
     for path in paths:

@@ -1,64 +1,72 @@
-"""Run configuration: one JSON document, strict keys, defaults in one place.
+"""Run configuration: one JSON document, strict keys, every setting described once.
 
 The document has nested sections `model`, `kernel`, `sparsity`, `train`,
-and `experiments`. Unknown keys are rejected; every default lives in
-DEFAULTS below. The final budget is not stored: it derives from
-sparsity.budget_ratio times the total adaptable weight count at trainer
-construction.
+and `experiments`. Unknown keys are rejected. Each trainer setting is one
+row of SETTINGS, a document key naming the `TrainerConfig` field whose
+default, type and range rule it takes. `model.layer_dims`, `model.bias`,
+`model.attention` and `train.task` are checked here; a task's keys are its
+dataset builder's parameters. The final budget is not stored: it derives
+from sparsity.budget_ratio times the total adaptable weight count at
+trainer construction.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import enum
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .allocation import parse_metric, parse_schedule_kind, parse_sparsify_mode
-from .kernels import parse_kernel_kind
-from .model import parse_alloc_period
+import numpy as np
+
+from . import datasets
+from .model import SettingError, TrainerConfig
 
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration content."""
 
 
-DEFAULTS = {
-    "model": {
-        "layer_dims": [16, 16],
-        "bias": True,
-        "rank": 4,
-        "factor_std": 0.02,
-        "attention": None,
-    },
-    "kernel": {
-        "kind": "mix-k",
-        "pieces": 2,
-    },
-    "sparsity": {
-        "budget_ratio": 0.3,
-        "schedule": "cubic",
-        "alloc_period": "per-epoch",
-        "sparsify_mode": "soft",
-        "importance_metric": "sensitivity",
-        "smoothing_beta1": 0.85,
-        "smoothing_beta2": 0.85,
-    },
-    "train": {
-        "lr": 1e-2,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "epochs": 10,
-        "steps_per_epoch": None,
-        "batch_size": 16,
-        "seed": 0,
-        "recompute_merge": False,
-        # per-kind task parameter defaults live with the dataset builders
-        "task": {"kind": "high-rank-regression"},
-    },
-    "experiments": [],
+# document key -> the TrainerConfig field that holds its default, type and range rule
+SETTINGS = {
+    "model.rank": "rank", "model.factor_std": "factor_std",
+    "kernel.kind": "kernel_kind", "kernel.pieces": "pieces",
+    "sparsity.budget_ratio": "budget_ratio", "sparsity.schedule": "schedule_kind",
+    "sparsity.alloc_period": "alloc_period", "sparsity.sparsify_mode": "sparsify_mode",
+    "sparsity.importance_metric": "importance_metric",
+    "sparsity.smoothing_beta1": "smoothing_beta1", "sparsity.smoothing_beta2": "smoothing_beta2",
+    "train.lr": "lr", "train.adam_beta1": "adam_beta1", "train.adam_beta2": "adam_beta2",
+    "train.adam_eps": "adam_eps", "train.epochs": "epochs",
+    "train.steps_per_epoch": "steps_per_epoch", "train.batch_size": "batch_size",
+    "train.seed": "seed", "train.recompute_merge": "recompute_merge",
 }
+ATTENTION_DEFAULTS = {"position": 0, "tokens": 2}
+_HINTS = typing.get_type_hints(TrainerConfig)
+# JSON values each Python type takes; any other field type (an enum) takes a name
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number")}
+
+
+def _defaults() -> dict:
+    """Every document default: each setting's field default, and config's own keys."""
+    out = {
+        "model": {"layer_dims": [16, 16], "bias": True, "attention": None},
+        "kernel": {}, "sparsity": {},
+        # per-kind task parameter defaults live with the dataset builders
+        "train": {"task": {"kind": datasets.TaskKind.HIGH_RANK_REGRESSION.value}},
+        "experiments": [],
+    }
+    for key, name in SETTINGS.items():
+        section, leaf = key.split(".")
+        value = getattr(TrainerConfig, name)  # a dataclass field's class attribute is its default
+        out[section][leaf] = value.value if isinstance(value, enum.Enum) else value
+    return out
+
+
+DEFAULTS = _defaults()
 
 
 @dataclass
@@ -72,24 +80,35 @@ class RunConfig:
     experiments: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "model": copy.deepcopy(self.model),
-            "kernel": copy.deepcopy(self.kernel),
-            "sparsity": copy.deepcopy(self.sparsity),
-            "train": copy.deepcopy(self.train),
-            "experiments": copy.deepcopy(self.experiments),
-        }
+        return dataclasses.asdict(self)
+
+    def value(self, key: str):
+        """The value at a `section.leaf` document key."""
+        section, leaf = key.split(".")
+        return getattr(self, section)[leaf]
 
 
 def _reject_unknown(given: dict, allowed, where: str) -> None:
     for key in given:
         if key not in allowed:
-            raise ConfigError(f"unknown key '{where}.{key}'")
+            raise ConfigError(f"unknown key '{where}.{key}' (known: {', '.join(allowed)})")
 
 
 def _check_range(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"value out of range for '{key}': {message}")
+
+
+def _check_type(key: str, value, hint) -> None:
+    """Reject a JSON value that is not of a field's type (a bool is no number)."""
+    args = typing.get_args(hint)
+    if type(None) in args and value is None:
+        return
+    base = next((a for a in args if a is not type(None)), hint)
+    types, what = _JSON_TYPES.get(base, ((str,), "a name"))
+    if isinstance(value, bool) is not (base is bool) or not isinstance(value, types):
+        raise ConfigError(f"wrong type for '{key}': need {what}{' or null' if args else ''}, "
+                          f"got {json.dumps(value, default=str)}")
 
 
 def _merge_section(section: str, given) -> dict:
@@ -101,71 +120,74 @@ def _merge_section(section: str, given) -> dict:
     _reject_unknown(given, base.keys(), section)
     for key, value in given.items():
         if key == "task" and isinstance(value, dict):
-            task = copy.deepcopy(base["task"])
-            known_task = {"kind", "samples", "density", "perturb_scale", "noise_std",
-                          "min_rank", "perturb_layers", "features", "classes", "spread",
-                          "hidden"}
-            _reject_unknown(value, known_task, "train.task")
-            task.update(value)
-            base["task"] = task
-        else:
-            base[key] = copy.deepcopy(value)
+            value = {**base["task"], **value}
+        base[key] = copy.deepcopy(value)
     return base
 
 
+def _task(train: dict) -> tuple:
+    """The configured task's kind and builder arguments, checked against its builder."""
+    if not isinstance(train["task"], dict):
+        raise ConfigError("wrong type for 'train.task': need an object")
+    args = dict(train["task"])
+    try:
+        kind = datasets.parse_task_kind(args.pop("kind"))
+    except ValueError as err:
+        raise ConfigError(f"value out of range for 'train.task.kind': {err}") from None
+    keys = datasets.TASK_KEYS[kind]
+    _reject_unknown(args, keys, "train.task")
+    for key, value in args.items():
+        if keys[key] is not None:
+            _check_type(f"train.task.{key}", value, keys[key])
+    return kind, args
+
+
+def _attention(model: dict):
+    """(position, tokens) of the attention block; None when there is none (null or {})."""
+    attn = model["attention"]
+    if attn is None or attn == {}:
+        return None
+    if not isinstance(attn, dict):
+        raise ConfigError("wrong type for 'model.attention': need an object or null")
+    _reject_unknown(attn, ATTENTION_DEFAULTS, "model.attention")
+    attn = {**ATTENTION_DEFAULTS, **attn}
+    for key, value in attn.items():
+        _check_type(f"model.attention.{key}", value, int)
+    position, tokens, dims = attn["position"], attn["tokens"], model["layer_dims"]
+    _check_range(0 <= position < len(dims) - 1, "model.attention.position",
+                 f"{position} not in [0, {len(dims) - 2}]")
+    width = dims[position + 1]
+    _check_range(tokens >= 1 and width % tokens == 0, "model.attention.tokens",
+                 f"{tokens} does not divide layer width {width}")
+    return position, tokens
+
+
 def apply_defaults(raw: dict) -> RunConfig:
-    """Fill defaults, reject unknown keys, and validate ranges."""
+    """Fill defaults, reject unknown keys, and check every value's type and range."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     _reject_unknown(raw, DEFAULTS.keys(), "<root>")
-
-    model = _merge_section("model", raw.get("model"))
-    kernel = _merge_section("kernel", raw.get("kernel"))
-    sparsity = _merge_section("sparsity", raw.get("sparsity"))
-    train = _merge_section("train", raw.get("train"))
     experiments = raw.get("experiments", [])
     if not isinstance(experiments, list):
         raise ConfigError("section 'experiments' must be a list")
+    config = RunConfig(**{section: _merge_section(section, raw.get(section))
+                          for section in ("model", "kernel", "sparsity", "train")},
+                       experiments=experiments)
 
-    dims = model["layer_dims"]
-    _check_range(
-        isinstance(dims, list) and len(dims) >= 2 and all(int(d) > 0 for d in dims),
-        "model.layer_dims",
-        "need at least two positive dimensions",
-    )
-    _check_range(int(model["rank"]) >= 1, "model.rank", "rank must be >= 1")
-    _check_range(float(model["factor_std"]) > 0, "model.factor_std", "must be positive")
-
-    _check_range(int(kernel["pieces"]) >= 1, "kernel.pieces", "must be >= 1")
-
-    ratio = float(sparsity["budget_ratio"])
-    _check_range(0.0 <= ratio <= 1.0, "sparsity.budget_ratio", f"{ratio} not in [0, 1]")
-    for key, value, parser in (
-        ("kernel.kind", kernel["kind"], parse_kernel_kind),
-        ("sparsity.schedule", sparsity["schedule"], parse_schedule_kind),
-        ("sparsity.alloc_period", sparsity["alloc_period"], parse_alloc_period),
-        ("sparsity.sparsify_mode", sparsity["sparsify_mode"], parse_sparsify_mode),
-        ("sparsity.importance_metric", sparsity["importance_metric"], parse_metric),
-    ):
-        try:
-            parser(value)
-        except ValueError as err:
-            raise ConfigError(f"value out of range for '{key}': {err}") from None
-    for key in ("smoothing_beta1", "smoothing_beta2"):
-        _check_range(0.0 <= float(sparsity[key]) <= 1.0, f"sparsity.{key}", "not in [0, 1]")
-
-    _check_range(float(train["lr"]) >= 0.0, "train.lr", "must be nonnegative")
-    for key in ("adam_beta1", "adam_beta2"):
-        _check_range(0.0 <= float(train[key]) < 1.0, f"train.{key}", "not in [0, 1)")
-    _check_range(float(train["adam_eps"]) > 0.0, "train.adam_eps", "must be positive")
-    _check_range(int(train["epochs"]) >= 0, "train.epochs", "must be >= 0")
-    _check_range(int(train["batch_size"]) >= 1, "train.batch_size", "must be >= 1")
-    spe = train["steps_per_epoch"]
-    _check_range(spe is None or int(spe) >= 1, "train.steps_per_epoch", "must be >= 1 or null")
-
-    return RunConfig(
-        model=model, kernel=kernel, sparsity=sparsity, train=train, experiments=experiments
-    )
+    dims = config.model["layer_dims"]
+    ok = isinstance(dims, list) and len(dims) >= 2 and all(type(d) is int and d > 0 for d in dims)
+    _check_range(ok, "model.layer_dims", "need at least two positive integer dimensions")
+    _check_type("model.bias", config.model["bias"], bool)
+    _attention(config.model)
+    _task(config.train)
+    for key, name in SETTINGS.items():
+        _check_type(key, config.value(key), _HINTS[name])
+    try:
+        trainer_config_from(config)
+    except SettingError as err:
+        key = next(k for k, name in SETTINGS.items() if name == err.name)
+        raise ConfigError(f"value out of range for '{key}': {err}") from None
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -183,69 +205,25 @@ def save_config(config: RunConfig, path) -> None:
     )
 
 
-def trainer_config_from(config: RunConfig):
-    """Translate the document into the trainer's dataclass."""
-    from .model import TrainerConfig
-
-    t, k, s, m = config.train, config.kernel, config.sparsity, config.model
-    return TrainerConfig(
-        lr=float(t["lr"]),
-        adam_beta1=float(t["adam_beta1"]),
-        adam_beta2=float(t["adam_beta2"]),
-        adam_eps=float(t["adam_eps"]),
-        epochs=int(t["epochs"]),
-        steps_per_epoch=None if t["steps_per_epoch"] is None else int(t["steps_per_epoch"]),
-        batch_size=int(t["batch_size"]),
-        seed=int(t["seed"]),
-        kernel_kind=k["kind"],
-        pieces=int(k["pieces"]),
-        rank=int(m["rank"]),
-        factor_std=float(m["factor_std"]),
-        budget_ratio=float(s["budget_ratio"]),
-        schedule_kind=s["schedule"],
-        alloc_period=s["alloc_period"],
-        sparsify_mode=s["sparsify_mode"],
-        importance_metric=s["importance_metric"],
-        smoothing_beta1=float(s["smoothing_beta1"]),
-        smoothing_beta2=float(s["smoothing_beta2"]),
-        recompute_merge=bool(t["recompute_merge"]),
-    )
+def trainer_config_from(config: RunConfig) -> TrainerConfig:
+    """Translate the document into the trainer's dataclass; float settings read as floats."""
+    return TrainerConfig(**{name: float(config.value(key)) if _HINTS[name] is float
+                            else config.value(key) for key, name in SETTINGS.items()})
 
 
 def dataset_from(config: RunConfig):
     """Build the configured synthetic dataset (model dims drive the task)."""
-    import numpy as np
+    kind, args = _task(config.train)
+    dims, seed = config.model["layer_dims"], config.train["seed"]
+    supplied = {"layer_dims": tuple(dims), "bias": config.model["bias"]}
+    args.update((key, supplied[key]) for key in datasets.TASKS[kind][1])
+    dataset = datasets.synth_dataset(kind, seed=seed, **args)
 
-    from .datasets import synth_dataset
-
-    task = dict(config.train["task"])
-    kind = task.pop("kind")
-    seed = int(config.train["seed"])
-    dims = [int(d) for d in config.model["layer_dims"]]
-    if str(kind).replace("_", "-") in ("high-rank-regression", "highrankregression"):
-        task.setdefault("layer_dims", tuple(dims))
-        task.setdefault("bias", bool(config.model["bias"]))
-    dataset = synth_dataset(kind, seed=seed, **task)
-
-    attn = config.model.get("attention")
-    if attn:
-        position = int(attn.get("position", 0))
-        tokens = int(attn.get("tokens", 2))
-        if not 0 <= position < len(dims) - 1:
-            raise ConfigError(f"value out of range for 'model.attention.position': {position}")
-        width = dims[position + 1]
-        if width % tokens:
-            raise ConfigError(
-                f"value out of range for 'model.attention.tokens': {tokens} "
-                f"does not divide layer width {width}"
-            )
-        dh = width // tokens
+    attention = _attention(config.model)
+    if attention is not None:
+        position, tokens = attention
+        dh = dims[position + 1] // tokens
         rng = np.random.default_rng([seed, 0xA7])
-        dataset.attention = {
-            "position": position,
-            "tokens": tokens,
-            "weights": [
-                (rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)), None) for _ in range(4)
-            ],
-        }
+        weights = [(rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)), None) for _ in range(4)]
+        dataset.attention = {"position": position, "tokens": tokens, "weights": weights}
     return dataset

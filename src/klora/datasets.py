@@ -8,11 +8,27 @@ plain rank-r product cannot. The classification task is Gaussian blobs.
 
 from __future__ import annotations
 
+import enum
+import inspect
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import parse_choice
 from .kernels import numerical_rank
+
+
+class TaskKind(enum.Enum):
+    HIGH_RANK_REGRESSION = "high-rank-regression"
+    BLOB_CLASSIFICATION = "blob-classification"
+
+
+_SPELLINGS = {kind.value.replace("-", sep): kind for kind in TaskKind for sep in ("_", "")}
+
+
+def parse_task_kind(name) -> TaskKind:
+    return parse_choice(TaskKind, name, "dataset kind", _SPELLINGS)
 
 
 @dataclass
@@ -124,17 +140,22 @@ def blob_classification(seed: int, features: int = 8, classes: int = 3,
     )
 
 
-_KINDS = {
-    "high-rank-regression": high_rank_regression,
-    "highrankregression": high_rank_regression,
-    "blob-classification": blob_classification,
-    "blobclassification": blob_classification,
+# each kind's builder, and the builder parameters a run config's model section supplies
+TASKS = {
+    TaskKind.HIGH_RANK_REGRESSION: (high_rank_regression, ("layer_dims", "bias")),
+    TaskKind.BLOB_CLASSIFICATION: (blob_classification, ()),
 }
 
 
-def synth_dataset(kind: str, seed: int, **sizes) -> SynthDataset:
-    key = str(kind).strip().lower().replace("_", "-")
-    if key not in _KINDS:
-        known = "high-rank-regression, blob-classification"
-        raise ValueError(f"unknown dataset kind {kind!r} (known: {known})")
-    return _KINDS[key](seed=seed, **sizes)
+def _task_keys(builder, supplied) -> dict:
+    hints = typing.get_type_hints(builder)
+    return {p: hints.get(p) for p in inspect.signature(builder).parameters
+            if p not in ("seed", *supplied)}
+
+
+# per kind, the builder parameters a run config may set, with their types (None: any)
+TASK_KEYS = {kind: _task_keys(*row) for kind, row in TASKS.items()}
+
+
+def synth_dataset(kind, seed: int, **sizes) -> SynthDataset:
+    return TASKS[parse_task_kind(kind)][0](seed=seed, **sizes)

@@ -70,15 +70,33 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
     return a, b
 
 
-def _check_seeds(seeds: int) -> None:
+def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: int = 1,
+                target_rank: int | None = None, scale: float = 1.0, r_values=(), **_) -> None:
+    """The fitting and rank drivers' range checks, by argument name; `run-all`
+    runs them on each entry's params before anything runs."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-
-
-def _check_fit_args(seeds: int, lr: float) -> None:
-    _check_seeds(seeds)
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if target_rank is not None and target_rank > min(m, n):
+        raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
+    if not scale > 0:
+        raise ValueError("factor scale must be positive")
+    for r in r_values:
+        if not 1 <= r <= min(m, n):
+            raise ValueError(f"rank {r} outside [1, min(m, n) = {min(m, n)}]")
+
+
+def _memory_dims(layer_dims, r: int, **_) -> list:
+    """The checked (m, n) pairs of a memory-model layer list."""
+    dims = [(int(m), int(n)) for m, n in layer_dims]
+    if not dims or any(m <= 0 or n <= 0 for m, n in dims):
+        raise ValueError("need at least one layer, with positive dimensions")
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
+    return dims
 
 
 def _fit(kind: KernelKind, targets: np.ndarray, seeds, r: int, steps: int, lr: float,
@@ -163,11 +181,9 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     kernels within a seed so comparisons are paired.
     """
     watch = StopWatch()
-    _check_fit_args(seeds, lr)
+    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank)
     if target_rank is None:
         target_rank = min(m, n)
-    if target_rank > min(m, n):
-        raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
@@ -228,9 +244,7 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
     and the RBF/mixed ratio when both kinds are present.
     """
     watch = StopWatch()
-    _check_fit_args(seeds, lr)
-    if scale <= 0:
-        raise ValueError("factor scale must be positive")
+    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale)
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
@@ -273,10 +287,7 @@ def rank_sweep(m: int = 64, n: int = 64, r_values=(2, 4, 8), kernels=DEFAULT_KER
                seed_base: int = 0) -> ExperimentReport:
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
     watch = StopWatch()
-    _check_seeds(seeds)
-    for r in r_values:
-        if not 1 <= r <= min(m, n):
-            raise ValueError(f"rank {r} outside [1, min(m, n) = {min(m, n)}]")
+    _check_args(seeds=seeds, m=m, n=n, r_values=r_values)
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     per_seed = []
@@ -366,11 +377,7 @@ def memory_footprint_estimate(layer_dims, r: int, mode: str,
     mode = str(mode).strip().lower()
     if mode not in MEMORY_MODES:
         raise ValueError(f"unknown memory mode {mode!r} (known: {', '.join(MEMORY_MODES)})")
-    dims = [(int(m), int(n)) for m, n in layer_dims]
-    if any(m <= 0 or n <= 0 for m, n in dims):
-        raise ValueError("layer dimensions must be positive")
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
+    dims = _memory_dims(layer_dims, r)
     coeffs = kernel_coefficient_count(kernel_kind, pieces)
     weight_floats = sum(m * n for m, n in dims)
     if mode == "full-ft":
@@ -515,8 +522,9 @@ class ExperimentType:
 
     `run(params, config)` returns the report and an optional CSV table
     (file-name suffix, header, rows). `params` are the driver's parameter
-    names and `required` those without a default. `checks` maps each
-    assert key, in evaluation order, to a check(report, table, value,
+    names and `required` those without a default; `check_params(params,
+    config)` raises what the run would raise for their values. `checks` maps
+    each assert key, in evaluation order, to a check(report, table, value,
     asserts) that yields one detail per failure; None marks a key that
     another check reads.
     """
@@ -524,35 +532,42 @@ class ExperimentType:
     run: Callable
     params: frozenset
     required: frozenset
+    check_params: Callable
     checks: dict
 
 
-def _params_of(driver, *fixed) -> tuple:
-    """The driver's parameter names, and those without a default, less `fixed`."""
+def _params_of(driver, check, *fixed) -> tuple:
+    """The driver's parameter names, those without a default, less `fixed`, and
+    a check(params, config) that runs `check` on params with the driver's defaults."""
     params = [p for p in inspect.signature(driver).parameters.values() if p.name not in fixed]
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
     return (frozenset(p.name for p in params),
-            frozenset(p.name for p in params if p.default is p.empty))
+            frozenset(p.name for p in params if p.default is p.empty),
+            lambda given, config: check(**{**defaults, **given}))
 
 
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
-        _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment),
+        _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment, _check_args),
         {"mse_ordering": _check_mse_ordering, "min_seed_fraction": None,
          "max_final_mse": _check_max_final_mse}),
     "grad-evolution": ExperimentType(
-        _report_only(grad_evolution_experiment), *_params_of(grad_evolution_experiment),
+        _report_only(grad_evolution_experiment),
+        *_params_of(grad_evolution_experiment, _check_args),
         {"max_rbf_mixk_ratio": _check_max_rbf_mixk_ratio}),
     "rank-sweep": ExperimentType(
-        _run_rank_sweep, *_params_of(rank_sweep),
+        _run_rank_sweep, *_params_of(rank_sweep, _check_args),
         {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, frozenset({"config"}), frozenset(),
+        _run_train, frozenset({"config"}), frozenset(), _train_config,
         {"max_final_loss": _check_max_final_loss}),
     "schedule": ExperimentType(
-        _run_schedule, *_params_of(schedule_table), {"values": _check_schedule_values}),
+        _run_schedule,
+        *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),
+        {"values": _check_schedule_values}),
     "memory-model": ExperimentType(
-        _run_memory_model, *_params_of(memory_footprint_estimate, "mode"),
+        _run_memory_model, *_params_of(memory_footprint_estimate, _memory_dims, "mode"),
         {"lowrank_fullft_ratio": _check_lowrank_fullft_ratio}),
 }
 
@@ -599,11 +614,12 @@ def _validate_experiment_entries(config: RunConfig) -> None:
         missing = sorted(etype.required - set(params))
         if missing:
             raise ConfigError(f"missing key '{where}.params.{missing[0]}'")
-        if entry["type"] == "train":
-            try:
-                _train_config(params, config)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"{where}.params.config: {err}") from None
+        # a train entry's one param is its config overrides
+        where = f"{where}.params" + (".config" if entry["type"] == "train" else "")
+        try:
+            etype.check_params(params, config)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{where}: {err}") from None
 
 
 def run_all(config: RunConfig, out_dir) -> tuple:

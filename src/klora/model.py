@@ -91,15 +91,6 @@ def cross_entropy_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
 # -- optimizer ----------------------------------------------------------------
 
 
-def _check_adam_settings(beta1: float, beta2: float, eps: float) -> None:
-    """Both moment decay rates must lie in [0, 1) and eps must be positive."""
-    for name, beta in (("beta1", beta1), ("beta2", beta2)):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"Adam {name} must lie in [0, 1), got {beta}")
-    if not eps > 0.0:
-        raise ValueError(f"Adam eps must be positive, got {eps}")
-
-
 class Adam:
     """Adaptive-moment optimizer over a fixed parameter list.
 
@@ -111,9 +102,9 @@ class Adam:
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        if lr < 0:
-            raise ValueError("learning rate must be nonnegative")
-        _check_adam_settings(beta1, beta2, eps)
+        for name, value in (("lr", lr), ("adam_beta1", beta1), ("adam_beta2", beta2),
+                            ("adam_eps", eps)):
+            _check_setting(name, value)
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -196,7 +187,8 @@ class AdaptedLinear:
                 self.sparsify_mode, self.recompute_merge, self.budget is None)
 
     def merged(self) -> Tensor:
-        return _merge(self.spec, self.pair, self.recompute_merge)
+        """This layer's kernel merge, as a group of one."""
+        return group_merge([self])
 
     def delta_w(self) -> Tensor:
         """This layer's sparsified update, as a group of one."""
@@ -223,22 +215,25 @@ def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
     return checkpoint(rebuild, pair.A, pair.B, *spec.coefficients())
 
 
-def group_deltas(layers) -> list:
-    """The sparsified updates of layers that share one `group_key`, in order.
-
-    Several layers are merged as one stack of their factor pairs and
-    coefficients, sparsified with one budget and one threshold per slice,
-    and each gets its slice; the merge and the sparsify are one call each.
-    A group of one stacks nothing and records the same nodes as a lone layer.
-    """
+def group_merge(layers) -> Tensor:
+    """One merge of layers sharing a `group_key`: (S, m, n) for a stack, (m, n) for one."""
     first = layers[0]
-    if len(layers) == 1:
-        spec, pair = first.spec, first.pair
-    else:
+    spec, pair = first.spec, first.pair
+    if len(layers) > 1:
         spec = KernelSpec.stack([layer.spec for layer in layers])
         pair = LowRankPair(A=stack([layer.pair.A for layer in layers]),
                            B=stack([layer.pair.B for layer in layers]))
-    dw = _merge(spec, pair, first.recompute_merge)
+    return _merge(spec, pair, first.recompute_merge)
+
+
+def group_deltas(layers) -> list:
+    """The sparsified updates of layers that share one `group_key`, in order.
+
+    The group's `group_merge` is sparsified with one budget and threshold
+    per slice; a group of one records the same nodes as a lone layer.
+    """
+    first = layers[0]
+    dw = group_merge(layers)
     if first.budget is not None:
         budgets = [min(int(layer.budget), layer.cap) for layer in layers]
         dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], first.sparsify_mode)
@@ -292,46 +287,9 @@ class TinyModel:
     def __init__(self, blocks):
         self.blocks = blocks
 
-    @classmethod
-    def build(cls, base_weights, kernel_kind=KernelKind.MIX_K, pieces: int = 2,
-              rank: int = 4, seed: int = 0, factor_std: float = 0.02,
-              sparsify_mode=SparsifyMode.SOFT_SIGN, recompute_merge: bool = False,
-              attention=None):
-        """Assemble a model around frozen base weights.
-
-        `base_weights` is a list of (w0, bias-or-None); `attention`, when
-        given, is a dict {"position": i, "tokens": t, "weights": [(w0, bias)
-        x4]} inserted after hidden layer i.
-        """
-        kind = parse_kernel_kind(kernel_kind)
-        mode = parse_sparsify_mode(sparsify_mode)
-        seeds = np.random.SeedSequence(seed).spawn(len(base_weights) + 4)
-
-        def adapted(w0, bias, seq):
-            m, n = np.asarray(w0).shape
-            r = min(rank, m, n)
-            pair = LowRankPair.random(m, n, r, np.random.default_rng(seq), std=factor_std)
-            spec = KernelSpec.zero_init(kind, pieces=min(pieces, r))
-            return AdaptedLinear(w0, bias, pair, spec, sparsify_mode=mode,
-                                 recompute_merge=recompute_merge)
-
-        blocks = []
-        n_layers = len(base_weights)
-        for i, (w0, bias) in enumerate(base_weights):
-            blocks.append(("linear", adapted(w0, bias, seeds[i])))
-            if attention is not None and attention.get("position") == i:
-                projs = [
-                    adapted(w0a, biasa, seeds[n_layers + j])
-                    for j, (w0a, biasa) in enumerate(attention["weights"])
-                ]
-                blocks.append(("attention", AttentionBlock(*projs, tokens=attention["tokens"])))
-            if i < n_layers - 1:
-                blocks.append(("relu", None))
-        return cls(blocks)
-
     def forward(self, x) -> Tensor:
         h = x if isinstance(x, Tensor) else Tensor(x)
-        deltas = iter(self.deltas())
+        deltas = iter(self.per_group(group_deltas))
         for kind, block in self.blocks:
             if kind == "linear":
                 h = block.forward(h, next(deltas))
@@ -341,16 +299,16 @@ class TinyModel:
                 h = rectify(h)
         return h
 
-    def deltas(self) -> list:
-        """Every adapted layer's update, in `adapted_layers` order; one `group_deltas` per group."""
+    def per_group(self, fn) -> list:
+        """fn(layers) per group sharing a `group_key`, spread back in `adapted_layers` order."""
         layers = self.adapted_layers()
         groups = {}
         for i, layer in enumerate(layers):
             groups.setdefault(layer.group_key(), []).append(i)
         out = [None] * len(layers)
         for members in groups.values():
-            for i, delta in zip(members, group_deltas([layers[i] for i in members])):
-                out[i] = delta
+            for i, value in zip(members, fn([layers[i] for i in members])):
+                out[i] = value
         return out
 
     def adapted_layers(self) -> list:
@@ -386,13 +344,49 @@ class TinyModel:
 # -- training -----------------------------------------------------------------
 
 
+class SettingError(ValueError):
+    """A trainer setting outside its range; `name` is its `TrainerConfig` field."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
+_DECAY = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+# the range rule of each numeric trainer setting: (holds, what a value must be)
+SETTING_RANGES = {
+    "lr": _NONNEGATIVE, "adam_beta1": _DECAY, "adam_beta2": _DECAY, "adam_eps": _POSITIVE,
+    "epochs": _NONNEGATIVE, "batch_size": _COUNT, "seed": _NONNEGATIVE, "pieces": _COUNT,
+    "rank": _COUNT, "factor_std": _POSITIVE, "budget_ratio": _UNIT, "smoothing_beta1": _UNIT,
+    "smoothing_beta2": _UNIT, "steps_per_epoch": (lambda v: v is None or v >= 1,
+                                                  "must be >= 1 or None"),
+}
+
+
+def _check_setting(name: str, value) -> None:
+    holds, rule = SETTING_RANGES[name]
+    if not holds(value):
+        raise SettingError(name, f"{name} {rule}, got {value!r}")
+
+
+_SETTING_PARSERS = {
+    "kernel_kind": parse_kernel_kind, "schedule_kind": parse_schedule_kind,
+    "alloc_period": parse_alloc_period, "sparsify_mode": parse_sparsify_mode,
+    "importance_metric": parse_metric,
+}
+
+
 @dataclass
 class TrainerConfig:
     lr: float = 1e-2
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    epochs: int = 5
+    epochs: int = 10
     steps_per_epoch: int | None = None
     batch_size: int = 16
     seed: int = 0
@@ -410,20 +404,13 @@ class TrainerConfig:
     recompute_merge: bool = False
 
     def __post_init__(self):
-        self.kernel_kind = parse_kernel_kind(self.kernel_kind)
-        self.schedule_kind = parse_schedule_kind(self.schedule_kind)
-        self.alloc_period = parse_alloc_period(self.alloc_period)
-        self.sparsify_mode = parse_sparsify_mode(self.sparsify_mode)
-        self.importance_metric = parse_metric(self.importance_metric)
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
-        _check_adam_settings(self.adam_beta1, self.adam_beta2, self.adam_eps)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.steps_per_epoch is not None and self.steps_per_epoch < 1:
-            raise ValueError("steps_per_epoch must be >= 1 or None")
-        if not 0.0 <= self.budget_ratio <= 1.0:
-            raise ValueError("budget_ratio must lie in [0, 1]")
+        for name, parse in _SETTING_PARSERS.items():
+            try:
+                setattr(self, name, parse(getattr(self, name)))
+            except ValueError as err:
+                raise SettingError(name, str(err)) from None
+        for name in SETTING_RANGES:
+            _check_setting(name, getattr(self, name))
 
 
 @dataclass
@@ -509,12 +496,12 @@ class Trainer:
 
     def layer_scores(self) -> list:
         metric = self.config.importance_metric
-        scores = []
-        for layer, parts in zip(self.layers, self.factor_parts):
-            merged = layer.merged().data if metric is Metric.W_MAGNITUDE else None
-            scores.append(layer_score(self.importance, metric, pair=layer.pair, merged=merged,
-                                      parts=parts))
-        return scores
+        merges = [None] * len(self.layers)
+        if metric is Metric.W_MAGNITUDE:  # one merge per group, as in the forward pass
+            merges = self.model.per_group(lambda layers: group_merge(layers).data.reshape(
+                len(layers), layers[0].m, layers[0].n))
+        return [layer_score(self.importance, metric, pair=layer.pair, merged=merged, parts=parts)
+                for layer, merged, parts in zip(self.layers, merges, self.factor_parts)]
 
     def grad_norms(self) -> list:
         """Per-layer norm of the last step's factor gradients."""
@@ -599,17 +586,33 @@ def _config_echo(cfg: TrainerConfig) -> dict:
 
 
 def build_model(dataset, config: TrainerConfig) -> TinyModel:
-    return TinyModel.build(
-        dataset.base_weights,
-        kernel_kind=config.kernel_kind,
-        pieces=config.pieces,
-        rank=config.rank,
-        seed=config.seed,
-        factor_std=config.factor_std,
-        sparsify_mode=config.sparsify_mode,
-        recompute_merge=config.recompute_merge,
-        attention=dataset.attention,
-    )
+    """Adapters around the dataset's frozen base weights, a list of (w0, bias-or-None).
+
+    `dataset.attention`, when set, is a dict {"position": i, "tokens": t,
+    "weights": [(w0, bias) x4]} inserted after hidden layer i.
+    """
+    base_weights, attention = dataset.base_weights, dataset.attention
+    seeds = np.random.SeedSequence(config.seed).spawn(len(base_weights) + 4)
+
+    def adapted(w0, bias, seq):
+        m, n = np.asarray(w0).shape
+        r = min(config.rank, m, n)
+        pair = LowRankPair.random(m, n, r, np.random.default_rng(seq), std=config.factor_std)
+        spec = KernelSpec.zero_init(config.kernel_kind, pieces=min(config.pieces, r))
+        return AdaptedLinear(w0, bias, pair, spec, sparsify_mode=config.sparsify_mode,
+                             recompute_merge=config.recompute_merge)
+
+    blocks = []
+    n_layers = len(base_weights)
+    for i, (w0, bias) in enumerate(base_weights):
+        blocks.append(("linear", adapted(w0, bias, seeds[i])))
+        if attention is not None and attention.get("position") == i:
+            projs = [adapted(w0a, biasa, seeds[n_layers + j])
+                     for j, (w0a, biasa) in enumerate(attention["weights"])]
+            blocks.append(("attention", AttentionBlock(*projs, tokens=attention["tokens"])))
+        if i < n_layers - 1:
+            blocks.append(("relu", None))
+    return TinyModel(blocks)
 
 
 def fine_tune(config: TrainerConfig, dataset) -> RunTrace:

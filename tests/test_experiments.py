@@ -35,8 +35,44 @@ from klora.reports import read_csv, write_csv
 
 SCHEDULE_ENTRY = {"name": "s", "type": "schedule", "params": {"b0": 100, "bT": 10, "T": 5}}
 
+# run configs with one bad value each, and the start of the message naming its key
+BAD_DOCUMENTS = [
+    ({"train": {"recompute_merge": "false"}},
+     "wrong type for 'train.recompute_merge': need a boolean"),
+    ({"model": {"bias": "no"}}, "wrong type for 'model.bias': need a boolean"),
+    ({"train": {"epochs": 1.5}}, "wrong type for 'train.epochs': need an integer"),
+    ({"train": {"epochs": True}}, "wrong type for 'train.epochs': need an integer"),
+    ({"train": {"lr": None}}, "wrong type for 'train.lr': need a number, got null"),
+    ({"train": {"seed": "a"}}, "wrong type for 'train.seed': need an integer"),
+    ({"train": {"seed": -1}}, "value out of range for 'train.seed'"),
+    ({"train": {"steps_per_epoch": 2.0}},
+     "wrong type for 'train.steps_per_epoch': need an integer or null"),
+    ({"train": {"task": {"kind": "high-rank-regresion"}}},
+     "value out of range for 'train.task.kind': unknown dataset kind"),
+    ({"train": {"task": {"kind": "blob-classification", "density": 0.1}}},
+     "unknown key 'train.task.density'"),
+    ({"train": {"task": {"layer_dims": [8, 8]}}}, "unknown key 'train.task.layer_dims'"),
+    ({"train": {"task": {"samples": "many"}}}, "wrong type for 'train.task.samples'"),
+    ({"train": {"task": "blobs"}}, "wrong type for 'train.task': need an object"),
+    ({"model": {"attention": {"position": 0, "heads": 1}}},
+     "unknown key 'model.attention.heads'"),
+    ({"model": {"attention": {"tokens": 3}}}, "value out of range for 'model.attention.tokens'"),
+    ({"model": {"attention": {"tokens": 0}}}, "value out of range for 'model.attention.tokens'"),
+    ({"model": {"attention": {"position": 1}}},
+     "value out of range for 'model.attention.position'"),
+    ({"model": {"attention": True}}, "wrong type for 'model.attention'"),
+    ({"model": {"layer_dims": [16, 2.5]}}, "value out of range for 'model.layer_dims'"),
+    ({"model": {"rank": 0}}, "value out of range for 'model.rank'"),
+    ({"kernel": {"pieces": 0}}, "value out of range for 'kernel.pieces'"),
+    ({"model": {"factor_std": 0}}, "value out of range for 'model.factor_std'"),
+    ({"sparsity": {"smoothing_beta1": 1.5}}, "value out of range for 'sparsity.smoothing_beta1'"),
+    ({"sparsity": {"smoothing_beta2": -0.1}}, "value out of range for 'sparsity.smoothing_beta2'"),
+    ({"kernel": {"kind": 3}}, "wrong type for 'kernel.kind': need a name"),
+]
+
 # bad second entries: a misspelled param and assert key, a missing required
-# param, an out-of-range train override, and misspelled schedule names
+# param, an out-of-range train override, misspelled schedule names, param
+# values the driver rejects, and every bad document as a train override
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -48,6 +84,22 @@ TYPO_ENTRIES = [
     ({"type": "schedule", "params": {"kinds": ["cubik"]}}, "experiments[1].params.kinds"),
     ({"type": "schedule", "assert": {"values": [["cubik", 5, 125]]}},
      "experiments[1].assert.values"),
+    ({"type": "fit-matrix", "params": {"seeds": 0}},
+     "experiments[1].params: seeds must be >= 1, got 0"),
+    ({"type": "fit-matrix", "params": {"steps": -5}},
+     "experiments[1].params: steps must be >= 0, got -5"),
+    ({"type": "rank-sweep", "params": {"m": 8, "n": 8, "r_values": [99]}},
+     "experiments[1].params: rank 99 outside [1, min(m, n) = 8]"),
+    ({"type": "schedule", "params": {"b0": 5, "bT": 10}},
+     "experiments[1].params: need 0 <= bT <= b0, got bT=10, b0=5"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": -1}},
+     "experiments[1].params: rank must be nonnegative"),
+    ({"type": "memory-model", "params": {"layer_dims": [], "r": 4}},
+     "experiments[1].params: need at least one layer, with positive dimensions"),
+    ({"type": "grad-evolution", "params": {"scale": 0}},
+     "experiments[1].params: factor scale must be positive"),
+    *[({"type": "train", "params": {"config": document}},
+       f"experiments[1].params.config: {message}") for document, message in BAD_DOCUMENTS],
 ]
 
 
@@ -335,7 +387,23 @@ class TestRunAll:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("document, message", BAD_DOCUMENTS)
+def test_bad_document_rejected_naming_its_key(document, message):
+    with pytest.raises(ConfigError) as err:
+        apply_defaults(document)
+    assert str(err.value).startswith(message)
+
+
 class TestTrainExperiment:
+    def test_case_variant_task_kind_trains_on_model_dims(self):
+        cfg = apply_defaults({
+            "model": {"layer_dims": [32, 32]},
+            "train": {"epochs": 1, "steps_per_epoch": 1,
+                      "task": {"kind": "High-Rank-Regression", "samples": 16}},
+        })
+        _, trace = train_experiment(cfg)
+        assert trace.layer_caps == [32 * 32]
+
     def test_report_and_trace(self):
         cfg = apply_defaults(
             {
@@ -465,7 +533,7 @@ class TestCli:
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and where in result.output
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 # unknown names, then values out of range; each with the message it must print.
@@ -493,6 +561,12 @@ BAD_INPUT_COMMANDS = [
     (["grad-check", "--pieces", "0"], "piece count must be >= 1, got 0"),
     (["grad-check", "--m", "0"], "m, n, rank and seeds must be >= 1, got 0, 6, 4, 5"),
     (["grad-check", "--seeds", "0"], "m, n, rank and seeds must be >= 1, got 8, 6, 4, 0"),
+    (["train", "--seed", "-1"], "value out of range for 'train.seed'"),
+    (["fit-matrix", "--steps", "-5"], "steps must be >= 0, got -5"),
+    (["grad-evolution", "--steps", "-1"], "steps must be >= 0, got -1"),
+    (["memory-model", "--layers", "0"], "need at least one layer, with positive dimensions"),
+    (["grad-check", "--h", "0"], "h and tol must be positive, got 0.0, 1e-05"),
+    (["grad-check", "--tol", "-1"], "h and tol must be positive, got 1e-05, -1.0"),
     (["alloc-trace", "NOT_JSON"], "Expecting value: line 1 column 1"),
     (["alloc-trace", "NO_CONFIG"], "missing 4 required positional arguments: 'config'"),
     (["alloc-trace", "UNKNOWN_KEY"], "unexpected keyword argument 'loss'"),
@@ -541,6 +615,18 @@ def test_cli_train_rejects_out_of_range_adam_setting(tmp_path, train, key):
     result = CliRunner().invoke(cli_main, ["train", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"value out of range for '{key}'" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, message", BAD_DOCUMENTS)
+def test_cli_train_rejects_bad_document(tmp_path, document, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

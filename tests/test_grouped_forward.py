@@ -117,6 +117,22 @@ def test_one_merge_and_one_sparsify_per_layer_shape(monkeypatch):
     assert [len(budgets) for _, budgets, _ in sparsifies] == [2, 4]
 
 
+@pytest.mark.parametrize("recompute", [False, True], ids=["plain", "recompute-merge"])
+def test_w_magnitude_scores_merge_once_per_layer_shape(monkeypatch, recompute):
+    raw = json.loads(json.dumps(GROUPED))
+    raw["sparsity"]["importance_metric"] = "w-magnitude"
+    raw["train"]["recompute_merge"] = recompute
+    trainer = trainer_for(raw)
+    trainer.train_step(trainer.dataset.x[:8], trainer.dataset.y[:8])
+    merges = count_calls(monkeypatch, "merge")
+    trainer.allocate()
+    assert [pair.A.data.shape for _, pair in merges] == [(2, 64, 8), (4, 16, 8)]
+    trainer.train_step(trainer.dataset.x[:8], trainer.dataset.y[:8])
+    merges.clear()
+    trainer.allocate()
+    assert len(merges) == 2
+
+
 def nodes_per_step(raw) -> int:
     trainer = trainer_for(raw)
     x, y = trainer.dataset.x[:8], trainer.dataset.y[:8]

@@ -1,8 +1,11 @@
 """Config validation, binary checkpoint round-trips, CSV and SVG output."""
 
+import dataclasses
 import hashlib
 import json
+import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,17 +21,19 @@ from klora.checkpoint import (
     save_checkpoint,
 )
 from klora.config import (
+    ATTENTION_DEFAULTS,
     ConfigError,
     DEFAULTS,
+    SETTINGS,
     apply_defaults,
     dataset_from,
     load_config,
     save_config,
     trainer_config_from,
 )
-from klora.datasets import high_rank_regression
+from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
 from klora.kernels import KernelKind
-from klora.model import TrainerConfig, build_model
+from klora.model import SettingError, TrainerConfig, build_model
 from klora.reports import read_csv, write_csv
 from klora.svgplot import emit_heatmap_svg, render_heatmap_svg
 
@@ -131,6 +136,65 @@ class TestConfig:
 
     def test_defaults_documented_in_one_place(self):
         assert set(DEFAULTS) == {"model", "kernel", "sparsity", "train", "experiments"}
+
+    def test_document_defaults_are_the_trainer_defaults(self):
+        got, want = trainer_config_from(apply_defaults({})), TrainerConfig()
+        for f in dataclasses.fields(TrainerConfig):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a, type(a)) == (b, type(b)), f.name
+
+    @pytest.mark.parametrize("name, value", [
+        ("rank", 0), ("pieces", 0), ("factor_std", 0.0), ("smoothing_beta1", 1.5),
+        ("smoothing_beta2", float("nan")), ("seed", -1), ("epochs", -1), ("lr", float("nan")),
+        ("kernel_kind", "polynomial"), ("budget_ratio", 1.5),
+    ])
+    def test_trainer_setting_error_names_its_field(self, name, value):
+        with pytest.raises(SettingError, match=name if name != "kernel_kind" else "kernel") as err:
+            TrainerConfig(**{name: value})
+        assert err.value.name == name
+
+    def test_every_setting_is_a_trainer_field(self):
+        fields = {f.name for f in dataclasses.fields(TrainerConfig)}
+        assert sorted(SETTINGS.values()) == sorted(fields)
+
+    @pytest.mark.parametrize("attention", [None, {}])
+    def test_null_and_empty_attention_mean_no_block(self, attention):
+        ds = dataset_from(apply_defaults({"model": {"attention": attention},
+                                          "train": {"task": {"samples": 8}}}))
+        assert ds.attention is None
+
+    def test_attention_keys_default(self):
+        ds = dataset_from(apply_defaults({"model": {"layer_dims": [8, 12, 8],
+                                                    "attention": {"tokens": 3}},
+                                          "train": {"task": {"samples": 8}}}))
+        assert (ds.attention["position"], ds.attention["tokens"]) == (0, 3)
+        ds = dataset_from(apply_defaults({"model": {"layer_dims": [8, 12, 8],
+                                                    "attention": {"position": 1}},
+                                          "train": {"task": {"samples": 8}}}))
+        assert (ds.attention["position"], ds.attention["tokens"]) == (1, 2)
+
+
+def _readme_configuration():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Configuration\n")[1].split("\n## ")[0]
+
+
+def test_readme_configuration_table_lists_every_key():
+    rows = re.findall(r"^\| `([a-z_0-9.-]+)` \|", _readme_configuration(), re.M)
+    keys = [f"{section}.{key}" for section, values in DEFAULTS.items()
+            if isinstance(values, dict) for key in values]
+    keys += [f"model.attention.{key}" for key in ATTENTION_DEFAULTS]
+    task_rows = [row for row in rows if "." not in row]
+    assert sorted(set(rows) - set(task_rows)) == sorted(keys)
+    assert len(rows) - len(task_rows) == len(keys)
+    assert task_rows == [kind.value for kind in TaskKind]
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_readme_lists_each_task_kinds_keys(kind):
+    row = re.search(rf"^\| `{kind.value}` \| (.*) \|$", _readme_configuration(), re.M)
+    assert row is not None
+    assert re.findall(r"`([a-z_]+)`", row.group(1)) == list(TASK_KEYS[kind])
 
 
 def small_model(seed=0, kind=KernelKind.MIX_K):
