@@ -3,7 +3,9 @@
 Every subcommand is seed-deterministic and writes machine-readable output
 (a JSON report per experiment, CSV tables, optional SVG heatmaps) under
 --out. `run-all` executes the experiment list from a config file (or the
-bundled default) and exits nonzero when an embedded assertion fails.
+bundled default) and exits nonzero when an embedded assertion fails. Each
+experiment subcommand runs as a one-entry `run-all`, with the driver's
+defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import click
 import numpy as np
 
 from . import experiments as ex
-from .allocation import SparsifyMode, parse_schedule_kind
+from .allocation import SparsifyMode
 from .checkpoint import save_checkpoint
 from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
                      trainer_config_from)
@@ -41,26 +43,12 @@ def _out_dir(out) -> Path:
     return path
 
 
-def _names(parse):
-    """Option callback: a name `parse` rejects is a usage error (exit code 2)."""
-
-    def callback(ctx, param, value):
-        for name in value if isinstance(value, tuple) else () if value is None else (value,):
-            try:
-                parse(name)
-            except ValueError as err:
-                raise click.BadParameter(str(err), ctx, param) from None
-        return value
-
-    return callback
-
-
 @contextlib.contextmanager
 def _usage_errors():
     """A bad argument value is a usage error (exit code 2), not a traceback.
 
-    The drivers and `apply_defaults` raise ValueError (ConfigError is one)
-    for argument values they cannot run with.
+    `apply_defaults` and the kernel parsers raise ValueError (ConfigError is
+    one) for argument values they cannot run with.
     """
     try:
         yield
@@ -73,14 +61,6 @@ common = {
                            default=None, help="JSON run configuration."),
     "out": click.option("--out", type=click.Path(file_okay=False), default="out",
                         show_default=True, help="Output directory."),
-    "seed": click.option("--seed", type=int, default=0, show_default=True),
-    "seeds": click.option("--seeds", type=int, default=5, show_default=True,
-                          help="Number of seeds."),
-    "kernel": click.option("--kernel", "kernels", multiple=True,
-                           callback=_names(parse_kernel_kind),
-                           help="Kernel name (repeatable)."),
-    "rank": click.option("--rank", type=int, default=4, show_default=True),
-    "pieces": click.option("--pieces", type=int, default=2, show_default=True),
 }
 
 
@@ -89,87 +69,79 @@ def main():
     """Kernel-merged low-rank adapters with budgeted bi-level sparsity."""
 
 
-@main.command("fit-matrix")
-@common["out"]
-@common["seed"]
-@common["seeds"]
-@common["kernel"]
-@common["rank"]
-@common["pieces"]
-@click.option("--size", type=int, default=32, show_default=True, help="Target is size x size.")
-@click.option("--target-rank", type=int, default=None, help="Target rank (default full).")
-@click.option("--density", type=float, default=0.1, show_default=True,
-              help="Fraction of nonzero target entries.")
-@click.option("--steps", type=int, default=20000, show_default=True)
-@click.option("--lr", type=float, default=1e-3, show_default=True)
-@click.option("--factor-std", type=float, default=1.0, show_default=True)
-@click.option("--piece-init-eps", type=float, default=0.0, show_default=True,
-              help="Start piece coefficients at (+eps, -eps, ...) instead of zeros.")
-def fit_matrix_cmd(out, seed, seeds, kernels, rank, pieces, size, target_rank, density,
-                   steps, lr, factor_std, piece_init_eps):
+def _experiment(etype: str, *flags):
+    """Register the subcommand for run-all entry type `etype`.
+
+    Each flag is (option, parameter[, attrs]): the option sets the driver
+    parameter and takes the driver's default unless `attrs` gives one.
+    """
+    defaults = ex.EXPERIMENT_TYPES[etype].params
+
+    def register(body):
+        for option, param, *attrs in reversed(flags):
+            attrs = {"default": defaults.get(param), "show_default": True, **dict(*attrs)}
+            body = click.option(option, param, **attrs)(body)
+        return main.command(etype)(common["out"](body))
+
+    return register
+
+
+def _run(etype: str, out, **params):
+    """Run a subcommand as a one-entry run-all: check the entry, run it, write
+    its files, and print each aggregate of its report and each path written."""
+    entry = {"name": etype, "type": etype, "params": params}
+    config = apply_defaults({})
+    try:
+        ex.check_entry(entry, config)
+    except ConfigError as err:
+        raise click.UsageError(str(err)) from None
+    report, paths, _ = ex.run_entry(entry, config, _out_dir(out), etype)
+    _echo(report.aggregates)
+    for path in paths:
+        click.echo(f"wrote {path}")
+
+
+def _echo(aggregates: dict, prefix: str = "") -> None:
+    """Print one line per aggregate; a nested one under its dotted key."""
+    for key, value in aggregates.items():
+        if isinstance(value, dict):
+            _echo(value, f"{prefix}{key}.")
+        else:
+            click.echo(f"{prefix}{key}: {value:.6g}" if isinstance(value, float)
+                       else f"{prefix}{key}: {value}")
+
+
+_SEEDS = (("--seed", "seed_base"), ("--seeds", "seeds", {"help": "Number of seeds."}),
+          ("--kernel", "kernels", {"multiple": True, "help": "Kernel name (repeatable)."}),
+          ("--pieces", "pieces"))
+
+
+@_experiment("fit-matrix", *_SEEDS, ("--rank", "r"),
+             ("--size", "m", {"help": "Target is size x size."}),
+             ("--target-rank", "target_rank",
+              {"type": int, "help": "Target rank (default full)."}),
+             ("--density", "density", {"help": "Fraction of nonzero target entries."}),
+             ("--steps", "steps"), ("--lr", "lr"), ("--factor-std", "factor_std"),
+             ("--piece-init-eps", "piece_init_eps",
+              {"help": "Start piece coefficients at (+eps, -eps, ...) instead of zeros."}))
+def fit_matrix_cmd(out, m, **params):
     """Fit random matrices with kernel merges; report final MSE per kernel."""
-    kernels = kernels or ex.DEFAULT_KERNELS
-    with _usage_errors():
-        report = ex.fit_matrix_experiment(
-            m=size, n=size, r=rank, target_rank=target_rank, kernels=kernels, steps=steps,
-            lr=lr, seeds=seeds, density=density, pieces=pieces, factor_std=factor_std,
-            piece_init_eps=piece_init_eps, seed_base=seed,
-        )
-    path = report.write(_out_dir(out))
-    for kind, mse in report.aggregates["mean_final_mse"].items():
-        click.echo(f"{kind}: mean final MSE {mse:.6g}")
-    click.echo(f"report: {path}")
+    _run("fit-matrix", out, m=m, n=m, **params)
 
 
-@main.command("grad-evolution")
-@common["out"]
-@common["seed"]
-@common["seeds"]
-@common["kernel"]
-@common["rank"]
-@common["pieces"]
-@click.option("--scale", type=float, default=10.0, show_default=True,
-              help="Factor entries start uniform in [-scale, scale].")
-@click.option("--steps", type=int, default=300, show_default=True)
-def grad_evolution_cmd(out, seed, seeds, kernels, rank, pieces, scale, steps):
+@_experiment("grad-evolution", *_SEEDS, ("--rank", "r"),
+             ("--scale", "scale", {"help": "Factor entries start uniform in [-scale, scale]."}),
+             ("--steps", "steps"))
+def grad_evolution_cmd(out, **params):
     """Trace gradient magnitudes through each kernel merge."""
-    kernels = kernels or ("mix-k", "rbf", "linear")
-    with _usage_errors():
-        report = ex.grad_evolution_experiment(
-            kernels=kernels, scale=scale, steps=steps, seeds=seeds, r=rank, pieces=pieces,
-            seed_base=seed,
-        )
-    path = report.write(_out_dir(out))
-    for kind, mag in report.aggregates["static_mean_abs_gradient"].items():
-        click.echo(f"{kind}: mean |grad| {mag:.6g}")
-    ratio = report.aggregates.get("rbf_mixk_ratio")
-    if ratio is not None:
-        click.echo(f"rbf / mix-k ratio: {ratio:.6g}")
-    click.echo(f"report: {path}")
+    _run("grad-evolution", out, **params)
 
 
-@main.command("rank-sweep")
-@common["out"]
-@common["seed"]
-@common["seeds"]
-@common["kernel"]
-@common["pieces"]
-@click.option("--size", type=int, default=64, show_default=True)
-@click.option("--rank", "ranks", type=int, multiple=True, help="Factor rank (repeatable).")
-def rank_sweep_cmd(out, seed, seeds, kernels, pieces, size, ranks):
+@_experiment("rank-sweep", *_SEEDS, ("--size", "m", {"help": "Merges are size x size."}),
+             ("--rank", "r_values", {"multiple": True, "help": "Factor rank (repeatable)."}))
+def rank_sweep_cmd(out, m, **params):
     """Numerical rank of merged matrices across kernels and ranks."""
-    kernels = kernels or ex.DEFAULT_KERNELS
-    ranks = ranks or (2, 4, 8)
-    with _usage_errors():
-        report = ex.rank_sweep(m=size, n=size, r_values=ranks, kernels=kernels,
-                               seeds=seeds, pieces=pieces, seed_base=seed)
-    out_dir = _out_dir(out)
-    header, rows = ex.rank_table(report)
-    write_csv(out_dir / "rank-sweep.csv", header, rows)
-    path = report.write(out_dir)
-    for key, stats in sorted(report.aggregates.items()):
-        click.echo(f"{key}: min {stats['min']} max {stats['max']}")
-    click.echo(f"report: {path}")
+    _run("rank-sweep", out, m=m, n=m, **params)
 
 
 # train's override options: each is named after the leaf of the document key it sets
@@ -180,12 +152,11 @@ _OVERRIDE_KEYS = {key.split(".")[1]: key for key in SETTINGS}
 @common["config"]
 @common["out"]
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--kernel", "kind", type=str, default=None, callback=_names(parse_kernel_kind),
-              help="Override the kernel kind.")
+@click.option("--kernel", "kind", type=str, default=None, help="Override the kernel kind.")
 @click.option("--rank", type=int, default=None, help="Override the adapter rank.")
 @click.option("--pieces", type=int, default=None)
 @click.option("--budget-ratio", type=float, default=None)
-@click.option("--schedule", type=str, default=None, callback=_names(parse_schedule_kind))
+@click.option("--schedule", type=str, default=None)
 @click.option("--alloc-period", type=click.Choice([p.value for p in AllocPeriod]), default=None)
 @click.option("--sparsify-mode", type=click.Choice([m.value for m in SparsifyMode]),
               default=None)
@@ -242,62 +213,34 @@ def alloc_trace_cmd(trace_path, out, svg):
         click.echo(f"heatmap: {svg_path}")
 
 
-@main.command("schedule")
-@common["out"]
-@click.option("--b0", type=int, default=1000, show_default=True)
-@click.option("--bt", "bT", type=int, default=0, show_default=True)
-@click.option("--steps", "T", type=int, default=10, show_default=True)
-@click.option("--schedule", "kinds", multiple=True, callback=_names(parse_schedule_kind),
-              help="Schedule kind (repeatable; default all four).")
-def schedule_cmd(out, b0, bT, T, kinds):
+@_experiment("schedule", ("--b0", "b0"), ("--bt", "bT"), ("--steps", "T"),
+             ("--schedule", "kinds", {"multiple": True, "help": "Schedule kind (repeatable)."}))
+def schedule_cmd(out, **params):
     """Tabulate the tunable-weight budget over training steps."""
-    kinds = kinds or ("constant", "linear", "quadratic", "cubic")
-    with _usage_errors():
-        header, rows = ex.schedule_table(b0=b0, bT=bT, T=T, kinds=kinds)
-    out_dir = _out_dir(out)
-    path = out_dir / "schedule.csv"
-    write_csv(path, header, rows)
-    click.echo(f"table: {path}")
+    _run("schedule", out, **params)
 
 
-@main.command("memory-model")
-@common["out"]
-@click.option("--layers", type=int, default=12, show_default=True)
-@click.option("--m", type=int, default=768, show_default=True)
-@click.option("--n", type=int, default=768, show_default=True)
-@common["rank"]
-@click.option("--kernel", type=str, default="mix-k", show_default=True,
-              callback=_names(parse_kernel_kind))
-@common["pieces"]
-def memory_model_cmd(out, layers, m, n, rank, kernel, pieces):
+@_experiment("memory-model", ("--layers", "layers", {"default": 12}),
+             ("--m", "m", {"default": 768}), ("--n", "n", {"default": 768}),
+             ("--rank", "r", {"default": 4}), ("--kernel", "kernel_kind"), ("--pieces", "pieces"))
+def memory_model_cmd(out, layers, m, n, **params):
     """Analytic parameter and optimizer-state float counts per strategy."""
-    dims = [(m, n)] * layers
-    with _usage_errors():
-        estimates = {
-            mode: ex.memory_footprint_estimate(dims, rank, mode, kernel_kind=kernel, pieces=pieces)
-            for mode in ex.MEMORY_MODES
-        }
-    out_dir = _out_dir(out)
-    path = out_dir / "memory-model.json"
-    path.write_text(json.dumps(estimates, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    ratio = (estimates["low-rank"]["optimizer_param_floats"]
-             / estimates["full-ft"]["optimizer_param_floats"])
-    click.echo(f"low-rank / full-ft optimizer parameters: {ratio:.6g}")
-    click.echo(f"report: {path}")
+    _run("memory-model", out, layer_dims=[[m, n]] * layers, **params)
 
 
 @main.command("grad-check")
-@common["seeds"]
-@common["kernel"]
+@click.option("--seeds", type=int, default=5, show_default=True, help="Number of seeds.")
+@click.option("--kernel", "kernels", multiple=True, help="Kernel name (repeatable).")
 @click.option("--m", type=int, default=8, show_default=True)
 @click.option("--n", type=int, default=6, show_default=True)
-@common["rank"]
-@common["pieces"]
+@click.option("--rank", type=int, default=4, show_default=True)
+@click.option("--pieces", type=int, default=2, show_default=True)
 @click.option("--h", "step", type=float, default=1e-5, show_default=True)
 @click.option("--tol", type=float, default=1e-5, show_default=True)
 def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
     """Finite-difference validation of merge gradients for each kernel kind."""
-    kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
+    with _usage_errors():
+        kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
     if min(m, n, rank, seeds) < 1:
         raise click.UsageError(f"m, n, rank and seeds must be >= 1, got {m}, {n}, {rank}, {seeds}")
     if not (step > 0 and tol > 0):

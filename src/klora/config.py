@@ -125,20 +125,25 @@ def _merge_section(section: str, given) -> dict:
     return base
 
 
-def _task(train: dict) -> tuple:
-    """The configured task's kind and builder arguments, checked against its builder."""
-    if not isinstance(train["task"], dict):
+def _task(config: RunConfig) -> tuple:
+    """The configured task's kind and builder arguments, checked against its
+    builder, its range rules and the model's layer dims."""
+    if not isinstance(config.train["task"], dict):
         raise ConfigError("wrong type for 'train.task': need an object")
-    args = dict(train["task"])
+    args = dict(config.train["task"])
     try:
         kind = datasets.parse_task_kind(args.pop("kind"))
     except ValueError as err:
         raise ConfigError(f"value out of range for 'train.task.kind': {err}") from None
-    keys = datasets.TASK_KEYS[kind]
+    keys, ranges = datasets.TASK_KEYS[kind], datasets.TASKS[kind][2]
     _reject_unknown(args, keys, "train.task")
     for key, value in args.items():
         if keys[key] is not None:
             _check_type(f"train.task.{key}", value, keys[key])
+        if key in ranges:
+            holds, rule = ranges[key]
+            _check_range(holds(value, config.model["layer_dims"]), f"train.task.{key}",
+                         f"{key} {rule}, got {json.dumps(value)}")
     return kind, args
 
 
@@ -179,7 +184,7 @@ def apply_defaults(raw: dict) -> RunConfig:
     _check_range(ok, "model.layer_dims", "need at least two positive integer dimensions")
     _check_type("model.bias", config.model["bias"], bool)
     _attention(config.model)
-    _task(config.train)
+    _task(config)
     for key, name in SETTINGS.items():
         _check_type(key, config.value(key), _HINTS[name])
     try:
@@ -213,7 +218,7 @@ def trainer_config_from(config: RunConfig) -> TrainerConfig:
 
 def dataset_from(config: RunConfig):
     """Build the configured synthetic dataset (model dims drive the task)."""
-    kind, args = _task(config.train)
+    kind, args = _task(config)
     dims, seed = config.model["layer_dims"], config.train["seed"]
     supplied = {"layer_dims": tuple(dims), "bias": config.model["bias"]}
     args.update((key, supplied[key]) for key in datasets.TASKS[kind][1])

@@ -140,10 +140,28 @@ def blob_classification(seed: int, features: int = 8, classes: int = 3,
     )
 
 
-# each kind's builder, and the builder parameters a run config's model section supplies
+# range rules of task parameters, in the style of model.SETTING_RANGES: (holds, what a
+# value must be); `holds` also gets the model's layer dims, which the regression task takes
+_COUNT = (lambda v, dims: v >= 1, "must be >= 1")
+_NONNEGATIVE = (lambda v, dims: v >= 0, "must be nonnegative")
+_REGRESSION_RANGES = {
+    "samples": _COUNT, "density": (lambda v, dims: 0 <= v <= 1, "must lie in [0, 1]"),
+    "min_rank": (lambda v, dims: v is None or 0 <= v < min(dims),
+                 "must be null or below every layer dimension"),
+    "perturb_layers": (lambda v, dims: v is None or isinstance(v, list) and all(
+        type(i) is int and 0 <= i < len(dims) - 1 for i in v),
+        "must be null or a list of layer indices"),
+    "perturb_scale": _NONNEGATIVE, "noise_std": _NONNEGATIVE,
+}
+_BLOB_RANGES = {"features": _COUNT, "classes": _COUNT, "samples": _COUNT,
+                "spread": _NONNEGATIVE, "hidden": _COUNT}
+
+# each kind's builder, the builder parameters a run config's model section supplies,
+# and the range rules of the others
 TASKS = {
-    TaskKind.HIGH_RANK_REGRESSION: (high_rank_regression, ("layer_dims", "bias")),
-    TaskKind.BLOB_CLASSIFICATION: (blob_classification, ()),
+    TaskKind.HIGH_RANK_REGRESSION: (high_rank_regression, ("layer_dims", "bias"),
+                                    _REGRESSION_RANGES),
+    TaskKind.BLOB_CLASSIFICATION: (blob_classification, (), _BLOB_RANGES),
 }
 
 
@@ -154,7 +172,8 @@ def _task_keys(builder, supplied) -> dict:
 
 
 # per kind, the builder parameters a run config may set, with their types (None: any)
-TASK_KEYS = {kind: _task_keys(*row) for kind, row in TASKS.items()}
+TASK_KEYS = {kind: _task_keys(builder, supplied)
+             for kind, (builder, supplied, _) in TASKS.items()}
 
 
 def synth_dataset(kind, seed: int, **sizes) -> SynthDataset:

@@ -71,7 +71,9 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
 
 
 def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: int = 1,
-                target_rank: int | None = None, scale: float = 1.0, r_values=(), **_) -> None:
+                target_rank: int | None = None, scale: float = 1.0, r_values=(),
+                r: int | None = None, pieces: int = 1, kernels=(), eps_rel: float = 0.5,
+                **_) -> None:
     """The fitting and rank drivers' range checks, by argument name; `run-all`
     runs them on each entry's params before anything runs."""
     if seeds < 1:
@@ -84,18 +86,28 @@ def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: 
         raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
     if not scale > 0:
         raise ValueError("factor scale must be positive")
-    for r in r_values:
-        if not 1 <= r <= min(m, n):
-            raise ValueError(f"rank {r} outside [1, min(m, n) = {min(m, n)}]")
+    if pieces < 1:
+        raise ValueError(f"piece count must be >= 1, got {pieces}")
+    if not 0 < eps_rel < 1:
+        raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
+    for rank in (*r_values, *([] if r is None else [r])):
+        if not 1 <= rank <= min(m, n):
+            raise ValueError(f"rank {rank} outside [1, min(m, n) = {min(m, n)}]")
+    # the fits split the rank into pieces; the rank sweep caps pieces at each rank
+    if r is not None and pieces > r and any(KINDS[parse_kernel_kind(k)].piecewise
+                                            for k in kernels):
+        raise ValueError(f"piece count {pieces} exceeds rank {r}")
 
 
-def _memory_dims(layer_dims, r: int, **_) -> list:
+def _memory_dims(layer_dims, r: int, pieces: int = 1, **_) -> list:
     """The checked (m, n) pairs of a memory-model layer list."""
     dims = [(int(m), int(n)) for m, n in layer_dims]
     if not dims or any(m <= 0 or n <= 0 for m, n in dims):
         raise ValueError("need at least one layer, with positive dimensions")
     if r < 0:
         raise ValueError("rank must be nonnegative")
+    if pieces < 1:
+        raise ValueError(f"piece count must be >= 1, got {pieces}")
     return dims
 
 
@@ -437,8 +449,10 @@ def _run_schedule(params, config):
 
 def _run_memory_model(params, config):
     estimates = {mode: memory_footprint_estimate(mode=mode, **params) for mode in MEMORY_MODES}
+    ratio = (estimates["low-rank"]["optimizer_param_floats"]
+             / estimates["full-ft"]["optimizer_param_floats"])
     report = ExperimentReport(name="memory-model", config=params, seeds=[], per_seed=[],
-                              aggregates=estimates)
+                              aggregates={**estimates, "lowrank_fullft_ratio": ratio})
     return report, None
 
 
@@ -504,9 +518,7 @@ def _check_schedule_values(report, table, values, asserts):
 
 def _check_lowrank_fullft_ratio(report, table, target_rel, asserts):
     target, rel = target_rel
-    est = report.aggregates
-    got = est["low-rank"]["optimizer_param_floats"] / est["full-ft"]["optimizer_param_floats"]
-    est["lowrank_fullft_ratio"] = got
+    got = report.aggregates["lowrank_fullft_ratio"]
     if not abs(got - target) <= rel * target:
         yield f"ratio {got} not within {rel} of {target}"
 
@@ -516,34 +528,34 @@ def _check_max_final_loss(report, table, bound, asserts):
         yield f"final loss {report.aggregates['final_loss']} > {bound}"
 
 
+REQUIRED = inspect.Parameter.empty  # the default of a parameter without one
+
+
 @dataclass(frozen=True)
 class ExperimentType:
     """How `run-all` runs one experiment type.
 
     `run(params, config)` returns the report and an optional CSV table
-    (file-name suffix, header, rows). `params` are the driver's parameter
-    names and `required` those without a default; `check_params(params,
-    config)` raises what the run would raise for their values. `checks` maps
-    each assert key, in evaluation order, to a check(report, table, value,
-    asserts) that yields one detail per failure; None marks a key that
-    another check reads.
+    (file-name suffix, header, rows). `params` maps the driver's parameter
+    names to their defaults, REQUIRED for those without one;
+    `check_params(params, config)` raises what the run would raise for their
+    values. `checks` maps each assert key, in evaluation order, to a
+    check(report, table, value, asserts) that yields one detail per failure;
+    None marks a key that another check reads.
     """
 
     run: Callable
-    params: frozenset
-    required: frozenset
+    params: dict
     check_params: Callable
     checks: dict
 
 
 def _params_of(driver, check, *fixed) -> tuple:
-    """The driver's parameter names, those without a default, less `fixed`, and
-    a check(params, config) that runs `check` on params with the driver's defaults."""
-    params = [p for p in inspect.signature(driver).parameters.values() if p.name not in fixed]
-    defaults = {p.name: p.default for p in params if p.default is not p.empty}
-    return (frozenset(p.name for p in params),
-            frozenset(p.name for p in params if p.default is p.empty),
-            lambda given, config: check(**{**defaults, **given}))
+    """The driver's parameters with their defaults, less `fixed`, and a
+    check(params, config) that runs `check` on params with those defaults."""
+    params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
+              if p.name not in fixed}
+    return params, lambda given, config: check(**{**params, **given})
 
 
 EXPERIMENT_TYPES = {
@@ -560,8 +572,7 @@ EXPERIMENT_TYPES = {
         {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, frozenset({"config"}), frozenset(), _train_config,
-        {"max_final_loss": _check_max_final_loss}),
+        _run_train, {"config": {}}, _train_config, {"max_final_loss": _check_max_final_loss}),
     "schedule": ExperimentType(
         _run_schedule,
         *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),
@@ -583,70 +594,81 @@ _NAMES = {
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
 
-def _validate_experiment_entries(config: RunConfig) -> None:
-    for i, entry in enumerate(config.experiments):
-        where = f"experiments[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object")
-        for key in entry:
-            if key not in _ENTRY_KEYS:
-                raise ConfigError(f"unknown key '{where}.{key}' (known: {', '.join(_ENTRY_KEYS)})")
-        etype = EXPERIMENT_TYPES.get(entry.get("type"))
-        if etype is None:
-            raise ConfigError(f"{where}.type {entry.get('type')!r} unknown "
-                              f"(known: {', '.join(sorted(EXPERIMENT_TYPES))})")
-        for section, allowed in (("params", etype.params), ("assert", etype.checks)):
-            block = entry.get(section, {})
-            if not isinstance(block, dict):
-                raise ConfigError(f"{where}.{section} must be an object")
-            for key, value in block.items():
-                if key not in allowed:
-                    raise ConfigError(f"unknown key '{where}.{section}.{key}' "
-                                      f"(known: {', '.join(sorted(allowed))})")
-                if key in _NAMES:
-                    listed, parse = _NAMES[key]
-                    try:
-                        for name in listed(value):
-                            parse(name)
-                    except (TypeError, ValueError, IndexError, KeyError) as err:
-                        raise ConfigError(f"{where}.{section}.{key}: {err}") from None
-        params = entry.get("params", {})
-        missing = sorted(etype.required - set(params))
-        if missing:
-            raise ConfigError(f"missing key '{where}.params.{missing[0]}'")
+def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
+    """Raise a ConfigError for any key or value of one experiment entry that
+    its run would fail on; `where` prefixes the keys a message names."""
+    for key in entry:
+        if key not in _ENTRY_KEYS:
+            raise ConfigError(f"unknown key '{where}{key}' (known: {', '.join(_ENTRY_KEYS)})")
+    etype = EXPERIMENT_TYPES.get(entry.get("type"))
+    if etype is None:
+        raise ConfigError(f"{where}type {entry.get('type')!r} unknown "
+                          f"(known: {', '.join(sorted(EXPERIMENT_TYPES))})")
+    for section, allowed in (("params", etype.params), ("assert", etype.checks)):
+        block = entry.get(section, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"{where}{section} must be an object")
+        for key, value in block.items():
+            if key not in allowed:
+                raise ConfigError(f"unknown key '{where}{section}.{key}' "
+                                  f"(known: {', '.join(sorted(allowed))})")
+            if key in _NAMES:
+                listed, parse = _NAMES[key]
+                try:
+                    for name in listed(value):
+                        parse(name)
+                except (TypeError, ValueError, IndexError, KeyError) as err:
+                    raise ConfigError(f"{where}{section}.{key}: {err}") from None
+    params = entry.get("params", {})
+    missing = sorted(k for k, v in etype.params.items() if v is REQUIRED and k not in params)
+    if missing:
+        raise ConfigError(f"missing key '{where}params.{missing[0]}'")
+    try:
+        etype.check_params(params, config)
+    except (TypeError, ValueError) as err:
         # a train entry's one param is its config overrides
-        where = f"{where}.params" + (".config" if entry["type"] == "train" else "")
-        try:
-            etype.check_params(params, config)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{where}: {err}") from None
+        config_key = ".config" if entry["type"] == "train" else ""
+        raise ConfigError(f"{where}params{config_key}: {err}") from None
+
+
+def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple:
+    """Run one checked entry, write its table and report as `name` under
+    `out_dir`, and evaluate its asserts; returns (report, paths, failures)."""
+    etype = EXPERIMENT_TYPES[entry["type"]]
+    asserts = entry.get("assert", {})
+    report, table = etype.run(dict(entry.get("params", {})), config)
+    report.name = name
+    paths = []
+    if table is not None:
+        suffix, header, rows = table
+        paths.append(out_dir / f"{name}{suffix}.csv")
+        write_csv(paths[-1], header, rows)
+    failures = [f"{name}: {detail}" for key, check in etype.checks.items()
+                if check is not None and key in asserts
+                for detail in check(report, table, asserts[key], asserts)]
+    paths.append(report.write(out_dir))
+    return report, paths, failures
 
 
 def run_all(config: RunConfig, out_dir) -> tuple:
     """Execute every experiment in the config; returns (report paths, failures).
 
-    All entries are validated before anything runs. Embedded `assert`
+    All entries are checked before anything runs. Embedded `assert`
     blocks are evaluated against each experiment's results; failures are
     collected, not fatal.
     """
-    _validate_experiment_entries(config)
+    for i, entry in enumerate(config.experiments):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"experiments[{i}] must be an object")
+        check_entry(entry, config, f"experiments[{i}].")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, failures = [], []
     for i, entry in enumerate(config.experiments):
-        etype = EXPERIMENT_TYPES[entry["type"]]
-        name = entry.get("name", f"{entry['type']}-{i}")
-        asserts = entry.get("assert", {})
-        report, table = etype.run(dict(entry.get("params", {})), config)
-        report.name = name
-        if table is not None:
-            suffix, header, rows = table
-            paths.append(out_dir / f"{name}{suffix}.csv")
-            write_csv(paths[-1], header, rows)
-        for key, check in etype.checks.items():
-            if check is not None and key in asserts:
-                failures += [f"{name}: {d}" for d in check(report, table, asserts[key], asserts)]
-        paths.append(report.write(out_dir))
+        _, written, failed = run_entry(entry, config, out_dir,
+                                       entry.get("name", f"{entry['type']}-{i}"))
+        paths += written
+        failures += failed
     return paths, failures
 
 

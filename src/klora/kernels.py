@@ -135,6 +135,8 @@ class KindRow:
 
     def count(self, pieces: int) -> int:
         """Number of coefficient values at the given piece count."""
+        if pieces < 1:
+            raise ValueError(f"piece count must be >= 1, got {pieces}")
         return len(self.coefficients) + (pieces - 1 if self.piecewise else 0)
 
     def pieces_for(self, count: int) -> int:

@@ -34,8 +34,10 @@ from klora.kernels import (
     merge,
     numerical_rank,
 )
-from klora.model import Trainer, TrainerConfig, build_model, fine_tune
+from klora.model import Trainer, TrainerConfig, build_model
 from klora.tensor import Tensor, finite_diff_check, mul, reduce_sum
+
+from end_to_end_losses import mixk_and_linear_final_losses
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -284,16 +286,8 @@ class TestAcceptance:
 
     def test_10_end_to_end_advantage(self):
         start = time.perf_counter()
-        wins = 0
-        for seed in range(10):
-            ds = high_rank_regression(seed=seed)
-            finals = {}
-            for kind in (KernelKind.MIX_K, KernelKind.LINEAR):
-                cfg = TrainerConfig(lr=1e-2, epochs=60, steps_per_epoch=30,
-                                    batch_size=16, seed=seed, rank=4, kernel_kind=kind,
-                                    budget_ratio=0.3)
-                finals[kind] = fine_tune(cfg, ds).final_loss
-            wins += finals[KernelKind.MIX_K] < finals[KernelKind.LINEAR]
+        wins = sum(finals[KernelKind.MIX_K] < finals[KernelKind.LINEAR]
+                   for finals in mixk_and_linear_final_losses())
         detail = f"mix-k wins {wins}/10 paired seeds, {_timed(300, start, 'criterion 10')}"
         _report("10 end-to-end advantage on high-rank sparse regression", wins >= 8, detail)
 

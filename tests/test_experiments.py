@@ -11,7 +11,9 @@ from klora.cli import main as cli_main
 from klora.config import ConfigError, apply_defaults
 from klora.experiments import (
     DEFAULT_KERNELS,
+    EXPERIMENT_TYPES,
     MEMORY_MODES,
+    REQUIRED,
     alloc_trace_table,
     default_run_config,
     fit_matrix_experiment,
@@ -68,11 +70,21 @@ BAD_DOCUMENTS = [
     ({"sparsity": {"smoothing_beta1": 1.5}}, "value out of range for 'sparsity.smoothing_beta1'"),
     ({"sparsity": {"smoothing_beta2": -0.1}}, "value out of range for 'sparsity.smoothing_beta2'"),
     ({"kernel": {"kind": 3}}, "wrong type for 'kernel.kind': need a name"),
+    ({"train": {"task": {"samples": 0}}}, "value out of range for 'train.task.samples'"),
+    ({"train": {"task": {"kind": "blob-classification", "classes": 0}}},
+     "value out of range for 'train.task.classes'"),
+    ({"train": {"task": {"min_rank": 100}}}, "value out of range for 'train.task.min_rank'"),
+    ({"train": {"task": {"perturb_layers": "x"}}},
+     "value out of range for 'train.task.perturb_layers'"),
+    ({"train": {"task": {"kind": "blob-classification", "hidden": 0}}},
+     "value out of range for 'train.task.hidden'"),
+    ({"train": {"task": {"density": 1.5}}}, "value out of range for 'train.task.density'"),
 ]
 
 # bad second entries: a misspelled param and assert key, a missing required
 # param, an out-of-range train override, misspelled schedule names, param
-# values the driver rejects, and every bad document as a train override
+# values the driver rejects, every bad document as a train override, and
+# more values the driver rejects
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -100,6 +112,18 @@ TYPO_ENTRIES = [
      "experiments[1].params: factor scale must be positive"),
     *[({"type": "train", "params": {"config": document}},
        f"experiments[1].params.config: {message}") for document, message in BAD_DOCUMENTS],
+    ({"type": "rank-sweep", "params": {"pieces": 0}},
+     "experiments[1].params: piece count must be >= 1, got 0"),
+    ({"type": "fit-matrix", "params": {"m": 8, "n": 8, "pieces": 3, "r": 2}},
+     "experiments[1].params: piece count 3 exceeds rank 2"),
+    ({"type": "fit-matrix", "params": {"m": 8, "n": 8, "r": 9}},
+     "experiments[1].params: rank 9 outside [1, min(m, n) = 8]"),
+    ({"type": "rank-sweep", "params": {"eps_rel": 2}},
+     "experiments[1].params: eps_rel must lie in (0, 1), got 2"),
+    ({"type": "grad-evolution", "params": {"pieces": 0}},
+     "experiments[1].params: piece count must be >= 1, got 0"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2, "pieces": -5}},
+     "experiments[1].params: piece count must be >= 1, got -5"),
 ]
 
 
@@ -279,6 +303,13 @@ class TestMemoryModel:
         assert kernel_coefficient_count("mix-k", 2) == 4
         assert kernel_coefficient_count("rbf") == 3
 
+    @pytest.mark.parametrize("kind", ["mix-k", "linear"])
+    def test_piece_count_below_one_rejected(self, kind):
+        with pytest.raises(ValueError, match="piece count must be >= 1, got -5"):
+            kernel_coefficient_count(kind, -5)
+        with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+            memory_footprint_estimate([(8, 8)], 2, "low-rank", kernel_kind=kind, pieces=0)
+
 
 class TestAllocTraceExport:
     def _trace(self):
@@ -379,6 +410,12 @@ class TestRunAll:
         paths, failures = run_all(cfg, tmp_path)
         assert len(failures) == 1 and "mem" in failures[0]
 
+    def test_linear_fit_with_more_pieces_than_rank_still_runs(self, tmp_path):
+        entry = {"type": "fit-matrix", "params": {"m": 8, "n": 8, "r": 2, "pieces": 3,
+                                                  "kernels": ["linear"], "steps": 5, "seeds": 1}}
+        paths, failures = run_all(apply_defaults({"experiments": [entry]}), tmp_path)
+        assert failures == [] and [p.name for p in paths] == ["fit-matrix-0.json"]
+
     @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
     def test_typo_in_later_entry_rejected_before_running(self, tmp_path, second, where):
         cfg = apply_defaults({"experiments": [SCHEDULE_ENTRY, second]})
@@ -434,7 +471,7 @@ class TestCli:
         result = runner.invoke(cli_main, ["memory-model", "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         data = json.loads((tmp_path / "memory-model.json").read_text())
-        assert set(data) == set(MEMORY_MODES)
+        assert set(data["aggregates"]) == {*MEMORY_MODES, "lowrank_fullft_ratio"}
 
     def test_rank_sweep_command(self, tmp_path):
         runner = CliRunner()
@@ -572,6 +609,13 @@ BAD_INPUT_COMMANDS = [
     (["alloc-trace", "UNKNOWN_KEY"], "unexpected keyword argument 'loss'"),
     (["alloc-trace", "NO_LAYERS"], "trace has no layers"),
     (["alloc-trace", "RAGGED"], "epoch 0 has 0 ratios for 1 layers"),
+    (["rank-sweep", "--pieces", "0"], "piece count must be >= 1, got 0"),
+    (["fit-matrix", "--pieces", "3", "--rank", "2", "--size", "8"],
+     "piece count 3 exceeds rank 2"),
+    (["fit-matrix", "--rank", "9", "--size", "8"], "rank 9 outside [1, min(m, n) = 8]"),
+    (["grad-evolution", "--pieces", "0"], "piece count must be >= 1, got 0"),
+    (["memory-model", "--pieces", "-5", "--layers", "1", "--m", "8", "--n", "8", "--rank", "2"],
+     "piece count must be >= 1, got -5"),
 ]
 
 # files the commands above name by a placeholder
@@ -648,6 +692,44 @@ def test_cli_grad_check_passes(args):
 def test_cli_keeps_accepted_spellings(tmp_path, args):
     result = CliRunner().invoke(cli_main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
+
+
+EXPERIMENT_COMMANDS = ("fit-matrix", "grad-evolution", "rank-sweep", "schedule", "memory-model")
+
+
+@pytest.mark.parametrize("command", EXPERIMENT_COMMANDS)
+def test_cli_option_defaults_are_the_drivers(command):
+    # an option sets the driver parameter it is named after; --size sets m and n
+    defaults = EXPERIMENT_TYPES[command].params
+    for option in cli_main.commands[command].params:
+        names = ("m", "n") if option.opts == ["--size"] else (option.name,)
+        for name in names:
+            if defaults.get(name, REQUIRED) is not REQUIRED and option.default is not None:
+                assert option.default == defaults[name], (command, option.opts, name)
+
+
+@pytest.mark.parametrize("args, params", [
+    (["schedule", "--b0", "100", "--bt", "10", "--steps", "5"],
+     {"b0": 100, "bT": 10, "T": 5, "kinds": ["constant", "linear", "quadratic", "cubic"]}),
+    (["memory-model", "--layers", "2", "--m", "8", "--n", "6", "--rank", "2"],
+     {"layer_dims": [[8, 6], [8, 6]], "r": 2, "kernel_kind": "mix-k", "pieces": 2}),
+    (["rank-sweep", "--size", "16", "--seeds", "2", "--rank", "2", "--rank", "4"],
+     {"m": 16, "n": 16, "seeds": 2, "r_values": [2, 4]}),
+], ids=["schedule", "memory-model", "rank-sweep"])
+def test_cli_command_writes_what_its_run_all_entry_writes(tmp_path, args, params):
+    command = tmp_path / "command"
+    result = CliRunner().invoke(cli_main, args + ["--out", str(command)])
+    assert result.exit_code == 0, result.output
+    entry = {"name": args[0], "type": args[0], "params": params}
+    paths, failures = run_all(apply_defaults({"experiments": [entry]}), tmp_path / "run-all")
+    assert failures == []
+    assert sorted(p.name for p in command.iterdir()) == sorted(p.name for p in paths)
+    for path in paths:
+        mine, theirs = (command / path.name).read_text(), path.read_text()
+        if path.suffix == ".json":
+            mine, theirs = json.loads(mine), json.loads(theirs)
+            mine.pop("duration_s"), theirs.pop("duration_s")
+        assert mine == theirs, path.name
 
 
 def test_default_run_config_is_valid():

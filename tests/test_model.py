@@ -26,6 +26,8 @@ from klora.model import (
 )
 from klora.tensor import Tensor, backward
 
+from end_to_end_losses import mixk_and_linear_final_losses
+
 
 def make_layer(rng, m=5, n=4, r=2, kind=KernelKind.MIX_K, std=0.02, **kwargs):
     w0 = rng.normal(size=(m, n))
@@ -506,24 +508,6 @@ class TestEndToEndAdvantage:
         # the planted update is scattered (density 0.1) and rank > 4, so a
         # rank-4 linear merge cannot spike at its support without lighting
         # up whole rows and columns; the mixed kernel can
-        wins = 0
-        losses = []
-        for seed in range(10):
-            ds = high_rank_regression(seed=seed)
-            results = {}
-            for kind in (KernelKind.MIX_K, KernelKind.LINEAR):
-                cfg = TrainerConfig(
-                    lr=1e-2,
-                    epochs=60,
-                    steps_per_epoch=30,
-                    batch_size=16,
-                    seed=seed,
-                    rank=4,
-                    kernel_kind=kind,
-                    budget_ratio=0.3,
-                )
-                results[kind] = fine_tune(cfg, ds).final_loss
-            losses.append(results)
-            if results[KernelKind.MIX_K] < results[KernelKind.LINEAR]:
-                wins += 1
+        losses = mixk_and_linear_final_losses()
+        wins = sum(r[KernelKind.MIX_K] < r[KernelKind.LINEAR] for r in losses)
         assert wins >= 8, f"mixk won only {wins}/10: {losses}"
