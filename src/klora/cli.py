@@ -172,7 +172,7 @@ def train_cmd(config, out, checkpoint_path, **overrides):
                 section, key = _OVERRIDE_KEYS[option].split(".")
                 raw.setdefault(section, {})[key] = value
         run_config = apply_defaults(raw)
-    dataset = dataset_from(run_config)
+        dataset = dataset_from(run_config)
     trainer_cfg = trainer_config_from(run_config)
     model = build_model(dataset, trainer_cfg)
     trainer = Trainer(model, trainer_cfg, dataset)

@@ -217,12 +217,20 @@ def trainer_config_from(config: RunConfig) -> TrainerConfig:
 
 
 def dataset_from(config: RunConfig):
-    """Build the configured synthetic dataset (model dims drive the task)."""
+    """Build the configured synthetic dataset (model dims drive the task).
+
+    A `min_rank` that no sparse draw at the task's density reaches is a
+    ConfigError: which ranks a draw can reach depends on the density, so
+    `apply_defaults` cannot rule it out.
+    """
     kind, args = _task(config)
     dims, seed = config.model["layer_dims"], config.train["seed"]
     supplied = {"layer_dims": tuple(dims), "bias": config.model["bias"]}
     args.update((key, supplied[key]) for key in datasets.TASKS[kind][1])
-    dataset = datasets.synth_dataset(kind, seed=seed, **args)
+    try:
+        dataset = datasets.synth_dataset(kind, seed=seed, **args)
+    except datasets.UnreachableRank as err:
+        raise ConfigError(f"value out of range for 'train.task.min_rank': {err}") from None
 
     attention = _attention(config.model)
     if attention is not None:

@@ -63,6 +63,10 @@ def _forward_numpy(weights, x: np.ndarray) -> np.ndarray:
     return h
 
 
+class UnreachableRank(ValueError):
+    """No sparse perturbation of the asked-for rank came out of the draws."""
+
+
 def _sparse_perturbation(rng: np.random.Generator, shape, density: float,
                          scale: float, min_rank: int) -> np.ndarray:
     """Random sparse matrix with numerical rank above min_rank (when feasible)."""
@@ -71,7 +75,7 @@ def _sparse_perturbation(rng: np.random.Generator, shape, density: float,
         pert = rng.normal(0.0, scale, size=shape) * mask
         if min_rank <= 0 or numerical_rank(pert, 1e-9) > min_rank:
             return pert
-    raise RuntimeError(
+    raise UnreachableRank(
         f"could not draw a density-{density} perturbation of rank > {min_rank} on {shape}"
     )
 

@@ -1,10 +1,11 @@
 """Desk-scale experiment drivers behind the CLI.
 
 Each driver returns an ExperimentReport whose aggregates are recomputable
-from the per-seed entries. The fitting drivers run the seeds of one kernel
-stacked on a leading axis, one recorded graph and one optimizer step for all
-of them; the seeds share no values, so each seed's results are those of a
-run on its own. Every run is deterministic per seed.
+from the per-seed entries. The fitting drivers run every kernel and seed
+together, the seeds stacked on a leading axis and the kernels' merges
+stacked on one more, with one recorded graph and one optimizer step for
+all of them per step; the fits share no values, so each (kernel, seed)
+result is that of a run on its own. Every run is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from .kernels import (
 )
 from .model import Adam, RunTrace, fine_tune
 from .reports import ExperimentReport, StopWatch, write_csv
-from .tensor import Tensor, backward, reduce_mean, reduce_sum, square, sub
+from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack
+# the fits no longer call these; perfbench's span recorder wraps them by name here
+from .tensor import reduce_mean, square, sub  # noqa: F401
 
 DEFAULT_KERNELS = ("mix-k", "p-linear", "linear")
 
@@ -111,19 +114,22 @@ def _memory_dims(layer_dims, r: int, pieces: int = 1, **_) -> list:
     return dims
 
 
-def _fit(kind: KernelKind, targets: np.ndarray, seeds, r: int, steps: int, lr: float,
-         pieces: int, factor_std: float, record_points: int = 40,
-         init_scale: float | None = None, canonical_coeffs: bool = False,
-         piece_init_eps: float = 0.0) -> list:
-    """Fit one kernel to every seed's target at once; returns one run dict per seed.
+def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, pieces: int,
+         factor_std: float, record_points: int = 40, init_scale: float | None = None,
+         canonical_coeffs: bool = False, piece_init_eps: float = 0.0) -> list:
+    """Fit every kernel kind to every seed's target at once; returns, per kind,
+    one run dict per seed.
 
-    The targets (S, m, n), the factors (S, n, r) and (S, m, r) and the
-    coefficients are stacked on a leading seed axis, and each step records
-    one graph whose loss is the sum of the per-seed mean squared errors, so
-    every seed gets exactly its own gradient and shares no values with the
-    others. Each seed's factors come from its own stream. A seed whose loss
-    turns non-finite is marked diverged and keeps the parameters it had at
-    that step; the others carry on.
+    Each kind keeps its own factors (S, n, r) and (S, m, r) and coefficients,
+    stacked on a leading seed axis; each seed's factors come from its own
+    stream. Each step merges every kind, stacks the K merges into
+    (K, S, m, n), and records one graph whose loss is the sum of the K x S
+    mean squared errors against the targets ((S, m, n), or (K, S, m, n) for
+    one set per kind); one backward pass and one Adam step follow. Every
+    fit gets exactly its own gradient and shares no values with the others,
+    and Adam is elementwise, so each (kind, seed) result is that of a fit on
+    its own. A fit whose loss turns non-finite is marked diverged and keeps
+    the parameters it had at that step; the others carry on.
 
     `piece_init_eps` > 0 starts the piece coefficients antisymmetric
     (+eps, -eps, ...), which keeps the merged values mean-centered and
@@ -131,53 +137,65 @@ def _fit(kind: KernelKind, targets: np.ndarray, seeds, r: int, steps: int, lr: f
     additive offset racing the other way) that can trap the mixed kernel
     at this step budget.
     """
-    _, m, n = targets.shape
-    factors = [_fresh_factors(kind, np.random.default_rng([seed, 0xF1]), m, n, r, factor_std,
-                              scale=init_scale) for seed in seeds]
-    pair = LowRankPair(A=Tensor(np.stack([a for a, _ in factors]), requires_grad=True),
-                       B=Tensor(np.stack([b for _, b in factors]), requires_grad=True))
-    if canonical_coeffs:
-        spec = KernelSpec.canonical(kind, pieces=pieces, trainable=True)
-    else:
-        spec = KernelSpec.zero_init(kind, pieces=pieces)
-        if piece_init_eps and KINDS[kind].piecewise:
-            alpha_p = spec.coeffs[0]
-            signs = np.where(np.arange(alpha_p.data.size) % 2 == 0, 1.0, -1.0)
-            alpha_p.data[:] = piece_init_eps * signs
-    spec = spec.stacked(len(seeds))
-    params = [pair.A, pair.B, *spec.coefficients()]
-    opt = Adam(params, lr=lr)
-    target_t = Tensor(targets)
+    m, n = targets.shape[-2:]
+    if not kinds:
+        return []
+    fits = []
+    for kind in kinds:
+        factors = [_fresh_factors(kind, np.random.default_rng([seed, 0xF1]), m, n, r,
+                                  factor_std, scale=init_scale) for seed in seeds]
+        pair = LowRankPair(A=Tensor(np.stack([a for a, _ in factors]), requires_grad=True),
+                           B=Tensor(np.stack([b for _, b in factors]), requires_grad=True))
+        if canonical_coeffs:
+            spec = KernelSpec.canonical(kind, pieces=pieces, trainable=True)
+        else:
+            spec = KernelSpec.zero_init(kind, pieces=pieces)
+            if piece_init_eps and KINDS[kind].piecewise:
+                alpha_p = spec.coeffs[0]
+                signs = np.where(np.arange(alpha_p.data.size) % 2 == 0, 1.0, -1.0)
+                alpha_p.data[:] = piece_init_eps * signs
+        fits.append((spec.stacked(len(seeds)), pair))
+    params = [[pair.A, pair.B, *spec.coefficients()] for spec, pair in fits]
+    opt = Adam([p for kind_params in params for p in kind_params], lr=lr)
+
+    def losses():
+        return mean_squared_error(stack([merge(spec, pair) for spec, pair in fits]), targets)
+
     record_every = max(1, steps // record_points) if steps else 1
-    traces = [[] for _ in seeds]
-    grad_traces = [[] for _ in seeds]
-    live = np.ones(len(seeds), dtype=bool)
-    held = None  # parameters of the diverged seeds, as of their divergence
+    traces = [[[] for _ in seeds] for _ in fits]
+    grad_traces = [[[] for _ in seeds] for _ in fits]
+    live = np.ones((len(fits), len(seeds)), dtype=bool)
+    held = {}  # kind index -> parameters of its diverged seeds, as of their divergence
     for step in range(steps):
         opt.zero_grad()
-        losses = reduce_mean(square(sub(merge(spec, pair), target_t)), axis=(-2, -1))
-        values = losses.data
+        loss = losses()
+        values = loss.data
         diverging = live & ~np.isfinite(values)
         if diverging.any():
             live &= ~diverging
             if not live.any():
                 break
-            held = [p.data[~live] for p in params]  # boolean indexing copies
-        backward(reduce_sum(losses))
+            for k in np.flatnonzero(diverging.any(axis=1)):
+                held[k] = [p.data[~live[k]] for p in params[k]]  # boolean indexing copies
+        backward(reduce_sum(loss))
         if step % record_every == 0:
-            # mean |gradient| over both factors, per seed
-            mag = np.abs(pair.A.grad).sum(axis=(-2, -1)) + np.abs(pair.B.grad).sum(axis=(-2, -1))
-            for s in np.flatnonzero(live):
-                traces[s].append([step, float(values[s])])
-                grad_traces[s].append([step, float(mag[s]) / ((m + n) * r)])
+            for k, (_, pair) in enumerate(fits):
+                # mean |gradient| over both factors, per seed
+                mag = (np.abs(pair.A.grad).sum(axis=(-2, -1))
+                       + np.abs(pair.B.grad).sum(axis=(-2, -1))) / ((m + n) * r)
+                kind_values, mags = values[k].tolist(), mag.tolist()
+                for s in np.flatnonzero(live[k]):
+                    traces[k][s].append([step, kind_values[s]])
+                    grad_traces[k][s].append([step, mags[s]])
         opt.step()
-        if held is not None:
-            for p, kept in zip(params, held):
-                p.data[~live] = kept
-    finals = reduce_mean(square(sub(merge(spec, pair), target_t)), axis=(-2, -1)).data
-    return [{"final_mse": float(final), "diverged": not (ok and math.isfinite(final)),
-             "trace": trace, "grad_trace": grad_trace}
-            for final, ok, trace, grad_trace in zip(finals, live, traces, grad_traces)]
+        for k, kept in held.items():
+            for p, p_kept in zip(params[k], kept):
+                p.data[~live[k]] = p_kept
+    finals = losses().data.tolist()
+    return [[{"final_mse": final, "diverged": not (ok and math.isfinite(final)),
+              "trace": trace, "grad_trace": grad_trace}
+             for final, ok, trace, grad_trace in zip(*kind_runs)]
+            for kind_runs in zip(finals, live.tolist(), traces, grad_traces)]
 
 
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int | None = None,
@@ -193,7 +211,8 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     kernels within a seed so comparisons are paired.
     """
     watch = StopWatch()
-    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank)
+    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank, r=r,
+                pieces=pieces, kernels=kernels)
     if target_rank is None:
         target_rank = min(m, n)
     kinds = [parse_kernel_kind(k) for k in kernels]
@@ -211,10 +230,10 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
         }
         for seed, target in zip(seed_list, targets)
     ]
-    for kind in kinds:
-        runs = _fit(kind, targets, seed_list, r, steps, lr, pieces, factor_std,
-                    piece_init_eps=piece_init_eps)
-        for entry, run in zip(per_seed, runs):
+    runs = _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std,
+                piece_init_eps=piece_init_eps)
+    for kind, kind_runs in zip(kinds, runs):
+        for entry, run in zip(per_seed, kind_runs):
             entry["kernels"][kind.value] = run
     aggregates = {
         "mean_final_mse": {
@@ -256,7 +275,8 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
     and the RBF/mixed ratio when both kinds are present.
     """
     watch = StopWatch()
-    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale)
+    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale, r=r, pieces=pieces,
+                kernels=kernels)
     kinds = [parse_kernel_kind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
@@ -264,10 +284,10 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
         for seed in seed_list
     ])
     per_seed = [{"seed": seed, "kernels": {}} for seed in seed_list]
-    for kind in kinds:
-        runs = _fit(kind, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
-                    init_scale=scale, canonical_coeffs=True)
-        for entry, run in zip(per_seed, runs):
+    runs = _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
+                init_scale=scale, canonical_coeffs=True)
+    for kind, kind_runs in zip(kinds, runs):
+        for entry, run in zip(per_seed, kind_runs):
             rng = np.random.default_rng([entry["seed"], 0xC3])
             probe = LowRankPair(
                 A=Tensor(rng.uniform(-scale, scale, size=(n, r)), requires_grad=True),

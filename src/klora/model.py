@@ -46,6 +46,7 @@ from .tensor import (
     exp,
     log,
     matmul,
+    mean_squared_error,
     mul,
     rectify,
     reduce_mean,
@@ -53,7 +54,6 @@ from .tensor import (
     reshape,
     scalar_mul,
     softmax,
-    square,
     stack,
     sub,
     take,
@@ -74,7 +74,7 @@ def parse_alloc_period(name) -> AllocPeriod:
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    return reduce_mean(square(sub(pred, Tensor(target))))
+    return mean_squared_error(pred, target)
 
 
 def cross_entropy_loss(logits: Tensor, onehot: np.ndarray) -> Tensor:
@@ -116,6 +116,8 @@ class Adam:
                        for p, lo, hi in zip(self.params, bounds, bounds[1:])]
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
+        self._x = np.empty(bounds[-1])  # scratch for the step's intermediates
+        self._y = np.empty(bounds[-1])
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -129,17 +131,25 @@ class Adam:
             return np.zeros(0), np.zeros(0)
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad
                             for p in self.params], axis=None)
-        m, v = self._m, self._v
+        m, v, x, y = self._m, self._v, self._x, self._y
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=x)
+        m += x
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
+        np.multiply(g, g, out=x)
+        x *= 1.0 - self.beta2
+        v += x
+        # lr * m_hat / (sqrt(v_hat) + eps), in that order
+        np.divide(v, bc2, out=x)
+        np.sqrt(x, out=x)
+        x += self.eps
+        np.divide(m, bc1, out=y)
+        y *= self.lr
+        y /= x
         # the parameters become views of one fresh array: callers may still
         # hold the old ones
         data = np.concatenate([p.data for p in self.params], axis=None)
-        stepped = data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        stepped = data - y
         for p, (part, shape) in zip(self.params, self._slots):
             p.data = stepped[part].reshape(shape)
         return data, g

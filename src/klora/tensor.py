@@ -436,6 +436,30 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     return _make(data, (a,), bwd_axis)
 
 
+def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
+    """mean((x - target)²) over the last two axes of x, as one recorded op.
+
+    target is a constant array that broadcasts to x's shape; the result has
+    x's leading axes, 0-d for a matrix. Forward and backward repeat, in
+    order, the floating-point operations of
+    reduce_mean(square(sub(x, Tensor(target))), axis=(-2, -1)), less the
+    gradient that chain forms for the target. The backward recomputes
+    x - target rather than hold it from the forward pass.
+    """
+    diff = x.data - target
+    if x.data.ndim < 2 or diff.shape != x.data.shape:
+        raise ValueError(f"need a matrix or a stack of them and a target that broadcasts "
+                         f"to it, got {x.data.shape} and {np.shape(target)}")
+    n = diff.shape[-2] * diff.shape[-1]
+    diff *= diff
+    data = np.asarray(diff.mean(axis=(-2, -1)))
+
+    def bwd(g):
+        return (np.expand_dims(g / n, (-2, -1)) * (2.0 * (x.data - target)),)
+
+    return _make(data, (x,), bwd)
+
+
 # -- pairwise row distances -----------------------------------------------------
 
 # Entries with d² <= _GUARD * (|b_s|² + |a_s|²) are recomputed from explicit
@@ -445,18 +469,17 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
 _GUARD = 1e-6
 
 
-def _segment_sq_distances(b: np.ndarray, a: np.ndarray, s: int, e: int):
-    """Squared distances between the rows of b[..., s:e] (m x k) and a[..., s:e] (n x k).
+def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
+    """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k).
 
     Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j, so no
     (m, n, k) array is formed. Leading axes are a batch of independent
     slices. Returns (d2, guarded): the (..., m, n) array of d², and None or
     the guarded entries as (index, diff), where index is the tuple of index
     arrays of those entries in d2 (batch axes, then i, then j) and diff[k]
-    the row difference b_i[s:e] - a_j[s:e] that gave entry k. Every
-    unguarded entry exceeds a nonnegative bound, so d² needs no clamp at zero.
+    the row difference bs_i - as_j that gave entry k. Every unguarded entry
+    exceeds a nonnegative bound, so d² needs no clamp at zero.
     """
-    bs, as_ = b[..., s:e], a[..., s:e]
     nb = np.einsum("...ik,...ik->...i", bs, bs)[..., :, None]
     na = np.einsum("...jk,...jk->...j", as_, as_)[..., None, :]
     d2 = bs @ np.swapaxes(as_, -1, -2)
@@ -466,6 +489,8 @@ def _segment_sq_distances(b: np.ndarray, a: np.ndarray, s: int, e: int):
     if np.min(d2, initial=np.inf) > _GUARD * (nb.max(initial=0.0) + na.max(initial=0.0)):
         return d2, None  # no entry is near cancellation
     index = np.nonzero(d2 <= _GUARD * (nb + na))
+    if not index[0].size:
+        return d2, None
     *lead, i, j = index
     diff = bs[(*lead, i)] - as_[(*lead, j)]
     d2[index] = np.einsum("kr,kr->k", diff, diff)
@@ -479,64 +504,91 @@ def _check_factors(b: Tensor, a: Tensor) -> None:
                          f"got {bs} and {as_}")
 
 
+def _piece_columns(bounds, r: int):
+    """The widest piece's width w, and None when every piece is w wide, else the
+    (P, w) column index of each piece's k-th column, r where a narrower piece is padded."""
+    w = max(e - s for s, e in bounds)
+    if all(e - s == w for s, e in bounds):
+        return w, None
+    cols = np.full((len(bounds), w), r)
+    for p, (s, e) in enumerate(bounds):
+        cols[p, :e - s] = np.arange(s, e)
+    return w, cols
+
+
+def _split_pieces(x: np.ndarray, w: int, cols) -> np.ndarray:
+    """(..., k, r) -> (..., P, k, w): the pieces of x's columns, narrower ones zero-padded."""
+    if cols is None:
+        y = x.reshape(*x.shape[:-1], -1, w)
+    else:
+        y = np.concatenate((x, np.zeros((*x.shape[:-1], 1))), axis=-1).take(cols, axis=-1)
+    return np.swapaxes(y, -3, -2)
+
+
+def _join_pieces(y: np.ndarray, r: int, cols) -> np.ndarray:
+    """The inverse of `_split_pieces`: (..., P, k, w) -> (..., k, r), padding dropped."""
+    y = np.swapaxes(y, -3, -2)
+    y = y.reshape(*y.shape[:-2], -1)
+    return y if cols is None else y.take(np.flatnonzero(cols.ravel() < r), axis=-1)
+
+
 def _slice_dot(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """sum(g * d) over the last two axes, per slice, as one BLAS dot product each."""
-    lead = d.shape[:-2]
-    g = np.ascontiguousarray(g).reshape(*lead, 1, -1)
-    return (g @ d.reshape(*lead, -1, 1))[..., 0, 0]
+    """sum(g * d[..., p, :, :]) for each piece p of d (..., P, m, n), g (..., m, n),
+    as one BLAS dot product each."""
+    g = np.ascontiguousarray(g).reshape(*g.shape[:-2], 1, 1, -1)
+    return (g @ d.reshape(*d.shape[:-2], -1, 1))[..., 0, 0]
 
 
 def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
     """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
 
     Row i of B (m x r) against row j of A (n x r), with segment p the
-    columns [start, end) of bounds[p]. B and A may carry the same leading
-    batch axes, with alpha_p shaped (..., P): every slice is computed on its
-    own, with its own weights. One recorded op with a closed-form backward;
-    it holds P arrays of m x n per slice, never an (m, n, r) array. The
-    subgradient at a zero distance is 0.
+    columns [start, end) of bounds[p]; the segments tile [0, r) in order.
+    B and A may carry the same leading batch axes, with alpha_p shaped
+    (..., P): every slice is computed on its own, with its own weights. One
+    recorded op with a closed-form backward. The pieces lie on one axis,
+    (..., P, m, w) for the widest piece's width w, narrower pieces padded
+    with zero columns; it holds a (..., P, m, n) array of distances, never
+    an (m, n, r) array. The subgradient at a zero distance is 0.
     """
     _check_factors(b, a)
     lead, r = b.data.shape[:-2], b.data.shape[-1]
     for s, e in bounds:
         if not (0 <= s < e <= r):
             raise ValueError(f"segment ({s}, {e}) out of range for axis length {r}")
+    starts = [s for s, _ in bounds]
+    if not bounds or starts != [0, *(e for _, e in bounds[:-1])] or bounds[-1][1] != r:
+        raise ValueError(f"segments must tile [0, {r}) in order, got {list(bounds)}")
     if alpha_p.data.shape != (*lead, len(bounds)):
         raise ValueError(f"need {len(bounds)} segment weights per slice, "
                          f"got shape {alpha_p.data.shape}")
-    pieces = []
-    out = np.zeros((*lead, b.data.shape[-2], a.data.shape[-2]))
-    for p, (s, e) in enumerate(bounds):
-        d, guarded = _segment_sq_distances(b.data, a.data, s, e)
-        np.sqrt(d, out=d)
-        out += alpha_p.data[..., p, None, None] * d
-        pieces.append((s, e, d, guarded))
+    w, cols = _piece_columns(bounds, r)
+    bp, ap = _split_pieces(b.data, w, cols), _split_pieces(a.data, w, cols)
+    d, guarded = _segment_sq_distances(bp, ap)
+    np.sqrt(d, out=d)
+    out = np.einsum("...p,...pij->...ij", alpha_p.data, d)
 
     def bwd(g):
-        gb = np.zeros_like(b.data)
-        ga = np.zeros_like(a.data)
-        galpha = np.empty(alpha_p.data.shape)
-        for p, (s, e, d, guarded) in enumerate(pieces):
-            galpha[..., p] = _slice_dot(g, d)
-            w = alpha_p.data[..., p]
-            bs, as_ = b.data[..., s:e], a.data[..., s:e]
-            # sum_j W_ij (b_i - a_j) with W = w g / d, in Gram form; that form
-            # cancels badly at the guarded entries, so they use their differences
-            with np.errstate(divide="ignore", invalid="ignore"):
-                weight = g / d
-            if guarded is not None:
-                index, diff = guarded
-                *lead_i, i, j = index
-                weight[index] = 0.0
-                dg = d[index]
-                wg = w[tuple(lead_i)] * g[index]
-                scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
-                np.add.at(gb[..., s:e], (*lead_i, i), scale[:, None] * diff)
-                np.add.at(ga[..., s:e], (*lead_i, j), -scale[:, None] * diff)
-            weight *= w[..., None, None]
-            gb[..., s:e] += weight.sum(axis=-1)[..., None] * bs - weight @ as_
-            ga[..., s:e] += weight.sum(axis=-2)[..., None] * as_ - np.swapaxes(weight, -1, -2) @ bs
-        return gb, ga, galpha
+        galpha = _slice_dot(g, d)
+        # sum_j W_ij (b_i - a_j) with W = w g / d per piece, in Gram form; that
+        # form cancels badly at the guarded entries, so they use their differences
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = g[..., None, :, :] / d
+        gb = np.zeros_like(bp)
+        ga = np.zeros_like(ap)
+        if guarded is not None:
+            index, diff = guarded
+            *lead_i, p, i, j = index
+            weight[index] = 0.0
+            dg = d[index]
+            wg = alpha_p.data[(*lead_i, p)] * g[(*lead_i, i, j)]
+            scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
+            np.add.at(gb, (*lead_i, p, i), scale[:, None] * diff)
+            np.add.at(ga, (*lead_i, p, j), -scale[:, None] * diff)
+        weight *= alpha_p.data[..., None, None]
+        gb += weight.sum(axis=-1)[..., None] * bp - weight @ ap
+        ga += weight.sum(axis=-2)[..., None] * ap - np.swapaxes(weight, -1, -2) @ bp
+        return _join_pieces(gb, r, cols), _join_pieces(ga, r, cols), galpha
 
     return _make(out, (b, a, alpha_p), bwd)
 
@@ -548,7 +600,7 @@ def squared_distances(b: Tensor, a: Tensor) -> Tensor:
     One recorded op with a closed-form backward and no (m, n, r) array.
     """
     _check_factors(b, a)
-    d2, _ = _segment_sq_distances(b.data, a.data, 0, b.data.shape[-1])
+    d2, _ = _segment_sq_distances(b.data, a.data)
 
     def bwd(g):
         # d(d²)/db_i = 2 (b_i - a_j) is bounded, so the Gram form is accurate here

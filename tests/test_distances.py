@@ -121,6 +121,9 @@ def test_rejects_bad_segments_and_shapes():
     b, a = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
     with pytest.raises(ValueError, match="out of range"):
         weighted_segment_distances(b, a, Tensor(np.ones(2)), [(0, 2), (2, 5)])
+    for bounds in ([(0, 1), (2, 4)], [(2, 4), (0, 2)], [(0, 2)]):
+        with pytest.raises(ValueError, match="tile"):
+            weighted_segment_distances(b, a, Tensor(np.ones(len(bounds))), bounds)
     with pytest.raises(ValueError, match="segment weights"):
         weighted_segment_distances(b, a, Tensor(np.ones(3)), [(0, 2), (2, 4)])
     with pytest.raises(ValueError, match="matrices"):
@@ -181,6 +184,23 @@ def test_merge_matches_composed_oracle_at_64x48(kind, pieces):
     rng = np.random.default_rng([pieces, 48])
     a, b = 0.5 * rng.normal(size=(48, 8)), 0.5 * rng.normal(size=(64, 8))
     weights = Tensor(rng.normal(size=(64, 48)))
+    fused = _gradients(merge, kind, pieces, a, b, weights)
+    oracle = _gradients(composed_merge, kind, pieces, a, b, weights)
+    np.testing.assert_allclose(fused[0], oracle[0], rtol=0.0, atol=1e-12 * np.abs(oracle[0]).max())
+    scale = max(np.abs(x).max() for x in oracle[1:])
+    for got, want in zip(fused[1:], oracle[1:]):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("r, pieces", [(3, 2), (7, 3)])
+@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K])
+def test_unequal_pieces_match_composed_oracle(kind, r, pieces):
+    # the pieces lie on one axis, the narrower ones zero-padded to the widest
+    # one's width; one row pair sits inside the cancellation guard
+    rng = np.random.default_rng([r, pieces])
+    a, b = 0.5 * rng.normal(size=(20, r)), 0.5 * rng.normal(size=(24, r))
+    a[3] = b[5] + 1e-9
+    weights = Tensor(rng.normal(size=(24, 20)))
     fused = _gradients(merge, kind, pieces, a, b, weights)
     oracle = _gradients(composed_merge, kind, pieces, a, b, weights)
     np.testing.assert_allclose(fused[0], oracle[0], rtol=0.0, atol=1e-12 * np.abs(oracle[0]).max())

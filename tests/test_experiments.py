@@ -199,8 +199,8 @@ class TestFitMatrix:
         targets = np.stack([rng.normal(size=(8, 6)), 1e308 * rng.normal(size=(8, 6))])
 
         def fit(index, seeds):
-            return _fit(kind, targets[index], seeds, r=2, steps=30, lr=1e-2, pieces=2,
-                        factor_std=1.0)
+            return _fit([kind], targets[index], seeds, r=2, steps=30, lr=1e-2, pieces=2,
+                        factor_std=1.0)[0]
 
         healthy, diverged = fit([0, 1], [0, 1])
         assert healthy == fit([0], [0])[0]
@@ -209,6 +209,19 @@ class TestFitMatrix:
         solo = fit([1], [1])[0]
         assert solo["final_mse"] == diverged["final_mse"] == np.inf
         assert solo == diverged
+
+    @pytest.mark.parametrize("driver", [fit_matrix_experiment, grad_evolution_experiment])
+    def test_bad_rank_rejected_before_any_target_is_drawn(self, driver, monkeypatch):
+        drawn = []
+        monkeypatch.setattr("klora.experiments.make_fit_target",
+                            lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=re.escape("rank 0 outside [1, min(m, n) = 8]")):
+            driver(m=8, n=8, r=0, kernels=("linear",), steps=2, seeds=1)
+        with pytest.raises(ValueError, match="piece count 3 exceeds rank 2"):
+            driver(m=8, n=8, r=2, pieces=3, kernels=("p-linear",), steps=2, seeds=1)
+        with pytest.raises(ValueError, match="unknown kernel"):
+            driver(m=8, n=8, r=2, kernels=("poly",), steps=2, seeds=1)
+        assert drawn == []
 
     def test_nonlinear_kernels_beat_linear_on_dense_targets(self):
         # dense-target analogue: with two-wide segments (r=4, P=2) both
@@ -671,6 +684,19 @@ def test_cli_train_rejects_bad_document(tmp_path, document, message):
     result = CliRunner().invoke(cli_main, ["train", "--config", str(path), "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert message in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_cli_train_rejects_an_unreachable_min_rank(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"train": {"task": {"min_rank": 15}}}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, ["train", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert ("value out of range for 'train.task.min_rank': could not draw a density-0.1 "
+            "perturbation of rank > 15 on (16, 16)") in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 
