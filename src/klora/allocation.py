@@ -2,7 +2,8 @@
 
 Layer level: smoothed sensitivity statistics turn into per-layer scores, a
 decaying global budget is split across layers by iterative proportional
-allocation with caps, and leftover units are handed out one at a time.
+allocation with caps, and leftover units are handed out in rounds of one
+unit per layer.
 Weight level: within a layer, a dynamic magnitude threshold keeps exactly
 the budgeted number of update entries alive (given distinct magnitudes)
 and zeroes the rest with a soft-threshold function.
@@ -105,25 +106,36 @@ class ImportanceState:
             return
         if raw.shape != self.i_bar.shape:
             raise ValueError("sensitivity shape changed between updates")
+        # in place, in the order of b1 * i_bar + (1 - b1) * raw and
+        # b2 * u_bar + (1 - b2) * |i_bar - raw|
         b1, b2 = self.beta1, self.beta2
-        self.i_bar = b1 * self.i_bar + (1.0 - b1) * raw
-        self.u_bar = b2 * self.u_bar + (1.0 - b2) * np.abs(self.i_bar - raw)
+        i_bar, u_bar = self.i_bar, self.u_bar
+        i_bar *= b1
+        i_bar += (1.0 - b1) * raw
+        dev = i_bar - raw
+        np.abs(dev, out=dev)
+        dev *= 1.0 - b2
+        u_bar *= b2
+        u_bar += dev
         self.t += 1
 
 
 def layer_score(state: ImportanceState | None, metric, pair=None, merged=None,
-                parts=(slice(None),)) -> float:
+                parts=(slice(None),), product=None) -> float:
     """Per-layer importance score under the chosen metric (always >= 0).
 
     Under the sensitivity metric the score sums, over `parts` (slices of
     the state's arena, by default all of it), the mean of i_bar * u_bar.
+    A caller scoring many layers passes that product once as `product`.
     """
     metric = parse_metric(metric)
     if metric is Metric.SENSITIVITY:
         if state is None or not state.initialized:
             raise ValueError("sensitivity metric needs an updated importance state")
-        i_bar, u_bar = state.i_bar, state.u_bar
-        return float(sum((i_bar[part] * u_bar[part]).mean() for part in parts))
+        if product is None:
+            product = state.i_bar * state.u_bar
+        # sum / size is how numpy forms a float mean
+        return float(sum(x.sum() / x.size for x in (product[part] for part in parts)))
     if metric is Metric.MAGNITUDE:
         if pair is None:
             raise ValueError("magnitude metric needs the factor pair")
@@ -222,20 +234,31 @@ def alloc(scores, caps, budget: int) -> AllocationResult:
                     p[l] = 0.0
             remaining = budget - sum(budgets)
         if remaining > 0 and (p_sum <= 0.0 or not progress):
-            order = sorted(
-                (l for l in range(n) if budgets[l] < caps[l]),
-                key=lambda l: (-scores[l], l),
-            )
-            while remaining > 0 and order:
-                for l in order:
-                    if remaining == 0:
-                        break
-                    if budgets[l] < caps[l]:
-                        budgets[l] += 1
-                        remaining -= 1
-                order = [l for l in order if budgets[l] < caps[l]]
+            _hand_out(budgets, caps, scores, remaining)
             break
     return AllocationResult(budgets=budgets, global_budget=budget, scores=scores)
+
+
+def _hand_out(budgets: list, caps: list, scores: list, remaining: int) -> None:
+    """Give `remaining` units one at a time in rounds over the unsaturated layers.
+
+    A round visits the layers in descending score order (ties toward the
+    lower index) and gives each one unit; saturated layers drop out between
+    rounds. Whole rounds are given out in closed form: as many as the
+    emptiest layer's room and the remainder both allow. The last, partial
+    round gives one unit to each of the first `remaining` layers. `remaining`
+    never exceeds the total room left.
+    """
+    order = sorted((l for l in range(len(caps)) if budgets[l] < caps[l]),
+                   key=lambda l: (-scores[l], l))
+    while remaining >= len(order) > 0:
+        rounds = min(min(caps[l] - budgets[l] for l in order), remaining // len(order))
+        for l in order:
+            budgets[l] += rounds
+        remaining -= rounds * len(order)
+        order = [l for l in order if budgets[l] < caps[l]]
+    for l in order[:remaining]:
+        budgets[l] += 1
 
 
 def threshold_for_budget(delta_w, b: int) -> float:

@@ -168,15 +168,38 @@ def load_checkpoint(path) -> list:
 
 
 def install_records(model, records) -> None:
-    """Load records into an existing model's adapted layers (dims must match)."""
+    """Write records into an existing model's adapter tensors, in place.
+
+    Every record must match its layer's shape, rank, kernel kind and piece
+    count; a mismatch is a CheckpointError raised before any layer changes.
+    Writing in place keeps each tensor's identity, so a grouped layer's
+    tensors stay views of its group's parameter blocks.
+    """
     layers = model.adapted_layers() if hasattr(model, "adapted_layers") else list(model)
     if len(layers) != len(records):
         raise CheckpointError(f"model has {len(layers)} layers, checkpoint {len(records)}")
-    for layer, rec in zip(layers, records):
+    specs = []
+    for i, (layer, rec) in enumerate(zip(layers, records)):
         if (layer.m, layer.n) != (rec.m, rec.n):
             raise CheckpointError(
                 f"layer is {(layer.m, layer.n)} but record is {(rec.m, rec.n)}"
             )
-        pair, spec = rec.to_pair_and_spec()
-        layer.pair = pair
-        layer.spec = spec
+        spec = KernelSpec.from_coefficient_values(rec.kind, rec.coefficients, trainable=False)
+        have, want = _layout(layer.pair.r, layer.spec), _layout(rec.r, spec)
+        if have != want:
+            raise CheckpointError(f"layer {i} is {have} but its record is {want}")
+        shapes = (np.shape(rec.a), np.shape(rec.b))
+        if shapes != (layer.pair.A.data.shape, layer.pair.B.data.shape):
+            raise CheckpointError(f"layer {i}: record factors have shapes {shapes}")
+        specs.append(spec)
+    for layer, rec, spec in zip(layers, records, specs):
+        layer.pair.A.data[...] = rec.a
+        layer.pair.B.data[...] = rec.b
+        for tensor, value in zip(layer.spec.coeffs, spec.coeffs):
+            tensor.data[...] = value.data
+
+
+def _layout(r: int, spec: KernelSpec) -> str:
+    """Rank, kind and, for kinds with per-piece coefficients, piece count."""
+    pieces = f" with {spec.pieces} pieces" if KINDS[spec.kind].piecewise else ""
+    return f"rank {r} {spec.kind.value}{pieces}"

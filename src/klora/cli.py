@@ -279,7 +279,7 @@ def run_all_cmd(config, out):
         run_config = default_run_config() if config is None else load_config(config)
         paths, failures = ex.run_all(run_config, out)
     except ConfigError as err:
-        raise click.ClickException(str(err)) from None
+        raise click.UsageError(str(err)) from None
     for path in paths:
         click.echo(f"wrote {path}")
     if failures:

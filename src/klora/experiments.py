@@ -486,6 +486,12 @@ def _train_config(params, config) -> RunConfig:
     return sub_config
 
 
+def _check_train(params, config) -> None:
+    """Everything `_run_train` checks before its first step: the config
+    overrides and whether the task's `min_rank` is reachable."""
+    dataset_from(_train_config(params, config))
+
+
 def _run_train(params, config):
     report, trace = train_experiment(_train_config(params, config))
     return report, ("-sparsity", *alloc_trace_table(trace))
@@ -592,7 +598,7 @@ EXPERIMENT_TYPES = {
         {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, {"config": {}}, _train_config, {"max_final_loss": _check_max_final_loss}),
+        _run_train, {"config": {}}, _check_train, {"max_final_loss": _check_max_final_loss}),
     "schedule": ExperimentType(
         _run_schedule,
         *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),

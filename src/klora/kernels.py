@@ -42,7 +42,6 @@ from .tensor import (
     reduce_sum,
     scalar_add,
     squared_distances,
-    stack,
     transpose,
     weighted_segment_distances,
 )
@@ -270,18 +269,6 @@ class KernelSpec:
             return Tensor(np.repeat(data, count, axis=0), requires_grad=c.requires_grad)
 
         return self.with_coefficients(stack_of(c) for c in self.coeffs)
-
-    @classmethod
-    def stack(cls, specs) -> "KernelSpec":
-        """One spec for a stack of factor pairs whose specs share kind and piece count.
-
-        Its coefficients are recorded stacks of theirs, shaped as in `stacked`,
-        so gradients flow back to each spec's own coefficient tensors.
-        """
-        first = specs[0]
-        return first.with_coefficients(
-            stack([spec.coeffs[i] for spec in specs], _slice_shape(c))
-            for i, c in enumerate(first.coeffs))
 
 
 def _slice_shape(coeff: Tensor) -> tuple:

@@ -2,8 +2,9 @@
 
 An adapted layer keeps its base weight frozen and adds a budget-sparsified
 kernel merge of its low-rank factors; only the factors and kernel
-coefficients train. A forward pass merges and sparsifies each group of
-same-shaped layers as one stack (`group_deltas`). The trainer refreshes one
+coefficients train. Each group of same-shaped layers trains from one
+stacked leaf per parameter (`LayerGroup`), and a forward pass merges and
+sparsifies it as one stack (`group_deltas`). The trainer refreshes one
 sensitivity state over the optimizer's flat parameter vector every step and
 re-divides the decaying global budget across layers at each allocation
 event (per epoch by default).
@@ -54,7 +55,6 @@ from .tensor import (
     reshape,
     scalar_mul,
     softmax,
-    stack,
     sub,
     take,
     transpose,
@@ -192,17 +192,21 @@ class AdaptedLinear:
         return self.m * self.n
 
     def group_key(self) -> tuple:
-        """Layers with equal keys merge and sparsify as one stack (see `group_deltas`)."""
+        """Layers with equal keys train from one `LayerGroup`.
+
+        The warm-start state is not part of the key: the trainer sets every
+        layer's budget at once.
+        """
         return (self.m, self.n, self.pair.r, self.spec.kind, self.spec.pieces,
-                self.sparsify_mode, self.recompute_merge, self.budget is None)
+                self.sparsify_mode, self.recompute_merge)
 
     def merged(self) -> Tensor:
         """This layer's kernel merge, as a group of one."""
-        return group_merge([self])
+        return group_merge(LayerGroup([self]))
 
     def delta_w(self) -> Tensor:
         """This layer's sparsified update, as a group of one."""
-        return group_deltas([self])[0]
+        return group_deltas(LayerGroup([self]))[0]
 
     def forward(self, x: Tensor, delta: Tensor) -> Tensor:
         """x (W0 + delta)ᵀ + bias, with delta this layer's update from `group_deltas`."""
@@ -215,6 +219,52 @@ class AdaptedLinear:
         return int(np.count_nonzero(self.delta_w().data))
 
 
+def _block(tensors) -> Tensor:
+    """A leaf holding the tensors' values on a new leading axis; scalars become (1, 1)."""
+    first = tensors[0]
+    part = first.data.shape if first.data.ndim else (1, 1)
+    data = np.array([t.data for t in tensors]).reshape((len(tensors), *part))
+    return Tensor(data, requires_grad=first.requires_grad)
+
+
+class LayerGroup:
+    """Adapted layers sharing a `group_key`, trained from one leaf per parameter.
+
+    A group of S >= 2 stacks its layers' factors and coefficients into
+    blocks: A (S, n, r), B (S, m, r), a per-piece coefficient (S, P) and
+    each scalar one (S, 1, 1). Layer k's own pair and spec tensors become
+    views of slice k of the blocks, in their own shapes; `repoint` aims them
+    at the blocks' current arrays again after an optimizer rebinds those. A
+    group of one keeps its layer's own tensors.
+    """
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        first = self.layers[0]
+        if len(self.layers) == 1:
+            self.pair, self.spec = first.pair, first.spec
+            self._views = ()
+            return
+        members = [layer.trainables() for layer in self.layers]
+        blocks = [_block(tensors) for tensors in zip(*members)]
+        self.pair = LowRankPair(A=blocks[0], B=blocks[1])
+        self.spec = first.spec.with_coefficients(blocks[2:])
+        # each block with its layers' tensors and the block's shape as a stack of theirs
+        self._views = [(block, tensors, (len(tensors), *tensors[0].data.shape))
+                       for block, tensors in zip(blocks, zip(*members))]
+        self.repoint()
+
+    def trainables(self) -> list:
+        return [self.pair.A, self.pair.B, *self.spec.coefficients()]
+
+    def repoint(self) -> None:
+        """View slice k of each block's current array from layer k's tensors."""
+        for block, tensors, shape in self._views:
+            data = block.data.reshape(shape)
+            for k, t in enumerate(tensors):
+                t.data = data[k, ...]  # a view even where slice k is 0-d
+
+
 def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
     if not recompute:
         return merge(spec, pair)
@@ -225,28 +275,38 @@ def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
     return checkpoint(rebuild, pair.A, pair.B, *spec.coefficients())
 
 
-def group_merge(layers) -> Tensor:
-    """One merge of layers sharing a `group_key`: (S, m, n) for a stack, (m, n) for one."""
-    first = layers[0]
-    spec, pair = first.spec, first.pair
-    if len(layers) > 1:
-        spec = KernelSpec.stack([layer.spec for layer in layers])
-        pair = LowRankPair(A=stack([layer.pair.A for layer in layers]),
-                           B=stack([layer.pair.B for layer in layers]))
-    return _merge(spec, pair, first.recompute_merge)
+def group_merge(group: LayerGroup) -> Tensor:
+    """One merge of a group's parameters: (S, m, n) for a block, (m, n) for a group of one."""
+    return _merge(group.spec, group.pair, group.layers[0].recompute_merge)
 
 
-def group_deltas(layers) -> list:
-    """The sparsified updates of layers that share one `group_key`, in order.
+def group_deltas(group: LayerGroup) -> list:
+    """The sparsified updates of a group's layers, in order.
 
     The group's `group_merge` is sparsified with one budget and threshold
-    per slice; a group of one records the same nodes as a lone layer.
+    per slice; a group of one records the same nodes as a lone layer. A
+    group whose layers are not all past their warm start (the trainer sets
+    every budget at once, so only a caller can mix them) merges each layer
+    from its own slices of the blocks instead, as a lone layer: a stack's
+    gradient has one memory layout, and sparsified and unsparsified slices
+    would get different ones.
     """
-    first = layers[0]
-    dw = group_merge(layers)
-    if first.budget is not None:
-        budgets = [min(int(layer.budget), layer.cap) for layer in layers]
-        dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], first.sparsify_mode)
+    layers = group.layers
+    budgets = [None if layer.budget is None else min(int(layer.budget), layer.cap)
+               for layer in layers]
+    mode = layers[0].sparsify_mode
+    warm = [b is None for b in budgets]
+    if any(warm) and not all(warm):
+        deltas = []
+        for k, b in enumerate(budgets):
+            pair = LowRankPair(A=take(group.pair.A, k), B=take(group.pair.B, k))
+            spec = group.spec.with_coefficients(take(c, k) for c in group.spec.coeffs)
+            dw = _merge(spec, pair, layers[0].recompute_merge)
+            deltas.append(dw if b is None else sparsify(dw, b, mode))
+        return deltas
+    dw = group_merge(group)
+    if not any(warm):
+        dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], mode)
     return [take(dw, k) for k in range(len(layers))] if len(layers) > 1 else [dw]
 
 
@@ -291,11 +351,17 @@ class TinyModel:
     """Adapted linear layers interleaved with rectifier nonlinearities.
 
     Optionally inserts one single-head attention block (four adapted
-    projections) after a hidden layer.
+    projections) after a hidden layer. The adapted layers are split once
+    into `LayerGroup`s by `group_key`, in order of first appearance.
     """
 
     def __init__(self, blocks):
         self.blocks = blocks
+        members = {}
+        for i, layer in enumerate(self.adapted_layers()):
+            members.setdefault(layer.group_key(), []).append((i, layer))
+        self.groups = [LayerGroup(layer for _, layer in group) for group in members.values()]
+        self._indices = [[i for i, _ in group] for group in members.values()]
 
     def forward(self, x) -> Tensor:
         h = x if isinstance(x, Tensor) else Tensor(x)
@@ -310,14 +376,10 @@ class TinyModel:
         return h
 
     def per_group(self, fn) -> list:
-        """fn(layers) per group sharing a `group_key`, spread back in `adapted_layers` order."""
-        layers = self.adapted_layers()
-        groups = {}
-        for i, layer in enumerate(layers):
-            groups.setdefault(layer.group_key(), []).append(i)
-        out = [None] * len(layers)
-        for members in groups.values():
-            for i, value in zip(members, fn([layers[i] for i in members])):
+        """fn(group) per `LayerGroup`, one value per layer, spread back in `adapted_layers` order."""
+        out = [None] * sum(map(len, self._indices))
+        for group, indices in zip(self.groups, self._indices):
+            for i, value in zip(indices, fn(group)):
                 out[i] = value
         return out
 
@@ -332,10 +394,13 @@ class TinyModel:
         return out
 
     def trainables(self) -> list:
-        params = []
-        for layer in self.adapted_layers():
-            params.extend(layer.trainables())
-        return params
+        """The leaves an optimizer steps, group by group."""
+        return [p for group in self.groups for p in group.trainables()]
+
+    def repoint(self) -> None:
+        """Aim every grouped layer's tensors at its group's current blocks (see `LayerGroup`)."""
+        for group in self.groups:
+            group.repoint()
 
     def base_checksums(self) -> list:
         import hashlib
@@ -458,9 +523,10 @@ class RunTrace:
 class Trainer:
     """Wires per-step importance updates to scheduled budget reallocation.
 
-    Its state is flat: Adam's parameter, moment and gradient vectors and one
-    importance arena aligned with them. A layer's score and grad norm reduce
-    the slices of its two factors; the kernel-coefficient slices are skipped.
+    Its state is flat: Adam's parameter, moment and gradient vectors, laid
+    out group by group, and one importance arena aligned with them. A
+    layer's score and grad norm reduce its slices of its group's two factor
+    blocks, each one contiguous; the kernel-coefficient slices are skipped.
     """
 
     def __init__(self, model: TinyModel, config: TrainerConfig, dataset):
@@ -473,8 +539,12 @@ class Trainer:
                         beta2=config.adam_beta2, eps=config.adam_eps)
         self.importance = ImportanceState(config.smoothing_beta1, config.smoothing_beta2)
         slice_of = {id(p): part for p, (part, _) in zip(self.params, self.opt._slots)}
-        self.factor_parts = [(slice_of[id(layer.pair.A)], slice_of[id(layer.pair.B)])
-                             for layer in self.layers]
+
+        def factor_parts(group):
+            count = len(group.layers)
+            return zip(*(_split(slice_of[id(p)], count) for p in (group.pair.A, group.pair.B)))
+
+        self.factor_parts = model.per_group(factor_parts)
         self.grad = None  # the flat gradient of the last step
         n = dataset.x.shape[0]
         self.steps_per_epoch = config.steps_per_epoch or max(1, n // config.batch_size)
@@ -500,24 +570,28 @@ class Trainer:
             )
         backward(loss)
         data, self.grad = self.opt.step()
+        self.model.repoint()
         self.importance.update(sensitivity(data, self.grad))
         self.global_step += 1
         return value
 
     def layer_scores(self) -> list:
-        metric = self.config.importance_metric
+        metric, state = self.config.importance_metric, self.importance
         merges = [None] * len(self.layers)
         if metric is Metric.W_MAGNITUDE:  # one merge per group, as in the forward pass
-            merges = self.model.per_group(lambda layers: group_merge(layers).data.reshape(
-                len(layers), layers[0].m, layers[0].n))
-        return [layer_score(self.importance, metric, pair=layer.pair, merged=merged, parts=parts)
+            merges = self.model.per_group(lambda group: group_merge(group).data.reshape(
+                len(group.layers), group.layers[0].m, group.layers[0].n))
+        product = None
+        if metric is Metric.SENSITIVITY and state.initialized:
+            product = state.i_bar * state.u_bar
+        return [layer_score(state, metric, pair=layer.pair, merged=merged, parts=parts,
+                            product=product)
                 for layer, merged, parts in zip(self.layers, merges, self.factor_parts)]
 
     def grad_norms(self) -> list:
         """Per-layer norm of the last step's factor gradients."""
-        g = self.grad
-        return [math.sqrt((g[a] * g[a]).sum() + (g[b] * g[b]).sum())
-                for a, b in self.factor_parts]
+        gg = self.grad * self.grad
+        return [math.sqrt(gg[a].sum() + gg[b].sum()) for a, b in self.factor_parts]
 
     def allocate(self) -> AllocationResult:
         if self.global_step == 0:
@@ -548,8 +622,8 @@ class Trainer:
             losses = []
             norms = np.zeros(len(self.layers))
             for step in range(self.steps_per_epoch):
-                lo = step * cfg.batch_size
-                idx = np.take(perm, np.arange(lo, lo + cfg.batch_size), mode="wrap")
+                lo, hi = step * cfg.batch_size, (step + 1) * cfg.batch_size
+                idx = perm[lo:hi] if hi <= n else np.take(perm, np.arange(lo, hi), mode="wrap")
                 losses.append(self.train_step(self.dataset.x[idx], self.dataset.y[idx]))
                 norms += self.grad_norms()
                 if cfg.alloc_period is AllocPeriod.PER_STEP:
@@ -571,6 +645,12 @@ class Trainer:
         trace.final_loss = self.evaluate()
         trace.duration_s = time.perf_counter() - start
         return trace
+
+
+def _split(part: slice, count: int) -> list:
+    """`part` cut into `count` equal consecutive slices."""
+    size = (part.stop - part.start) // count
+    return [slice(part.start + k * size, part.start + (k + 1) * size) for k in range(count)]
 
 
 def _config_echo(cfg: TrainerConfig) -> dict:

@@ -571,12 +571,15 @@ def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) ->
     def bwd(g):
         galpha = _slice_dot(g, d)
         # sum_j W_ij (b_i - a_j) with W = w g / d per piece, in Gram form; that
-        # form cancels badly at the guarded entries, so they use their differences
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = g[..., None, :, :] / d
+        # form cancels badly at the guarded entries, so they use their differences.
+        # Only a guarded entry can be a zero distance.
         gb = np.zeros_like(bp)
         ga = np.zeros_like(ap)
-        if guarded is not None:
+        if guarded is None:
+            weight = g[..., None, :, :] / d
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weight = g[..., None, :, :] / d
             index, diff = guarded
             *lead_i, p, i, j = index
             weight[index] = 0.0
@@ -663,18 +666,19 @@ def column_mix(k: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
 
 def _toposort(root: Tensor):
     topo, visited, stack = [], set(), [(root, False)]
+    emit, seen, push, pop = topo.append, visited.add, stack.append, stack.pop
     while stack:
-        node, done = stack.pop()
+        node, done = pop()
         if done:
-            topo.append(node)
+            emit(node)
             continue
         if node.node_id in visited:
             continue
-        visited.add(node.node_id)
-        stack.append((node, True))
+        seen(node.node_id)
+        push((node, True))
         for p in node._parents:
             if p.requires_grad and p.node_id not in visited:
-                stack.append((p, False))
+                push((p, False))
     return topo
 
 

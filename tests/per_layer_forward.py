@@ -8,6 +8,11 @@ its affine map, interleaved with the rest of the forward pass. `forward` is
 that pass, built from the package's own merge, sparsify and affine ops, and
 `patched_in()` swaps it in for `TinyModel.forward`, so a whole training run
 can be replayed on it and compared bit for bit.
+
+A grouped layer's own tensors only view its group's parameter blocks, and
+gradients reach the blocks alone. `per_layer_model` gives every layer its
+own 2-D leaves instead, as each layer had before layers were grouped, and
+`patched_in()` builds every model that way.
 """
 
 from __future__ import annotations
@@ -72,12 +77,36 @@ def forward(net, x) -> Tensor:
     return h
 
 
+def per_layer_model(net) -> model.TinyModel:
+    """A model over `net`'s blocks in which every adapted layer is a group of one.
+
+    Each layer gets its own 2-D leaves, copies of its current values, so
+    the new model's `trainables()` lists them layer by layer and a backward
+    pass leaves each layer's gradients on its own tensors. `net` itself no
+    longer trains its layers afterwards.
+    """
+    def leaf(t):
+        return Tensor(t.data.copy(), requires_grad=True)
+
+    for layer in net.adapted_layers():
+        layer.pair = LowRankPair(A=leaf(layer.pair.A), B=leaf(layer.pair.B))
+        layer.spec = layer.spec.with_coefficients(leaf(c) for c in layer.spec.coeffs)
+    grouped_key = model.AdaptedLinear.group_key
+    model.AdaptedLinear.group_key = lambda layer: id(layer)  # no two layers share a key
+    try:
+        return model.TinyModel(net.blocks)
+    finally:
+        model.AdaptedLinear.group_key = grouped_key
+
+
 @contextlib.contextmanager
 def patched_in():
-    """Run the package with the per-layer forward pass in place of the grouped one."""
-    grouped = model.TinyModel.forward
+    """Run the package with per-layer models and the per-layer forward pass."""
+    grouped_forward, grouped_build = model.TinyModel.forward, model.build_model
     model.TinyModel.forward = forward
+    model.build_model = lambda dataset, config: per_layer_model(grouped_build(dataset, config))
     try:
         yield
     finally:
-        model.TinyModel.forward = grouped
+        model.TinyModel.forward = grouped_forward
+        model.build_model = grouped_build

@@ -7,7 +7,9 @@ copies of both moving averages, `train_step` zero-filled missing gradients
 per layer, `fine_tune` summed squared gradients per layer, and every
 `EpochRecord` scored the layers a second time after allocating.
 `PerLayerTrainer` is that trainer, so a whole training run can be replayed
-on it and compared bit for bit.
+on it and compared bit for bit. It trains the model of
+`per_layer_forward.per_layer_model`, whose layers keep their own leaves
+and gradients, with its own optimizer over those leaves.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import time
 
 import numpy as np
 
+import per_layer_forward
 from klora.allocation import Metric, alloc, budget_at, sensitivity
 from klora.model import AllocPeriod, EpochRecord, RunTrace, Trainer, _config_echo
 from klora.tensor import Tensor, backward
@@ -61,7 +64,7 @@ class PerLayerTrainer(Trainer):
     """The trainer with one importance state per layer and per-layer gradient loops."""
 
     def __init__(self, model, config, dataset):
-        super().__init__(model, config, dataset)
+        super().__init__(per_layer_forward.per_layer_model(model), config, dataset)
         self.states = [LayerImportanceState(config.smoothing_beta1, config.smoothing_beta2)
                        for _ in self.layers]
 

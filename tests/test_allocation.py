@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import per_unit_alloc
 from klora.allocation import (
     AllocationResult,
     BudgetSchedule,
@@ -239,6 +240,33 @@ class TestAlloc:
             assert first.budgets == second.budgets  # deterministic
             assert sum(first.budgets) == min(budget, total)
             assert all(0 <= b <= c for b, c in zip(first.budgets, caps))
+
+    @pytest.mark.filterwarnings("ignore:budget .* exceeds total capacity")
+    def test_budgets_equal_the_unit_at_a_time_oracle(self):
+        rng = np.random.default_rng(13)
+        for case in range(2000):
+            layers = int(rng.integers(1, 13))
+            # caps of 0 and 1 saturate at once; the others differ in size
+            caps = rng.choice([0, 1, 2, 5, 17, 60, 300], size=layers).tolist()
+            scores = [np.zeros(layers),  # every unit goes out in rounds
+                      rng.choice([0.0, 0.25, 1.0], size=layers),  # ties
+                      rng.exponential(size=layers),
+                      rng.choice([0.0, 1e-9, 1.0, 1e9], size=layers)][case % 4].tolist()
+            total = sum(caps)
+            # a budget above the capacity is clamped
+            budget = int(rng.integers(0, total + 20))
+            got, want = alloc(scores, caps, budget), per_unit_alloc.alloc(scores, caps, budget)
+            assert got.budgets == want.budgets, (scores, caps, budget)
+            assert got.global_budget == want.global_budget
+
+    def test_all_zero_scores_on_a_large_model_fill_the_target(self):
+        # 12 layers of 768x768 at budget ratio 0.3: the oracle's loop takes
+        # one Python round per unit of each layer's share
+        caps = [768 * 768] * 12
+        target = int(math.floor(0.3 * sum(caps) + 0.5))
+        budgets = alloc([0.0] * 12, caps, target).budgets
+        assert sum(budgets) == target
+        assert max(budgets) - min(budgets) <= 1
 
     def test_monotone_dominance_equal_caps(self):
         rng = np.random.default_rng(8)

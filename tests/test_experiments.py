@@ -83,8 +83,8 @@ BAD_DOCUMENTS = [
 
 # bad second entries: a misspelled param and assert key, a missing required
 # param, an out-of-range train override, misspelled schedule names, param
-# values the driver rejects, every bad document as a train override, and
-# more values the driver rejects
+# values the driver rejects, every bad document as a train override, more
+# values the driver rejects, and a train task whose min_rank no draw reaches
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -124,6 +124,9 @@ TYPO_ENTRIES = [
      "experiments[1].params: piece count must be >= 1, got 0"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2, "pieces": -5}},
      "experiments[1].params: piece count must be >= 1, got -5"),
+    ({"type": "train", "params": {"config": {"train": {"task": {"min_rank": 15}}}}},
+     "experiments[1].params.config: value out of range for 'train.task.min_rank': could not "
+     "draw a density-0.1 perturbation of rank > 15 on (16, 16)"),
 ]
 
 
@@ -580,7 +583,7 @@ class TestCli:
         result = CliRunner().invoke(
             cli_main, ["run-all", "--config", str(cfg_path), "--out", str(out)]
         )
-        assert result.exit_code != 0
+        assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Error:" in result.output and where in result.output
         assert not out.exists()

@@ -62,20 +62,25 @@ def test_training_run_equals_the_per_layer_oracle(tmp_path, mode, recompute, per
     assert grouped[1] == per_layer[1]
 
 
+def layer_gradients(group) -> list:
+    """Each layer's parameter gradients: its slices of the group's leaf gradients."""
+    grads = [p.grad for p in group.trainables()]
+    return [grads] if len(group.layers) == 1 else list(zip(*grads))
+
+
 def forward_and_gradients(forward, net, x):
-    params = net.trainables()
-    for p in params:
+    for p in net.trainables():
         p.grad = None
     out = forward(net, Tensor(x))
     backward(reduce_sum(out))
-    return [out.data] + [p.grad for p in params]
+    return [out.data] + [g for grads in net.per_group(layer_gradients) for g in grads]
 
 
 @pytest.mark.parametrize("mode", ["soft", "literal", "hard"])
 def test_a_group_split_by_warm_start_equals_the_oracle(mode):
     # budgets on the first 64x64 layer and on three of the four attention
-    # projections: the fourth and the second 64x64 layer, still
-    # unsparsified, fall into groups of their own
+    # projections: the fourth and the second 64x64 layer are still
+    # unsparsified, so each of the two groups mixes budgeted and warm layers
     raw = json.loads(json.dumps(GROUPED))
     raw["sparsity"]["sparsify_mode"] = mode
     trainer = trainer_for(raw)
@@ -84,11 +89,35 @@ def test_a_group_split_by_warm_start_equals_the_oracle(mode):
     layers = trainer.layers
     for i in range(4):
         layers[i].budget = layers[i].cap // (i + 2)
-    assert len({layer.group_key() for layer in layers}) == 4
+    assert [len(group.layers) for group in trainer.model.groups] == [2, 4]
     got = forward_and_gradients(model.TinyModel.forward, trainer.model, x)
-    want = forward_and_gradients(per_layer_forward.forward, trainer.model, x)
+    per_layer = per_layer_forward.per_layer_model(trainer.model)
+    want = forward_and_gradients(per_layer_forward.forward, per_layer, x)
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_groups_train_from_stacked_leaves_that_their_layers_view():
+    trainer = trainer_for(GROUPED)
+    net = trainer.model
+    # group-major: the two 64x64 layers' blocks, then the attention head's
+    assert [p.data.shape for p in trainer.params] == [
+        (2, 64, 8), (2, 64, 8), (2, 2), (2, 1, 1), (2, 1, 1),
+        (4, 16, 8), (4, 16, 8), (4, 2), (4, 1, 1), (4, 1, 1)]
+    x, y = trainer.dataset.x[:8], trainer.dataset.y[:8]
+    for _ in range(2):
+        trainer.train_step(x, y)
+        trainer.allocate()
+        for group in net.groups:
+            for k, layer in enumerate(group.layers):
+                for t, block in zip(layer.trainables(), group.trainables()):
+                    assert np.shares_memory(t.data, block.data)
+                    assert t.data.tobytes() == block.data[k].tobytes()
+    # a write through a layer's tensor reaches the block the forward pass merges
+    before = net.forward(Tensor(x)).data
+    trainer.layers[5].pair.B.data[...] = 0.0
+    assert not np.array_equal(net.forward(Tensor(x)).data, before)
+    assert not net.groups[0].pair.B.data[1].any()
 
 
 def count_calls(monkeypatch, name):
@@ -148,6 +177,12 @@ def nodes_per_step(raw) -> int:
 FUSED_LOSS_SAVES = 3
 
 
+# the grouped counts below were pinned when each group stacked its layers'
+# parameters every step; a group trains from stacked leaves now, which saves
+# the five stack nodes of each of the two groups
+STACKED_LEAVES_SAVE = 10
+
+
 # nodes built per trainer step before layers were grouped; a group of one
 # must record exactly these
 @pytest.mark.parametrize("mode, recompute, nodes", [
@@ -161,11 +196,11 @@ def test_groups_of_one_record_the_per_layer_node_count(mode, recompute, nodes):
     assert nodes_per_step(raw) == nodes - FUSED_LOSS_SAVES
 
 
-# soft: 41 per layer; a group of S adds a stack for A, B and each of the three
-# mix-k coefficients and S takes, and saves S - 1 merges (two nodes each) and
-# S - 1 sparsifies: 41 + (5 + 2 - 3) + (5 + 4 - 9) = 45, less the fused loss's
-# saving. Under recompute_merge the backward rebuilds each group's merge, so
-# a merge outside the checkpoint would show as a lower count.
+# soft: 41 per layer; a group of S once added a stack for A, B and each of
+# the three mix-k coefficients and S takes, and saved S - 1 merges (two nodes
+# each) and S - 1 sparsifies: 41 + (5 + 2 - 3) + (5 + 4 - 9) = 45, less the
+# fused loss's saving. Under recompute_merge the backward rebuilds each
+# group's merge, so a merge outside the checkpoint would show as a lower count.
 @pytest.mark.parametrize("mode, recompute, nodes", [
     ("soft", False, 45), ("soft", True, 71), ("literal", False, 51), ("literal", True, 77),
     ("hard", False, 47), ("hard", True, 73),
@@ -174,7 +209,7 @@ def test_grouped_step_node_count(mode, recompute, nodes):
     raw = json.loads(json.dumps(GROUPED))
     raw["sparsity"]["sparsify_mode"] = mode
     raw["train"]["recompute_merge"] = recompute
-    assert nodes_per_step(raw) == nodes - FUSED_LOSS_SAVES
+    assert nodes_per_step(raw) == nodes - FUSED_LOSS_SAVES - STACKED_LEAVES_SAVE
 
 
 def test_stack_and_take_route_gradients_to_their_parts():

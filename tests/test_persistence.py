@@ -197,10 +197,18 @@ def test_readme_lists_each_task_kinds_keys(kind):
     assert re.findall(r"`([a-z_]+)`", row.group(1)) == list(TASK_KEYS[kind])
 
 
-def small_model(seed=0, kind=KernelKind.MIX_K):
-    ds = high_rank_regression(seed=seed, layer_dims=(6, 5, 7), samples=16)
-    cfg = TrainerConfig(seed=seed, rank=2, kernel_kind=kind, epochs=0)
+def small_model(seed=0, kind=KernelKind.MIX_K, dims=(6, 5, 7), **settings):
+    ds = high_rank_regression(seed=seed, layer_dims=dims, samples=16)
+    cfg = TrainerConfig(**{"seed": seed, "rank": 2, "kernel_kind": kind, "epochs": 0,
+                           **settings})
     return build_model(ds, cfg)
+
+
+def perturb(model, seed):
+    rng = np.random.default_rng(seed)
+    for layer in model.adapted_layers():
+        for t in layer.trainables():
+            t.data[...] = rng.normal(size=t.data.shape)
 
 
 class TestCheckpoint:
@@ -232,6 +240,45 @@ class TestCheckpoint:
         install_records(other, load_checkpoint(path))
         for a, b in zip(model.adapted_layers(), other.adapted_layers()):
             np.testing.assert_array_equal(a.pair.B.data, b.pair.B.data)
+
+    def test_install_writes_a_grouped_layer_through_its_group(self, tmp_path):
+        # two 6x6 layers train from one group's blocks; installing into
+        # them must reach the blocks the forward pass merges
+        model = small_model(seed=1, dims=(6, 6, 6))
+        perturb(model, 5)
+        path = tmp_path / "adapter.bin"
+        save_checkpoint(model, path)
+        # the same base weights and starting state, which the install replaces
+        other = small_model(seed=1, dims=(6, 6, 6))
+        (group,) = other.groups
+        assert len(group.layers) == 2
+        tensors = [layer.trainables() for layer in other.adapted_layers()]
+        install_records(other, load_checkpoint(path))
+        for layer, before, rec in zip(other.adapted_layers(), tensors, load_checkpoint(path)):
+            assert all(t is b for t, b in zip(layer.trainables(), before))
+            np.testing.assert_array_equal(layer.pair.A.data, rec.a)
+        for k, rec in enumerate(load_checkpoint(path)):
+            np.testing.assert_array_equal(group.pair.A.data[k], rec.a)
+            np.testing.assert_array_equal(group.pair.B.data[k], rec.b)
+        x = np.random.default_rng(0).normal(size=(3, 6))
+        assert other.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+    @pytest.mark.parametrize("settings", [
+        {"rank": 1}, {"kernel_kind": KernelKind.P_LINEAR}, {"pieces": 1},
+    ], ids=["rank", "kind", "pieces"])
+    def test_install_rejects_another_layout_before_touching_a_layer(self, tmp_path, settings):
+        path = tmp_path / "adapter.bin"
+        save_checkpoint(small_model(seed=1), path)
+        records = load_checkpoint(path)
+        save_checkpoint(small_model(seed=1, **settings), path)
+        # only the last record differs, so a layer written early would show
+        records[-1] = load_checkpoint(path)[-1]
+        model = small_model(seed=2)
+        before = [t.data.copy() for t in model.trainables()]
+        with pytest.raises(CheckpointError, match="layer 1 is rank 2 mix-k with 2 pieces"):
+            install_records(model, records)
+        for t, b in zip(model.trainables(), before):
+            assert t.data.tobytes() == b.tobytes()
 
     def test_truncated_file_fails_checksum(self, tmp_path):
         model = small_model()
