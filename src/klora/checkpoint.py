@@ -65,9 +65,11 @@ class LayerRecord:
     b: np.ndarray
 
     def to_pair_and_spec(self, trainable: bool = True):
+        """Fresh tensors holding copies of this record's values: `Adam` steps
+        its parameters in place, and the record must not change with them."""
         pair = LowRankPair(
-            A=Tensor(self.a, requires_grad=trainable),
-            B=Tensor(self.b, requires_grad=trainable),
+            A=Tensor(self.a.copy(), requires_grad=trainable),
+            B=Tensor(self.b.copy(), requires_grad=trainable),
         )
         spec = KernelSpec.from_coefficient_values(self.kind, self.coefficients, trainable)
         return pair, spec

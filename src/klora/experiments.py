@@ -76,7 +76,7 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
 def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: int = 1,
                 target_rank: int | None = None, scale: float = 1.0, r_values=(),
                 r: int | None = None, pieces: int = 1, kernels=(), eps_rel: float = 0.5,
-                **_) -> None:
+                density: float = 1.0, **_) -> None:
     """The fitting and rank drivers' range checks, by argument name; `run-all`
     runs them on each entry's params before anything runs."""
     if seeds < 1:
@@ -85,8 +85,12 @@ def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: 
         raise ValueError("learning rate must be nonnegative")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if target_rank is not None and target_rank < 1:
+        raise ValueError(f"target rank must be >= 1, got {target_rank}")
     if target_rank is not None and target_rank > min(m, n):
         raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
     if not scale > 0:
         raise ValueError("factor scale must be positive")
     if pieces < 1:
@@ -212,7 +216,7 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     """
     watch = StopWatch()
     _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank, r=r,
-                pieces=pieces, kernels=kernels)
+                pieces=pieces, kernels=kernels, density=density)
     if target_rank is None:
         target_rank = min(m, n)
     kinds = [parse_kernel_kind(k) for k in kernels]

@@ -246,7 +246,7 @@ class KernelSpec:
     @classmethod
     def from_coefficient_values(cls, kind, values, trainable: bool = True) -> "KernelSpec":
         row = KINDS[parse_kernel_kind(kind)]
-        vals = np.asarray(values, dtype=np.float64).ravel()
+        vals = np.array(values, dtype=np.float64).ravel()  # a copy: the tensors may train
         pieces = row.pieces_for(vals.size)
         sizes = [pieces if c.per_piece else 1 for c in row.coefficients]
         chunks = np.split(vals, np.cumsum(sizes)[:-1])
@@ -259,21 +259,20 @@ class KernelSpec:
         return replace(self, coeffs=tuple(tensors))
 
     def stacked(self, count: int) -> "KernelSpec":
-        """This spec's coefficients repeated for a stack of `count` factor pairs.
-
-        A per-piece coefficient becomes (count, P) and a scalar (count, 1, 1),
-        so that each broadcasts against its own slice of a (count, m, n) merge.
-        """
-        def stack_of(c):
-            data = c.data.reshape((1, *_slice_shape(c)))
-            return Tensor(np.repeat(data, count, axis=0), requires_grad=c.requires_grad)
-
-        return self.with_coefficients(stack_of(c) for c in self.coeffs)
+        """This spec's coefficients repeated for `count` factor pairs, laid out by `stacked_leaf`."""
+        return self.with_coefficients(stacked_leaf([c] * count) for c in self.coeffs)
 
 
-def _slice_shape(coeff: Tensor) -> tuple:
-    """A coefficient's shape in one slice of a stack: scalars become (1, 1)."""
-    return coeff.data.shape if coeff.data.ndim else (1, 1)
+def stacked_leaf(tensors) -> Tensor:
+    """A leaf holding the tensors' values on a new leading axis; scalars become (1, 1).
+
+    A per-piece coefficient stacks to (S, P) and a scalar to (S, 1, 1), so
+    that each broadcasts against its own slice of an (S, m, n) merge.
+    """
+    first = tensors[0]
+    part = first.data.shape if first.data.ndim else (1, 1)
+    data = np.array([t.data for t in tensors]).reshape((len(tensors), *part))
+    return Tensor(data, requires_grad=first.requires_grad)
 
 
 @dataclass

@@ -37,7 +37,14 @@ from .allocation import (
     sparsify,
 )
 from .choices import parse_choice
-from .kernels import KernelKind, KernelSpec, LowRankPair, merge, parse_kernel_kind
+from .kernels import (
+    KernelKind,
+    KernelSpec,
+    LowRankPair,
+    merge,
+    parse_kernel_kind,
+    stacked_leaf,
+)
 from .tensor import (
     Tensor,
     add,
@@ -96,8 +103,10 @@ class Adam:
 
     The moments of all parameters live in one flat `m` and one flat `v`
     buffer, so a step makes the same few numpy calls for any number of
-    parameters. `step` returns the flat parameters it stepped from and the
-    flat gradient, in the same layout.
+    parameters. `step` subtracts each parameter's update from its array in
+    place, so a parameter keeps its array, and every view of it, for its
+    whole life; it returns the flat gradient, laid out parameter by
+    parameter.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -123,12 +132,12 @@ class Adam:
         for p in self.params:
             p.grad = None
 
-    def step(self) -> tuple:
+    def step(self) -> np.ndarray:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
         if not self.params:
-            return np.zeros(0), np.zeros(0)
+            return np.zeros(0)
         g = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad
                             for p in self.params], axis=None)
         m, v, x, y = self._m, self._v, self._x, self._y
@@ -146,13 +155,9 @@ class Adam:
         np.divide(m, bc1, out=y)
         y *= self.lr
         y /= x
-        # the parameters become views of one fresh array: callers may still
-        # hold the old ones
-        data = np.concatenate([p.data for p in self.params], axis=None)
-        stepped = data - y
         for p, (part, shape) in zip(self.params, self._slots):
-            p.data = stepped[part].reshape(shape)
-        return data, g
+            p.data -= y[part].reshape(shape)
+        return g
 
 
 # -- layers -------------------------------------------------------------------
@@ -219,23 +224,15 @@ class AdaptedLinear:
         return int(np.count_nonzero(self.delta_w().data))
 
 
-def _block(tensors) -> Tensor:
-    """A leaf holding the tensors' values on a new leading axis; scalars become (1, 1)."""
-    first = tensors[0]
-    part = first.data.shape if first.data.ndim else (1, 1)
-    data = np.array([t.data for t in tensors]).reshape((len(tensors), *part))
-    return Tensor(data, requires_grad=first.requires_grad)
-
-
 class LayerGroup:
     """Adapted layers sharing a `group_key`, trained from one leaf per parameter.
 
     A group of S >= 2 stacks its layers' factors and coefficients into
     blocks: A (S, n, r), B (S, m, r), a per-piece coefficient (S, P) and
     each scalar one (S, 1, 1). Layer k's own pair and spec tensors become
-    views of slice k of the blocks, in their own shapes; `repoint` aims them
-    at the blocks' current arrays again after an optimizer rebinds those. A
-    group of one keeps its layer's own tensors.
+    views of slice k of the blocks, in their own shapes; an optimizer steps
+    the blocks in place, so the views stay current. A group of one keeps its
+    layer's own tensors.
     """
 
     def __init__(self, layers):
@@ -243,26 +240,18 @@ class LayerGroup:
         first = self.layers[0]
         if len(self.layers) == 1:
             self.pair, self.spec = first.pair, first.spec
-            self._views = ()
             return
         members = [layer.trainables() for layer in self.layers]
-        blocks = [_block(tensors) for tensors in zip(*members)]
+        blocks = [stacked_leaf(tensors) for tensors in zip(*members)]
         self.pair = LowRankPair(A=blocks[0], B=blocks[1])
         self.spec = first.spec.with_coefficients(blocks[2:])
-        # each block with its layers' tensors and the block's shape as a stack of theirs
-        self._views = [(block, tensors, (len(tensors), *tensors[0].data.shape))
-                       for block, tensors in zip(blocks, zip(*members))]
-        self.repoint()
+        for block, tensors in zip(blocks, zip(*members)):
+            data = block.data.reshape((len(tensors), *tensors[0].data.shape))
+            for k, t in enumerate(tensors):
+                t.data = data[k, ...]  # a view even where slice k is 0-d
 
     def trainables(self) -> list:
         return [self.pair.A, self.pair.B, *self.spec.coefficients()]
-
-    def repoint(self) -> None:
-        """View slice k of each block's current array from layer k's tensors."""
-        for block, tensors, shape in self._views:
-            data = block.data.reshape(shape)
-            for k, t in enumerate(tensors):
-                t.data = data[k, ...]  # a view even where slice k is 0-d
 
 
 def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
@@ -284,29 +273,20 @@ def group_deltas(group: LayerGroup) -> list:
     """The sparsified updates of a group's layers, in order.
 
     The group's `group_merge` is sparsified with one budget and threshold
-    per slice; a group of one records the same nodes as a lone layer. A
-    group whose layers are not all past their warm start (the trainer sets
-    every budget at once, so only a caller can mix them) merges each layer
-    from its own slices of the blocks instead, as a lone layer: a stack's
-    gradient has one memory layout, and sparsified and unsparsified slices
-    would get different ones.
+    per slice; a group of one records the same nodes as a lone layer. The
+    trainer sets every layer's budget at once, so a group's layers are
+    either all past their warm start or none is; a mix is a ValueError.
     """
     layers = group.layers
     budgets = [None if layer.budget is None else min(int(layer.budget), layer.cap)
                for layer in layers]
-    mode = layers[0].sparsify_mode
     warm = [b is None for b in budgets]
     if any(warm) and not all(warm):
-        deltas = []
-        for k, b in enumerate(budgets):
-            pair = LowRankPair(A=take(group.pair.A, k), B=take(group.pair.B, k))
-            spec = group.spec.with_coefficients(take(c, k) for c in group.spec.coeffs)
-            dw = _merge(spec, pair, layers[0].recompute_merge)
-            deltas.append(dw if b is None else sparsify(dw, b, mode))
-        return deltas
+        raise ValueError(f"a group of {len(layers)} layers mixes warm-start and budgeted "
+                         f"layers: budgets {budgets}")
     dw = group_merge(group)
     if not any(warm):
-        dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], mode)
+        dw = sparsify(dw, budgets if len(layers) > 1 else budgets[0], layers[0].sparsify_mode)
     return [take(dw, k) for k in range(len(layers))] if len(layers) > 1 else [dw]
 
 
@@ -396,11 +376,6 @@ class TinyModel:
     def trainables(self) -> list:
         """The leaves an optimizer steps, group by group."""
         return [p for group in self.groups for p in group.trainables()]
-
-    def repoint(self) -> None:
-        """Aim every grouped layer's tensors at its group's current blocks (see `LayerGroup`)."""
-        for group in self.groups:
-            group.repoint()
 
     def base_checksums(self) -> list:
         import hashlib
@@ -523,10 +498,12 @@ class RunTrace:
 class Trainer:
     """Wires per-step importance updates to scheduled budget reallocation.
 
-    Its state is flat: Adam's parameter, moment and gradient vectors, laid
-    out group by group, and one importance arena aligned with them. A
-    layer's score and grad norm reduce its slices of its group's two factor
-    blocks, each one contiguous; the kernel-coefficient slices are skipped.
+    Its state is flat: Adam's moment and gradient vectors, laid out group by
+    group, and one importance arena aligned with them. Each step gathers the
+    parameters into that layout before Adam steps them in place, so the
+    sensitivity |g·w| reads the values the gradient was taken at. A layer's
+    score and grad norm reduce its slices of its group's two factor blocks,
+    each one contiguous; the kernel-coefficient slices are skipped.
     """
 
     def __init__(self, model: TinyModel, config: TrainerConfig, dataset):
@@ -569,8 +546,8 @@ class Trainer:
                 f"(kernel={self.config.kernel_kind.value}, lr={self.config.lr})"
             )
         backward(loss)
-        data, self.grad = self.opt.step()
-        self.model.repoint()
+        data = np.concatenate([p.data for p in self.params], axis=None)  # before the step
+        self.grad = self.opt.step()
         self.importance.update(sensitivity(data, self.grad))
         self.global_step += 1
         return value

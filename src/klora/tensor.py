@@ -332,15 +332,13 @@ def reshape(a: Tensor, shape) -> Tensor:
 # -- stacks -------------------------------------------------------------------
 
 
-def stack(parts, part_shape=None) -> Tensor:
-    """The parts on a new leading axis, each viewed as `part_shape` first, as one recorded op.
+def stack(parts) -> Tensor:
+    """The parts on a new leading axis, as one recorded op.
 
     The backward hands each part a view of its slice of the incoming gradient.
     """
     parts = tuple(parts)
     data = np.array([p.data for p in parts])  # several times faster than np.stack here
-    if part_shape is not None:
-        data = data.reshape((len(parts), *part_shape))
 
     def bwd(g):
         return tuple(g[k].reshape(p.data.shape) for k, p in enumerate(parts))

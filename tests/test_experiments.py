@@ -127,6 +127,14 @@ TYPO_ENTRIES = [
     ({"type": "train", "params": {"config": {"train": {"task": {"min_rank": 15}}}}},
      "experiments[1].params.config: value out of range for 'train.task.min_rank': could not "
      "draw a density-0.1 perturbation of rank > 15 on (16, 16)"),
+    ({"type": "fit-matrix", "params": {"target_rank": 0}},
+     "experiments[1].params: target rank must be >= 1, got 0"),
+    ({"type": "fit-matrix", "params": {"target_rank": -1}},
+     "experiments[1].params: target rank must be >= 1, got -1"),
+    ({"type": "fit-matrix", "params": {"density": -0.5}},
+     "experiments[1].params: density must lie in [0, 1], got -0.5"),
+    ({"type": "fit-matrix", "params": {"density": 1.5}},
+     "experiments[1].params: density must lie in [0, 1], got 1.5"),
 ]
 
 
@@ -632,6 +640,10 @@ BAD_INPUT_COMMANDS = [
     (["grad-evolution", "--pieces", "0"], "piece count must be >= 1, got 0"),
     (["memory-model", "--pieces", "-5", "--layers", "1", "--m", "8", "--n", "8", "--rank", "2"],
      "piece count must be >= 1, got -5"),
+    (["fit-matrix", "--target-rank", "0"], "target rank must be >= 1, got 0"),
+    (["fit-matrix", "--target-rank", "-1"], "target rank must be >= 1, got -1"),
+    (["fit-matrix", "--density", "-0.5"], "density must lie in [0, 1], got -0.5"),
+    (["fit-matrix", "--density", "1.5"], "density must lie in [0, 1], got 1.5"),
 ]
 
 # files the commands above name by a placeholder

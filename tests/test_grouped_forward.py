@@ -15,7 +15,7 @@ import pytest
 
 import per_layer_forward
 from klora import checkpoint, config, model
-from klora.tensor import Tensor, backward, reduce_sum, stack, take
+from klora.tensor import Tensor, backward, reduce_sum, reshape, stack, take
 
 # the perfbench train-sparse model: two 64x64 layers and a 16x16 attention head
 GROUPED = {
@@ -77,24 +77,31 @@ def forward_and_gradients(forward, net, x):
 
 
 @pytest.mark.parametrize("mode", ["soft", "literal", "hard"])
-def test_a_group_split_by_warm_start_equals_the_oracle(mode):
-    # budgets on the first 64x64 layer and on three of the four attention
-    # projections: the fourth and the second 64x64 layer are still
-    # unsparsified, so each of the two groups mixes budgeted and warm layers
+def test_a_group_with_distinct_budgets_equals_the_oracle(mode):
+    # every layer of both groups gets its own budget, so each slice of a
+    # group's merge is sparsified with its own threshold
     raw = json.loads(json.dumps(GROUPED))
     raw["sparsity"]["sparsify_mode"] = mode
     trainer = trainer_for(raw)
     x = trainer.dataset.x[:16]
     trainer.train_step(x, trainer.dataset.y[:16])
-    layers = trainer.layers
-    for i in range(4):
-        layers[i].budget = layers[i].cap // (i + 2)
+    for i, layer in enumerate(trainer.layers):
+        layer.budget = layer.cap // (i + 2)
     assert [len(group.layers) for group in trainer.model.groups] == [2, 4]
     got = forward_and_gradients(model.TinyModel.forward, trainer.model, x)
     per_layer = per_layer_forward.per_layer_model(trainer.model)
     want = forward_and_gradients(per_layer_forward.forward, per_layer, x)
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_a_group_mixing_warm_and_budgeted_layers_raises_before_merging(monkeypatch):
+    trainer = trainer_for(GROUPED)
+    trainer.layers[0].budget = trainer.layers[0].cap // 2
+    merges = count_calls(monkeypatch, "merge")
+    with pytest.raises(ValueError, match="mixes warm-start and budgeted layers"):
+        trainer.model.forward(Tensor(trainer.dataset.x[:8]))
+    assert merges == []
 
 
 def test_groups_train_from_stacked_leaves_that_their_layers_view():
@@ -217,7 +224,7 @@ def test_stack_and_take_route_gradients_to_their_parts():
     parts = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(3)]
     scalars = [Tensor(float(v), requires_grad=True) for v in rng.normal(size=3)]
     stacked = stack(parts)
-    scale = stack(scalars, (1, 1))
+    scale = reshape(stack(scalars), (3, 1, 1))
     assert stacked.data.shape == (3, 3, 2) and scale.data.shape == (3, 1, 1)
     weights = rng.normal(size=(3, 2))
     # slice 2 is used twice and slice 1 not at all

@@ -33,7 +33,7 @@ from klora.config import (
 )
 from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
 from klora.kernels import KernelKind
-from klora.model import SettingError, TrainerConfig, build_model
+from klora.model import Adam, SettingError, TrainerConfig, build_model
 from klora.reports import read_csv, write_csv
 from klora.svgplot import emit_heatmap_svg, render_heatmap_svg
 
@@ -314,6 +314,21 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError):
             load_checkpoint(path)
+
+    def test_training_a_pair_built_from_a_record_leaves_the_record_unchanged(self, tmp_path):
+        path = tmp_path / "adapter.bin"
+        save_checkpoint(small_model(), path)
+        rec = load_checkpoint(path)[0]
+        before = [rec.a.copy(), rec.b.copy(), rec.coefficients.copy()]
+        pair, spec = rec.to_pair_and_spec()
+        params = [pair.A, pair.B, *spec.coefficients()]
+        opt = Adam(params, lr=0.1)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        assert not np.array_equal(pair.A.data, before[0])
+        for value, kept in zip((rec.a, rec.b, rec.coefficients), before):
+            np.testing.assert_array_equal(value, kept)
 
     def test_layer_records_per_kind(self, tmp_path):
         for kind in KernelKind:
