@@ -32,10 +32,10 @@ from .choices import parse_choice
 from .tensor import (
     Tensor,
     add,
-    column_mix,
     column_softmax,
     exp,
     matmul,
+    mixed_segment_distances,
     mul,
     reciprocal,
     record_and_backward,
@@ -94,8 +94,9 @@ def _p_linear(spec, b, a):
 
 
 def _mix_k(spec, b, a):
-    _, alpha, beta = spec.coeffs
-    return column_mix(_p_linear(spec, b, a), alpha, beta)
+    alpha_p, alpha, beta = spec.coeffs
+    return mixed_segment_distances(b, a, alpha_p, alpha, beta,
+                                   segment_bounds(b.data.shape[-1], spec.pieces))
 
 
 # -- the registry -------------------------------------------------------------
@@ -323,7 +324,9 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     matrix) + beta; rbf-normalized applies that column softmax to the RBF
     matrix alone. The result participates in gradient recording. Distances
     come from the fused ops in `klora.tensor`, so a merge holds O(mn * P)
-    floats for P pieces and never an (m, n, r) array.
+    floats for P pieces and never an (m, n, r) array; the mix-k merge is one
+    op that keeps (P + 2) * mn floats for its backward: the piece distances,
+    the column softmax and its output.
     """
     return KINDS[spec.kind].merge(spec, pair.B, pair.A)
 

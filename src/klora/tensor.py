@@ -335,10 +335,16 @@ def reshape(a: Tensor, shape) -> Tensor:
 def stack(parts) -> Tensor:
     """The parts on a new leading axis, as one recorded op.
 
-    The backward hands each part a view of its slice of the incoming gradient.
+    A stack of one part is a view of that part's array. The backward hands
+    each part a view of its slice of the incoming gradient.
     """
     parts = tuple(parts)
-    data = np.array([p.data for p in parts])  # several times faster than np.stack here
+    if not parts:
+        raise ValueError("stack needs at least one part")
+    if len(parts) == 1:
+        data = parts[0].data[None]
+    else:
+        data = np.array([p.data for p in parts])  # several times faster than np.stack here
 
     def bwd(g):
         return tuple(g[k].reshape(p.data.shape) for k, p in enumerate(parts))
@@ -442,18 +448,25 @@ def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
     order, the floating-point operations of
     reduce_mean(square(sub(x, Tensor(target))), axis=(-2, -1)), less the
     gradient that chain forms for the target. The backward recomputes
-    x - target rather than hold it from the forward pass.
+    x - target rather than hold it from the forward pass, and scales it in
+    place.
     """
-    diff = x.data - target
-    if x.data.ndim < 2 or diff.shape != x.data.shape:
+    shape, tshape = x.data.shape, np.shape(target)
+    lead = len(shape) - len(tshape)
+    if len(shape) < 2 or lead < 0 or tshape != shape[lead:] and any(
+            t != 1 and t != s for t, s in zip(tshape, shape[lead:])):
         raise ValueError(f"need a matrix or a stack of them and a target that broadcasts "
-                         f"to it, got {x.data.shape} and {np.shape(target)}")
-    n = diff.shape[-2] * diff.shape[-1]
+                         f"to it, got {shape} and {tshape}")
+    n = shape[-2] * shape[-1]
+    diff = x.data - target
     diff *= diff
     data = np.asarray(diff.mean(axis=(-2, -1)))
 
     def bwd(g):
-        return (np.expand_dims(g / n, (-2, -1)) * (2.0 * (x.data - target)),)
+        gx = x.data - target
+        gx *= 2.0
+        gx *= np.expand_dims(g / n, (-2, -1))
+        return (gx,)
 
     return _make(data, (x,), bwd)
 
@@ -486,9 +499,10 @@ def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
     d2 += na
     if np.min(d2, initial=np.inf) > _GUARD * (nb.max(initial=0.0) + na.max(initial=0.0)):
         return d2, None  # no entry is near cancellation
-    index = np.nonzero(d2 <= _GUARD * (nb + na))
-    if not index[0].size:
+    flat = np.flatnonzero(d2 <= _GUARD * (nb + na))
+    if not flat.size:
         return d2, None
+    index = np.unravel_index(flat, d2.shape)
     *lead, i, j = index
     diff = bs[(*lead, i)] - as_[(*lead, j)]
     d2[index] = np.einsum("kr,kr->k", diff, diff)
@@ -537,18 +551,8 @@ def _slice_dot(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (g @ d.reshape(*d.shape[:-2], -1, 1))[..., 0, 0]
 
 
-def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
-    """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
-
-    Row i of B (m x r) against row j of A (n x r), with segment p the
-    columns [start, end) of bounds[p]; the segments tile [0, r) in order.
-    B and A may carry the same leading batch axes, with alpha_p shaped
-    (..., P): every slice is computed on its own, with its own weights. One
-    recorded op with a closed-form backward. The pieces lie on one axis,
-    (..., P, m, w) for the widest piece's width w, narrower pieces padded
-    with zero columns; it holds a (..., P, m, n) array of distances, never
-    an (m, n, r) array. The subgradient at a zero distance is 0.
-    """
+def _segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds):
+    """The value of `weighted_segment_distances`, a fresh array, and what its backward needs."""
     _check_factors(b, a)
     lead, r = b.data.shape[:-2], b.data.shape[-1]
     for s, e in bounds:
@@ -565,31 +569,53 @@ def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) ->
     d, guarded = _segment_sq_distances(bp, ap)
     np.sqrt(d, out=d)
     out = np.einsum("...p,...pij->...ij", alpha_p.data, d)
+    return out, (bp, ap, alpha_p.data, d, guarded, r, cols)
+
+
+def _segment_distances_backward(g: np.ndarray, saved):
+    """The gradients of B, A and alpha_p from the gradient g of the distance matrix."""
+    bp, ap, alpha_p, d, guarded, r, cols = saved
+    galpha = _slice_dot(g, d)
+    # sum_j W_ij (b_i - a_j) with W = w g / d per piece, in Gram form; that
+    # form cancels badly at the guarded entries, so they use their differences.
+    # Only a guarded entry can be a zero distance.
+    gb = np.zeros_like(bp)
+    ga = np.zeros_like(ap)
+    if guarded is None:
+        weight = g[..., None, :, :] / d
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = g[..., None, :, :] / d
+        index, diff = guarded
+        *lead_i, p, i, j = index
+        weight[index] = 0.0
+        dg = d[index]
+        wg = alpha_p[(*lead_i, p)] * g[(*lead_i, i, j)]
+        scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
+        np.add.at(gb, (*lead_i, p, i), scale[:, None] * diff)
+        np.add.at(ga, (*lead_i, p, j), -scale[:, None] * diff)
+    weight *= alpha_p[..., None, None]
+    gb += weight.sum(axis=-1)[..., None] * bp - weight @ ap
+    ga += weight.sum(axis=-2)[..., None] * ap - np.swapaxes(weight, -1, -2) @ bp
+    return _join_pieces(gb, r, cols), _join_pieces(ga, r, cols), galpha
+
+
+def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
+    """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
+
+    Row i of B (m x r) against row j of A (n x r), with segment p the
+    columns [start, end) of bounds[p]; the segments tile [0, r) in order.
+    B and A may carry the same leading batch axes, with alpha_p shaped
+    (..., P): every slice is computed on its own, with its own weights. One
+    recorded op with a closed-form backward. The pieces lie on one axis,
+    (..., P, m, w) for the widest piece's width w, narrower pieces padded
+    with zero columns; it holds a (..., P, m, n) array of distances, never
+    an (m, n, r) array. The subgradient at a zero distance is 0.
+    """
+    out, saved = _segment_distances(b, a, alpha_p, bounds)
 
     def bwd(g):
-        galpha = _slice_dot(g, d)
-        # sum_j W_ij (b_i - a_j) with W = w g / d per piece, in Gram form; that
-        # form cancels badly at the guarded entries, so they use their differences.
-        # Only a guarded entry can be a zero distance.
-        gb = np.zeros_like(bp)
-        ga = np.zeros_like(ap)
-        if guarded is None:
-            weight = g[..., None, :, :] / d
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                weight = g[..., None, :, :] / d
-            index, diff = guarded
-            *lead_i, p, i, j = index
-            weight[index] = 0.0
-            dg = d[index]
-            wg = alpha_p.data[(*lead_i, p)] * g[(*lead_i, i, j)]
-            scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
-            np.add.at(gb, (*lead_i, p, i), scale[:, None] * diff)
-            np.add.at(ga, (*lead_i, p, j), -scale[:, None] * diff)
-        weight *= alpha_p.data[..., None, None]
-        gb += weight.sum(axis=-1)[..., None] * bp - weight @ ap
-        ga += weight.sum(axis=-2)[..., None] * ap - np.swapaxes(weight, -1, -2) @ bp
-        return _join_pieces(gb, r, cols), _join_pieces(ga, r, cols), galpha
+        return _segment_distances_backward(g, saved)
 
     return _make(out, (b, a, alpha_p), bwd)
 
@@ -637,26 +663,57 @@ def column_softmax(a: Tensor) -> Tensor:
     return softmax(a, axis=-2)
 
 
-def column_mix(k: Tensor, alpha: Tensor, beta: Tensor) -> Tensor:
-    """k + alpha * column_softmax(k) + beta, as one recorded op.
+def _column_mix(k: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Overwrite k with k + alpha * column_softmax(k) + beta; return the softmax."""
+    s = _softmax_data(k, k.ndim - 2)
+    k += alpha * s
+    k += beta
+    return s
 
-    k is a matrix or a stack of them; alpha and beta are 0-d, or (S, 1, 1)
-    for a stack of S, one value per slice. Forward and backward repeat, in
-    order, the floating-point operations of
-    add(add(k, mul(alpha, column_softmax(k))), beta).
+
+def _column_mix_backward(g: np.ndarray, s: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """The gradients of k, alpha and beta from the gradient g of `_column_mix`'s output.
+
+    Two temporaries, each of k's size; the gradient of k is the second, in
+    the memory layout a fresh g + s * (gs - dot) would have.
     """
-    ax = k.data.ndim - 2
-    s = _softmax_data(k.data, ax)
-    data = k.data + alpha.data * s
-    data += beta.data
+    gs = g * alpha
+    t = gs * s
+    dot = t.sum(axis=-2, keepdims=True)
+    galpha = _unbroadcast(np.multiply(g, s, out=t), alpha.shape)
+    if galpha is t:  # a stack of 1 x 1 matrices; t is overwritten below
+        galpha = t.copy()
+    gs -= dot
+    np.multiply(s, gs, out=t)
+    t += g
+    return t, galpha, _unbroadcast(g, beta.shape)
+
+
+def mixed_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, alpha: Tensor, beta: Tensor,
+                            bounds) -> Tensor:
+    """The mix-k merge k + alpha * column_softmax(k) + beta, as one recorded op.
+
+    k is weighted_segment_distances(b, a, alpha_p, bounds); alpha and beta
+    are 0-d, or (S, 1, 1) for a stack of S, one value per slice. The output
+    is written over k's own array, so the op holds the (..., P, m, n)
+    distances, the column softmax and its output: (P + 2) matrices per
+    slice. Forward and backward repeat, in order, the floating-point
+    operations of add(add(k, mul(alpha, column_softmax(k))), beta) on the
+    distance op.
+    """
+    lead = b.data.shape[:-2]
+    scalar = (*lead, 1, 1) if lead else ()
+    if alpha.data.shape != scalar or beta.data.shape != scalar:
+        raise ValueError(f"need alpha and beta of shape {scalar}, "
+                         f"got {alpha.data.shape} and {beta.data.shape}")
+    k, saved = _segment_distances(b, a, alpha_p, bounds)
+    s = _column_mix(k, alpha.data, beta.data)
 
     def bwd(g):
-        gs = g * alpha.data
-        dot = (gs * s).sum(axis=ax, keepdims=True)
-        gk = g + s * (gs - dot)
-        return gk, _unbroadcast(g * s, alpha.data.shape), _unbroadcast(g, beta.data.shape)
+        gk, galpha, gbeta = _column_mix_backward(g, s, alpha.data, beta.data)
+        return (*_segment_distances_backward(gk, saved), galpha, gbeta)
 
-    return _make(data, (k, alpha, beta), bwd)
+    return _make(k, (b, a, alpha_p, alpha, beta), bwd)
 
 
 # -- backward pass ------------------------------------------------------------

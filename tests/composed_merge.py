@@ -4,14 +4,16 @@ It builds the (m, n, r) tensor of row differences and reduces it with
 elementary recorded ops, so its values and gradients come from code that
 shares nothing with `klora.tensor.weighted_segment_distances` and
 `klora.tensor.squared_distances`. `composed_merge` runs a kind's registry
-merge with those two ops swapped for the composed ones; everything the
-merge builds on top of the distances is the package's own code.
+merge with those two ops swapped for the composed ones, and the fused mix-k
+op for its chain of elementary ops on the composed distances; everything
+the merge builds on top of the distances is the package's own code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+import composed_chains
 from klora import kernels
 from klora.tensor import Tensor, _make, mul, reduce_sum, reshape, square, sub
 
@@ -59,12 +61,21 @@ def squared_distances(b, a) -> Tensor:
     return reduce_sum(square(row_differences(b, a)), axis=2)
 
 
+def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:
+    return composed_chains.column_mix(weighted_segment_distances(b, a, alpha_p, bounds),
+                                      alpha, beta)
+
+
 def composed_merge(spec, pair) -> Tensor:
-    """`kernels.merge` with its two distance ops swapped for the composed ones."""
-    saved = kernels.weighted_segment_distances, kernels.squared_distances
-    kernels.weighted_segment_distances = weighted_segment_distances
-    kernels.squared_distances = squared_distances
+    """`kernels.merge` with its distance ops swapped for the composed ones."""
+    composed = {"weighted_segment_distances": weighted_segment_distances,
+                "squared_distances": squared_distances,
+                "mixed_segment_distances": mixed_segment_distances}
+    saved = {name: getattr(kernels, name) for name in composed}
+    for name, op in composed.items():
+        setattr(kernels, name, op)
     try:
         return kernels.merge(spec, pair)
     finally:
-        kernels.weighted_segment_distances, kernels.squared_distances = saved
+        for name, op in saved.items():
+            setattr(kernels, name, op)

@@ -1,7 +1,7 @@
 """The fused per-layer ops against their composed chains, bit for bit.
 
-`column_mix`, `soft_threshold` and `affine` promise to repeat the
-floating-point operations of the chains in `composed_chains`, in order.
+`mixed_segment_distances`, `soft_threshold` and `affine` promise to repeat
+the floating-point operations of the chains in `composed_chains`, in order.
 These tests hold each op to the same forward bits and the same bits in
 every gradient, and a whole training run to the same trace and checkpoint
 bytes.
@@ -20,11 +20,10 @@ from klora.tensor import (
     Tensor,
     affine,
     backward,
-    column_mix,
+    mixed_segment_distances,
     mul,
     reduce_sum,
     soft_threshold,
-    weighted_segment_distances,
 )
 
 # (batch axes, m, n, r): two trainer layer shapes and the stacked fit-small shape
@@ -53,19 +52,40 @@ def assert_fused_equals_chain(fused, chain, arrays, upstream):
 
 
 @pytest.mark.parametrize("lead, m, n, r", SHAPES, ids=SHAPE_IDS)
-def test_column_mix_equals_its_chain(lead, m, n, r):
+@pytest.mark.parametrize("layout", ["c-order", "transposed"])
+def test_mixed_segment_distances_equals_its_chain(lead, m, n, r, layout):
+    # row 3 of A equals row 5 of B: a zero distance, inside the cancellation
+    # guard. A transposed incoming gradient is what an `affine` weight
+    # gradient hands the merge; reductions over it add in its memory order.
     rng = np.random.default_rng([m, n, r, len(lead)])
     bounds = segment_bounds(r, 2)
     scalar = (*lead, 1, 1) if lead else ()
-    arrays = [rng.normal(size=(*lead, m, r)), rng.normal(size=(*lead, n, r)),
-              rng.normal(size=(*lead, 2)), rng.normal(size=scalar), rng.normal(size=scalar)]
+    b, a = rng.normal(size=(*lead, m, r)), rng.normal(size=(*lead, n, r))
+    a[..., 3, :] = b[..., 5, :]
+    arrays = [b, a, rng.normal(size=(*lead, 2)), rng.normal(size=scalar),
+              rng.normal(size=scalar)]
+    if layout == "c-order":
+        upstream = rng.normal(size=(*lead, m, n))
+    else:
+        upstream = np.swapaxes(rng.normal(size=(*lead, n, m)), -1, -2)
+    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, bounds),
+                              lambda *t: composed_chains.mixed_segment_distances(*t, bounds),
+                              arrays, upstream)
 
-    def build(op):
-        return lambda b, a, alpha_p, alpha, beta: op(
-            weighted_segment_distances(b, a, alpha_p, bounds), alpha, beta)
 
-    assert_fused_equals_chain(build(column_mix), build(composed_chains.column_mix), arrays,
-                              rng.normal(size=(*lead, m, n)))
+def test_a_stack_of_1x1_mixes_equals_its_chain():
+    # alpha is as large as the merge here, so its gradient g * s is not a
+    # reduction; at an incoming -0 and a negative alpha it is -0 while the
+    # merge's gradient is +0
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=(3, 1, 1)), rng.normal(size=(3, 1, 1)), rng.normal(size=(3, 1)),
+              rng.normal(size=(3, 1, 1)), rng.normal(size=(3, 1, 1))]
+    arrays[3][1] = -0.5
+    upstream = rng.normal(size=(3, 1, 1))
+    upstream[1] = -0.0
+    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, [(0, 1)]),
+                              lambda *t: composed_chains.mixed_segment_distances(*t, [(0, 1)]),
+                              arrays, upstream)
 
 
 @pytest.mark.parametrize("lead, m, n, r", SHAPES, ids=SHAPE_IDS)

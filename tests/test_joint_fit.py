@@ -6,6 +6,8 @@ alone in `per_kind_fit`, for every kind, for both fit drivers, and when
 another kind diverges.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,24 @@ def test_a_fit_step_records_one_graph(monkeypatch):
     _fit(kinds, targets_for(SEEDS), SEEDS, r=4, steps=5, lr=1e-3, pieces=2, factor_std=1.0)
     assert calls == {"backward": 5, "loss": 6}  # one per step, and the final losses
     assert len(marks) == 5
-    # mix-k 2 (distances, column mix), p-linear 1, linear 2 (transpose,
-    # matmul), the stack, the loss and its sum; the mark's own tensor is 1 more
-    assert {b - a - 1 for a, b in zip(marks, marks[1:])} == {8}
+    # mix-k 1 (the fused distances and column mix), p-linear 1, linear 2
+    # (transpose, matmul), the stack, the loss and its sum; the mark's own
+    # tensor is 1 more
+    assert {b - a - 1 for a, b in zip(marks, marks[1:])} == {7}
+
+
+def test_a_mix_k_fit_step_holds_few_matrices():
+    # the previous step's graph is alive while the next one is recorded: two
+    # graphs of four matrices (the two piece distances, the column softmax
+    # and the merge), the target and the forward's temporaries come to about
+    # 10.5 matrices; graphs that keep six each reach about 14.5
+    m = n = 256
+    params = dict(m=m, n=n, r=8, kernels=("mix-k",), lr=1e-5, seeds=1, density=0.05, pieces=2)
+    fit_matrix_experiment(steps=1, **params)  # what the first call imports or caches stays out
+    tracemalloc.start()
+    try:
+        fit_matrix_experiment(steps=3, **params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * m * n * 8, f"peak {peak / (m * n * 8):.2f} matrices of {m}x{n}"

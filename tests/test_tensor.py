@@ -15,12 +15,13 @@ from klora.tensor import (
     affine,
     backward,
     checkpoint,
-    column_mix,
     column_softmax,
     exp,
     finite_diff_check,
     log,
     matmul,
+    mean_squared_error,
+    mixed_segment_distances,
     mul,
     reciprocal,
     record_and_backward,
@@ -34,6 +35,7 @@ from klora.tensor import (
     soft_threshold,
     softmax,
     square,
+    stack,
     squared_distances,
     sub,
     transpose,
@@ -157,11 +159,13 @@ def _per_slice(t, fn):
             squared_distances(reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4))))).sum()),
         ("softmax_cols_stacked", lambda a, b: mul(
             column_softmax(reshape(a, (2, 2, 4))), reshape(b, (2, 2, 4))).sum()),
-        ("column_mix", lambda a, b: mul(
-            column_mix(a, reduce_mean(b), reduce_mean(square(b))), b).sum()),
-        ("column_mix_stacked", lambda a, b: mul(column_mix(
-            reshape(a, (2, 2, 4)), _per_slice(b, lambda t: t), _per_slice(b, square)),
-            reshape(b, (2, 2, 4))).sum()),
+        # the mix-k merge, with its piece weights drawn from a and alpha, beta from b
+        ("mixed_segment_distances", lambda a, b: mul(mixed_segment_distances(
+            a, b, reduce_mean(reshape(a, (2, 8)), axis=1), reduce_mean(b), reduce_mean(square(b)),
+            [(0, 1), (1, 4)]), transpose(b)).sum()),
+        ("mixed_segment_distances_stacked", lambda a, b: square(mixed_segment_distances(
+            reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4)), reshape(reduce_mean(a, axis=1), (2, 2)),
+            _per_slice(b, lambda t: t), _per_slice(b, square), [(0, 1), (1, 4)])).sum()),
         ("soft_threshold", lambda a, b: mul(soft_threshold(a, 0.7), b).sum()),
         ("soft_threshold_kinks", lambda a, b: mul(soft_threshold(
             add(mul(a, Tensor(_KINK_MASK)), Tensor(_KINK_OFFSET)), 0.7), b).sum()),
@@ -282,6 +286,34 @@ def test_matmul_shape_mismatch_rejected():
     b = Tensor(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="mismatch"):
         matmul(a, b)
+
+
+@pytest.mark.parametrize("target_shape", [(3, 3, 3), (4, 2, 3, 3), (2, 3, 4)])
+def test_mean_squared_error_rejects_a_target_that_does_not_broadcast(target_shape):
+    x = Tensor(np.zeros((2, 3, 3)))
+    with pytest.raises(ValueError, match="target that broadcasts"):
+        mean_squared_error(x, np.zeros(target_shape))
+
+
+def test_stack_of_no_parts_rejected():
+    with pytest.raises(ValueError, match="at least one part"):
+        stack([])
+
+
+def test_a_stack_of_one_part_views_it():
+    part = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    out = stack([part])
+    assert out.data.shape == (1, 2, 3) and np.shares_memory(out.data, part.data)
+    backward(reduce_sum(mul(out, Tensor(np.arange(6.0).reshape(1, 2, 3)))))
+    np.testing.assert_array_equal(part.grad, np.arange(6.0).reshape(2, 3))
+
+
+def test_mixed_segment_distances_rejects_misshaped_coefficients():
+    b, a = Tensor(np.ones((2, 4, 2))), Tensor(np.ones((2, 3, 2)))
+    alpha_p, good = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1, 1)))
+    for alpha, beta in [(Tensor(1.0), good), (good, Tensor(np.ones((2, 4, 3))))]:
+        with pytest.raises(ValueError, match="alpha and beta of shape"):
+            mixed_segment_distances(b, a, alpha_p, alpha, beta, [(0, 1), (1, 2)])
 
 
 def test_shape_invariant_product_equals_length():
