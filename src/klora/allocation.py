@@ -120,30 +120,13 @@ class ImportanceState:
         self.t += 1
 
 
-def layer_score(state: ImportanceState | None, metric, pair=None, merged=None,
-                parts=(slice(None),), product=None) -> float:
-    """Per-layer importance score under the chosen metric (always >= 0).
+def layer_score(parts) -> float:
+    """A layer's importance score: the sum, over its nonnegative arrays, of their means.
 
-    Under the sensitivity metric the score sums, over `parts` (slices of
-    the state's arena, by default all of it), the mean of i_bar * u_bar.
-    A caller scoring many layers passes that product once as `product`.
+    `Trainer.layer_scores` picks the arrays each metric reads.
     """
-    metric = parse_metric(metric)
-    if metric is Metric.SENSITIVITY:
-        if state is None or not state.initialized:
-            raise ValueError("sensitivity metric needs an updated importance state")
-        if product is None:
-            product = state.i_bar * state.u_bar
-        # sum / size is how numpy forms a float mean
-        return float(sum(x.sum() / x.size for x in (product[part] for part in parts)))
-    if metric is Metric.MAGNITUDE:
-        if pair is None:
-            raise ValueError("magnitude metric needs the factor pair")
-        a, b = pair if isinstance(pair, tuple) else (pair.A, pair.B)
-        return float(np.abs(_as_array(a)).mean() + np.abs(_as_array(b)).mean())
-    if merged is None:
-        raise ValueError("w-magnitude metric needs the merged matrix")
-    return float(np.abs(_as_array(merged)).mean())
+    # sum / size is how numpy forms a float mean
+    return float(sum(x.sum() / x.size for x in parts))
 
 
 @dataclass

@@ -558,6 +558,55 @@ def _check_max_final_loss(report, table, bound, asserts):
         yield f"final loss {report.aggregates['final_loss']} > {bound}"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _need(holds: bool, what: str, value) -> None:
+    if not holds:
+        raise TypeError(f"need {what}, got {value!r}")
+
+
+# the shape of each assert value: each checks it and returns the names it lists
+def _bound(value) -> list:
+    _need(_is_number(value), "a number", value)
+    return []
+
+
+def _name_list(value) -> list:
+    _need(isinstance(value, list) and all(isinstance(v, str) for v in value),
+          "a list of names", value)
+    return value
+
+
+def _bound_per_name(value) -> list:
+    _need(isinstance(value, dict) and all(map(_is_number, value.values())),
+          "an object of numeric bounds", value)
+    return list(value)
+
+
+def _schedule_rows(value) -> list:
+    _need(isinstance(value, list) and all(
+        isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
+        and all(map(_is_number, row[1:])) for row in value),
+        "a list of [kind, step, budget] rows", value)
+    return [row[0] for row in value]
+
+
+def _target_rel(value) -> list:
+    _need(isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
+          "[target, relative tolerance]", value)
+    return []
+
+
+def _kernel(name) -> str:
+    return parse_kernel_kind(name).value
+
+
+def _kind(name) -> str:
+    return parse_schedule_kind(name).value
+
+
 REQUIRED = inspect.Parameter.empty  # the default of a parameter without one
 
 
@@ -569,15 +618,20 @@ class ExperimentType:
     (file-name suffix, header, rows). `params` maps the driver's parameter
     names to their defaults, REQUIRED for those without one;
     `check_params(params, config)` raises what the run would raise for their
-    values. `checks` maps each assert key, in evaluation order, to a
-    check(report, table, value, asserts) that yields one detail per failure;
-    None marks a key that another check reads.
+    values. `checks` maps each assert key, in evaluation order, to its value's
+    shape(value), which raises a TypeError for a malformed value and returns
+    the names it lists, and a check(report, table, value, asserts) that
+    yields one detail per failure; None marks a key that another check
+    reads. `names` is None or (parse, produced): the canonical form of a
+    listed name, and produced(params) the kernels, rank keys or schedule
+    kinds that a run with those params reports.
     """
 
     run: Callable
     params: dict
     check_params: Callable
     checks: dict
+    names: tuple | None = None
 
 
 def _params_of(driver, check, *fixed) -> tuple:
@@ -591,35 +645,38 @@ def _params_of(driver, check, *fixed) -> tuple:
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
         _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment, _check_args),
-        {"mse_ordering": _check_mse_ordering, "min_seed_fraction": None,
-         "max_final_mse": _check_max_final_mse}),
+        {"mse_ordering": (_name_list, _check_mse_ordering), "min_seed_fraction": (_bound, None),
+         "max_final_mse": (_bound_per_name, _check_max_final_mse)},
+        (_kernel, lambda params: [_kernel(k) for k in params["kernels"]])),
     "grad-evolution": ExperimentType(
         _report_only(grad_evolution_experiment),
         *_params_of(grad_evolution_experiment, _check_args),
-        {"max_rbf_mixk_ratio": _check_max_rbf_mixk_ratio}),
+        {"max_rbf_mixk_ratio": (_bound, _check_max_rbf_mixk_ratio)}),
     "rank-sweep": ExperimentType(
         _run_rank_sweep, *_params_of(rank_sweep, _check_args),
-        {"rank_at_most": _check_rank_at_most, "rank_above": _check_rank_above}),
+        {"rank_at_most": (_bound_per_name, _check_rank_at_most),
+         "rank_above": (_bound_per_name, _check_rank_above)},
+        (str, lambda params: [f"{_kernel(k)}@r={r}" for k in params["kernels"]
+                              for r in params["r_values"]])),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, {"config": {}}, _check_train, {"max_final_loss": _check_max_final_loss}),
+        _run_train, {"config": {}}, _check_train,
+        {"max_final_loss": (_bound, _check_max_final_loss)}),
     "schedule": ExperimentType(
         _run_schedule,
         *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),
-        {"values": _check_schedule_values}),
+        {"values": (_schedule_rows, _check_schedule_values)},
+        (_kind, lambda params: [_kind(k) for k in params["kinds"]])),
     "memory-model": ExperimentType(
         _run_memory_model, *_params_of(memory_footprint_estimate, _memory_dims, "mode"),
-        {"lowrank_fullft_ratio": _check_lowrank_fullft_ratio}),
+        {"lowrank_fullft_ratio": (_target_rel, _check_lowrank_fullft_ratio)}),
 }
 
-# params and assert keys that carry names: how to list the names, and their parser
+# params that carry names: how to list the names, and their parser
 _NAMES = {
     "kernel_kind": (lambda v: [v], parse_kernel_kind),
     "kernels": (list, parse_kernel_kind),
-    "mse_ordering": (list, parse_kernel_kind),
-    "max_final_mse": (list, parse_kernel_kind),
     "kinds": (list, parse_schedule_kind),
-    "values": (lambda v: [row[0] for row in v], parse_schedule_kind),
 }
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
@@ -659,6 +716,20 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
         # a train entry's one param is its config overrides
         config_key = ".config" if entry["type"] == "train" else ""
         raise ConfigError(f"{where}params{config_key}: {err}") from None
+    given = {**etype.params, **params}
+    for key, value in entry.get("assert", {}).items():
+        shape, _ = etype.checks[key]
+        try:
+            listed = shape(value)
+            if listed:
+                parse, produced = etype.names
+                known = produced(given)
+                for name in listed:
+                    if parse(name) not in known:
+                        raise ValueError(f"the entry reports no {name!r} "
+                                         f"(it reports {', '.join(known)})")
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{where}assert.{key}: {err}") from None
 
 
 def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple:
@@ -673,7 +744,7 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
         suffix, header, rows = table
         paths.append(out_dir / f"{name}{suffix}.csv")
         write_csv(paths[-1], header, rows)
-    failures = [f"{name}: {detail}" for key, check in etype.checks.items()
+    failures = [f"{name}: {detail}" for key, (_, check) in etype.checks.items()
                 if check is not None and key in asserts
                 for detail in check(report, table, asserts[key], asserts)]
     paths.append(report.write(out_dir))
@@ -683,20 +754,30 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
 def run_all(config: RunConfig, out_dir) -> tuple:
     """Execute every experiment in the config; returns (report paths, failures).
 
-    All entries are checked before anything runs. Embedded `assert`
-    blocks are evaluated against each experiment's results; failures are
-    collected, not fatal.
+    All entries are checked before anything runs, their names too: each
+    names the files it writes under `out_dir`, so it must be one file name,
+    used by no earlier entry. Embedded `assert` blocks are evaluated against
+    each experiment's results; failures are collected, not fatal.
     """
+    names = []
     for i, entry in enumerate(config.experiments):
         if not isinstance(entry, dict):
             raise ConfigError(f"experiments[{i}] must be an object")
         check_entry(entry, config, f"experiments[{i}].")
+        name = entry.get("name", f"{entry['type']}-{i}")
+        if not (isinstance(name, str) and name not in ("", ".", "..")
+                and Path(name).name == name):
+            raise ConfigError(f"experiments[{i}].name must be a nonempty string, not '.' or "
+                              f"'..', with no path separator, got {name!r}")
+        if name in names:
+            raise ConfigError(f"experiments[{i}].name {name!r} repeats "
+                              f"experiments[{names.index(name)}]'s name")
+        names.append(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, failures = [], []
-    for i, entry in enumerate(config.experiments):
-        _, written, failed = run_entry(entry, config, out_dir,
-                                       entry.get("name", f"{entry['type']}-{i}"))
+    for entry, name in zip(config.experiments, names):
+        _, written, failed = run_entry(entry, config, out_dir, name)
         paths += written
         failures += failed
     return paths, failures

@@ -106,7 +106,7 @@ class Adam:
     parameters. `step` subtracts each parameter's update from its array in
     place, so a parameter keeps its array, and every view of it, for its
     whole life; it returns the flat gradient, laid out parameter by
-    parameter.
+    parameter. `slots` holds each parameter's (slice, shape) in that layout.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -121,7 +121,7 @@ class Adam:
         self.eps = float(eps)
         self.t = 0
         bounds = list(itertools.accumulate((p.data.size for p in self.params), initial=0))
-        self._slots = [(slice(lo, hi), p.data.shape)
+        self.slots = [(slice(lo, hi), p.data.shape)
                        for p, lo, hi in zip(self.params, bounds, bounds[1:])]
         self._m = np.zeros(bounds[-1])
         self._v = np.zeros(bounds[-1])
@@ -155,7 +155,7 @@ class Adam:
         np.divide(m, bc1, out=y)
         y *= self.lr
         y /= x
-        for p, (part, shape) in zip(self.params, self._slots):
+        for p, (part, shape) in zip(self.params, self.slots):
             p.data -= y[part].reshape(shape)
         return g
 
@@ -205,10 +205,6 @@ class AdaptedLinear:
         return (self.m, self.n, self.pair.r, self.spec.kind, self.spec.pieces,
                 self.sparsify_mode, self.recompute_merge)
 
-    def merged(self) -> Tensor:
-        """This layer's kernel merge, as a group of one."""
-        return group_merge(LayerGroup([self]))
-
     def delta_w(self) -> Tensor:
         """This layer's sparsified update, as a group of one."""
         return group_deltas(LayerGroup([self]))[0]
@@ -219,9 +215,6 @@ class AdaptedLinear:
 
     def trainables(self) -> list:
         return [self.pair.A, self.pair.B, *self.spec.coefficients()]
-
-    def nonzero_updates(self) -> int:
-        return int(np.count_nonzero(self.delta_w().data))
 
 
 class LayerGroup:
@@ -515,7 +508,7 @@ class Trainer:
         self.opt = Adam(self.params, lr=config.lr, beta1=config.adam_beta1,
                         beta2=config.adam_beta2, eps=config.adam_eps)
         self.importance = ImportanceState(config.smoothing_beta1, config.smoothing_beta2)
-        slice_of = {id(p): part for p, (part, _) in zip(self.params, self.opt._slots)}
+        slice_of = {id(p): part for p, (part, _) in zip(self.params, self.opt.slots)}
 
         def factor_parts(group):
             count = len(group.layers)
@@ -553,17 +546,23 @@ class Trainer:
         return value
 
     def layer_scores(self) -> list:
+        """Each layer's `layer_score` over the arrays its importance metric reads:
+        its A and B slices of i_bar·u_bar (sensitivity, after a step), |A| and |B|
+        (magnitude), or |merge| from one `group_merge` per group (w-magnitude)."""
         metric, state = self.config.importance_metric, self.importance
-        merges = [None] * len(self.layers)
-        if metric is Metric.W_MAGNITUDE:  # one merge per group, as in the forward pass
-            merges = self.model.per_group(lambda group: group_merge(group).data.reshape(
-                len(group.layers), group.layers[0].m, group.layers[0].n))
-        product = None
-        if metric is Metric.SENSITIVITY and state.initialized:
+        if metric is Metric.SENSITIVITY:
+            if not state.initialized:
+                raise ValueError("sensitivity metric needs an updated importance state")
             product = state.i_bar * state.u_bar
-        return [layer_score(state, metric, pair=layer.pair, merged=merged, parts=parts,
-                            product=product)
-                for layer, merged, parts in zip(self.layers, merges, self.factor_parts)]
+            arrays = [(product[a], product[b]) for a, b in self.factor_parts]
+        elif metric is Metric.MAGNITUDE:
+            arrays = [(np.abs(layer.pair.A.data), np.abs(layer.pair.B.data))
+                      for layer in self.layers]
+        else:
+            arrays = [(np.abs(merged),) for merged in self.model.per_group(
+                lambda group: group_merge(group).data.reshape(
+                    len(group.layers), group.layers[0].m, group.layers[0].n))]
+        return [layer_score(parts) for parts in arrays]
 
     def grad_norms(self) -> list:
         """Per-layer norm of the last step's factor gradients."""

@@ -47,9 +47,6 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -58,43 +55,17 @@ class Tensor:
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else scalar_add(self, other)
 
-    def __radd__(self, other):
-        return scalar_add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else scalar_add(self, -other)
-
-    def __rsub__(self, other):
-        return scalar_add(scalar_mul(self, -1.0), other)
-
     def __mul__(self, other):
         return mul(self, other) if isinstance(other, Tensor) else scalar_mul(self, other)
 
     def __rmul__(self, other):
         return scalar_mul(self, other)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, reciprocal(other))
-        return scalar_mul(self, 1.0 / other)
-
     def __neg__(self):
         return scalar_mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None):
         return reduce_sum(self, axis)
-
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
-
-    def transpose(self):
-        return transpose(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _as_tensor(x) -> Tensor:

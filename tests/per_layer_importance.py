@@ -21,6 +21,7 @@ import numpy as np
 
 import per_layer_forward
 from klora.allocation import Metric, alloc, budget_at, sensitivity
+from klora.kernels import merge
 from klora.model import AllocPeriod, EpochRecord, RunTrace, Trainer, _config_echo
 from klora.tensor import Tensor, backward
 
@@ -57,7 +58,7 @@ def layer_score(state: LayerImportanceState, metric: Metric, layer) -> float:
         )
     if metric is Metric.MAGNITUDE:
         return float(np.abs(layer.pair.A.data).mean() + np.abs(layer.pair.B.data).mean())
-    return float(np.abs(layer.merged().data).mean())
+    return float(np.abs(merge(layer.spec, layer.pair).data).mean())
 
 
 class PerLayerTrainer(Trainer):

@@ -108,19 +108,10 @@ class TestLayerScore:
     def test_fresh_state_sensitivity_is_zero(self):
         st = ImportanceState()
         st.update(np.abs(np.random.default_rng(0).normal(size=8)))
-        assert layer_score(st, Metric.SENSITIVITY) == 0.0
-
-    def test_uninitialized_state_rejected(self):
-        with pytest.raises(ValueError, match="updated"):
-            layer_score(ImportanceState(), Metric.SENSITIVITY)
+        assert layer_score([st.i_bar * st.u_bar]) == 0.0
 
     def test_magnitude_hand_value(self):
-        pair = (Tensor([[1.0, -1.0]]), Tensor([[2.0, 2.0]]))
-        assert layer_score(None, "magnitude", pair=pair) == pytest.approx(3.0)
-
-    def test_w_magnitude_needs_merged(self):
-        with pytest.raises(ValueError, match="merged"):
-            layer_score(None, Metric.W_MAGNITUDE)
+        assert layer_score([np.abs([[1.0, -1.0]]), np.abs([[2.0, 2.0]])]) == pytest.approx(3.0)
 
     def test_sensitivity_matches_elementwise_oracle(self):
         # a (3, 2) factor A, a (2, 2) factor B and two kernel coefficients
@@ -130,13 +121,14 @@ class TestLayerScore:
         for _ in range(4):
             st.update(np.abs(rng.normal(size=12)))
         a, b = slice(0, 6), slice(6, 10)
-        score = layer_score(st, "sensitivity", parts=(a, b))
+        product = st.i_bar * st.u_bar
+        score = layer_score([product[a], product[b]])
         i_a, u_a = st.i_bar[a].reshape(3, 2), st.u_bar[a].reshape(3, 2)
         i_b, u_b = st.i_bar[b].reshape(2, 2), st.u_bar[b].reshape(2, 2)
         expected = float(np.mean(i_a * u_a) + np.mean(i_b * u_b))
         assert score == expected
         assert score >= 0.0
-        assert layer_score(st, "sensitivity") == pytest.approx(np.mean(st.i_bar * st.u_bar))
+        assert layer_score([product]) == pytest.approx(np.mean(st.i_bar * st.u_bar))
 
     def test_metric_aliases(self):
         assert parse_metric("W-Magnitude") is Metric.W_MAGNITUDE

@@ -1,6 +1,7 @@
 """Harness drivers: fit targets, schedules, ranks, memory model, run-all, CLI."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -32,7 +33,7 @@ from klora.experiments import _fit
 from klora.kernels import KernelKind, numerical_rank
 from klora.model import RunTrace, TrainerConfig, fine_tune
 from klora.datasets import high_rank_regression
-from klora.reports import read_csv, write_csv
+from klora.reports import ExperimentReport, read_csv, write_csv
 
 
 SCHEDULE_ENTRY = {"name": "s", "type": "schedule", "params": {"b0": 100, "bT": 10, "T": 5}}
@@ -84,7 +85,9 @@ BAD_DOCUMENTS = [
 # bad second entries: a misspelled param and assert key, a missing required
 # param, an out-of-range train override, misspelled schedule names, param
 # values the driver rejects, every bad document as a train override, more
-# values the driver rejects, and a train task whose min_rank no draw reaches
+# values the driver rejects, a train task whose min_rank no draw reaches, assert
+# values of the wrong shape or naming what the entry does not report, and
+# names that are not one new file name
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -135,6 +138,36 @@ TYPO_ENTRIES = [
      "experiments[1].params: density must lie in [0, 1], got -0.5"),
     ({"type": "fit-matrix", "params": {"density": 1.5}},
      "experiments[1].params: density must lie in [0, 1], got 1.5"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
+      "assert": {"lowrank_fullft_ratio": 0.02}},
+     "experiments[1].assert.lowrank_fullft_ratio: need [target, relative tolerance], got 0.02"),
+    ({"type": "rank-sweep", "assert": {"rank_at_most": 4}},
+     "experiments[1].assert.rank_at_most: need an object of numeric bounds, got 4"),
+    ({"type": "rank-sweep", "params": {"r_values": [2]},
+      "assert": {"rank_at_most": {"linear@r=4": 4}}},
+     "experiments[1].assert.rank_at_most: the entry reports no 'linear@r=4' "
+     "(it reports mix-k@r=2, p-linear@r=2, linear@r=2)"),
+    ({"type": "fit-matrix", "params": {"kernels": ["linear"]},
+      "assert": {"max_final_mse": {"rbf": 1.0}}},
+     "experiments[1].assert.max_final_mse: the entry reports no 'rbf' (it reports linear)"),
+    ({"type": "fit-matrix", "params": {"kernels": ["linear"]},
+      "assert": {"mse_ordering": ["mix-k", "linear"]}},
+     "experiments[1].assert.mse_ordering: the entry reports no 'mix-k' (it reports linear)"),
+    ({"type": "fit-matrix", "assert": {"min_seed_fraction": "most"}},
+     "experiments[1].assert.min_seed_fraction: need a number, got 'most'"),
+    ({"type": "train", "assert": {"max_final_loss": "low"}},
+     "experiments[1].assert.max_final_loss: need a number, got 'low'"),
+    ({"type": "schedule", "assert": {"values": [["cubic", 1]]}},
+     "experiments[1].assert.values: need a list of [kind, step, budget] rows, "
+     "got [['cubic', 1]]"),
+    ({"type": "schedule", "params": {"kinds": ["linear"]},
+      "assert": {"values": [["cubic", 1, 3]]}},
+     "experiments[1].assert.values: the entry reports no 'cubic' (it reports linear)"),
+    ({"name": "s", "type": "schedule"}, "experiments[1].name 's' repeats experiments[0]'s name"),
+    ({"name": "../escaped", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
+    ({"name": ["x"], "type": "schedule"}, "experiments[1].name must be a nonempty string"),
+    ({"name": "", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
+    ({"name": "..", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
 ]
 
 
@@ -440,12 +473,69 @@ class TestRunAll:
         paths, failures = run_all(apply_defaults({"experiments": [entry]}), tmp_path)
         assert failures == [] and [p.name for p in paths] == ["fit-matrix-0.json"]
 
+    def test_train_entry_writes_its_sparsity_table_and_report(self, tmp_path):
+        entry = {"name": "t", "type": "train",
+                 "params": {"config": {"model": {"layer_dims": [8, 8], "rank": 2},
+                                       "train": {"epochs": 2, "steps_per_epoch": 2,
+                                                 "batch_size": 8, "task": {"samples": 16}}}},
+                 "assert": {"max_final_loss": 1e6}}
+        paths, failures = run_all(apply_defaults({"experiments": [entry]}), tmp_path)
+        assert failures == [] and [p.name for p in paths] == ["t-sparsity.csv", "t.json"]
+        header, rows = read_csv(tmp_path / "t-sparsity.csv")
+        assert header == ["epoch", "layer_0"] and [row[0] for row in rows] == [0, 1, 2]
+        report = json.loads((tmp_path / "t.json").read_text())
+        assert report["name"] == "t" and math.isfinite(report["aggregates"]["final_loss"])
+
+    def test_name_equal_to_an_earlier_default_rejected(self, tmp_path):
+        entries = [{"type": "schedule"}, {"name": "schedule-0", "type": "schedule"}]
+        with pytest.raises(ConfigError, match=re.escape(
+                "experiments[1].name 'schedule-0' repeats experiments[0]'s name")):
+            run_all(apply_defaults({"experiments": entries}), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
     def test_typo_in_later_entry_rejected_before_running(self, tmp_path, second, where):
         cfg = apply_defaults({"experiments": [SCHEDULE_ENTRY, second]})
         with pytest.raises(ConfigError, match=re.escape(where)):
             run_all(cfg, tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+# per assert check: the experiment type, a hand-built report's fields and
+# table, a value it meets, one it misses, and the details the miss yields
+CHECK_CASES = [
+    ("fit-matrix", "mse_ordering",
+     {"aggregates": {"mean_final_mse": {"mix-k": 1.0, "linear": 2.0}},
+      "per_seed": [{"kernels": {"mix-k": {"final_mse": 1.0}, "linear": {"final_mse": 2.0}}}]},
+     None, ["mix-k", "linear"], ["linear", "mix-k"],
+     ["mean MSE not ordered ['linear', 'mix-k']: [2.0, 1.0]",
+      "strict per-seed ordering fraction 0.0 < 0.8"]),
+    ("fit-matrix", "max_final_mse", {"aggregates": {"mean_final_mse": {"linear": 2.0}}}, None,
+     {"linear": 2.5}, {"linear": 1.5}, ["linear mean MSE 2.0 > 1.5"]),
+    ("grad-evolution", "max_rbf_mixk_ratio", {"aggregates": {"rbf_mixk_ratio": 0.05}}, None,
+     0.1, 0.01, ["rbf/mix-k gradient ratio 0.05 > 0.01"]),
+    ("rank-sweep", "rank_at_most", {"aggregates": {"linear@r=4": {"min": 3, "max": 4}}}, None,
+     {"linear@r=4": 4}, {"linear@r=4": 3}, ["linear@r=4 max rank 4 > 3"]),
+    ("rank-sweep", "rank_above", {"aggregates": {"mix-k@r=4": {"min": 8, "max": 16}}}, None,
+     {"mix-k@r=4": 4}, {"mix-k@r=4": 8}, ["mix-k@r=4 min rank 8 <= 8"]),
+    ("train", "max_final_loss", {"aggregates": {"final_loss": 0.5}}, None, 1.0, 0.25,
+     ["final loss 0.5 > 0.25"]),
+    ("schedule", "values", {}, ("", ["t", "cubic"], [[0, 100], [5, 10]]),
+     [["cubic", 5, 10]], [["cubic", 5, 11]], ["cubic at t=5: 10 != 11"]),
+    ("memory-model", "lowrank_fullft_ratio", {"aggregates": {"lowrank_fullft_ratio": 0.02}},
+     None, [0.02, 0.01], [0.03, 0.01], ["ratio 0.02 not within 0.01 of 0.03"]),
+]
+
+
+@pytest.mark.parametrize("etype, key, fields, table, met, missed, details", CHECK_CASES,
+                         ids=[case[1] for case in CHECK_CASES])
+def test_assert_check_passes_a_met_bound_and_reports_a_missed_one(
+        etype, key, fields, table, met, missed, details):
+    report = ExperimentReport(etype, {}, [], fields.get("per_seed", []),
+                              fields.get("aggregates", {}))
+    _, check = EXPERIMENT_TYPES[etype].checks[key]
+    assert list(check(report, table, met, {key: met})) == []
+    assert list(check(report, table, missed, {key: missed})) == details
 
 
 @pytest.mark.parametrize("document, message", BAD_DOCUMENTS)
@@ -551,6 +641,17 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "fit-matrix.json").exists()
+
+    def test_run_all_with_passing_asserts_exits_zero(self, tmp_path):
+        entry = {**SCHEDULE_ENTRY, "assert": {"values": [["cubic", 0, 100], ["cubic", 5, 10]]}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiments": [entry]}))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(cli_main, ["run-all", "--config", str(cfg_path),
+                                               "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output == (f"wrote {out / 's.csv'}\nwrote {out / 's.json'}\n"
+                                 "all assertions passed\n")
 
     def test_run_all_with_failing_assert_exits_nonzero(self, tmp_path):
         cfg = {

@@ -297,7 +297,7 @@ class TestTrainer:
                 if epoch > 0:
                     total = 0
                     for layer in trainer.layers:
-                        nz = layer.nonzero_updates()
+                        nz = np.count_nonzero(layer.delta_w().data)
                         assert nz <= layer.budget
                         total += nz
                     assert total <= last_alloc.global_budget
@@ -309,6 +309,13 @@ class TestTrainer:
         trainer = Trainer(build_model(ds, cfg), cfg, ds)
         with pytest.raises(ValueError, match="at least one"):
             trainer.allocate()
+
+    def test_uninitialized_state_rejected(self):
+        ds = small_dataset()
+        cfg = small_config()
+        trainer = Trainer(build_model(ds, cfg), cfg, ds)
+        with pytest.raises(ValueError, match="updated"):
+            trainer.layer_scores()
 
     def test_early_boundary_budget_tracks_cubic_law(self):
         ds = small_dataset()
