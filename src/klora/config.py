@@ -1,9 +1,10 @@
 """Run configuration: one JSON document, strict keys, every setting described once.
 
 The document has nested sections `model`, `kernel`, `sparsity`, `train`,
-and `experiments`. Unknown keys are rejected. Each trainer setting is one
-row of SETTINGS, a document key naming the `TrainerConfig` field whose
-default, type and range rule it takes. `model.layer_dims`, `model.bias`,
+and `experiments`. Unknown keys are rejected. This module owns the layout,
+`klora.model` what a setting means: a trainer setting is one `TrainerConfig`
+field (default, type, and range rule or name parser) plus one SETTINGS row,
+the document key that sets it. `model.layer_dims`, `model.bias`,
 `model.attention` and `train.task` are checked here; a task's keys are its
 dataset builder's parameters. The final budget is not stored: it derives
 from sparsity.budget_ratio times the total adaptable weight count at
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import enum
 import json
 import typing
 from dataclasses import dataclass, field
@@ -30,7 +30,7 @@ class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration content."""
 
 
-# document key -> the TrainerConfig field that holds its default, type and range rule
+# document key -> the TrainerConfig field that holds its default, type and check
 SETTINGS = {
     "model.rank": "rank", "model.factor_std": "factor_std",
     "kernel.kind": "kernel_kind", "kernel.pieces": "pieces",
@@ -59,10 +59,10 @@ def _defaults() -> dict:
         "train": {"task": {"kind": datasets.TaskKind.HIGH_RANK_REGRESSION.value}},
         "experiments": [],
     }
+    defaults = TrainerConfig().to_dict()
     for key, name in SETTINGS.items():
         section, leaf = key.split(".")
-        value = getattr(TrainerConfig, name)  # a dataclass field's class attribute is its default
-        out[section][leaf] = value.value if isinstance(value, enum.Enum) else value
+        out[section][leaf] = defaults[name]
     return out
 
 
@@ -99,8 +99,8 @@ def _check_range(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"value out of range for '{key}': {message}")
 
 
-def _check_type(key: str, value, hint) -> None:
-    """Reject a JSON value that is not of a field's type (a bool is no number)."""
+def check_type(key: str, value, hint) -> None:
+    """Reject a JSON value that is not of a field's or param's type (a bool is no number)."""
     args = typing.get_args(hint)
     if type(None) in args and value is None:
         return
@@ -139,7 +139,7 @@ def _task(config: RunConfig) -> tuple:
     _reject_unknown(args, keys, "train.task")
     for key, value in args.items():
         if keys[key] is not None:
-            _check_type(f"train.task.{key}", value, keys[key])
+            check_type(f"train.task.{key}", value, keys[key])
         if key in ranges:
             holds, rule = ranges[key]
             _check_range(holds(value, config.model["layer_dims"]), f"train.task.{key}",
@@ -157,7 +157,7 @@ def _attention(model: dict):
     _reject_unknown(attn, ATTENTION_DEFAULTS, "model.attention")
     attn = {**ATTENTION_DEFAULTS, **attn}
     for key, value in attn.items():
-        _check_type(f"model.attention.{key}", value, int)
+        check_type(f"model.attention.{key}", value, int)
     position, tokens, dims = attn["position"], attn["tokens"], model["layer_dims"]
     _check_range(0 <= position < len(dims) - 1, "model.attention.position",
                  f"{position} not in [0, {len(dims) - 2}]")
@@ -182,11 +182,11 @@ def apply_defaults(raw: dict) -> RunConfig:
     dims = config.model["layer_dims"]
     ok = isinstance(dims, list) and len(dims) >= 2 and all(type(d) is int and d > 0 for d in dims)
     _check_range(ok, "model.layer_dims", "need at least two positive integer dimensions")
-    _check_type("model.bias", config.model["bias"], bool)
+    check_type("model.bias", config.model["bias"], bool)
     _attention(config.model)
     _task(config)
     for key, name in SETTINGS.items():
-        _check_type(key, config.value(key), _HINTS[name])
+        check_type(key, config.value(key), _HINTS[name])
     try:
         trainer_config_from(config)
     except SettingError as err:

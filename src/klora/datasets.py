@@ -144,8 +144,8 @@ def blob_classification(seed: int, features: int = 8, classes: int = 3,
     )
 
 
-# range rules of task parameters, in the style of model.SETTING_RANGES: (holds, what a
-# value must be); `holds` also gets the model's layer dims, which the regression task takes
+# range rules of task parameters, like the `TrainerConfig` fields': (holds, what a value
+# must be); `holds` also gets the model's layer dims, which the regression task takes
 _COUNT = (lambda v, dims: v >= 1, "must be >= 1")
 _NONNEGATIVE = (lambda v, dims: v >= 0, "must be nonnegative")
 _REGRESSION_RANGES = {

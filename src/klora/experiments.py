@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -19,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .allocation import BudgetSchedule, budget_at, parse_schedule_kind
-from .config import ConfigError, RunConfig, apply_defaults, dataset_from, trainer_config_from
+from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from,
+                     trainer_config_from)
 from .kernels import (
     KINDS,
     KernelKind,
@@ -379,17 +381,12 @@ def alloc_trace_table(trace: RunTrace):
 
 
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
-                   kinds=("constant", "linear", "quadratic", "cubic"),
-                   points: int | None = None):
-    """(t, budget) samples per schedule kind."""
+                   kinds=("constant", "linear", "quadratic", "cubic")):
+    """(t, budget) at every step t = 0..T, per schedule kind."""
     parsed = [parse_schedule_kind(k) for k in kinds]
-    if points is None:
-        steps = list(range(T + 1))
-    else:
-        steps = sorted({int(round(i * T / (points - 1))) for i in range(points)}) if points > 1 else [0]
     header = ["t"] + [k.value for k in parsed]
     rows = []
-    for t in steps:
+    for t in range(T + 1):
         row = [t]
         for kind in parsed:
             row.append(budget_at(BudgetSchedule(b0=b0, bT=bT, T=T, kind=kind), t))
@@ -461,14 +458,14 @@ def _report_only(driver):
 
 def _run_rank_sweep(params, config):
     report = rank_sweep(**params)
-    return report, ("", *rank_table(report))
+    return report, rank_table(report)
 
 
 def _run_schedule(params, config):
     header, rows = schedule_table(**params)
     report = ExperimentReport(name="schedule", config=params, seeds=[], per_seed=[],
                               aggregates={"rows": len(rows)})
-    return report, ("", header, rows)
+    return report, (header, rows)
 
 
 def _run_memory_model(params, config):
@@ -498,7 +495,7 @@ def _check_train(params, config) -> None:
 
 def _run_train(params, config):
     report, trace = train_experiment(_train_config(params, config))
-    return report, ("-sparsity", *alloc_trace_table(trace))
+    return report, alloc_trace_table(trace)
 
 
 def _check_mse_ordering(report, table, ordered, asserts):
@@ -615,68 +612,85 @@ class ExperimentType:
     """How `run-all` runs one experiment type.
 
     `run(params, config)` returns the report and an optional CSV table
-    (file-name suffix, header, rows). `params` maps the driver's parameter
-    names to their defaults, REQUIRED for those without one;
-    `check_params(params, config)` raises what the run would raise for their
-    values. `checks` maps each assert key, in evaluation order, to its value's
-    shape(value), which raises a TypeError for a malformed value and returns
-    the names it lists, and a check(report, table, value, asserts) that
-    yields one detail per failure; None marks a key that another check
-    reads. `names` is None or (parse, produced): the canonical form of a
-    listed name, and produced(params) the kernels, rank keys or schedule
-    kinds that a run with those params reports.
+    (header, rows), which an entry named `name` writes as
+    `<name><table>.csv`; `table` is that file-name suffix, None for a type
+    that writes no table. `params` maps the driver's parameter names to
+    their defaults, REQUIRED for those without one, and `hints` maps the
+    annotated ones to their types; `check_params(params, config)` raises
+    what the run would raise for their values. `checks` maps each assert
+    key, in evaluation order, to its value's shape(value), which raises a
+    TypeError for a malformed value and returns the names it lists, and a
+    check(report, table, value, asserts) that yields one detail per
+    failure, where table is (suffix, header, rows); None marks a key that
+    another check reads. `names` is None or (parse, produced): the
+    canonical form of a listed name, and produced(params) the kernels, rank
+    keys or schedule kinds that a run with those params reports.
     """
 
     run: Callable
     params: dict
+    hints: dict
     check_params: Callable
     checks: dict
     names: tuple | None = None
+    table: str | None = None
 
 
 def _params_of(driver, check, *fixed) -> tuple:
-    """The driver's parameters with their defaults, less `fixed`, and a
-    check(params, config) that runs `check` on params with those defaults."""
+    """The driver's parameters with their defaults, less `fixed`, the types
+    of the annotated ones, and a check(params, config) that runs `check` on
+    params with those defaults."""
     params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
               if p.name not in fixed}
-    return params, lambda given, config: check(**{**params, **given})
+    hints = {k: v for k, v in typing.get_type_hints(driver).items() if k in params}
+    return params, hints, lambda given, config: check(**{**params, **given})
 
 
+_KERNEL_NAMES = (_kernel, lambda params: [_kernel(k) for k in params["kernels"]])
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
         _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment, _check_args),
         {"mse_ordering": (_name_list, _check_mse_ordering), "min_seed_fraction": (_bound, None),
          "max_final_mse": (_bound_per_name, _check_max_final_mse)},
-        (_kernel, lambda params: [_kernel(k) for k in params["kernels"]])),
+        _KERNEL_NAMES),
     "grad-evolution": ExperimentType(
         _report_only(grad_evolution_experiment),
         *_params_of(grad_evolution_experiment, _check_args),
-        {"max_rbf_mixk_ratio": (_bound, _check_max_rbf_mixk_ratio)}),
+        # the ratio needs both kernels
+        {"max_rbf_mixk_ratio": (lambda value: [*_bound(value), "rbf", "mix-k"],
+                                _check_max_rbf_mixk_ratio)}, _KERNEL_NAMES),
     "rank-sweep": ExperimentType(
         _run_rank_sweep, *_params_of(rank_sweep, _check_args),
         {"rank_at_most": (_bound_per_name, _check_rank_at_most),
          "rank_above": (_bound_per_name, _check_rank_above)},
         (str, lambda params: [f"{_kernel(k)}@r={r}" for k in params["kernels"]
-                              for r in params["r_values"]])),
+                              for r in params["r_values"]]), table=""),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, {"config": {}}, _check_train,
-        {"max_final_loss": (_bound, _check_max_final_loss)}),
+        _run_train, {"config": {}}, {}, _check_train,
+        {"max_final_loss": (_bound, _check_max_final_loss)}, table="-sparsity"),
     "schedule": ExperimentType(
         _run_schedule,
         *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),
         {"values": (_schedule_rows, _check_schedule_values)},
-        (_kind, lambda params: [_kind(k) for k in params["kinds"]])),
+        (_kind, lambda params: [_kind(k) for k in params["kinds"]]), table=""),
     "memory-model": ExperimentType(
         _run_memory_model, *_params_of(memory_footprint_estimate, _memory_dims, "mode"),
         {"lowrank_fullft_ratio": (_target_rel, _check_lowrank_fullft_ratio)}),
 }
 
-# params that carry names: how to list the names, and their parser
-_NAMES = {
+
+def _integer(value) -> None:
+    _need(type(value) is int, "an integer", value)
+
+
+# params that list names or integers: how to list the items, and each item's check
+_ITEMS = {
     "kernel_kind": (lambda v: [v], parse_kernel_kind),
     "kernels": (list, parse_kernel_kind),
     "kinds": (list, parse_schedule_kind),
+    "r_values": (list, _integer),
+    "layer_dims": (lambda v: [d for dims in v for d in dims], _integer),
 }
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
@@ -699,11 +713,13 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
             if key not in allowed:
                 raise ConfigError(f"unknown key '{where}{section}.{key}' "
                                   f"(known: {', '.join(sorted(allowed))})")
-            if key in _NAMES:
-                listed, parse = _NAMES[key]
+            if section == "params" and key in etype.hints:
+                check_type(f"{where}params.{key}", value, etype.hints[key])
+            if key in _ITEMS:
+                listed, check = _ITEMS[key]
                 try:
-                    for name in listed(value):
-                        parse(name)
+                    for item in listed(value):
+                        check(item)
                 except (TypeError, ValueError, IndexError, KeyError) as err:
                     raise ConfigError(f"{where}{section}.{key}: {err}") from None
     params = entry.get("params", {})
@@ -741,9 +757,9 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
     report.name = name
     paths = []
     if table is not None:
-        suffix, header, rows = table
-        paths.append(out_dir / f"{name}{suffix}.csv")
-        write_csv(paths[-1], header, rows)
+        paths.append(out_dir / f"{name}{etype.table}.csv")
+        write_csv(paths[-1], *table)
+        table = (etype.table, *table)  # the checks take (suffix, header, rows)
     failures = [f"{name}: {detail}" for key, (_, check) in etype.checks.items()
                 if check is not None and key in asserts
                 for detail in check(report, table, asserts[key], asserts)]
@@ -756,10 +772,11 @@ def run_all(config: RunConfig, out_dir) -> tuple:
 
     All entries are checked before anything runs, their names too: each
     names the files it writes under `out_dir`, so it must be one file name,
-    used by no earlier entry. Embedded `assert` blocks are evaluated against
-    each experiment's results; failures are collected, not fatal.
+    used by no earlier entry, and no file it writes may be one an earlier
+    entry writes. Embedded `assert` blocks are evaluated against each
+    experiment's results; failures are collected, not fatal.
     """
-    names = []
+    names, writers = [], {}  # writers: file name -> index of the entry writing it
     for i, entry in enumerate(config.experiments):
         if not isinstance(entry, dict):
             raise ConfigError(f"experiments[{i}] must be an object")
@@ -773,6 +790,12 @@ def run_all(config: RunConfig, out_dir) -> tuple:
             raise ConfigError(f"experiments[{i}].name {name!r} repeats "
                               f"experiments[{names.index(name)}]'s name")
         names.append(name)
+        suffix = EXPERIMENT_TYPES[entry["type"]].table
+        for file in [f"{name}.json", *([] if suffix is None else [f"{name}{suffix}.csv"])]:
+            if file in writers:
+                raise ConfigError(f"experiments[{i}].name {name!r} writes {file}, which "
+                                  f"experiments[{writers[file]}] writes too")
+            writers[file] = i
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, failures = [], []

@@ -7,7 +7,8 @@ stacked leaf per parameter (`LayerGroup`), and a forward pass merges and
 sparsifies it as one stack (`group_deltas`). The trainer refreshes one
 sensitivity state over the optimizer's flat parameter vector every step and
 re-divides the decaying global budget across layers at each allocation
-event (per epoch by default).
+event (per epoch by default). Each trainer setting is one `TrainerConfig`
+field, and a run's trace echoes the config it ran (`TrainerConfig.to_dict`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import enum
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -113,7 +114,7 @@ class Adam:
                  eps: float = 1e-8):
         for name, value in (("lr", lr), ("adam_beta1", beta1), ("adam_beta2", beta2),
                             ("adam_eps", eps)):
-            _check_setting(name, value)
+            _checked(TrainerConfig.__dataclass_fields__[name], value)
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -395,65 +396,67 @@ class SettingError(ValueError):
         self.name = name
 
 
+# range rules: (holds, what a value must be)
 _DECAY = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
-# the range rule of each numeric trainer setting: (holds, what a value must be)
-SETTING_RANGES = {
-    "lr": _NONNEGATIVE, "adam_beta1": _DECAY, "adam_beta2": _DECAY, "adam_eps": _POSITIVE,
-    "epochs": _NONNEGATIVE, "batch_size": _COUNT, "seed": _NONNEGATIVE, "pieces": _COUNT,
-    "rank": _COUNT, "factor_std": _POSITIVE, "budget_ratio": _UNIT, "smoothing_beta1": _UNIT,
-    "smoothing_beta2": _UNIT, "steps_per_epoch": (lambda v: v is None or v >= 1,
-                                                  "must be >= 1 or None"),
-}
 
 
-def _check_setting(name: str, value) -> None:
-    holds, rule = SETTING_RANGES[name]
-    if not holds(value):
-        raise SettingError(name, f"{name} {rule}, got {value!r}")
+def _setting(default, check):
+    """A trainer setting: its default and its check, a range rule or a name parser."""
+    return field(default=default, metadata={"check": check})
 
 
-_SETTING_PARSERS = {
-    "kernel_kind": parse_kernel_kind, "schedule_kind": parse_schedule_kind,
-    "alloc_period": parse_alloc_period, "sparsify_mode": parse_sparsify_mode,
-    "importance_metric": parse_metric,
-}
+def _checked(setting, value):
+    """`value` parsed by, or held to the range rule of, the setting field `setting`."""
+    check = setting.metadata.get("check")
+    if callable(check):
+        try:
+            return check(value)
+        except ValueError as err:
+            raise SettingError(setting.name, str(err)) from None
+    if check is not None and not check[0](value):
+        raise SettingError(setting.name, f"{setting.name} {check[1]}, got {value!r}")
+    return value
 
 
 @dataclass
 class TrainerConfig:
-    lr: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs: int = 10
-    steps_per_epoch: int | None = None
-    batch_size: int = 16
-    seed: int = 0
-    kernel_kind: KernelKind = KernelKind.MIX_K
-    pieces: int = 2
-    rank: int = 4
-    factor_std: float = 0.02
-    budget_ratio: float = 0.3
-    schedule_kind: ScheduleKind = ScheduleKind.CUBIC
-    alloc_period: AllocPeriod = AllocPeriod.PER_EPOCH
-    sparsify_mode: SparsifyMode = SparsifyMode.SOFT_SIGN
-    importance_metric: Metric = Metric.SENSITIVITY
-    smoothing_beta1: float = 0.85
-    smoothing_beta2: float = 0.85
+    """Every trainer setting, declared once: its field holds the default, the
+    type (its annotation) and the check that `__post_init__` applies."""
+
+    lr: float = _setting(1e-2, _NONNEGATIVE)
+    adam_beta1: float = _setting(0.9, _DECAY)
+    adam_beta2: float = _setting(0.999, _DECAY)
+    adam_eps: float = _setting(1e-8, _POSITIVE)
+    epochs: int = _setting(10, _NONNEGATIVE)
+    steps_per_epoch: int | None = _setting(None, (lambda v: v is None or v >= 1,
+                                                  "must be >= 1 or None"))
+    batch_size: int = _setting(16, _COUNT)
+    seed: int = _setting(0, _NONNEGATIVE)
+    kernel_kind: KernelKind = _setting(KernelKind.MIX_K, parse_kernel_kind)
+    pieces: int = _setting(2, _COUNT)
+    rank: int = _setting(4, _COUNT)
+    factor_std: float = _setting(0.02, _POSITIVE)
+    budget_ratio: float = _setting(0.3, _UNIT)
+    schedule_kind: ScheduleKind = _setting(ScheduleKind.CUBIC, parse_schedule_kind)
+    alloc_period: AllocPeriod = _setting(AllocPeriod.PER_EPOCH, parse_alloc_period)
+    sparsify_mode: SparsifyMode = _setting(SparsifyMode.SOFT_SIGN, parse_sparsify_mode)
+    importance_metric: Metric = _setting(Metric.SENSITIVITY, parse_metric)
+    smoothing_beta1: float = _setting(0.85, _UNIT)
+    smoothing_beta2: float = _setting(0.85, _UNIT)
     recompute_merge: bool = False
 
     def __post_init__(self):
-        for name, parse in _SETTING_PARSERS.items():
-            try:
-                setattr(self, name, parse(getattr(self, name)))
-            except ValueError as err:
-                raise SettingError(name, str(err)) from None
-        for name in SETTING_RANGES:
-            _check_setting(name, getattr(self, name))
+        for f in fields(self):
+            setattr(self, f.name, _checked(f, getattr(self, f.name)))
+
+    def to_dict(self) -> dict:
+        """Each field's value by name, an enum as its name: `TrainerConfig(**d)` rebuilds it."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.value if isinstance(v, enum.Enum) else v for name, v in values.items()}
 
 
 @dataclass
@@ -469,6 +472,8 @@ class EpochRecord:
 
 @dataclass
 class RunTrace:
+    """One training run: `config` is its `TrainerConfig.to_dict()`."""
+
     seed: int
     config: dict
     layer_caps: list
@@ -586,7 +591,7 @@ class Trainer:
         cfg = self.config
         trace = RunTrace(
             seed=cfg.seed,
-            config=_config_echo(cfg),
+            config=cfg.to_dict(),
             layer_caps=[layer.cap for layer in self.layers],
             initial_loss=self.evaluate(),
             final_loss=math.nan,
@@ -627,28 +632,6 @@ def _split(part: slice, count: int) -> list:
     """`part` cut into `count` equal consecutive slices."""
     size = (part.stop - part.start) // count
     return [slice(part.start + k * size, part.start + (k + 1) * size) for k in range(count)]
-
-
-def _config_echo(cfg: TrainerConfig) -> dict:
-    return {
-        "lr": cfg.lr,
-        "adam": [cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps],
-        "epochs": cfg.epochs,
-        "steps_per_epoch": cfg.steps_per_epoch,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "kernel": cfg.kernel_kind.value,
-        "pieces": cfg.pieces,
-        "rank": cfg.rank,
-        "factor_std": cfg.factor_std,
-        "budget_ratio": cfg.budget_ratio,
-        "schedule": cfg.schedule_kind.value,
-        "alloc_period": cfg.alloc_period.value,
-        "sparsify_mode": cfg.sparsify_mode.value,
-        "importance_metric": cfg.importance_metric.value,
-        "smoothing": [cfg.smoothing_beta1, cfg.smoothing_beta2],
-        "recompute_merge": cfg.recompute_merge,
-    }
 
 
 def build_model(dataset, config: TrainerConfig) -> TinyModel:

@@ -22,7 +22,7 @@ import numpy as np
 import per_layer_forward
 from klora.allocation import Metric, alloc, budget_at, sensitivity
 from klora.kernels import merge
-from klora.model import AllocPeriod, EpochRecord, RunTrace, Trainer, _config_echo
+from klora.model import AllocPeriod, EpochRecord, RunTrace, Trainer
 from klora.tensor import Tensor, backward
 
 
@@ -109,7 +109,7 @@ class PerLayerTrainer(Trainer):
     def fine_tune(self) -> RunTrace:
         start = time.perf_counter()
         cfg = self.config
-        trace = RunTrace(seed=cfg.seed, config=_config_echo(cfg),
+        trace = RunTrace(seed=cfg.seed, config=cfg.to_dict(),
                          layer_caps=[layer.cap for layer in self.layers],
                          initial_loss=self.evaluate(), final_loss=math.nan)
         n = self.dataset.x.shape[0]

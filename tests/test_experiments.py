@@ -86,8 +86,9 @@ BAD_DOCUMENTS = [
 # param, an out-of-range train override, misspelled schedule names, param
 # values the driver rejects, every bad document as a train override, more
 # values the driver rejects, a train task whose min_rank no draw reaches, assert
-# values of the wrong shape or naming what the entry does not report, and
-# names that are not one new file name
+# values of the wrong shape or naming what the entry does not report, names
+# that are not one new file name, a ratio assert on an entry without rbf,
+# params of the wrong type (list items too), and the removed schedule `points`
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -168,6 +169,30 @@ TYPO_ENTRIES = [
     ({"name": ["x"], "type": "schedule"}, "experiments[1].name must be a nonempty string"),
     ({"name": "", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
     ({"name": "..", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
+    ({"type": "grad-evolution", "params": {"kernels": ["linear"]},
+      "assert": {"max_rbf_mixk_ratio": 0.1}},
+     "experiments[1].assert.max_rbf_mixk_ratio: the entry reports no 'rbf' (it reports linear)"),
+    ({"type": "fit-matrix", "params": {"seeds": 1.5}},
+     "wrong type for 'experiments[1].params.seeds': need an integer, got 1.5"),
+    ({"type": "fit-matrix", "params": {"steps": 1.5}},
+     "wrong type for 'experiments[1].params.steps': need an integer, got 1.5"),
+    ({"type": "schedule", "params": {"T": 2.5}},
+     "wrong type for 'experiments[1].params.T': need an integer, got 2.5"),
+    ({"type": "rank-sweep", "params": {"m": 8.0}},
+     "wrong type for 'experiments[1].params.m': need an integer, got 8.0"),
+    ({"type": "schedule", "params": {"b0": True}},
+     "wrong type for 'experiments[1].params.b0': need an integer, got true"),
+    ({"type": "grad-evolution", "params": {"steps": True}},
+     "wrong type for 'experiments[1].params.steps': need an integer, got true"),
+    ({"type": "grad-evolution", "params": {"lr": "fast"}},
+     "wrong type for 'experiments[1].params.lr': need a number, got \"fast\""),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2.5}},
+     "wrong type for 'experiments[1].params.r': need an integer, got 2.5"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8.5, 8]], "r": 2}},
+     "experiments[1].params.layer_dims: need an integer, got 8.5"),
+    ({"type": "rank-sweep", "params": {"r_values": [2, 2.5]}},
+     "experiments[1].params.r_values: need an integer, got 2.5"),
+    ({"type": "schedule", "params": {"points": 3}}, "unknown key 'experiments[1].params.points'"),
 ]
 
 
@@ -493,6 +518,16 @@ class TestRunAll:
             run_all(apply_defaults({"experiments": entries}), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+    def test_entry_writing_an_earlier_entrys_file_rejected(self, tmp_path, first, second):
+        entries = [{"name": "a", "type": "train"}, {"name": "a-sparsity", "type": "schedule"}]
+        later = entries[second]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"experiments[1].name {later['name']!r} writes a-sparsity.csv, "
+                "which experiments[0] writes too")):
+            run_all(apply_defaults({"experiments": [entries[first], later]}), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
     def test_typo_in_later_entry_rejected_before_running(self, tmp_path, second, where):
         cfg = apply_defaults({"experiments": [SCHEDULE_ENTRY, second]})
@@ -683,6 +718,16 @@ class TestCli:
         )
         assert result.exit_code != 0
         assert "poly" in result.output
+
+    @pytest.mark.parametrize("first, second", [(0, 1), (1, 0)])
+    def test_entry_writing_an_earlier_entrys_file_rejected(self, tmp_path, first, second):
+        entries = [{"name": "a", "type": "train"}, {"name": "a-sparsity", "type": "schedule"}]
+        later = entries[second]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"experiments[1].name {later['name']!r} writes a-sparsity.csv, "
+                "which experiments[0] writes too")):
+            run_all(apply_defaults({"experiments": [entries[first], later]}), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("second, where", TYPO_ENTRIES)
     def test_run_all_reports_typo_as_click_error(self, tmp_path, second, where):

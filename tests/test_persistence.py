@@ -33,9 +33,34 @@ from klora.config import (
 )
 from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
 from klora.kernels import KernelKind
-from klora.model import Adam, SettingError, TrainerConfig, build_model
+from klora.model import Adam, RunTrace, SettingError, TrainerConfig, build_model, fine_tune
 from klora.reports import read_csv, write_csv
 from klora.svgplot import emit_heatmap_svg, render_heatmap_svg
+
+
+# every range and parser case of TestConfig, with its SettingError's message
+SETTING_ERRORS = [
+    ("rank", 0, "rank must be >= 1, got 0"),
+    ("pieces", 0, "pieces must be >= 1, got 0"),
+    ("factor_std", 0.0, "factor_std must be positive, got 0.0"),
+    ("smoothing_beta1", 1.5, "smoothing_beta1 must lie in [0, 1], got 1.5"),
+    ("smoothing_beta2", float("nan"), "smoothing_beta2 must lie in [0, 1], got nan"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+    ("epochs", -1, "epochs must be nonnegative, got -1"),
+    ("lr", float("nan"), "lr must be nonnegative, got nan"),
+    ("kernel_kind", "polynomial",
+     "unknown kernel 'polynomial' (known: linear, p-linear, sigmoid, rbf, rbf-normalized, mix-k)"),
+    ("budget_ratio", 1.5, "budget_ratio must lie in [0, 1], got 1.5"),
+    ("adam_beta1", 1.0, "adam_beta1 must lie in [0, 1), got 1.0"),
+    ("adam_beta1", -0.1, "adam_beta1 must lie in [0, 1), got -0.1"),
+    ("adam_beta2", 1.5, "adam_beta2 must lie in [0, 1), got 1.5"),
+    ("adam_beta2", 1.0, "adam_beta2 must lie in [0, 1), got 1.0"),
+    ("adam_eps", -1.0, "adam_eps must be positive, got -1.0"),
+    ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
+    ("adam_eps", float("nan"), "adam_eps must be positive, got nan"),
+]
+# the Adam argument of each setting it takes
+ADAM_ARGUMENTS = {"lr": "lr", "adam_beta1": "beta1", "adam_beta2": "beta2", "adam_eps": "eps"}
 
 
 class TestConfig:
@@ -157,6 +182,38 @@ class TestConfig:
         fields = {f.name for f in dataclasses.fields(TrainerConfig)}
         assert sorted(SETTINGS.values()) == sorted(fields)
 
+    @pytest.mark.parametrize("name, value, message", SETTING_ERRORS)
+    def test_setting_error_name_and_message(self, name, value, message):
+        with pytest.raises(SettingError) as err:
+            TrainerConfig(**{name: value})
+        assert (err.value.name, str(err.value)) == (name, message)
+        key = next(k for k, field_name in SETTINGS.items() if field_name == name)
+        with pytest.raises(ConfigError) as err:
+            apply_defaults({key.split(".")[0]: {key.split(".")[1]: value}})
+        assert str(err.value) == f"value out of range for '{key}': {message}"
+        if name in ADAM_ARGUMENTS:
+            with pytest.raises(SettingError) as err:
+                Adam([], **{"lr": 0.0, ADAM_ARGUMENTS[name]: value})
+            assert (err.value.name, str(err.value)) == (name, message)
+
+    def test_trace_config_rebuilds_the_run(self, tmp_path):
+        cfg = apply_defaults({
+            "model": {"layer_dims": [8, 8, 8], "rank": 2},
+            "kernel": {"kind": "P-Linear"},
+            "sparsity": {"schedule": "linear", "alloc_period": "per-step",
+                         "importance_metric": "magnitude", "smoothing_beta1": 0.7},
+            "train": {"epochs": 2, "steps_per_epoch": 3, "batch_size": 8, "seed": 4,
+                      "task": {"samples": 16}},
+        })
+        dataset, trainer_cfg = dataset_from(cfg), trainer_config_from(cfg)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(fine_tune(trainer_cfg, dataset).to_dict()))
+        trace = RunTrace.from_dict(json.loads(path.read_text()))
+        rebuilt = TrainerConfig(**trace.config)
+        assert rebuilt == trainer_cfg
+        again = fine_tune(rebuilt, dataset)
+        assert {**again.to_dict(), "duration_s": 0} == {**trace.to_dict(), "duration_s": 0}
+
     @pytest.mark.parametrize("attention", [None, {}])
     def test_null_and_empty_attention_mean_no_block(self, attention):
         ds = dataset_from(apply_defaults({"model": {"attention": attention},
@@ -188,6 +245,15 @@ def test_readme_configuration_table_lists_every_key():
     assert sorted(set(rows) - set(task_rows)) == sorted(keys)
     assert len(rows) - len(task_rows) == len(keys)
     assert task_rows == [kind.value for kind in TaskKind]
+
+
+def test_each_trainer_setting_has_one_readme_row_showing_its_default():
+    rows = re.findall(r"^\| `([a-z_0-9.]+)` \| [^|]+ \| `([^`]*)` \|",
+                      _readme_configuration(), re.M)
+    documented = [(SETTINGS[key], default) for key, default in rows if key in SETTINGS]
+    defaults = [(name, value if isinstance(value, str) else json.dumps(value))
+                for name, value in TrainerConfig().to_dict().items()]
+    assert sorted(documented) == sorted(defaults)
 
 
 @pytest.mark.parametrize("kind", list(TaskKind))
