@@ -11,18 +11,17 @@ and zeroes the rest with a soft-threshold function.
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .choices import parse_choice
+from .choices import Choice
 from .tensor import Tensor, absolute, mul, rectify, scalar_add, soft_threshold
 
 
-class ScheduleKind(enum.Enum):
+class ScheduleKind(Choice, what="schedule"):
     CONSTANT = "constant"
     LINEAR = "linear"
     QUADRATIC = "quadratic"
@@ -36,29 +35,20 @@ _SCHEDULE_EXPONENT = {
 }
 
 
-def parse_schedule_kind(name) -> ScheduleKind:
-    return parse_choice(ScheduleKind, name, "schedule")
-
-
-class SparsifyMode(enum.Enum):
+class SparsifyMode(Choice, what="sparsify mode"):
     SOFT_SIGN = "soft"
     LITERAL_PRODUCT = "literal"
     HARD_MASK = "hard"
 
 
-def parse_sparsify_mode(name) -> SparsifyMode:
-    return parse_choice(SparsifyMode, name, "sparsify mode")
-
-
-class Metric(enum.Enum):
+class Metric(Choice, what="importance metric"):
     SENSITIVITY = "sensitivity"
     MAGNITUDE = "magnitude"
     W_MAGNITUDE = "w-magnitude"
 
-
-def parse_metric(name) -> Metric:
-    aliases = {"wmagnitude": Metric.W_MAGNITUDE, "w_magnitude": Metric.W_MAGNITUDE}
-    return parse_choice(Metric, name, "importance metric", aliases)
+    @classmethod
+    def spellings(cls) -> dict:
+        return {"wmagnitude": cls.W_MAGNITUDE, "w_magnitude": cls.W_MAGNITUDE}
 
 
 def _as_array(x) -> np.ndarray:
@@ -139,7 +129,7 @@ class BudgetSchedule:
     kind: ScheduleKind = ScheduleKind.CUBIC
 
     def __post_init__(self):
-        self.kind = parse_schedule_kind(self.kind)
+        self.kind = ScheduleKind(self.kind)
         if not 0 <= self.bT <= self.b0:
             raise ValueError(f"need 0 <= bT <= b0, got bT={self.bT}, b0={self.b0}")
         if self.T < 1:
@@ -269,7 +259,7 @@ def sparsify_with_threshold(delta_w: Tensor, tau, mode=SparsifyMode.SOFT_SIGN) -
     tau is a float, or an (S, 1, 1) array of per-slice thresholds for a
     stack of S matrices.
     """
-    mode = parse_sparsify_mode(mode)
+    mode = SparsifyMode(mode)
     if mode is SparsifyMode.HARD_MASK:
         mask = Tensor((np.abs(delta_w.data) > tau).astype(np.float64))
         return mul(delta_w, mask)

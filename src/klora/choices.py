@@ -1,17 +1,48 @@
-"""Parsing of user-facing names into enum members."""
+"""User-facing names, each parsed by its own enum, and the JSON type rule."""
 
 from __future__ import annotations
 
+import enum
+import json
+import typing
 
-def parse_choice(enum_cls, name, what: str, aliases=None):
-    """Map a member, its value, or a key of `aliases` (any case) to a member of `enum_cls`."""
-    if isinstance(name, enum_cls):
-        return name
-    key = str(name).strip().lower()
-    for member in enum_cls:
-        if key == member.value:
-            return member
-    if aliases and key in aliases:
-        return aliases[key]
-    known = ", ".join(m.value for m in enum_cls)
-    raise ValueError(f"unknown {what} {name!r} (known: {known})")
+
+class Choice(enum.Enum):
+    """Names of one `what`: calling the class maps a member to itself, and its
+    value in any case, spaces stripped, or a `spellings()` key to the member."""
+
+    def __init_subclass__(cls, what: str, **kwds):
+        super().__init_subclass__(**kwds)
+        cls.what = what
+
+    @classmethod
+    def spellings(cls) -> dict:
+        """Extra lower-case spellings, each to the member it names."""
+        return {}
+
+    @classmethod
+    def _missing_(cls, value):
+        member = ({m.value: m for m in cls} | cls.spellings()).get(str(value).strip().lower())
+        if member is None:
+            known = ", ".join(m.value for m in cls)
+            raise ValueError(f"unknown {cls.what} {value!r} (known: {known})")
+        return member
+
+
+# the JSON values each type takes; any other type (a Choice) takes a name or a member
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
+               float: ((int, float), "a number")}
+
+
+def typed(value, hint):
+    """`value` held to the type `hint` (which may add `| None`), read as a float where
+    a float is wanted; a bool is no number. Raises TypeError saying what it must be."""
+    args = typing.get_args(hint)
+    if type(None) in args and value is None:
+        return value
+    base = next((a for a in args if a is not type(None)), hint)
+    types, what = _JSON_TYPES.get(base, ((str, base), "a name"))
+    if isinstance(value, bool) is not (base is bool) or not isinstance(value, types):
+        raise TypeError(f"need {what}{' or null' if args else ''}, "
+                        f"got {json.dumps(value, default=str)}")
+    return float(value) if base is float else value

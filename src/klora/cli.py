@@ -19,19 +19,12 @@ import click
 import numpy as np
 
 from . import experiments as ex
-from .allocation import SparsifyMode
 from .checkpoint import save_checkpoint
 from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
                      trainer_config_from)
 from .experiments import default_run_config
-from .kernels import (
-    KernelKind,
-    KernelSpec,
-    LowRankPair,
-    merge,
-    parse_kernel_kind,
-)
-from .model import AllocPeriod, RunTrace, Trainer, build_model
+from .kernels import KernelKind, KernelSpec, LowRankPair, merge
+from .model import RunTrace, Trainer, build_model
 from .reports import write_csv
 from .svgplot import emit_heatmap_svg
 from .tensor import Tensor, finite_diff_check, reduce_sum, mul
@@ -47,8 +40,8 @@ def _out_dir(out) -> Path:
 def _usage_errors():
     """A bad argument value is a usage error (exit code 2), not a traceback.
 
-    `apply_defaults` and the kernel parsers raise ValueError (ConfigError is
-    one) for argument values they cannot run with.
+    `apply_defaults` and `KernelKind` raise ValueError (ConfigError is one)
+    for argument values they cannot run with.
     """
     try:
         yield
@@ -157,9 +150,8 @@ _OVERRIDE_KEYS = {key.split(".")[1]: key for key in SETTINGS}
 @click.option("--pieces", type=int, default=None)
 @click.option("--budget-ratio", type=float, default=None)
 @click.option("--schedule", type=str, default=None)
-@click.option("--alloc-period", type=click.Choice([p.value for p in AllocPeriod]), default=None)
-@click.option("--sparsify-mode", type=click.Choice([m.value for m in SparsifyMode]),
-              default=None)
+@click.option("--alloc-period", type=str, default=None)
+@click.option("--sparsify-mode", type=str, default=None)
 @click.option("--epochs", type=int, default=None)
 @click.option("--checkpoint", "checkpoint_path", type=click.Path(dir_okay=False),
               default=None, help="Write the trained adapter state here.")
@@ -240,7 +232,7 @@ def memory_model_cmd(out, layers, m, n, **params):
 def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
     """Finite-difference validation of merge gradients for each kernel kind."""
     with _usage_errors():
-        kinds = [parse_kernel_kind(k) for k in kernels] if kernels else list(KernelKind)
+        kinds = [KernelKind(k) for k in kernels] if kernels else list(KernelKind)
     if min(m, n, rank, seeds) < 1:
         raise click.UsageError(f"m, n, rank and seeds must be >= 1, got {m}, {n}, {rank}, {seeds}")
     if not (step > 0 and tol > 0):

@@ -16,13 +16,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets
+from .choices import typed
 from .model import SettingError, TrainerConfig
 
 
@@ -44,10 +44,6 @@ SETTINGS = {
     "train.seed": "seed", "train.recompute_merge": "recompute_merge",
 }
 ATTENTION_DEFAULTS = {"position": 0, "tokens": 2}
-_HINTS = typing.get_type_hints(TrainerConfig)
-# JSON values each Python type takes; any other field type (an enum) takes a name
-_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-               float: ((int, float), "a number")}
 
 
 def _defaults() -> dict:
@@ -100,15 +96,11 @@ def _check_range(cond: bool, key: str, message: str) -> None:
 
 
 def check_type(key: str, value, hint) -> None:
-    """Reject a JSON value that is not of a field's or param's type (a bool is no number)."""
-    args = typing.get_args(hint)
-    if type(None) in args and value is None:
-        return
-    base = next((a for a in args if a is not type(None)), hint)
-    types, what = _JSON_TYPES.get(base, ((str,), "a name"))
-    if isinstance(value, bool) is not (base is bool) or not isinstance(value, types):
-        raise ConfigError(f"wrong type for '{key}': need {what}{' or null' if args else ''}, "
-                          f"got {json.dumps(value, default=str)}")
+    """Reject a JSON value at `key` that is not of a field's or param's type (`typed`)."""
+    try:
+        typed(value, hint)
+    except TypeError as err:
+        raise ConfigError(f"wrong type for '{key}': {err}") from None
 
 
 def _merge_section(section: str, given) -> dict:
@@ -132,7 +124,7 @@ def _task(config: RunConfig) -> tuple:
         raise ConfigError("wrong type for 'train.task': need an object")
     args = dict(config.train["task"])
     try:
-        kind = datasets.parse_task_kind(args.pop("kind"))
+        kind = datasets.TaskKind(args.pop("kind"))
     except ValueError as err:
         raise ConfigError(f"value out of range for 'train.task.kind': {err}") from None
     keys, ranges = datasets.TASK_KEYS[kind], datasets.TASKS[kind][2]
@@ -185,13 +177,11 @@ def apply_defaults(raw: dict) -> RunConfig:
     check_type("model.bias", config.model["bias"], bool)
     _attention(config.model)
     _task(config)
-    for key, name in SETTINGS.items():
-        check_type(key, config.value(key), _HINTS[name])
     try:
         trainer_config_from(config)
     except SettingError as err:
         key = next(k for k, name in SETTINGS.items() if name == err.name)
-        raise ConfigError(f"value out of range for '{key}': {err}") from None
+        raise ConfigError(f"{err.problem} for '{key}': {err}") from None
     return config
 
 
@@ -211,9 +201,8 @@ def save_config(config: RunConfig, path) -> None:
 
 
 def trainer_config_from(config: RunConfig) -> TrainerConfig:
-    """Translate the document into the trainer's dataclass; float settings read as floats."""
-    return TrainerConfig(**{name: float(config.value(key)) if _HINTS[name] is float
-                            else config.value(key) for key, name in SETTINGS.items()})
+    """Translate the document into the trainer's dataclass."""
+    return TrainerConfig(**{name: config.value(key) for key, name in SETTINGS.items()})
 
 
 def dataset_from(config: RunConfig):

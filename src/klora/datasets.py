@@ -8,27 +8,23 @@ plain rank-r product cannot. The classification task is Gaussian blobs.
 
 from __future__ import annotations
 
-import enum
 import inspect
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choices import parse_choice
+from .choices import Choice
 from .kernels import numerical_rank
 
 
-class TaskKind(enum.Enum):
+class TaskKind(Choice, what="dataset kind"):
     HIGH_RANK_REGRESSION = "high-rank-regression"
     BLOB_CLASSIFICATION = "blob-classification"
 
-
-_SPELLINGS = {kind.value.replace("-", sep): kind for kind in TaskKind for sep in ("_", "")}
-
-
-def parse_task_kind(name) -> TaskKind:
-    return parse_choice(TaskKind, name, "dataset kind", _SPELLINGS)
+    @classmethod
+    def spellings(cls) -> dict:
+        return {kind.value.replace("-", sep): kind for kind in cls for sep in ("_", "")}
 
 
 @dataclass
@@ -181,4 +177,4 @@ TASK_KEYS = {kind: _task_keys(builder, supplied)
 
 
 def synth_dataset(kind, seed: int, **sizes) -> SynthDataset:
-    return TASKS[parse_task_kind(kind)][0](seed=seed, **sizes)
+    return TASKS[TaskKind(kind)][0](seed=seed, **sizes)

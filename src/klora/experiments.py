@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocation import BudgetSchedule, budget_at, parse_schedule_kind
+from .allocation import BudgetSchedule, ScheduleKind, budget_at
 from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from,
                      trainer_config_from)
 from .kernels import (
@@ -31,7 +31,6 @@ from .kernels import (
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
-    parse_kernel_kind,
 )
 from .model import Adam, RunTrace, fine_tune
 from .reports import ExperimentReport, StopWatch, write_csv
@@ -103,14 +102,17 @@ def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: 
         if not 1 <= rank <= min(m, n):
             raise ValueError(f"rank {rank} outside [1, min(m, n) = {min(m, n)}]")
     # the fits split the rank into pieces; the rank sweep caps pieces at each rank
-    if r is not None and pieces > r and any(KINDS[parse_kernel_kind(k)].piecewise
-                                            for k in kernels):
+    if r is not None and pieces > r and any(KINDS[KernelKind(k)].piecewise for k in kernels):
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
 
 
 def _memory_dims(layer_dims, r: int, pieces: int = 1, **_) -> list:
     """The checked (m, n) pairs of a memory-model layer list."""
-    dims = [(int(m), int(n)) for m, n in layer_dims]
+    dims = [(m, n) for m, n in layer_dims]
+    for value in (*(d for pair in dims for d in pair), r, pieces):
+        if type(value) is not int:
+            raise ValueError(f"layer dimensions, rank and pieces must be integers, "
+                             f"got {value!r}")
     if not dims or any(m <= 0 or n <= 0 for m, n in dims):
         raise ValueError("need at least one layer, with positive dimensions")
     if r < 0:
@@ -221,7 +223,7 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
                 pieces=pieces, kernels=kernels, density=density)
     if target_rank is None:
         target_rank = min(m, n)
-    kinds = [parse_kernel_kind(k) for k in kernels]
+    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
         make_fit_target(np.random.default_rng([seed, 0x7A]), m, n, target_rank, density)
@@ -260,7 +262,7 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
 
 def ordering_fraction(report: ExperimentReport, ordering) -> float:
     """Fraction of seeds where final MSEs strictly follow the given kernel order."""
-    kinds = [parse_kernel_kind(k).value for k in ordering]
+    kinds = [KernelKind(k).value for k in ordering]
     wins = 0
     for entry in report.per_seed:
         values = [entry["kernels"][k]["final_mse"] for k in kinds]
@@ -283,7 +285,7 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
     watch = StopWatch()
     _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale, r=r, pieces=pieces,
                 kernels=kernels)
-    kinds = [parse_kernel_kind(k) for k in kernels]
+    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
         make_fit_target(np.random.default_rng([seed, 0x7B]), m, n, min(m, n), 1.0)
@@ -326,7 +328,7 @@ def rank_sweep(m: int = 64, n: int = 64, r_values=(2, 4, 8), kernels=DEFAULT_KER
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
     watch = StopWatch()
     _check_args(seeds=seeds, m=m, n=n, r_values=r_values)
-    kinds = [parse_kernel_kind(k) for k in kernels]
+    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     per_seed = []
     for seed in seed_list:
@@ -383,7 +385,7 @@ def alloc_trace_table(trace: RunTrace):
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
                    kinds=("constant", "linear", "quadratic", "cubic")):
     """(t, budget) at every step t = 0..T, per schedule kind."""
-    parsed = [parse_schedule_kind(k) for k in kinds]
+    parsed = [ScheduleKind(k) for k in kinds]
     header = ["t"] + [k.value for k in parsed]
     rows = []
     for t in range(T + 1):
@@ -410,7 +412,7 @@ def memory_footprint_estimate(layer_dims, r: int, mode: str,
     mode = str(mode).strip().lower()
     if mode not in MEMORY_MODES:
         raise ValueError(f"unknown memory mode {mode!r} (known: {', '.join(MEMORY_MODES)})")
-    dims = _memory_dims(layer_dims, r)
+    dims = _memory_dims(layer_dims, r, pieces)
     coeffs = kernel_coefficient_count(kernel_kind, pieces)
     weight_floats = sum(m * n for m, n in dims)
     if mode == "full-ft":
@@ -502,7 +504,7 @@ def _check_mse_ordering(report, table, ordered, asserts):
     frac = ordering_fraction(report, ordered)
     report.aggregates["ordering_fraction"] = frac
     need = float(asserts.get("min_seed_fraction", 0.8))
-    means = [report.aggregates["mean_final_mse"][parse_kernel_kind(k).value] for k in ordered]
+    means = [report.aggregates["mean_final_mse"][KernelKind(k).value] for k in ordered]
     if not all(a < b for a, b in zip(means, means[1:])):
         yield f"mean MSE not ordered {ordered}: {means}"
     if not frac >= need:
@@ -511,7 +513,7 @@ def _check_mse_ordering(report, table, ordered, asserts):
 
 def _check_max_final_mse(report, table, bounds, asserts):
     for k, bound in bounds.items():
-        got = report.aggregates["mean_final_mse"][parse_kernel_kind(k).value]
+        got = report.aggregates["mean_final_mse"][KernelKind(k).value]
         if not got <= bound:
             yield f"{k} mean MSE {got} > {bound}"
 
@@ -535,9 +537,9 @@ def _check_rank_above(report, table, bounds, asserts):
 
 
 def _check_schedule_values(report, table, values, asserts):
-    _, header, rows = table
+    header, rows = table
     for kind, t, expected in values:
-        kind_i = header.index(parse_schedule_kind(kind).value)
+        kind_i = header.index(ScheduleKind(kind).value)
         row = next((r for r in rows if r[0] == t), None)
         if not (row is not None and row[kind_i] == expected):
             yield f"{kind} at t={t}: {None if row is None else row[kind_i]} != {expected}"
@@ -597,11 +599,11 @@ def _target_rel(value) -> list:
 
 
 def _kernel(name) -> str:
-    return parse_kernel_kind(name).value
+    return KernelKind(name).value
 
 
 def _kind(name) -> str:
-    return parse_schedule_kind(name).value
+    return ScheduleKind(name).value
 
 
 REQUIRED = inspect.Parameter.empty  # the default of a parameter without one
@@ -621,7 +623,7 @@ class ExperimentType:
     key, in evaluation order, to its value's shape(value), which raises a
     TypeError for a malformed value and returns the names it lists, and a
     check(report, table, value, asserts) that yields one detail per
-    failure, where table is (suffix, header, rows); None marks a key that
+    failure, where table is the run's (header, rows); None marks a key that
     another check reads. `names` is None or (parse, produced): the
     canonical form of a listed name, and produced(params) the kernels, rank
     keys or schedule kinds that a run with those params reports.
@@ -684,13 +686,18 @@ def _integer(value) -> None:
     _need(type(value) is int, "an integer", value)
 
 
+def _list(value) -> list:
+    _need(isinstance(value, (list, tuple)), "a list", value)  # the CLI passes tuples
+    return list(value)
+
+
 # params that list names or integers: how to list the items, and each item's check
 _ITEMS = {
-    "kernel_kind": (lambda v: [v], parse_kernel_kind),
-    "kernels": (list, parse_kernel_kind),
-    "kinds": (list, parse_schedule_kind),
-    "r_values": (list, _integer),
-    "layer_dims": (lambda v: [d for dims in v for d in dims], _integer),
+    "kernel_kind": (lambda v: [v], KernelKind),
+    "kernels": (_list, KernelKind),
+    "kinds": (_list, ScheduleKind),
+    "r_values": (_list, _integer),
+    "layer_dims": (lambda v: [d for dims in _list(v) for d in _list(dims)], _integer),
 }
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
@@ -759,7 +766,6 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
     if table is not None:
         paths.append(out_dir / f"{name}{etype.table}.csv")
         write_csv(paths[-1], *table)
-        table = (etype.table, *table)  # the checks take (suffix, header, rows)
     failures = [f"{name}: {detail}" for key, (_, check) in etype.checks.items()
                 if check is not None and key in asserts
                 for detail in check(report, table, asserts[key], asserts)]

@@ -22,13 +22,12 @@ positive-semidefinite configuration used by analysis utilities.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .choices import parse_choice
+from .choices import Choice
 from .tensor import (
     Tensor,
     add,
@@ -47,13 +46,17 @@ from .tensor import (
 )
 
 
-class KernelKind(enum.Enum):
+class KernelKind(Choice, what="kernel"):
     LINEAR = "linear"
     P_LINEAR = "p-linear"
     SIGMOID = "sigmoid"
     RBF = "rbf"
     RBF_NORMALIZED = "rbf-normalized"
     MIX_K = "mix-k"
+
+    @classmethod
+    def spellings(cls) -> dict:
+        return {alias: row.kind for row in KINDS.values() for alias in row.aliases}
 
 
 def segment_bounds(r: int, pieces: int):
@@ -180,15 +183,8 @@ KINDS = {
     )
 }
 
-_SPELLINGS = {alias: row.kind for row in KINDS.values() for alias in row.aliases}
-
-
-def parse_kernel_kind(name) -> KernelKind:
-    return parse_choice(KernelKind, name, "kernel", _SPELLINGS)
-
-
 def kernel_coefficient_count(kind, pieces: int = 2) -> int:
-    return KINDS[parse_kernel_kind(kind)].count(pieces)
+    return KINDS[KernelKind(kind)].count(pieces)
 
 
 @dataclass
@@ -204,7 +200,7 @@ class KernelSpec:
     coeffs: tuple = ()
 
     def __post_init__(self):
-        self.kind = parse_kernel_kind(self.kind)
+        self.kind = KernelKind(self.kind)
         self.coeffs = tuple(self.coeffs)
         row = KINDS[self.kind]
         if row.piecewise and self.pieces < 1:
@@ -220,7 +216,7 @@ class KernelSpec:
 
     @classmethod
     def _filled(cls, kind, pieces: int, trainable: bool, value) -> "KernelSpec":
-        kind = parse_kernel_kind(kind)
+        kind = KernelKind(kind)
         coeffs = [
             Tensor(np.full(pieces if c.per_piece else (), value(c), dtype=np.float64),
                    requires_grad=trainable)
@@ -246,7 +242,7 @@ class KernelSpec:
 
     @classmethod
     def from_coefficient_values(cls, kind, values, trainable: bool = True) -> "KernelSpec":
-        row = KINDS[parse_kernel_kind(kind)]
+        row = KINDS[KernelKind(kind)]
         vals = np.array(values, dtype=np.float64).ravel()  # a copy: the tensors may train
         pieces = row.pieces_for(vals.size)
         sizes = [pieces if c.per_piece else 1 for c in row.coefficients]

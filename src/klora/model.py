@@ -13,10 +13,10 @@ field, and a run's trace echoes the config it ran (`TrainerConfig.to_dict`).
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -31,21 +31,11 @@ from .allocation import (
     alloc,
     budget_at,
     layer_score,
-    parse_metric,
-    parse_schedule_kind,
-    parse_sparsify_mode,
     sensitivity,
     sparsify,
 )
-from .choices import parse_choice
-from .kernels import (
-    KernelKind,
-    KernelSpec,
-    LowRankPair,
-    merge,
-    parse_kernel_kind,
-    stacked_leaf,
-)
+from .choices import Choice, typed
+from .kernels import KernelKind, KernelSpec, LowRankPair, merge, stacked_leaf
 from .tensor import (
     Tensor,
     add,
@@ -69,13 +59,9 @@ from .tensor import (
 )
 
 
-class AllocPeriod(enum.Enum):
+class AllocPeriod(Choice, what="allocation period"):
     PER_EPOCH = "per-epoch"
     PER_STEP = "per-step"
-
-
-def parse_alloc_period(name) -> AllocPeriod:
-    return parse_choice(AllocPeriod, name, "allocation period")
 
 
 # -- losses -------------------------------------------------------------------
@@ -181,7 +167,7 @@ class AdaptedLinear:
             )
         self.pair = pair
         self.spec = spec
-        self.sparsify_mode = parse_sparsify_mode(sparsify_mode)
+        self.sparsify_mode = SparsifyMode(sparsify_mode)
         self.recompute_merge = bool(recompute_merge)
         self.budget = None  # None = warm start: full budget, no sparsification
 
@@ -389,11 +375,13 @@ class TinyModel:
 
 
 class SettingError(ValueError):
-    """A trainer setting outside its range; `name` is its `TrainerConfig` field."""
+    """A trainer setting of the wrong type or outside its range: `name` is its
+    `TrainerConfig` field, and `problem` says which of the two."""
 
-    def __init__(self, name: str, message: str):
+    def __init__(self, name: str, message: str, problem: str = "value out of range"):
         super().__init__(message)
         self.name = name
+        self.problem = problem
 
 
 # range rules: (holds, what a value must be)
@@ -410,7 +398,12 @@ def _setting(default, check):
 
 
 def _checked(setting, value):
-    """`value` parsed by, or held to the range rule of, the setting field `setting`."""
+    """`value` held to the type of the setting field `setting`, then parsed by,
+    or held to the range rule of, its check."""
+    try:
+        value = typed(value, _HINTS[setting.name])
+    except TypeError as err:
+        raise SettingError(setting.name, str(err), "wrong type") from None
     check = setting.metadata.get("check")
     if callable(check):
         try:
@@ -425,7 +418,8 @@ def _checked(setting, value):
 @dataclass
 class TrainerConfig:
     """Every trainer setting, declared once: its field holds the default, the
-    type (its annotation) and the check that `__post_init__` applies."""
+    type (its annotation, in the JSON sense of `choices.typed`) and the check;
+    `__post_init__` holds each value to both."""
 
     lr: float = _setting(1e-2, _NONNEGATIVE)
     adam_beta1: float = _setting(0.9, _DECAY)
@@ -436,15 +430,15 @@ class TrainerConfig:
                                                   "must be >= 1 or None"))
     batch_size: int = _setting(16, _COUNT)
     seed: int = _setting(0, _NONNEGATIVE)
-    kernel_kind: KernelKind = _setting(KernelKind.MIX_K, parse_kernel_kind)
+    kernel_kind: KernelKind = _setting(KernelKind.MIX_K, KernelKind)
     pieces: int = _setting(2, _COUNT)
     rank: int = _setting(4, _COUNT)
     factor_std: float = _setting(0.02, _POSITIVE)
     budget_ratio: float = _setting(0.3, _UNIT)
-    schedule_kind: ScheduleKind = _setting(ScheduleKind.CUBIC, parse_schedule_kind)
-    alloc_period: AllocPeriod = _setting(AllocPeriod.PER_EPOCH, parse_alloc_period)
-    sparsify_mode: SparsifyMode = _setting(SparsifyMode.SOFT_SIGN, parse_sparsify_mode)
-    importance_metric: Metric = _setting(Metric.SENSITIVITY, parse_metric)
+    schedule_kind: ScheduleKind = _setting(ScheduleKind.CUBIC, ScheduleKind)
+    alloc_period: AllocPeriod = _setting(AllocPeriod.PER_EPOCH, AllocPeriod)
+    sparsify_mode: SparsifyMode = _setting(SparsifyMode.SOFT_SIGN, SparsifyMode)
+    importance_metric: Metric = _setting(Metric.SENSITIVITY, Metric)
     smoothing_beta1: float = _setting(0.85, _UNIT)
     smoothing_beta2: float = _setting(0.85, _UNIT)
     recompute_merge: bool = False
@@ -456,7 +450,10 @@ class TrainerConfig:
     def to_dict(self) -> dict:
         """Each field's value by name, an enum as its name: `TrainerConfig(**d)` rebuilds it."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: v.value if isinstance(v, enum.Enum) else v for name, v in values.items()}
+        return {name: v.value if isinstance(v, Choice) else v for name, v in values.items()}
+
+
+_HINTS = typing.get_type_hints(TrainerConfig)
 
 
 @dataclass

@@ -16,8 +16,8 @@ def _shade(value: float) -> str:
     return f"#{level:02x}{level:02x}{level:02x}"
 
 
-def render_heatmap_svg(table, row_label: str = "layer", col_label: str = "epoch") -> str:
-    """Render a rectangular table of [0, 1] values as an SVG string."""
+def render_heatmap_svg(table) -> str:
+    """Render a rectangular table of [0, 1] values (layer rows, epoch columns) as SVG."""
     rows = [list(map(float, row)) for row in table]
     if not rows or not rows[0]:
         raise ValueError("table must be non-empty")
@@ -36,13 +36,13 @@ def render_heatmap_svg(table, row_label: str = "layer", col_label: str = "epoch"
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" height="{total_h}" '
         f'viewBox="0 0 {total_w} {total_h}">',
         f'<text x="{MARGIN_LEFT}" y="16" font-family="monospace" font-size="12">'
-        f"{row_label} x {col_label} sparsity ratio</text>",
+        "layer x epoch sparsity ratio</text>",
     ]
     for i, row in enumerate(rows):
         y = MARGIN_TOP + i * CELL
         parts.append(
             f'<text x="4" y="{y + CELL - 9}" font-family="monospace" font-size="11">'
-            f"{row_label} {i}</text>"
+            f"layer {i}</text>"
         )
         for j, v in enumerate(row):
             x = MARGIN_LEFT + j * CELL

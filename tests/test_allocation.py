@@ -17,7 +17,6 @@ from klora.allocation import (
     alloc,
     budget_at,
     layer_score,
-    parse_metric,
     sensitivity,
     sparsify,
     sparsify_with_threshold,
@@ -131,9 +130,9 @@ class TestLayerScore:
         assert layer_score([product]) == pytest.approx(np.mean(st.i_bar * st.u_bar))
 
     def test_metric_aliases(self):
-        assert parse_metric("W-Magnitude") is Metric.W_MAGNITUDE
+        assert Metric("W-Magnitude") is Metric.W_MAGNITUDE
         with pytest.raises(ValueError, match="unknown"):
-            parse_metric("entropy")
+            Metric("entropy")
 
 
 class TestBudgetSchedule:

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from klora.cli import main as cli_main
-from klora.config import ConfigError, apply_defaults
+from klora.config import ConfigError, apply_defaults, dataset_from
 from klora.experiments import (
     DEFAULT_KERNELS,
     EXPERIMENT_TYPES,
@@ -31,7 +31,7 @@ from klora.experiments import (
 )
 from klora.experiments import _fit
 from klora.kernels import KernelKind, numerical_rank
-from klora.model import RunTrace, TrainerConfig, fine_tune
+from klora.model import RunTrace, Trainer, TrainerConfig, build_model, fine_tune
 from klora.datasets import high_rank_regression
 from klora.reports import ExperimentReport, read_csv, write_csv
 
@@ -88,7 +88,8 @@ BAD_DOCUMENTS = [
 # values the driver rejects, a train task whose min_rank no draw reaches, assert
 # values of the wrong shape or naming what the entry does not report, names
 # that are not one new file name, a ratio assert on an entry without rbf,
-# params of the wrong type (list items too), and the removed schedule `points`
+# params of the wrong type (list items too), the removed schedule `points`, and
+# list params given as one value
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -193,6 +194,14 @@ TYPO_ENTRIES = [
     ({"type": "rank-sweep", "params": {"r_values": [2, 2.5]}},
      "experiments[1].params.r_values: need an integer, got 2.5"),
     ({"type": "schedule", "params": {"points": 3}}, "unknown key 'experiments[1].params.points'"),
+    ({"type": "fit-matrix", "params": {"kernels": "linear"}},
+     "experiments[1].params.kernels: need a list, got 'linear'"),
+    ({"type": "schedule", "params": {"kinds": "cubic"}},
+     "experiments[1].params.kinds: need a list, got 'cubic'"),
+    ({"type": "rank-sweep", "params": {"r_values": 4}},
+     "experiments[1].params.r_values: need a list, got 4"),
+    ({"type": "memory-model", "params": {"layer_dims": "ab", "r": 2}},
+     "experiments[1].params.layer_dims: need a list, got 'ab'"),
 ]
 
 
@@ -392,6 +401,33 @@ class TestMemoryModel:
         with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
             memory_footprint_estimate([(8, 8)], 2, "low-rank", kernel_kind=kind, pieces=0)
 
+    @pytest.mark.parametrize("layer_dims, r, pieces", [
+        ([[8.5, 8]], 2, 2), ([[8, 8]], 2.5, 2), ([[8, True]], 2, 2), ([[8, 8]], True, 2),
+        ([[8, 8]], 2, 2.5)])
+    def test_non_integer_dimension_rank_or_pieces_rejected(self, layer_dims, r, pieces):
+        for mode in MEMORY_MODES:
+            with pytest.raises(ValueError, match="dimensions, rank and pieces must be integers"):
+                memory_footprint_estimate(layer_dims, r, mode, pieces=pieces)
+
+    @pytest.mark.parametrize("layer_dims, r", [([256, 256, 256], 4), ([16, 32, 8], 3),
+                                               ([64, 64, 64], 8)])
+    def test_adam_state_holds_the_estimated_optimizer_floats(self, layer_dims, r):
+        # every kind, piece count and attention setting; no layer's rank is clipped here
+        for attention in (None, {"position": 0, "tokens": 2}):
+            run_config = apply_defaults({"model": {"layer_dims": layer_dims,
+                                                   "attention": attention},
+                                         "train": {"task": {"samples": 8}}})
+            dataset = dataset_from(run_config)
+            dims = [(n_out, n_in) for n_in, n_out in zip(layer_dims, layer_dims[1:])]
+            if attention is not None:
+                dims += [(layer_dims[1] // 2, layer_dims[1] // 2)] * 4
+            for kind in KernelKind:
+                for pieces in (1, 2, 3):
+                    cfg = TrainerConfig(kernel_kind=kind, pieces=pieces, rank=r)
+                    opt = Trainer(build_model(dataset, cfg), cfg, dataset).opt
+                    estimate = memory_footprint_estimate(dims, r, "low-rank", kind, pieces)
+                    assert opt._m.size == opt._v.size == estimate["optimizer_param_floats"]
+
 
 class TestAllocTraceExport:
     def _trace(self):
@@ -555,7 +591,7 @@ CHECK_CASES = [
      {"mix-k@r=4": 4}, {"mix-k@r=4": 8}, ["mix-k@r=4 min rank 8 <= 8"]),
     ("train", "max_final_loss", {"aggregates": {"final_loss": 0.5}}, None, 1.0, 0.25,
      ["final loss 0.5 > 0.25"]),
-    ("schedule", "values", {}, ("", ["t", "cubic"], [[0, 100], [5, 10]]),
+    ("schedule", "values", {}, (["t", "cubic"], [[0, 100], [5, 10]]),
      [["cubic", 5, 10]], [["cubic", 5, 11]], ["cubic at t=5: 10 != 11"]),
     ("memory-model", "lowrank_fullft_ratio", {"aggregates": {"lowrank_fullft_ratio": 0.02}},
      None, [0.02, 0.01], [0.03, 0.01], ["ratio 0.02 not within 0.01 of 0.03"]),
@@ -875,6 +911,7 @@ def test_cli_grad_check_passes(args):
     ["memory-model", "--kernel", "p_linear"],
     ["memory-model", "--kernel", "rbfnorm"],
     ["schedule", "--schedule", " Cubic ", "--schedule", "LINEAR"],
+    ["train", "--sparsify-mode", "SOFT", "--alloc-period", "Per-Step", "--epochs", "1"],
 ])
 def test_cli_keeps_accepted_spellings(tmp_path, args):
     result = CliRunner().invoke(cli_main, args + ["--out", str(tmp_path)])

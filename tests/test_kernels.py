@@ -17,7 +17,6 @@ from klora.kernels import (
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
-    parse_kernel_kind,
     psd_check,
     segment_bounds,
 )
@@ -327,13 +326,13 @@ class TestMergeGradients:
 
 class TestSpecPlumbing:
     def test_parse_aliases(self):
-        assert parse_kernel_kind("MixK") is KernelKind.MIX_K
-        assert parse_kernel_kind("p_linear") is KernelKind.P_LINEAR
-        assert parse_kernel_kind("rbf-normalized") is KernelKind.RBF_NORMALIZED
+        assert KernelKind("MixK") is KernelKind.MIX_K
+        assert KernelKind("p_linear") is KernelKind.P_LINEAR
+        assert KernelKind("rbf-normalized") is KernelKind.RBF_NORMALIZED
 
     def test_parse_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            parse_kernel_kind("polynomial")
+            KernelKind("polynomial")
 
     def test_coefficient_roundtrip(self):
         for kind in ALL_KINDS:
