@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import threading
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .allocation import BudgetSchedule, ScheduleKind, budget_at
+from .choices import Choice
 from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from,
                      trainer_config_from)
 from .kernels import (
@@ -27,11 +29,15 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     LowRankPair,
+    check_integer_pieces,
     kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
 )
+# the rank worker's name for numerical_rank: perfbench's span recorder wraps
+# `numerical_rank` here and keeps one span stack for all threads
+from .kernels import numerical_rank as _rank_off_thread
 from .model import Adam, RunTrace, fine_tune
 from .reports import ExperimentReport, StopWatch, write_csv
 from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack
@@ -39,6 +45,14 @@ from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack
 from .tensor import reduce_mean, square, sub  # noqa: F401
 
 DEFAULT_KERNELS = ("mix-k", "p-linear", "linear")
+
+# SVD work (targets x m x n x min(m, n)) from which fit_matrix_experiment runs
+# the targets' ranks on a worker thread during the fit. On a 2-core x86_64
+# host with one BLAS thread, the SVDs of 3 targets of 32 x 32 (98304) take
+# 0.15 ms, and with a worker a 100-step fit of them took 3% longer (51.9
+# against 50.2 ms, medians of 40 alternating calls); one 256 x 256 target
+# (2**24) takes 6 ms, and one 768 x 768 target 134 ms, 43% of a 4-step fit.
+RANK_THREAD_WORK = 2**24
 
 
 def make_fit_target(rng: np.random.Generator, m: int, n: int, rank: int,
@@ -94,6 +108,7 @@ def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: 
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if not scale > 0:
         raise ValueError("factor scale must be positive")
+    check_integer_pieces(pieces)
     if pieces < 1:
         raise ValueError(f"piece count must be >= 1, got {pieces}")
     if not 0 < eps_rel < 1:
@@ -206,6 +221,29 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
             for kind_runs in zip(finals, live.tolist(), traces, grad_traces)]
 
 
+def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
+    """(fit(), the targets' numerical ranks), the ranks computed on a worker
+    thread while `fit` runs here; the LAPACK SVD releases the GIL. The worker
+    is joined before this returns or raises, and its error is raised here."""
+    out = {}
+
+    def ranks():
+        try:
+            out["ranks"] = _rank_off_thread(targets, 1e-9)
+        except BaseException as err:  # re-raised by the caller's thread
+            out["error"] = err
+
+    worker = threading.Thread(target=ranks, name="klora-target-ranks")
+    worker.start()
+    try:
+        runs = fit()
+    finally:
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return runs, out["ranks"]
+
+
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int | None = None,
                           kernels=DEFAULT_KERNELS, steps: int = 20000, lr: float = 1e-3,
                           seeds: int = 5, density: float = 0.1, pieces: int = 2,
@@ -229,17 +267,25 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
         make_fit_target(np.random.default_rng([seed, 0x7A]), m, n, target_rank, density)
         for seed in seed_list
     ])
+
+    def fit():
+        return _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std,
+                    piece_init_eps=piece_init_eps)
+
+    if targets.size * min(m, n) >= RANK_THREAD_WORK:
+        runs, ranks = _fit_beside_ranks(fit, targets)
+    else:
+        ranks = [numerical_rank(target, 1e-9) for target in targets]
+        runs = fit()
     per_seed = [
         {
             "seed": seed,
-            "target_rank": int(numerical_rank(target, 1e-9)),
+            "target_rank": int(rank),
             "baseline_mse": float(np.mean(target * target)),
             "kernels": {},
         }
-        for seed, target in zip(seed_list, targets)
+        for seed, target, rank in zip(seed_list, targets, ranks)
     ]
-    runs = _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std,
-                piece_init_eps=piece_init_eps)
     for kind, kind_runs in zip(kinds, runs):
         for entry, run in zip(per_seed, kind_runs):
             entry["kernels"][kind.value] = run
@@ -396,7 +442,13 @@ def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
     return header, rows
 
 
-MEMORY_MODES = ("full-ft", "low-rank", "low-rank-storing-delta")
+class MemoryMode(Choice, what="memory mode"):
+    FULL_FT = "full-ft"
+    LOW_RANK = "low-rank"
+    LOW_RANK_STORING_DELTA = "low-rank-storing-delta"
+
+
+MEMORY_MODES = tuple(mode.value for mode in MemoryMode)
 
 
 def memory_footprint_estimate(layer_dims, r: int, mode: str,
@@ -409,20 +461,18 @@ def memory_footprint_estimate(layer_dims, r: int, mode: str,
     assume an adaptive-moment optimizer (two state floats per tracked
     parameter).
     """
-    mode = str(mode).strip().lower()
-    if mode not in MEMORY_MODES:
-        raise ValueError(f"unknown memory mode {mode!r} (known: {', '.join(MEMORY_MODES)})")
+    mode = MemoryMode(mode)
     dims = _memory_dims(layer_dims, r, pieces)
     coeffs = kernel_coefficient_count(kernel_kind, pieces)
     weight_floats = sum(m * n for m, n in dims)
-    if mode == "full-ft":
+    if mode is MemoryMode.FULL_FT:
         params = weight_floats
         retained = 0
     else:
         params = sum((m + n) * r + coeffs for m, n in dims)
-        retained = weight_floats if mode == "low-rank-storing-delta" else 0
+        retained = weight_floats if mode is MemoryMode.LOW_RANK_STORING_DELTA else 0
     return {
-        "mode": mode,
+        "mode": mode.value,
         "layers": len(dims),
         "rank": r,
         "optimizer_param_floats": params,

@@ -22,6 +22,7 @@ positive-semidefinite configuration used by analysis utilities.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -57,6 +58,12 @@ class KernelKind(Choice, what="kernel"):
     @classmethod
     def spellings(cls) -> dict:
         return {alias: row.kind for row in KINDS.values() for alias in row.aliases}
+
+
+def check_integer_pieces(pieces) -> None:
+    """Reject a piece count that is no integer (a bool counts as none)."""
+    if isinstance(pieces, bool) or not isinstance(pieces, numbers.Integral):
+        raise ValueError(f"pieces must be an integer, got {pieces!r}")
 
 
 def segment_bounds(r: int, pieces: int):
@@ -138,6 +145,7 @@ class KindRow:
 
     def count(self, pieces: int) -> int:
         """Number of coefficient values at the given piece count."""
+        check_integer_pieces(pieces)
         if pieces < 1:
             raise ValueError(f"piece count must be >= 1, got {pieces}")
         return len(self.coefficients) + (pieces - 1 if self.piecewise else 0)
@@ -203,6 +211,7 @@ class KernelSpec:
         self.kind = KernelKind(self.kind)
         self.coeffs = tuple(self.coeffs)
         row = KINDS[self.kind]
+        check_integer_pieces(self.pieces)
         if row.piecewise and self.pieces < 1:
             raise ValueError(f"piece count must be >= 1, got {self.pieces}")
         if len(self.coeffs) != len(row.coefficients):
@@ -217,6 +226,7 @@ class KernelSpec:
     @classmethod
     def _filled(cls, kind, pieces: int, trainable: bool, value) -> "KernelSpec":
         kind = KernelKind(kind)
+        check_integer_pieces(pieces)  # before np.full sees it
         coeffs = [
             Tensor(np.full(pieces if c.per_piece else (), value(c), dtype=np.float64),
                    requires_grad=trainable)
@@ -327,17 +337,22 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     return KINDS[spec.kind].merge(spec, pair.B, pair.A)
 
 
-def numerical_rank(matrix, eps_rel: float) -> int:
-    """Count singular values >= eps_rel * sigma_max; a zero matrix has rank 0."""
+def numerical_rank(matrix, eps_rel: float):
+    """Count singular values >= eps_rel * sigma_max; a zero matrix has rank 0.
+
+    A stack (..., m, n) gives an int array of per-matrix counts from one SVD
+    call, which runs the same LAPACK routine on each matrix, so each count
+    equals that of the matrix on its own; a matrix gives an int.
+    """
     a = matrix.data if isinstance(matrix, Tensor) else np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if not 0.0 < eps_rel < 1.0:
         raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s >= eps_rel * s[0]))
+    top = s[..., :1]  # sigma_max, empty for an empty matrix
+    counts = np.count_nonzero((s >= eps_rel * top) & (top > 0.0), axis=-1)
+    return int(counts) if a.ndim == 2 else counts
 
 
 def psd_check(spec: KernelSpec, points) -> float:

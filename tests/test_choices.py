@@ -7,13 +7,14 @@ from klora.allocation import Metric, ScheduleKind, SparsifyMode
 from klora.choices import Choice
 from klora.cli import main as cli_main
 from klora.datasets import TaskKind
+from klora.experiments import MemoryMode
 from klora.kernels import KernelKind
 from klora.model import AllocPeriod, SettingError, TrainerConfig
 
 # every choice, with the word its unknown-name message uses
 CHOICES = {KernelKind: "kernel", ScheduleKind: "schedule", SparsifyMode: "sparsify mode",
            Metric: "importance metric", AllocPeriod: "allocation period",
-           TaskKind: "dataset kind"}
+           TaskKind: "dataset kind", MemoryMode: "memory mode"}
 
 
 def test_every_choice_is_listed():

@@ -15,6 +15,7 @@ from klora.experiments import (
     EXPERIMENT_TYPES,
     MEMORY_MODES,
     REQUIRED,
+    MemoryMode,
     alloc_trace_table,
     default_run_config,
     fit_matrix_experiment,
@@ -299,6 +300,8 @@ class TestFitMatrix:
             driver(m=8, n=8, r=2, pieces=3, kernels=("p-linear",), steps=2, seeds=1)
         with pytest.raises(ValueError, match="unknown kernel"):
             driver(m=8, n=8, r=2, kernels=("poly",), steps=2, seeds=1)
+        with pytest.raises(ValueError, match="pieces must be an integer, got 2.5"):
+            driver(m=8, n=8, r=4, pieces=2.5, kernels=("p-linear",), steps=2, seeds=1)
         assert drawn == []
 
     def test_nonlinear_kernels_beat_linear_on_dense_targets(self):
@@ -385,8 +388,16 @@ class TestMemoryModel:
         assert low["optimizer_param_floats"] == kernel_coefficient_count("mix-k", 2)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown memory mode"):
+        message = ("unknown memory mode 'dense' "
+                   "(known: full-ft, low-rank, low-rank-storing-delta)")
+        with pytest.raises(ValueError, match=re.escape(message)):
             memory_footprint_estimate([(4, 4)], 2, "dense")
+
+    def test_mode_parsed_by_its_enum(self):
+        assert MEMORY_MODES == tuple(mode.value for mode in MemoryMode)
+        spelled = memory_footprint_estimate([(4, 4)], 2, " Low-Rank ")
+        assert spelled == memory_footprint_estimate([(4, 4)], 2, MemoryMode.LOW_RANK)
+        assert spelled["mode"] == "low-rank"
 
     def test_coefficient_counts(self):
         assert kernel_coefficient_count("linear") == 0

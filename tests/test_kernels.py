@@ -14,6 +14,7 @@ from klora.kernels import (
     KernelKind,
     KernelSpec,
     LowRankPair,
+    kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
@@ -217,6 +218,31 @@ class TestNumericalRank:
         with pytest.raises(ValueError, match="non-finite"):
             numerical_rank(bad, 1e-6)
 
+    def test_matrix_gives_an_int(self):
+        assert type(numerical_rank(np.eye(3), 1e-9)) is int
+        assert type(numerical_rank(np.zeros((0, 3)), 1e-9)) is int
+
+    def test_stack_equals_the_per_matrix_calls(self):
+        rng = np.random.default_rng(11)
+        stack = np.stack([rng.normal(size=(12, 9)),
+                          rng.normal(size=(12, 2)) @ rng.normal(size=(2, 9)),
+                          np.zeros((12, 9)),
+                          rng.normal(size=(12, 5)) @ rng.normal(size=(5, 9))])
+        counts = numerical_rank(stack, 1e-9)
+        assert counts.tolist() == [numerical_rank(m, 1e-9) for m in stack] == [9, 2, 0, 5]
+        nested = numerical_rank(stack.reshape(2, 2, 12, 9), 1e-9)
+        assert nested.tolist() == [[9, 2], [0, 5]]
+
+    def test_empty_stack_gives_zeros(self):
+        assert numerical_rank(np.zeros((3, 0, 4)), 1e-9).tolist() == [0, 0, 0]
+        assert numerical_rank(np.zeros((0, 4, 4)), 1e-9).tolist() == []
+
+    def test_nonfinite_entry_of_a_stack_rejected(self):
+        stack = np.stack([np.eye(3), np.eye(3)])
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            numerical_rank(stack, 1e-6)
+
 
 class TestRankProperties:
     def test_linear_merge_rank_at_most_r(self):
@@ -344,6 +370,21 @@ class TestSpecPlumbing:
                 KernelKind.P_LINEAR,
                 KernelKind.MIX_K,
             )
+
+    @pytest.mark.parametrize("pieces", [2.5, True, 2.0])
+    def test_non_integer_piece_count_rejected(self, pieces):
+        for kind in ("mix-k", "linear"):
+            with pytest.raises(ValueError, match="pieces must be an integer"):
+                kernel_coefficient_count(kind, pieces)
+            with pytest.raises(ValueError, match="pieces must be an integer"):
+                KernelSpec(kind=kind, pieces=pieces)
+        for build in (KernelSpec.zero_init, KernelSpec.canonical):
+            with pytest.raises(ValueError, match="pieces must be an integer"):
+                build("p-linear", pieces=pieces)
+
+    def test_numpy_integer_piece_count_accepted(self):
+        assert kernel_coefficient_count("mix-k", np.int64(3)) == 5
+        assert KernelSpec.zero_init("p-linear", pieces=np.int64(3)).coeffs[0].data.shape == (3,)
 
     def test_rbf_beta_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
