@@ -35,14 +35,22 @@ _JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
 
 
 def typed(value, hint):
-    """`value` held to the type `hint` (which may add `| None`), read as a float where
-    a float is wanted; a bool is no number. Raises TypeError saying what it must be."""
-    args = typing.get_args(hint)
-    if type(None) in args and value is None:
-        return value
-    base = next((a for a in args if a is not type(None)), hint)
-    types, what = _JSON_TYPES.get(base, ((str, base), "a name"))
-    if isinstance(value, bool) is not (base is bool) or not isinstance(value, types):
-        raise TypeError(f"need {what}{' or null' if args else ''}, "
+    """`value` held to the type `hint` (which may add `| None`): read as a float where
+    a float is wanted (a bool is no number), parsed to its member where a `Choice` is,
+    and held item by item where a `list[...]` is (a tuple counts as a list). Raises
+    TypeError saying what it must be, or the enum's ValueError for an unknown name."""
+    optional = type(None) in typing.get_args(hint)
+    if optional:
+        if value is None:
+            return value
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    listed = typing.get_origin(hint) is list
+    types, what = (((list, tuple), "a list") if listed
+                   else _JSON_TYPES.get(hint, ((str, hint), "a name")))
+    if isinstance(value, bool) is not (hint is bool) or not isinstance(value, types):
+        raise TypeError(f"need {what}{' or null' if optional else ''}, "
                         f"got {json.dumps(value, default=str)}")
-    return float(value) if base is float else value
+    if listed:
+        item_hint, = typing.get_args(hint)
+        return [typed(item, item_hint) for item in value]
+    return hint(value)

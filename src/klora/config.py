@@ -3,7 +3,7 @@
 The document has nested sections `model`, `kernel`, `sparsity`, `train`,
 and `experiments`. Unknown keys are rejected. This module owns the layout,
 `klora.model` what a setting means: a trainer setting is one `TrainerConfig`
-field (default, type, and range rule or name parser) plus one SETTINGS row,
+field (default, type or name enum, and range rule) plus one SETTINGS row,
 the document key that sets it. `model.layer_dims`, `model.bias`,
 `model.attention` and `train.task` are checked here; a task's keys are its
 dataset builder's parameters. The final budget is not stored: it derives
@@ -96,11 +96,14 @@ def _check_range(cond: bool, key: str, message: str) -> None:
 
 
 def check_type(key: str, value, hint) -> None:
-    """Reject a JSON value at `key` that is not of a field's or param's type (`typed`)."""
+    """Reject a JSON value at `key` that is not of a field's or param's type
+    (`typed`), or that names no member of its enum."""
     try:
         typed(value, hint)
     except TypeError as err:
         raise ConfigError(f"wrong type for '{key}': {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"value out of range for '{key}': {err}") from None
 
 
 def _merge_section(section: str, given) -> dict:

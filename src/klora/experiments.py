@@ -29,7 +29,7 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     LowRankPair,
-    check_integer_pieces,
+    check_pieces,
     kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
@@ -91,11 +91,14 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
 def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: int = 1,
                 target_rank: int | None = None, scale: float = 1.0, r_values=(),
                 r: int | None = None, pieces: int = 1, kernels=(), eps_rel: float = 0.5,
-                density: float = 1.0, **_) -> None:
+                density: float = 1.0, seed_base: int = 0, factor_std: float = 1.0,
+                **_) -> None:
     """The fitting and rank drivers' range checks, by argument name; `run-all`
     runs them on each entry's params before anything runs."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if seed_base < 0:
+        raise ValueError(f"seed_base must be nonnegative, got {seed_base}")
     if lr < 0:
         raise ValueError("learning rate must be nonnegative")
     if steps < 0:
@@ -108,9 +111,9 @@ def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: 
         raise ValueError(f"density must lie in [0, 1], got {density}")
     if not scale > 0:
         raise ValueError("factor scale must be positive")
-    check_integer_pieces(pieces)
-    if pieces < 1:
-        raise ValueError(f"piece count must be >= 1, got {pieces}")
+    if not factor_std > 0:
+        raise ValueError(f"factor_std must be positive, got {factor_std}")
+    check_pieces(pieces)
     if not 0 < eps_rel < 1:
         raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
     for rank in (*r_values, *([] if r is None else [r])):
@@ -132,8 +135,7 @@ def _memory_dims(layer_dims, r: int, pieces: int = 1, **_) -> list:
         raise ValueError("need at least one layer, with positive dimensions")
     if r < 0:
         raise ValueError("rank must be nonnegative")
-    if pieces < 1:
-        raise ValueError(f"piece count must be >= 1, got {pieces}")
+    check_pieces(pieces)
     return dims
 
 
@@ -245,8 +247,8 @@ def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
 
 
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int | None = None,
-                          kernels=DEFAULT_KERNELS, steps: int = 20000, lr: float = 1e-3,
-                          seeds: int = 5, density: float = 0.1, pieces: int = 2,
+                          kernels: list[KernelKind] = DEFAULT_KERNELS, steps: int = 20000,
+                          lr: float = 1e-3, seeds: int = 5, density: float = 0.1, pieces: int = 2,
                           factor_std: float = 1.0, piece_init_eps: float = 0.0,
                           seed_base: int = 0) -> ExperimentReport:
     """Fit random targets by gradient descent on the merged matrix.
@@ -258,7 +260,8 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     """
     watch = StopWatch()
     _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank, r=r,
-                pieces=pieces, kernels=kernels, density=density)
+                pieces=pieces, kernels=kernels, density=density, seed_base=seed_base,
+                factor_std=factor_std)
     if target_rank is None:
         target_rank = min(m, n)
     kinds = [KernelKind(k) for k in kernels]
@@ -317,9 +320,9 @@ def ordering_fraction(report: ExperimentReport, ordering) -> float:
     return wins / max(len(report.per_seed), 1)
 
 
-def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float = 10.0,
-                              steps: int = 300, m: int = 16, n: int = 16, r: int = 4,
-                              seeds: int = 3, lr: float = 1e-3,
+def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "linear"),
+                              scale: float = 10.0, steps: int = 300, m: int = 16, n: int = 16,
+                              r: int = 4, seeds: int = 3, lr: float = 1e-3,
                               pieces: int = 2, seed_base: int = 0) -> ExperimentReport:
     """Record gradient-magnitude traces of the fitting loss per kernel.
 
@@ -330,7 +333,7 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
     """
     watch = StopWatch()
     _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale, r=r, pieces=pieces,
-                kernels=kernels)
+                kernels=kernels, seed_base=seed_base)
     kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
@@ -368,12 +371,13 @@ def grad_evolution_experiment(kernels=("mix-k", "rbf", "linear"), scale: float =
                             duration_s=watch.elapsed())
 
 
-def rank_sweep(m: int = 64, n: int = 64, r_values=(2, 4, 8), kernels=DEFAULT_KERNELS,
+def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
+               kernels: list[KernelKind] = DEFAULT_KERNELS,
                seeds: int = 10, eps_rel: float = 1e-6, pieces: int = 2,
                seed_base: int = 0) -> ExperimentReport:
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
     watch = StopWatch()
-    _check_args(seeds=seeds, m=m, n=n, r_values=r_values)
+    _check_args(seeds=seeds, m=m, n=n, r_values=r_values, seed_base=seed_base)
     kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     per_seed = []
@@ -429,7 +433,7 @@ def alloc_trace_table(trace: RunTrace):
 
 
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
-                   kinds=("constant", "linear", "quadratic", "cubic")):
+                   kinds: list[ScheduleKind] = ("constant", "linear", "quadratic", "cubic")):
     """(t, budget) at every step t = 0..T, per schedule kind."""
     parsed = [ScheduleKind(k) for k in kinds]
     header = ["t"] + [k.value for k in parsed]
@@ -451,8 +455,8 @@ class MemoryMode(Choice, what="memory mode"):
 MEMORY_MODES = tuple(mode.value for mode in MemoryMode)
 
 
-def memory_footprint_estimate(layer_dims, r: int, mode: str,
-                              kernel_kind="mix-k", pieces: int = 2) -> dict:
+def memory_footprint_estimate(layer_dims: list[list[int]], r: int, mode: str,
+                              kernel_kind: KernelKind = "mix-k", pieces: int = 2) -> dict:
     """Analytic float counts for parameters and optimizer state.
 
     full-ft tracks every weight matrix entry; low-rank tracks the factor
@@ -732,23 +736,6 @@ EXPERIMENT_TYPES = {
 }
 
 
-def _integer(value) -> None:
-    _need(type(value) is int, "an integer", value)
-
-
-def _list(value) -> list:
-    _need(isinstance(value, (list, tuple)), "a list", value)  # the CLI passes tuples
-    return list(value)
-
-
-# params that list names or integers: how to list the items, and each item's check
-_ITEMS = {
-    "kernel_kind": (lambda v: [v], KernelKind),
-    "kernels": (_list, KernelKind),
-    "kinds": (_list, ScheduleKind),
-    "r_values": (_list, _integer),
-    "layer_dims": (lambda v: [d for dims in _list(v) for d in _list(dims)], _integer),
-}
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
 
@@ -772,13 +759,6 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
                                   f"(known: {', '.join(sorted(allowed))})")
             if section == "params" and key in etype.hints:
                 check_type(f"{where}params.{key}", value, etype.hints[key])
-            if key in _ITEMS:
-                listed, check = _ITEMS[key]
-                try:
-                    for item in listed(value):
-                        check(item)
-                except (TypeError, ValueError, IndexError, KeyError) as err:
-                    raise ConfigError(f"{where}{section}.{key}: {err}") from None
     params = entry.get("params", {})
     missing = sorted(k for k, v in etype.params.items() if v is REQUIRED and k not in params)
     if missing:

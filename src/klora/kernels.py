@@ -60,16 +60,17 @@ class KernelKind(Choice, what="kernel"):
         return {alias: row.kind for row in KINDS.values() for alias in row.aliases}
 
 
-def check_integer_pieces(pieces) -> None:
-    """Reject a piece count that is no integer (a bool counts as none)."""
+def check_pieces(pieces) -> None:
+    """Reject a piece count that is no integer (a bool counts as none) or below 1."""
     if isinstance(pieces, bool) or not isinstance(pieces, numbers.Integral):
         raise ValueError(f"pieces must be an integer, got {pieces!r}")
+    if pieces < 1:
+        raise ValueError(f"piece count must be >= 1, got {pieces}")
 
 
 def segment_bounds(r: int, pieces: int):
     """Split [0, r) into `pieces` contiguous near-equal half-open ranges."""
-    if pieces < 1:
-        raise ValueError(f"piece count must be >= 1, got {pieces}")
+    check_pieces(pieces)
     if pieces > r:
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
     return [(r * (p - 1) // pieces, r * p // pieces) for p in range(1, pieces + 1)]
@@ -145,9 +146,7 @@ class KindRow:
 
     def count(self, pieces: int) -> int:
         """Number of coefficient values at the given piece count."""
-        check_integer_pieces(pieces)
-        if pieces < 1:
-            raise ValueError(f"piece count must be >= 1, got {pieces}")
+        check_pieces(pieces)
         return len(self.coefficients) + (pieces - 1 if self.piecewise else 0)
 
     def pieces_for(self, count: int) -> int:
@@ -211,9 +210,7 @@ class KernelSpec:
         self.kind = KernelKind(self.kind)
         self.coeffs = tuple(self.coeffs)
         row = KINDS[self.kind]
-        check_integer_pieces(self.pieces)
-        if row.piecewise and self.pieces < 1:
-            raise ValueError(f"piece count must be >= 1, got {self.pieces}")
+        check_pieces(self.pieces)
         if len(self.coeffs) != len(row.coefficients):
             raise ValueError(
                 f"{self.kind.value} kernel takes {len(row.coefficients)} coefficient tensors, "
@@ -226,7 +223,7 @@ class KernelSpec:
     @classmethod
     def _filled(cls, kind, pieces: int, trainable: bool, value) -> "KernelSpec":
         kind = KernelKind(kind)
-        check_integer_pieces(pieces)  # before np.full sees it
+        check_pieces(pieces)  # before np.full sees it
         coeffs = [
             Tensor(np.full(pieces if c.per_piece else (), value(c), dtype=np.float64),
                    requires_grad=trainable)

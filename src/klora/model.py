@@ -393,23 +393,20 @@ _COUNT = (lambda v: v >= 1, "must be >= 1")
 
 
 def _setting(default, check):
-    """A trainer setting: its default and its check, a range rule or a name parser."""
+    """A trainer setting: its default and its range rule."""
     return field(default=default, metadata={"check": check})
 
 
 def _checked(setting, value):
-    """`value` held to the type of the setting field `setting`, then parsed by,
-    or held to the range rule of, its check."""
+    """`value` held to the type of the setting field `setting` (a name parsed to
+    its member), then to its range rule."""
     try:
         value = typed(value, _HINTS[setting.name])
     except TypeError as err:
         raise SettingError(setting.name, str(err), "wrong type") from None
+    except ValueError as err:
+        raise SettingError(setting.name, str(err)) from None
     check = setting.metadata.get("check")
-    if callable(check):
-        try:
-            return check(value)
-        except ValueError as err:
-            raise SettingError(setting.name, str(err)) from None
     if check is not None and not check[0](value):
         raise SettingError(setting.name, f"{setting.name} {check[1]}, got {value!r}")
     return value
@@ -418,8 +415,8 @@ def _checked(setting, value):
 @dataclass
 class TrainerConfig:
     """Every trainer setting, declared once: its field holds the default, the
-    type (its annotation, in the JSON sense of `choices.typed`) and the check;
-    `__post_init__` holds each value to both."""
+    type (its annotation, in the JSON sense of `choices.typed`, a name enum
+    too) and any range rule; `__post_init__` holds each value to both."""
 
     lr: float = _setting(1e-2, _NONNEGATIVE)
     adam_beta1: float = _setting(0.9, _DECAY)
@@ -430,15 +427,15 @@ class TrainerConfig:
                                                   "must be >= 1 or None"))
     batch_size: int = _setting(16, _COUNT)
     seed: int = _setting(0, _NONNEGATIVE)
-    kernel_kind: KernelKind = _setting(KernelKind.MIX_K, KernelKind)
+    kernel_kind: KernelKind = KernelKind.MIX_K
     pieces: int = _setting(2, _COUNT)
     rank: int = _setting(4, _COUNT)
     factor_std: float = _setting(0.02, _POSITIVE)
     budget_ratio: float = _setting(0.3, _UNIT)
-    schedule_kind: ScheduleKind = _setting(ScheduleKind.CUBIC, ScheduleKind)
-    alloc_period: AllocPeriod = _setting(AllocPeriod.PER_EPOCH, AllocPeriod)
-    sparsify_mode: SparsifyMode = _setting(SparsifyMode.SOFT_SIGN, SparsifyMode)
-    importance_metric: Metric = _setting(Metric.SENSITIVITY, Metric)
+    schedule_kind: ScheduleKind = ScheduleKind.CUBIC
+    alloc_period: AllocPeriod = AllocPeriod.PER_EPOCH
+    sparsify_mode: SparsifyMode = SparsifyMode.SOFT_SIGN
+    importance_metric: Metric = Metric.SENSITIVITY
     smoothing_beta1: float = _setting(0.85, _UNIT)
     smoothing_beta2: float = _setting(0.85, _UNIT)
     recompute_merge: bool = False

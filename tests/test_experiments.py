@@ -89,8 +89,9 @@ BAD_DOCUMENTS = [
 # values the driver rejects, a train task whose min_rank no draw reaches, assert
 # values of the wrong shape or naming what the entry does not report, names
 # that are not one new file name, a ratio assert on an entry without rbf,
-# params of the wrong type (list items too), the removed schedule `points`, and
-# list params given as one value
+# params of the wrong type (list items too), the removed schedule `points`,
+# list params given as one value, negative seed bases, factor scales that are not
+# positive, and a name list item of the wrong type and a name no enum knows
 TYPO_ENTRIES = [
     ({"type": "fit-matrix", "params": {"stepz": 3}}, "experiments[1].params.stepz"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
@@ -191,18 +192,36 @@ TYPO_ENTRIES = [
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2.5}},
      "wrong type for 'experiments[1].params.r': need an integer, got 2.5"),
     ({"type": "memory-model", "params": {"layer_dims": [[8.5, 8]], "r": 2}},
-     "experiments[1].params.layer_dims: need an integer, got 8.5"),
+     "experiments[1].params.layer_dims': need an integer, got 8.5"),
     ({"type": "rank-sweep", "params": {"r_values": [2, 2.5]}},
-     "experiments[1].params.r_values: need an integer, got 2.5"),
+     "experiments[1].params.r_values': need an integer, got 2.5"),
     ({"type": "schedule", "params": {"points": 3}}, "unknown key 'experiments[1].params.points'"),
     ({"type": "fit-matrix", "params": {"kernels": "linear"}},
-     "experiments[1].params.kernels: need a list, got 'linear'"),
+     "experiments[1].params.kernels': need a list, got \"linear\""),
     ({"type": "schedule", "params": {"kinds": "cubic"}},
-     "experiments[1].params.kinds: need a list, got 'cubic'"),
+     "experiments[1].params.kinds': need a list, got \"cubic\""),
     ({"type": "rank-sweep", "params": {"r_values": 4}},
-     "experiments[1].params.r_values: need a list, got 4"),
+     "experiments[1].params.r_values': need a list, got 4"),
     ({"type": "memory-model", "params": {"layer_dims": "ab", "r": 2}},
-     "experiments[1].params.layer_dims: need a list, got 'ab'"),
+     "experiments[1].params.layer_dims': need a list, got \"ab\""),
+    ({"type": "fit-matrix", "params": {"seed_base": -1}},
+     "experiments[1].params: seed_base must be nonnegative, got -1"),
+    ({"type": "rank-sweep", "params": {"seed_base": -1}},
+     "experiments[1].params: seed_base must be nonnegative, got -1"),
+    ({"type": "grad-evolution", "params": {"seed_base": -1}},
+     "experiments[1].params: seed_base must be nonnegative, got -1"),
+    ({"type": "fit-matrix", "params": {"factor_std": 0.0}},
+     "experiments[1].params: factor_std must be positive, got 0.0"),
+    ({"type": "fit-matrix", "params": {"factor_std": -1.0}},
+     "experiments[1].params: factor_std must be positive, got -1.0"),
+    ({"type": "fit-matrix", "params": {"kernels": ["linear", 3]}},
+     "wrong type for 'experiments[1].params.kernels': need a name, got 3"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2, "kernel_kind": "poly"}},
+     "value out of range for 'experiments[1].params.kernel_kind': unknown kernel 'poly'"),
+    ({"type": "fit-matrix", "params": {"kernels": ["linear", "poly"]}},
+     "value out of range for 'experiments[1].params.kernels': unknown kernel 'poly'"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, "8"]], "r": 2}},
+     "wrong type for 'experiments[1].params.layer_dims': need an integer, got \"8\""),
 ]
 
 
@@ -837,6 +856,10 @@ BAD_INPUT_COMMANDS = [
     (["fit-matrix", "--target-rank", "-1"], "target rank must be >= 1, got -1"),
     (["fit-matrix", "--density", "-0.5"], "density must lie in [0, 1], got -0.5"),
     (["fit-matrix", "--density", "1.5"], "density must lie in [0, 1], got 1.5"),
+    (["fit-matrix", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
+    (["rank-sweep", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
+    (["grad-evolution", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
+    (["fit-matrix", "--factor-std", "0"], "factor_std must be positive, got 0.0"),
 ]
 
 # files the commands above name by a placeholder

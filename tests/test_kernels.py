@@ -382,6 +382,14 @@ class TestSpecPlumbing:
             with pytest.raises(ValueError, match="pieces must be an integer"):
                 build("p-linear", pieces=pieces)
 
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "mix-k"])
+    def test_piece_count_below_one_rejected_for_every_kind(self, kind):
+        for build in (KernelSpec.zero_init, KernelSpec.canonical):
+            with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+                build(kind, pieces=0)
+        with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+            kernel_coefficient_count(kind, 0)
+
     def test_numpy_integer_piece_count_accepted(self):
         assert kernel_coefficient_count("mix-k", np.int64(3)) == 5
         assert KernelSpec.zero_init("p-linear", pieces=np.int64(3)).coeffs[0].data.shape == (3,)
