@@ -1,10 +1,12 @@
-"""User-facing names, each parsed by its own enum, and the JSON type rule."""
+"""User-facing names, each parsed by its own enum, the JSON type rule, and the
+range rules a setting or param declares in its annotation."""
 
 from __future__ import annotations
 
 import enum
 import json
 import typing
+from typing import Annotated
 
 
 class Choice(enum.Enum):
@@ -54,3 +56,49 @@ def typed(value, hint):
         item_hint, = typing.get_args(hint)
         return [typed(item, item_hint) for item in value]
     return hint(value)
+
+
+class SettingError(ValueError):
+    """A setting or param of the wrong type or outside its range: `name` is the
+    setting or param, and `problem` says which of the two."""
+
+    def __init__(self, name: str, message: str, problem: str = "value out of range"):
+        super().__init__(message)
+        self.name = name
+        self.problem = problem
+
+
+# range rules: (holds, what a value must be), each carried by an `Annotated` alias;
+# NaN holds to none of them. COUNT is named for `Annotated[int | None, COUNT]` too.
+COUNT = (lambda v: v >= 1, "must be >= 1")
+NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+Count, Natural = Annotated[int, COUNT], Annotated[int, NONNEGATIVE]
+NonNegative = Annotated[float, NONNEGATIVE]
+Positive = Annotated[float, (lambda v: v > 0, "must be positive")]
+Unit = Annotated[float, (lambda v: 0 <= v <= 1, "must lie in [0, 1]")]
+Decay = Annotated[float, (lambda v: 0 <= v < 1, "must lie in [0, 1)")]
+OpenUnit = Annotated[float, (lambda v: 0 < v < 1, "must lie in (0, 1)")]
+
+
+def hints(obj) -> dict:
+    """The annotations of a function's params or a class's fields, each with any
+    range rule it carries."""
+    return typing.get_type_hints(obj, include_extras=True)
+
+
+def check(name: str, value, hint):
+    """`value` held to the type of `hint` (`typed`), then to the range rule an
+    `Annotated[type, rule]` hint carries, which a None value skips. Raises a
+    SettingError for `name` saying which of the two it fails."""
+    rule = None
+    if typing.get_origin(hint) is Annotated:
+        hint, rule = typing.get_args(hint)
+    try:
+        value = typed(value, hint)
+    except TypeError as err:
+        raise SettingError(name, str(err), "wrong type") from None
+    except ValueError as err:
+        raise SettingError(name, str(err)) from None
+    if rule is not None and value is not None and not rule[0](value):
+        raise SettingError(name, f"{name} {rule[1]}, got {value!r}")
+    return value

@@ -3,7 +3,7 @@
 The document has nested sections `model`, `kernel`, `sparsity`, `train`,
 and `experiments`. Unknown keys are rejected. This module owns the layout,
 `klora.model` what a setting means: a trainer setting is one `TrainerConfig`
-field (default, type or name enum, and range rule) plus one SETTINGS row,
+field (default, and type or name enum with any range rule) plus one SETTINGS row,
 the document key that sets it. `model.layer_dims`, `model.bias`,
 `model.attention` and `train.task` are checked here; a task's keys are its
 dataset builder's parameters. The final budget is not stored: it derives
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets
-from .choices import typed
-from .model import SettingError, TrainerConfig
+from .choices import SettingError, check
+from .model import TrainerConfig
 
 
 class ConfigError(ValueError):
@@ -95,15 +95,18 @@ def _check_range(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"value out of range for '{key}': {message}")
 
 
-def check_type(key: str, value, hint) -> None:
-    """Reject a JSON value at `key` that is not of a field's or param's type
-    (`typed`), or that names no member of its enum."""
+def located(err: SettingError, key: str) -> ConfigError:
+    """The ConfigError for a setting or param error at document key `key`."""
+    return ConfigError(f"{err.problem} for '{key}': {err}")
+
+
+def check_type(key: str, value, hint):
+    """`value` at `key` held to a field's or param's type and range rule
+    (`choices.check`, the key's leaf naming it); a ConfigError names the key."""
     try:
-        typed(value, hint)
-    except TypeError as err:
-        raise ConfigError(f"wrong type for '{key}': {err}") from None
-    except ValueError as err:
-        raise ConfigError(f"value out of range for '{key}': {err}") from None
+        return check(key.rsplit(".", 1)[-1], value, hint)
+    except SettingError as err:
+        raise located(err, key) from None
 
 
 def _merge_section(section: str, given) -> dict:
@@ -122,14 +125,12 @@ def _merge_section(section: str, given) -> dict:
 
 def _task(config: RunConfig) -> tuple:
     """The configured task's kind and builder arguments, checked against its
-    builder, its range rules and the model's layer dims."""
+    builder's parameters, their annotations and the rules that read the
+    model's layer dims."""
     if not isinstance(config.train["task"], dict):
         raise ConfigError("wrong type for 'train.task': need an object")
     args = dict(config.train["task"])
-    try:
-        kind = datasets.TaskKind(args.pop("kind"))
-    except ValueError as err:
-        raise ConfigError(f"value out of range for 'train.task.kind': {err}") from None
+    kind = check_type("train.task.kind", args.pop("kind"), datasets.TaskKind)
     keys, ranges = datasets.TASK_KEYS[kind], datasets.TASKS[kind][2]
     _reject_unknown(args, keys, "train.task")
     for key, value in args.items():
@@ -183,8 +184,7 @@ def apply_defaults(raw: dict) -> RunConfig:
     try:
         trainer_config_from(config)
     except SettingError as err:
-        key = next(k for k, name in SETTINGS.items() if name == err.name)
-        raise ConfigError(f"{err.problem} for '{key}': {err}") from None
+        raise located(err, next(k for k, name in SETTINGS.items() if name == err.name)) from None
     return config
 
 

@@ -9,12 +9,11 @@ plain rank-r product cannot. The classification task is Gaussian blobs.
 from __future__ import annotations
 
 import inspect
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choices import Choice
+from .choices import Choice, Count, NonNegative, Unit, hints
 from .kernels import numerical_rank
 
 
@@ -76,10 +75,10 @@ def _sparse_perturbation(rng: np.random.Generator, shape, density: float,
     )
 
 
-def high_rank_regression(seed: int, layer_dims=(16, 16), samples: int = 96,
-                         density: float = 0.1, min_rank: int | None = None,
-                         perturb_layers=None, perturb_scale: float = 2.5,
-                         noise_std: float = 0.0, bias: bool = True) -> SynthDataset:
+def high_rank_regression(seed: int, layer_dims=(16, 16), samples: Count = 96,
+                         density: Unit = 0.1, min_rank: int | None = None,
+                         perturb_layers=None, perturb_scale: NonNegative = 2.5,
+                         noise_std: NonNegative = 0.0, bias: bool = True) -> SynthDataset:
     rng = np.random.default_rng([seed, 0xD5])
     base = _base_network(rng, layer_dims, bias)
     n_layers = len(base)
@@ -120,9 +119,9 @@ def high_rank_regression(seed: int, layer_dims=(16, 16), samples: int = 96,
     )
 
 
-def blob_classification(seed: int, features: int = 8, classes: int = 3,
-                        samples: int = 240, spread: float = 0.6,
-                        hidden: int = 16, bias: bool = True) -> SynthDataset:
+def blob_classification(seed: int, features: Count = 8, classes: Count = 3,
+                        samples: Count = 240, spread: NonNegative = 0.6,
+                        hidden: Count = 16, bias: bool = True) -> SynthDataset:
     rng = np.random.default_rng([seed, 0xB1])
     centers = rng.normal(0.0, 2.0, size=(classes, features))
     labels = rng.integers(0, classes, size=samples)
@@ -140,38 +139,28 @@ def blob_classification(seed: int, features: int = 8, classes: int = 3,
     )
 
 
-# range rules of task parameters, like the `TrainerConfig` fields': (holds, what a value
-# must be); `holds` also gets the model's layer dims, which the regression task takes
-_COUNT = (lambda v, dims: v >= 1, "must be >= 1")
-_NONNEGATIVE = (lambda v, dims: v >= 0, "must be nonnegative")
-_REGRESSION_RANGES = {
-    "samples": _COUNT, "density": (lambda v, dims: 0 <= v <= 1, "must lie in [0, 1]"),
-    "min_rank": (lambda v, dims: v is None or 0 <= v < min(dims),
-                 "must be null or below every layer dimension"),
-    "perturb_layers": (lambda v, dims: v is None or isinstance(v, list) and all(
-        type(i) is int and 0 <= i < len(dims) - 1 for i in v),
-        "must be null or a list of layer indices"),
-    "perturb_scale": _NONNEGATIVE, "noise_std": _NONNEGATIVE,
-}
-_BLOB_RANGES = {"features": _COUNT, "classes": _COUNT, "samples": _COUNT,
-                "spread": _NONNEGATIVE, "hidden": _COUNT}
-
 # each kind's builder, the builder parameters a run config's model section supplies,
-# and the range rules of the others
+# and the rules of the others that also read the model's layer dims: (holds(value, dims),
+# what a value must be); every other rule is part of a parameter's annotation
 TASKS = {
-    TaskKind.HIGH_RANK_REGRESSION: (high_rank_regression, ("layer_dims", "bias"),
-                                    _REGRESSION_RANGES),
-    TaskKind.BLOB_CLASSIFICATION: (blob_classification, (), _BLOB_RANGES),
+    TaskKind.HIGH_RANK_REGRESSION: (high_rank_regression, ("layer_dims", "bias"), {
+        "min_rank": (lambda v, dims: v is None or 0 <= v < min(dims),
+                     "must be null or below every layer dimension"),
+        "perturb_layers": (lambda v, dims: v is None or isinstance(v, list) and all(
+            type(i) is int and 0 <= i < len(dims) - 1 for i in v),
+            "must be null or a list of layer indices")}),
+    TaskKind.BLOB_CLASSIFICATION: (blob_classification, (), {}),
 }
 
 
 def _task_keys(builder, supplied) -> dict:
-    hints = typing.get_type_hints(builder)
-    return {p: hints.get(p) for p in inspect.signature(builder).parameters
+    annotations = hints(builder)
+    return {p: annotations.get(p) for p in inspect.signature(builder).parameters
             if p not in ("seed", *supplied)}
 
 
-# per kind, the builder parameters a run config may set, with their types (None: any)
+# per kind, the builder parameters a run config may set, with their types and any
+# range rule (None: any value)
 TASK_KEYS = {kind: _task_keys(builder, supplied)
              for kind, (builder, supplied, _) in TASKS.items()}
 

@@ -10,26 +10,26 @@ result is that of a run on its own. Every run is deterministic per seed.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import threading
-import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Annotated, Callable
 
 import numpy as np
 
 from .allocation import BudgetSchedule, ScheduleKind, budget_at
-from .choices import Choice
-from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from,
+from .choices import (COUNT, Choice, Count, Natural, NonNegative, OpenUnit, Positive,
+                      SettingError, Unit, check, hints)
+from .config import (ConfigError, RunConfig, apply_defaults, dataset_from, located,
                      trainer_config_from)
 from .kernels import (
     KINDS,
     KernelKind,
     KernelSpec,
     LowRankPair,
-    check_pieces,
     kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
@@ -88,55 +88,52 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
     return a, b
 
 
-def _check_args(seeds: int = 1, lr: float = 0.0, steps: int = 0, m: int = 1, n: int = 1,
-                target_rank: int | None = None, scale: float = 1.0, r_values=(),
-                r: int | None = None, pieces: int = 1, kernels=(), eps_rel: float = 0.5,
-                density: float = 1.0, seed_base: int = 0, factor_std: float = 1.0,
-                **_) -> None:
-    """The fitting and rank drivers' range checks, by argument name; `run-all`
-    runs them on each entry's params before anything runs."""
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
-    if seed_base < 0:
-        raise ValueError(f"seed_base must be nonnegative, got {seed_base}")
-    if lr < 0:
-        raise ValueError("learning rate must be nonnegative")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if target_rank is not None and target_rank < 1:
-        raise ValueError(f"target rank must be >= 1, got {target_rank}")
+def _checked(*cross):
+    """A driver that holds each annotated argument to its type and range rule
+    (`choices.check`), then runs the rules across params `cross`, and runs on
+    the parsed values; `driver.check(**params)` runs the checks alone."""
+    def decorate(driver):
+        signature, annotations = inspect.signature(driver), hints(driver)
+
+        def bind(binder, *args, **kwargs):
+            bound = binder(*args, **kwargs)
+            bound.apply_defaults()
+            for name, value in bound.arguments.items():
+                if name in annotations:
+                    bound.arguments[name] = check(name, value, annotations[name])
+            for rule in cross:
+                rule(**bound.arguments)
+            return bound
+
+        @functools.wraps(driver)
+        def checked(*args, **kwargs):
+            bound = bind(signature.bind, *args, **kwargs)
+            return driver(*bound.args, **bound.kwargs)
+
+        checked.check = functools.partial(bind, signature.bind_partial)
+        return checked
+
+    return decorate
+
+
+def _check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=(), **_):
+    """The fitting and rank drivers' rules across params: every rank and the
+    target rank within min(m, n), and a fit's pieces within its rank."""
     if target_rank is not None and target_rank > min(m, n):
         raise ValueError(f"target rank {target_rank} exceeds min(m, n)")
-    if not 0 <= density <= 1:
-        raise ValueError(f"density must lie in [0, 1], got {density}")
-    if not scale > 0:
-        raise ValueError("factor scale must be positive")
-    if not factor_std > 0:
-        raise ValueError(f"factor_std must be positive, got {factor_std}")
-    check_pieces(pieces)
-    if not 0 < eps_rel < 1:
-        raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
     for rank in (*r_values, *([] if r is None else [r])):
         if not 1 <= rank <= min(m, n):
             raise ValueError(f"rank {rank} outside [1, min(m, n) = {min(m, n)}]")
     # the fits split the rank into pieces; the rank sweep caps pieces at each rank
-    if r is not None and pieces > r and any(KINDS[KernelKind(k)].piecewise for k in kernels):
+    if r is not None and pieces > r and any(KINDS[k].piecewise for k in kernels):
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
 
 
-def _memory_dims(layer_dims, r: int, pieces: int = 1, **_) -> list:
-    """The checked (m, n) pairs of a memory-model layer list."""
-    dims = [(m, n) for m, n in layer_dims]
-    for value in (*(d for pair in dims for d in pair), r, pieces):
-        if type(value) is not int:
-            raise ValueError(f"layer dimensions, rank and pieces must be integers, "
-                             f"got {value!r}")
-    if not dims or any(m <= 0 or n <= 0 for m, n in dims):
-        raise ValueError("need at least one layer, with positive dimensions")
-    if r < 0:
-        raise ValueError("rank must be nonnegative")
-    check_pieces(pieces)
-    return dims
+def _check_layers(layer_dims, **_):
+    """The memory model's rule on its layer list, whose items are [m, n] pairs."""
+    if not layer_dims or any(len(dims) != 2 or min(dims) <= 0 for dims in layer_dims):
+        raise ValueError("need at least one layer, with positive dimensions, "
+                         "each an [m, n] pair")
 
 
 def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, pieces: int,
@@ -246,11 +243,14 @@ def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
     return runs, out["ranks"]
 
 
-def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int | None = None,
-                          kernels: list[KernelKind] = DEFAULT_KERNELS, steps: int = 20000,
-                          lr: float = 1e-3, seeds: int = 5, density: float = 0.1, pieces: int = 2,
-                          factor_std: float = 1.0, piece_init_eps: float = 0.0,
-                          seed_base: int = 0) -> ExperimentReport:
+@_checked(_check_ranks)
+def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4,
+                          target_rank: Annotated[int | None, COUNT] = None,
+                          kernels: list[KernelKind] = DEFAULT_KERNELS, steps: Natural = 20000,
+                          lr: NonNegative = 1e-3, seeds: Count = 5, density: Unit = 0.1,
+                          pieces: Count = 2, factor_std: Positive = 1.0,
+                          piece_init_eps: float = 0.0,
+                          seed_base: Natural = 0) -> ExperimentReport:
     """Fit random targets by gradient descent on the merged matrix.
 
     Per kernel and seed, minimizes the mean squared entrywise error between
@@ -259,12 +259,8 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     kernels within a seed so comparisons are paired.
     """
     watch = StopWatch()
-    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, target_rank=target_rank, r=r,
-                pieces=pieces, kernels=kernels, density=density, seed_base=seed_base,
-                factor_std=factor_std)
     if target_rank is None:
         target_rank = min(m, n)
-    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
         make_fit_target(np.random.default_rng([seed, 0x7A]), m, n, target_rank, density)
@@ -272,7 +268,7 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
     ])
 
     def fit():
-        return _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std,
+        return _fit(kernels, targets, seed_list, r, steps, lr, pieces, factor_std,
                     piece_init_eps=piece_init_eps)
 
     if targets.size * min(m, n) >= RANK_THREAD_WORK:
@@ -289,21 +285,21 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4, target_rank: int
         }
         for seed, target, rank in zip(seed_list, targets, ranks)
     ]
-    for kind, kind_runs in zip(kinds, runs):
+    for kind, kind_runs in zip(kernels, runs):
         for entry, run in zip(per_seed, kind_runs):
             entry["kernels"][kind.value] = run
     aggregates = {
         "mean_final_mse": {
             kind.value: float(np.mean([s["kernels"][kind.value]["final_mse"] for s in per_seed]))
-            for kind in kinds
+            for kind in kernels
         },
         "diverged_runs": int(
-            sum(s["kernels"][k.value]["diverged"] for s in per_seed for k in kinds)
+            sum(s["kernels"][k.value]["diverged"] for s in per_seed for k in kernels)
         ),
     }
     config = {"m": m, "n": n, "r": r, "target_rank": target_rank, "steps": steps,
               "lr": lr, "density": density, "pieces": pieces, "factor_std": factor_std,
-              "piece_init_eps": piece_init_eps, "kernels": [k.value for k in kinds]}
+              "piece_init_eps": piece_init_eps, "kernels": [k.value for k in kernels]}
     return ExperimentReport(name="fit-matrix", config=config, seeds=seed_list,
                             per_seed=per_seed, aggregates=aggregates,
                             duration_s=watch.elapsed())
@@ -320,10 +316,11 @@ def ordering_fraction(report: ExperimentReport, ordering) -> float:
     return wins / max(len(report.per_seed), 1)
 
 
+@_checked(_check_ranks)
 def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "linear"),
-                              scale: float = 10.0, steps: int = 300, m: int = 16, n: int = 16,
-                              r: int = 4, seeds: int = 3, lr: float = 1e-3,
-                              pieces: int = 2, seed_base: int = 0) -> ExperimentReport:
+                              scale: Positive = 10.0, steps: Natural = 300, m: int = 16,
+                              n: int = 16, r: int = 4, seeds: Count = 3, lr: NonNegative = 1e-3,
+                              pieces: Count = 2, seed_base: Natural = 0) -> ExperimentReport:
     """Record gradient-magnitude traces of the fitting loss per kernel.
 
     Factors start uniform in [-scale, scale] with canonical coefficients, the
@@ -332,18 +329,15 @@ def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "line
     and the RBF/mixed ratio when both kinds are present.
     """
     watch = StopWatch()
-    _check_args(seeds=seeds, lr=lr, steps=steps, m=m, n=n, scale=scale, r=r, pieces=pieces,
-                kernels=kernels, seed_base=seed_base)
-    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     targets = np.stack([
         make_fit_target(np.random.default_rng([seed, 0x7B]), m, n, min(m, n), 1.0)
         for seed in seed_list
     ])
     per_seed = [{"seed": seed, "kernels": {}} for seed in seed_list]
-    runs = _fit(kinds, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
+    runs = _fit(kernels, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
                 init_scale=scale, canonical_coeffs=True)
-    for kind, kind_runs in zip(kinds, runs):
+    for kind, kind_runs in zip(kernels, runs):
         for entry, run in zip(per_seed, kind_runs):
             rng = np.random.default_rng([entry["seed"], 0xC3])
             probe = LowRankPair(
@@ -358,27 +352,26 @@ def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "line
             kind.value: float(
                 np.mean([s["kernels"][kind.value]["static_mean_abs_gradient"] for s in per_seed])
             )
-            for kind in kinds
+            for kind in kernels
         }
     }
     static = aggregates["static_mean_abs_gradient"]
     if "rbf" in static and "mix-k" in static and static["mix-k"] > 0:
         aggregates["rbf_mixk_ratio"] = static["rbf"] / static["mix-k"]
-    config = {"kernels": [k.value for k in kinds], "scale": scale, "steps": steps,
+    config = {"kernels": [k.value for k in kernels], "scale": scale, "steps": steps,
               "m": m, "n": n, "r": r, "lr": lr, "pieces": pieces}
     return ExperimentReport(name="grad-evolution", config=config, seeds=seed_list,
                             per_seed=per_seed, aggregates=aggregates,
                             duration_s=watch.elapsed())
 
 
+@_checked(_check_ranks)
 def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
                kernels: list[KernelKind] = DEFAULT_KERNELS,
-               seeds: int = 10, eps_rel: float = 1e-6, pieces: int = 2,
-               seed_base: int = 0) -> ExperimentReport:
+               seeds: Count = 10, eps_rel: OpenUnit = 1e-6, pieces: Count = 2,
+               seed_base: Natural = 0) -> ExperimentReport:
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
     watch = StopWatch()
-    _check_args(seeds=seeds, m=m, n=n, r_values=r_values, seed_base=seed_base)
-    kinds = [KernelKind(k) for k in kernels]
     seed_list = list(range(seed_base, seed_base + seeds))
     per_seed = []
     for seed in seed_list:
@@ -388,7 +381,7 @@ def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
             pair = LowRankPair(
                 A=Tensor(rng.normal(size=(n, r))), B=Tensor(rng.normal(size=(m, r)))
             )
-            for kind in kinds:
+            for kind in kernels:
                 spec = KernelSpec.canonical(kind, pieces=min(pieces, r))
                 rank = numerical_rank(merge(spec, pair).data, eps_rel)
                 entry["ranks"][f"{kind.value}@r={r}"] = rank
@@ -403,7 +396,7 @@ def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
         for key in keys
     }
     config = {"m": m, "n": n, "r_values": list(r_values), "eps_rel": eps_rel,
-              "kernels": [k.value for k in kinds], "pieces": pieces}
+              "kernels": [k.value for k in kernels], "pieces": pieces}
     return ExperimentReport(name="rank-sweep", config=config, seeds=seed_list,
                             per_seed=per_seed, aggregates=aggregates,
                             duration_s=watch.elapsed())
@@ -428,19 +421,24 @@ def alloc_trace_table(trace: RunTrace):
         if len(record.ratios) != n_layers:
             raise ValueError(f"epoch {record.epoch} has {len(record.ratios)} ratios "
                              f"for {n_layers} layers")
-        rows.append([record.epoch + 1] + [float(x) for x in record.ratios])
+        ratios = [float(x) for x in record.ratios]
+        for layer, ratio in enumerate(ratios):
+            if not 0.0 <= ratio <= 1.0:
+                raise ValueError(f"epoch {record.epoch}, layer {layer}: ratio {ratio} "
+                                 f"not in [0, 1]")
+        rows.append([record.epoch + 1] + ratios)
     return header, rows
 
 
+@_checked(lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T))
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
                    kinds: list[ScheduleKind] = ("constant", "linear", "quadratic", "cubic")):
     """(t, budget) at every step t = 0..T, per schedule kind."""
-    parsed = [ScheduleKind(k) for k in kinds]
-    header = ["t"] + [k.value for k in parsed]
+    header = ["t"] + [k.value for k in kinds]
     rows = []
     for t in range(T + 1):
         row = [t]
-        for kind in parsed:
+        for kind in kinds:
             row.append(budget_at(BudgetSchedule(b0=b0, bT=bT, T=T, kind=kind), t))
         rows.append(row)
     return header, rows
@@ -455,29 +453,31 @@ class MemoryMode(Choice, what="memory mode"):
 MEMORY_MODES = tuple(mode.value for mode in MemoryMode)
 
 
-def memory_footprint_estimate(layer_dims: list[list[int]], r: int, mode: str,
-                              kernel_kind: KernelKind = "mix-k", pieces: int = 2) -> dict:
+@_checked(_check_layers)
+def memory_footprint_estimate(layer_dims: list[list[int]], r: Natural, mode: MemoryMode,
+                              kernel_kind: KernelKind = "mix-k", pieces: Count = 2) -> dict:
     """Analytic float counts for parameters and optimizer state.
 
     full-ft tracks every weight matrix entry; low-rank tracks the factor
-    pairs plus kernel coefficients; low-rank-storing-delta additionally
-    retains every merged update matrix between passes. Moment counts
-    assume an adaptive-moment optimizer (two state floats per tracked
-    parameter).
+    pairs plus kernel coefficients, each layer's rank and piece count
+    clipped as the trainer clips them (`model.build_model`);
+    low-rank-storing-delta additionally retains every merged update matrix
+    between passes. Moment counts assume an adaptive-moment optimizer (two
+    state floats per tracked parameter).
     """
-    mode = MemoryMode(mode)
-    dims = _memory_dims(layer_dims, r, pieces)
-    coeffs = kernel_coefficient_count(kernel_kind, pieces)
-    weight_floats = sum(m * n for m, n in dims)
+    weight_floats = sum(m * n for m, n in layer_dims)
     if mode is MemoryMode.FULL_FT:
         params = weight_floats
         retained = 0
     else:
-        params = sum((m + n) * r + coeffs for m, n in dims)
+        # at r = 0 a layer keeps only its coefficients, for every piece asked for
+        params = sum((m + n) * min(r, m, n)
+                     + kernel_coefficient_count(kernel_kind, min(pieces, r, m, n) or pieces)
+                     for m, n in layer_dims)
         retained = weight_floats if mode is MemoryMode.LOW_RANK_STORING_DELTA else 0
     return {
         "mode": mode.value,
-        "layers": len(dims),
+        "layers": len(layer_dims),
         "rank": r,
         "optimizer_param_floats": params,
         "optimizer_moment_floats": 2 * params,
@@ -671,10 +671,10 @@ class ExperimentType:
     (header, rows), which an entry named `name` writes as
     `<name><table>.csv`; `table` is that file-name suffix, None for a type
     that writes no table. `params` maps the driver's parameter names to
-    their defaults, REQUIRED for those without one, and `hints` maps the
-    annotated ones to their types; `check_params(params, config)` raises
-    what the run would raise for their values. `checks` maps each assert
-    key, in evaluation order, to its value's shape(value), which raises a
+    their defaults, REQUIRED for those without one; `check_params(params,
+    config)` raises what the run would raise for their values, a
+    SettingError for a single param's. `checks` maps each assert key, in
+    evaluation order, to its value's shape(value), which raises a
     TypeError for a malformed value and returns the names it lists, and a
     check(report, table, value, asserts) that yields one detail per
     failure, where table is the run's (header, rows); None marks a key that
@@ -685,53 +685,48 @@ class ExperimentType:
 
     run: Callable
     params: dict
-    hints: dict
     check_params: Callable
     checks: dict
     names: tuple | None = None
     table: str | None = None
 
 
-def _params_of(driver, check, *fixed) -> tuple:
-    """The driver's parameters with their defaults, less `fixed`, the types
-    of the annotated ones, and a check(params, config) that runs `check` on
-    params with those defaults."""
+def _params_of(driver, *fixed) -> tuple:
+    """The `_checked` driver's parameters with their defaults, less `fixed`, and
+    a check(params, config) that runs the driver's checks on params."""
     params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
               if p.name not in fixed}
-    hints = {k: v for k, v in typing.get_type_hints(driver).items() if k in params}
-    return params, hints, lambda given, config: check(**{**params, **given})
+    return params, lambda given, config: driver.check(**given)
 
 
 _KERNEL_NAMES = (_kernel, lambda params: [_kernel(k) for k in params["kernels"]])
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
-        _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment, _check_args),
+        _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment),
         {"mse_ordering": (_name_list, _check_mse_ordering), "min_seed_fraction": (_bound, None),
          "max_final_mse": (_bound_per_name, _check_max_final_mse)},
         _KERNEL_NAMES),
     "grad-evolution": ExperimentType(
-        _report_only(grad_evolution_experiment),
-        *_params_of(grad_evolution_experiment, _check_args),
+        _report_only(grad_evolution_experiment), *_params_of(grad_evolution_experiment),
         # the ratio needs both kernels
         {"max_rbf_mixk_ratio": (lambda value: [*_bound(value), "rbf", "mix-k"],
                                 _check_max_rbf_mixk_ratio)}, _KERNEL_NAMES),
     "rank-sweep": ExperimentType(
-        _run_rank_sweep, *_params_of(rank_sweep, _check_args),
+        _run_rank_sweep, *_params_of(rank_sweep),
         {"rank_at_most": (_bound_per_name, _check_rank_at_most),
          "rank_above": (_bound_per_name, _check_rank_above)},
         (str, lambda params: [f"{_kernel(k)}@r={r}" for k in params["kernels"]
                               for r in params["r_values"]]), table=""),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, {"config": {}}, {}, _check_train,
+        _run_train, {"config": {}}, _check_train,
         {"max_final_loss": (_bound, _check_max_final_loss)}, table="-sparsity"),
     "schedule": ExperimentType(
-        _run_schedule,
-        *_params_of(schedule_table, lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T)),
+        _run_schedule, *_params_of(schedule_table),
         {"values": (_schedule_rows, _check_schedule_values)},
         (_kind, lambda params: [_kind(k) for k in params["kinds"]]), table=""),
     "memory-model": ExperimentType(
-        _run_memory_model, *_params_of(memory_footprint_estimate, _memory_dims, "mode"),
+        _run_memory_model, *_params_of(memory_footprint_estimate, "mode"),
         {"lowrank_fullft_ratio": (_target_rel, _check_lowrank_fullft_ratio)}),
 }
 
@@ -753,18 +748,18 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
         block = entry.get(section, {})
         if not isinstance(block, dict):
             raise ConfigError(f"{where}{section} must be an object")
-        for key, value in block.items():
+        for key in block:
             if key not in allowed:
                 raise ConfigError(f"unknown key '{where}{section}.{key}' "
                                   f"(known: {', '.join(sorted(allowed))})")
-            if section == "params" and key in etype.hints:
-                check_type(f"{where}params.{key}", value, etype.hints[key])
     params = entry.get("params", {})
     missing = sorted(k for k, v in etype.params.items() if v is REQUIRED and k not in params)
     if missing:
         raise ConfigError(f"missing key '{where}params.{missing[0]}'")
     try:
         etype.check_params(params, config)
+    except SettingError as err:
+        raise located(err, f"{where}params.{err.name}") from None
     except (TypeError, ValueError) as err:
         # a train entry's one param is its config overrides
         config_key = ".config" if entry["type"] == "train" else ""

@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import typing
 from dataclasses import asdict, dataclass, field, fields
+from typing import Annotated
 
 import numpy as np
 
@@ -34,7 +34,8 @@ from .allocation import (
     sensitivity,
     sparsify,
 )
-from .choices import Choice, typed
+from .choices import (COUNT, Choice, Count, Decay, Natural, NonNegative, Positive, Unit,
+                      check, hints)
 from .kernels import KernelKind, KernelSpec, LowRankPair, merge, stacked_leaf
 from .tensor import (
     Tensor,
@@ -100,7 +101,7 @@ class Adam:
                  eps: float = 1e-8):
         for name, value in (("lr", lr), ("adam_beta1", beta1), ("adam_beta2", beta2),
                             ("adam_eps", eps)):
-            _checked(TrainerConfig.__dataclass_fields__[name], value)
+            check(name, value, _HINTS[name])
         self.params = list(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -374,75 +375,37 @@ class TinyModel:
 # -- training -----------------------------------------------------------------
 
 
-class SettingError(ValueError):
-    """A trainer setting of the wrong type or outside its range: `name` is its
-    `TrainerConfig` field, and `problem` says which of the two."""
-
-    def __init__(self, name: str, message: str, problem: str = "value out of range"):
-        super().__init__(message)
-        self.name = name
-        self.problem = problem
-
-
-# range rules: (holds, what a value must be)
-_DECAY = (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-_COUNT = (lambda v: v >= 1, "must be >= 1")
-
-
-def _setting(default, check):
-    """A trainer setting: its default and its range rule."""
-    return field(default=default, metadata={"check": check})
-
-
-def _checked(setting, value):
-    """`value` held to the type of the setting field `setting` (a name parsed to
-    its member), then to its range rule."""
-    try:
-        value = typed(value, _HINTS[setting.name])
-    except TypeError as err:
-        raise SettingError(setting.name, str(err), "wrong type") from None
-    except ValueError as err:
-        raise SettingError(setting.name, str(err)) from None
-    check = setting.metadata.get("check")
-    if check is not None and not check[0](value):
-        raise SettingError(setting.name, f"{setting.name} {check[1]}, got {value!r}")
-    return value
-
-
 @dataclass
 class TrainerConfig:
-    """Every trainer setting, declared once: its field holds the default, the
-    type (its annotation, in the JSON sense of `choices.typed`, a name enum
-    too) and any range rule; `__post_init__` holds each value to both."""
+    """Every trainer setting, declared once: its field holds the default and
+    the type (its annotation, in the JSON sense of `choices.typed`, a name enum
+    too), with any range rule as part of it; `__post_init__` holds each value
+    to both (`choices.check`)."""
 
-    lr: float = _setting(1e-2, _NONNEGATIVE)
-    adam_beta1: float = _setting(0.9, _DECAY)
-    adam_beta2: float = _setting(0.999, _DECAY)
-    adam_eps: float = _setting(1e-8, _POSITIVE)
-    epochs: int = _setting(10, _NONNEGATIVE)
-    steps_per_epoch: int | None = _setting(None, (lambda v: v is None or v >= 1,
-                                                  "must be >= 1 or None"))
-    batch_size: int = _setting(16, _COUNT)
-    seed: int = _setting(0, _NONNEGATIVE)
+    lr: NonNegative = 1e-2
+    adam_beta1: Decay = 0.9
+    adam_beta2: Decay = 0.999
+    adam_eps: Positive = 1e-8
+    epochs: Natural = 10
+    steps_per_epoch: Annotated[int | None, COUNT] = None
+    batch_size: Count = 16
+    seed: Natural = 0
     kernel_kind: KernelKind = KernelKind.MIX_K
-    pieces: int = _setting(2, _COUNT)
-    rank: int = _setting(4, _COUNT)
-    factor_std: float = _setting(0.02, _POSITIVE)
-    budget_ratio: float = _setting(0.3, _UNIT)
+    pieces: Count = 2
+    rank: Count = 4
+    factor_std: Positive = 0.02
+    budget_ratio: Unit = 0.3
     schedule_kind: ScheduleKind = ScheduleKind.CUBIC
     alloc_period: AllocPeriod = AllocPeriod.PER_EPOCH
     sparsify_mode: SparsifyMode = SparsifyMode.SOFT_SIGN
     importance_metric: Metric = Metric.SENSITIVITY
-    smoothing_beta1: float = _setting(0.85, _UNIT)
-    smoothing_beta2: float = _setting(0.85, _UNIT)
+    smoothing_beta1: Unit = 0.85
+    smoothing_beta2: Unit = 0.85
     recompute_merge: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            setattr(self, f.name, _checked(f, getattr(self, f.name)))
+        for name, hint in _HINTS.items():
+            setattr(self, name, check(name, getattr(self, name), hint))
 
     def to_dict(self) -> dict:
         """Each field's value by name, an enum as its name: `TrainerConfig(**d)` rebuilds it."""
@@ -450,7 +413,7 @@ class TrainerConfig:
         return {name: v.value if isinstance(v, Choice) else v for name, v in values.items()}
 
 
-_HINTS = typing.get_type_hints(TrainerConfig)
+_HINTS = hints(TrainerConfig)
 
 
 @dataclass

@@ -6,12 +6,20 @@ import pytest
 from click.testing import CliRunner
 
 from klora.allocation import Metric, ScheduleKind, SparsifyMode
-from klora.choices import Choice, typed
+from klora.choices import (COUNT, Choice, Count, Decay, Natural, NonNegative, OpenUnit,
+                           Positive, SettingError, Unit, check, hints, typed)
 from klora.cli import main as cli_main
 from klora.datasets import TaskKind
-from klora.experiments import EXPERIMENT_TYPES, REQUIRED, MemoryMode
+from klora.experiments import (EXPERIMENT_TYPES, REQUIRED, MemoryMode, fit_matrix_experiment,
+                               grad_evolution_experiment, memory_footprint_estimate, rank_sweep,
+                               schedule_table)
 from klora.kernels import KernelKind
-from klora.model import AllocPeriod, SettingError, TrainerConfig
+from klora.model import AllocPeriod, TrainerConfig
+
+# the driver of each run-all experiment type that runs one
+DRIVERS = {"fit-matrix": fit_matrix_experiment, "grad-evolution": grad_evolution_experiment,
+           "rank-sweep": rank_sweep, "schedule": schedule_table,
+           "memory-model": memory_footprint_estimate}
 
 # every choice, with the word its unknown-name message uses
 CHOICES = {KernelKind: "kernel", ScheduleKind: "schedule", SparsifyMode: "sparsify mode",
@@ -111,26 +119,82 @@ def test_typed_says_which_value_or_item_fails(value, hint, error, message):
 
 
 def test_every_list_or_name_param_has_a_list_or_choice_hint():
-    """run-all checks an entry's params by their hints alone: a list param, or a
-    param that takes a kernel or schedule name, without a `list[...]` or `Choice`
-    hint would go unchecked."""
+    """run-all checks an entry's params by their drivers' hints alone: a list param,
+    or a param that takes a kernel or schedule name, without a `list[...]` or
+    `Choice` hint would go unchecked."""
     def names_a_member(value):
         return isinstance(value, str) and any(
             value in {m.value for m in choice} for choice in (KernelKind, ScheduleKind))
 
+    assert set(DRIVERS) == set(EXPERIMENT_TYPES) - {"train"}  # train's one param is a config
     checked = []
-    for etype in EXPERIMENT_TYPES.values():
-        for key, default in etype.params.items():
-            hint = etype.hints.get(key)
+    for etype, driver in DRIVERS.items():
+        driver_hints = hints(driver)
+        for key, default in EXPERIMENT_TYPES[etype].params.items():
+            hint = driver_hints.get(key)
+            if typing.get_origin(hint) is typing.Annotated:
+                hint = typing.get_args(hint)[0]
             listed = isinstance(default, (list, tuple))
             if listed or default is REQUIRED:
                 assert hint is not None, key
             if listed:
                 assert typing.get_origin(hint) is list, key
             if hint is not None and default is not REQUIRED:
-                typed(default, hint)  # every default holds to its own hint
+                check(key, default, driver_hints[key])  # every default holds to its own hint
             if any(map(names_a_member, default if listed else [default])):
                 item = typing.get_args(hint)[0] if listed else hint
                 assert isinstance(item, type) and issubclass(item, Choice), key
                 checked.append(key)
     assert set(checked) == {"kernels", "kinds", "kernel_kind"}
+
+
+# each range rule alias, with values at and just past its edges, and the rule's words
+ALIAS_EDGES = {
+    "Count": (Count, [1, 2], [0, -1], "must be >= 1"),
+    "Natural": (Natural, [0, 1], [-1], "must be nonnegative"),
+    "NonNegative": (NonNegative, [0.0, 0, 1e-300], [-1e-300, -1.0], "must be nonnegative"),
+    "Positive": (Positive, [1e-300, 1], [0.0, -1.0], "must be positive"),
+    "Unit": (Unit, [0.0, 1.0, 0.5], [-1e-9, 1.0 + 1e-9], "must lie in [0, 1]"),
+    "Decay": (Decay, [0.0, 0.999], [1.0, -0.1], "must lie in [0, 1)"),
+    "OpenUnit": (OpenUnit, [1e-9, 1.0 - 1e-9], [0.0, 1.0], "must lie in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("alias, held, broken, what", ALIAS_EDGES.values(), ids=ALIAS_EDGES)
+def test_check_holds_each_alias_to_its_range(alias, held, broken, what):
+    base = typing.get_args(alias)[0]
+    for value in held:
+        got = check("x", value, alias)
+        assert got == value and type(got) is base
+    for value in broken + ([float("nan")] if base is float else []):
+        with pytest.raises(SettingError) as err:
+            check("x", value, alias)
+        assert (err.value.name, err.value.problem, str(err.value)) == (
+            "x", "value out of range", f"x {what}, got {base(value)!r}")
+
+
+def test_check_of_an_optional_rule_passes_none_and_holds_the_rest():
+    hint = typing.Annotated[int | None, COUNT]
+    assert check("target_rank", None, hint) is None
+    assert check("target_rank", 3, hint) == 3
+    with pytest.raises(SettingError) as err:
+        check("target_rank", 0, hint)
+    assert (err.value.problem, str(err.value)) == ("value out of range",
+                                                   "target_rank must be >= 1, got 0")
+    with pytest.raises(SettingError) as err:
+        check("target_rank", 2.0, hint)
+    assert (err.value.problem, str(err.value)) == ("wrong type",
+                                                   "need an integer or null, got 2.0")
+
+
+@pytest.mark.parametrize("value, hint, problem, message", [
+    (0.5, Count, "wrong type", "need an integer, got 0.5"),  # the type comes first
+    (True, Natural, "wrong type", "need an integer, got true"),
+    ("-1", NonNegative, "wrong type", 'need a number, got "-1"'),
+    ("poly", KernelKind, "value out of range", UNKNOWN_POLY),
+    (["linear", 3], list[KernelKind], "wrong type", "need a name, got 3"),
+])
+def test_check_says_which_of_type_or_range_fails(value, hint, problem, message):
+    with pytest.raises(SettingError) as err:
+        check("p", value, hint)
+    assert (err.value.name, err.value.problem, str(err.value)) == ("p", problem, message)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from klora.choices import SettingError
 from klora.cli import main as cli_main
 from klora.config import ConfigError, apply_defaults, dataset_from
 from klora.experiments import (
@@ -104,44 +105,44 @@ TYPO_ENTRIES = [
     ({"type": "schedule", "assert": {"values": [["cubik", 5, 125]]}},
      "experiments[1].assert.values"),
     ({"type": "fit-matrix", "params": {"seeds": 0}},
-     "experiments[1].params: seeds must be >= 1, got 0"),
+     "experiments[1].params.seeds': seeds must be >= 1, got 0"),
     ({"type": "fit-matrix", "params": {"steps": -5}},
-     "experiments[1].params: steps must be >= 0, got -5"),
+     "experiments[1].params.steps': steps must be nonnegative, got -5"),
     ({"type": "rank-sweep", "params": {"m": 8, "n": 8, "r_values": [99]}},
      "experiments[1].params: rank 99 outside [1, min(m, n) = 8]"),
     ({"type": "schedule", "params": {"b0": 5, "bT": 10}},
      "experiments[1].params: need 0 <= bT <= b0, got bT=10, b0=5"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": -1}},
-     "experiments[1].params: rank must be nonnegative"),
+     "experiments[1].params.r': r must be nonnegative, got -1"),
     ({"type": "memory-model", "params": {"layer_dims": [], "r": 4}},
      "experiments[1].params: need at least one layer, with positive dimensions"),
     ({"type": "grad-evolution", "params": {"scale": 0}},
-     "experiments[1].params: factor scale must be positive"),
+     "experiments[1].params.scale': scale must be positive, got 0.0"),
     *[({"type": "train", "params": {"config": document}},
        f"experiments[1].params.config: {message}") for document, message in BAD_DOCUMENTS],
     ({"type": "rank-sweep", "params": {"pieces": 0}},
-     "experiments[1].params: piece count must be >= 1, got 0"),
+     "experiments[1].params.pieces': pieces must be >= 1, got 0"),
     ({"type": "fit-matrix", "params": {"m": 8, "n": 8, "pieces": 3, "r": 2}},
      "experiments[1].params: piece count 3 exceeds rank 2"),
     ({"type": "fit-matrix", "params": {"m": 8, "n": 8, "r": 9}},
      "experiments[1].params: rank 9 outside [1, min(m, n) = 8]"),
     ({"type": "rank-sweep", "params": {"eps_rel": 2}},
-     "experiments[1].params: eps_rel must lie in (0, 1), got 2"),
+     "experiments[1].params.eps_rel': eps_rel must lie in (0, 1), got 2.0"),
     ({"type": "grad-evolution", "params": {"pieces": 0}},
-     "experiments[1].params: piece count must be >= 1, got 0"),
+     "experiments[1].params.pieces': pieces must be >= 1, got 0"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2, "pieces": -5}},
-     "experiments[1].params: piece count must be >= 1, got -5"),
+     "experiments[1].params.pieces': pieces must be >= 1, got -5"),
     ({"type": "train", "params": {"config": {"train": {"task": {"min_rank": 15}}}}},
      "experiments[1].params.config: value out of range for 'train.task.min_rank': could not "
      "draw a density-0.1 perturbation of rank > 15 on (16, 16)"),
     ({"type": "fit-matrix", "params": {"target_rank": 0}},
-     "experiments[1].params: target rank must be >= 1, got 0"),
+     "experiments[1].params.target_rank': target_rank must be >= 1, got 0"),
     ({"type": "fit-matrix", "params": {"target_rank": -1}},
-     "experiments[1].params: target rank must be >= 1, got -1"),
+     "experiments[1].params.target_rank': target_rank must be >= 1, got -1"),
     ({"type": "fit-matrix", "params": {"density": -0.5}},
-     "experiments[1].params: density must lie in [0, 1], got -0.5"),
+     "experiments[1].params.density': density must lie in [0, 1], got -0.5"),
     ({"type": "fit-matrix", "params": {"density": 1.5}},
-     "experiments[1].params: density must lie in [0, 1], got 1.5"),
+     "experiments[1].params.density': density must lie in [0, 1], got 1.5"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
       "assert": {"lowrank_fullft_ratio": 0.02}},
      "experiments[1].assert.lowrank_fullft_ratio: need [target, relative tolerance], got 0.02"),
@@ -205,15 +206,15 @@ TYPO_ENTRIES = [
     ({"type": "memory-model", "params": {"layer_dims": "ab", "r": 2}},
      "experiments[1].params.layer_dims': need a list, got \"ab\""),
     ({"type": "fit-matrix", "params": {"seed_base": -1}},
-     "experiments[1].params: seed_base must be nonnegative, got -1"),
+     "experiments[1].params.seed_base': seed_base must be nonnegative, got -1"),
     ({"type": "rank-sweep", "params": {"seed_base": -1}},
-     "experiments[1].params: seed_base must be nonnegative, got -1"),
+     "experiments[1].params.seed_base': seed_base must be nonnegative, got -1"),
     ({"type": "grad-evolution", "params": {"seed_base": -1}},
-     "experiments[1].params: seed_base must be nonnegative, got -1"),
+     "experiments[1].params.seed_base': seed_base must be nonnegative, got -1"),
     ({"type": "fit-matrix", "params": {"factor_std": 0.0}},
-     "experiments[1].params: factor_std must be positive, got 0.0"),
+     "experiments[1].params.factor_std': factor_std must be positive, got 0.0"),
     ({"type": "fit-matrix", "params": {"factor_std": -1.0}},
-     "experiments[1].params: factor_std must be positive, got -1.0"),
+     "experiments[1].params.factor_std': factor_std must be positive, got -1.0"),
     ({"type": "fit-matrix", "params": {"kernels": ["linear", 3]}},
      "wrong type for 'experiments[1].params.kernels': need a name, got 3"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 2, "kernel_kind": "poly"}},
@@ -223,6 +224,12 @@ TYPO_ENTRIES = [
     ({"type": "memory-model", "params": {"layer_dims": [[8, "8"]], "r": 2}},
      "wrong type for 'experiments[1].params.layer_dims': need an integer, got \"8\""),
 ]
+
+# appended after TYPO_ENTRIES takes in the documents above, so that its rows keep their ids
+BAD_DOCUMENTS.append(({"train": {"task": {"kind": 3}}},
+                      "wrong type for 'train.task.kind': need a name, got 3"))
+TYPO_ENTRIES.append(({"type": "train", "params": {"config": BAD_DOCUMENTS[-1][0]}},
+                     f"experiments[1].params.config: {BAD_DOCUMENTS[-1][1]}"))
 
 
 class TestFitTargets:
@@ -319,7 +326,7 @@ class TestFitMatrix:
             driver(m=8, n=8, r=2, pieces=3, kernels=("p-linear",), steps=2, seeds=1)
         with pytest.raises(ValueError, match="unknown kernel"):
             driver(m=8, n=8, r=2, kernels=("poly",), steps=2, seeds=1)
-        with pytest.raises(ValueError, match="pieces must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="need an integer, got 2.5"):
             driver(m=8, n=8, r=4, pieces=2.5, kernels=("p-linear",), steps=2, seeds=1)
         assert drawn == []
 
@@ -428,7 +435,7 @@ class TestMemoryModel:
     def test_piece_count_below_one_rejected(self, kind):
         with pytest.raises(ValueError, match="piece count must be >= 1, got -5"):
             kernel_coefficient_count(kind, -5)
-        with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="pieces must be >= 1, got 0"):
             memory_footprint_estimate([(8, 8)], 2, "low-rank", kernel_kind=kind, pieces=0)
 
     @pytest.mark.parametrize("layer_dims, r, pieces", [
@@ -436,21 +443,24 @@ class TestMemoryModel:
         ([[8, 8]], 2, 2.5)])
     def test_non_integer_dimension_rank_or_pieces_rejected(self, layer_dims, r, pieces):
         for mode in MEMORY_MODES:
-            with pytest.raises(ValueError, match="dimensions, rank and pieces must be integers"):
+            with pytest.raises(ValueError, match="need an integer, got (8.5|2.5|true)"):
                 memory_footprint_estimate(layer_dims, r, mode, pieces=pieces)
 
-    @pytest.mark.parametrize("layer_dims, r", [([256, 256, 256], 4), ([16, 32, 8], 3),
-                                               ([64, 64, 64], 8)])
-    def test_adam_state_holds_the_estimated_optimizer_floats(self, layer_dims, r):
-        # every kind, piece count and attention setting; no layer's rank is clipped here
-        for attention in (None, {"position": 0, "tokens": 2}):
+    # the last two rows' layers are clipped: the 4-wide attention head to rank 4, and the
+    # 2 x 2 layer to rank 2 (and at P3 to two pieces), as are its 1-wide heads
+    @pytest.mark.parametrize("layer_dims, r, tokens", [
+        ([256, 256, 256], 4, 2), ([16, 32, 8], 3, 2), ([64, 64, 64], 8, 2),
+        ([64, 64, 64], 8, 16), ([2, 2], 8, 2)])
+    def test_adam_state_holds_the_estimated_optimizer_floats(self, layer_dims, r, tokens):
+        # every kind, piece count and attention setting
+        for attention in (None, {"position": 0, "tokens": tokens}):
             run_config = apply_defaults({"model": {"layer_dims": layer_dims,
                                                    "attention": attention},
                                          "train": {"task": {"samples": 8}}})
             dataset = dataset_from(run_config)
             dims = [(n_out, n_in) for n_in, n_out in zip(layer_dims, layer_dims[1:])]
             if attention is not None:
-                dims += [(layer_dims[1] // 2, layer_dims[1] // 2)] * 4
+                dims += [(layer_dims[1] // tokens, layer_dims[1] // tokens)] * 4
             for kind in KernelKind:
                 for pieces in (1, 2, 3):
                     cfg = TrainerConfig(kernel_kind=kind, pieces=pieces, rank=r)
@@ -639,6 +649,40 @@ def test_assert_check_passes_a_met_bound_and_reports_a_missed_one(
     assert list(check(report, table, missed, {key: missed})) == details
 
 
+# direct driver calls with one bad param, the run-all entry giving the same value, and
+# the param, problem and message of the SettingError that both stop at
+DIRECT_CALLS = [
+    (fit_matrix_experiment, (), {"kernels": "linear"},
+     {"type": "fit-matrix", "params": {"kernels": "linear"}},
+     "kernels", "wrong type", 'need a list, got "linear"'),
+    (schedule_table, (), {"b0": True}, {"type": "schedule", "params": {"b0": True}},
+     "b0", "wrong type", "need an integer, got true"),
+    (rank_sweep, (), {"seeds": 0}, {"type": "rank-sweep", "params": {"seeds": 0}},
+     "seeds", "value out of range", "seeds must be >= 1, got 0"),
+    (memory_footprint_estimate, ([[8, 8]], -1, "full-ft"), {},
+     {"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": -1}},
+     "r", "value out of range", "r must be nonnegative, got -1"),
+]
+
+
+@pytest.mark.parametrize("driver, args, kwargs, entry, name, problem, message", DIRECT_CALLS,
+                         ids=[row[0].__name__ for row in DIRECT_CALLS])
+def test_direct_call_fails_before_any_work_like_run_all(
+        driver, args, kwargs, entry, name, problem, message, monkeypatch, tmp_path):
+    called = []
+    for work in ("make_fit_target", "merge", "budget_at", "kernel_coefficient_count"):
+        monkeypatch.setattr(f"klora.experiments.{work}",
+                            lambda *a, work=work, **k: called.append(work))
+    with pytest.raises(SettingError) as err:
+        driver(*args, **kwargs)
+    assert (err.value.name, err.value.problem, str(err.value)) == (name, problem, message)
+    assert called == []
+    with pytest.raises(ConfigError) as err:
+        run_all(apply_defaults({"experiments": [entry]}), tmp_path / "out")
+    assert str(err.value) == f"{problem} for 'experiments[0].params.{name}': {message}"
+    assert called == [] and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("document, message", BAD_DOCUMENTS)
 def test_bad_document_rejected_naming_its_key(document, message):
     with pytest.raises(ConfigError) as err:
@@ -821,9 +865,9 @@ BAD_INPUT_COMMANDS = [
     (["train", "--kernel", "poly"], "unknown kernel 'poly'"),
     (["train", "--schedule", "cubik"], "unknown schedule 'cubik'"),
     (["train", "--budget-ratio", "2"], "value out of range for 'sparsity.budget_ratio'"),
-    (["memory-model", "--rank", "-1"], "rank must be nonnegative"),
+    (["memory-model", "--rank", "-1"], "r must be nonnegative, got -1"),
     (["fit-matrix", "--size", "8", "--target-rank", "9"], "target rank 9 exceeds min(m, n)"),
-    (["fit-matrix", "--lr", "-1"], "learning rate must be nonnegative"),
+    (["fit-matrix", "--lr", "-1"], "lr must be nonnegative, got -1.0"),
     (["fit-matrix", "--seeds", "0"], "seeds must be >= 1, got 0"),
     (["grad-evolution", "--seeds", "0"], "seeds must be >= 1, got 0"),
     (["rank-sweep", "--rank", "99", "--size", "8"], "rank 99 outside [1, min(m, n) = 8]"),
@@ -835,8 +879,8 @@ BAD_INPUT_COMMANDS = [
     (["grad-check", "--m", "0"], "m, n, rank and seeds must be >= 1, got 0, 6, 4, 5"),
     (["grad-check", "--seeds", "0"], "m, n, rank and seeds must be >= 1, got 8, 6, 4, 0"),
     (["train", "--seed", "-1"], "value out of range for 'train.seed'"),
-    (["fit-matrix", "--steps", "-5"], "steps must be >= 0, got -5"),
-    (["grad-evolution", "--steps", "-1"], "steps must be >= 0, got -1"),
+    (["fit-matrix", "--steps", "-5"], "steps must be nonnegative, got -5"),
+    (["grad-evolution", "--steps", "-1"], "steps must be nonnegative, got -1"),
     (["memory-model", "--layers", "0"], "need at least one layer, with positive dimensions"),
     (["grad-check", "--h", "0"], "h and tol must be positive, got 0.0, 1e-05"),
     (["grad-check", "--tol", "-1"], "h and tol must be positive, got 1e-05, -1.0"),
@@ -845,34 +889,38 @@ BAD_INPUT_COMMANDS = [
     (["alloc-trace", "UNKNOWN_KEY"], "unexpected keyword argument 'loss'"),
     (["alloc-trace", "NO_LAYERS"], "trace has no layers"),
     (["alloc-trace", "RAGGED"], "epoch 0 has 0 ratios for 1 layers"),
-    (["rank-sweep", "--pieces", "0"], "piece count must be >= 1, got 0"),
+    (["rank-sweep", "--pieces", "0"], "pieces must be >= 1, got 0"),
     (["fit-matrix", "--pieces", "3", "--rank", "2", "--size", "8"],
      "piece count 3 exceeds rank 2"),
     (["fit-matrix", "--rank", "9", "--size", "8"], "rank 9 outside [1, min(m, n) = 8]"),
-    (["grad-evolution", "--pieces", "0"], "piece count must be >= 1, got 0"),
+    (["grad-evolution", "--pieces", "0"], "pieces must be >= 1, got 0"),
     (["memory-model", "--pieces", "-5", "--layers", "1", "--m", "8", "--n", "8", "--rank", "2"],
-     "piece count must be >= 1, got -5"),
-    (["fit-matrix", "--target-rank", "0"], "target rank must be >= 1, got 0"),
-    (["fit-matrix", "--target-rank", "-1"], "target rank must be >= 1, got -1"),
+     "pieces must be >= 1, got -5"),
+    (["fit-matrix", "--target-rank", "0"], "target_rank must be >= 1, got 0"),
+    (["fit-matrix", "--target-rank", "-1"], "target_rank must be >= 1, got -1"),
     (["fit-matrix", "--density", "-0.5"], "density must lie in [0, 1], got -0.5"),
     (["fit-matrix", "--density", "1.5"], "density must lie in [0, 1], got 1.5"),
     (["fit-matrix", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
     (["rank-sweep", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
     (["grad-evolution", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
     (["fit-matrix", "--factor-std", "0"], "factor_std must be positive, got 0.0"),
+    (["alloc-trace", "RATIO_ABOVE_ONE"], "epoch 0, layer 0: ratio 1.5 not in [0, 1]"),
+    (["alloc-trace", "RATIO_NAN"], "epoch 0, layer 0: ratio nan not in [0, 1]"),
 ]
 
 # files the commands above name by a placeholder
 _TRACE = {"seed": 0, "config": {}, "layer_caps": [4], "initial_loss": 1.0, "final_loss": 0.5}
+_EPOCH = {"epoch": 0, "mean_loss": 1.0, "global_budget": 2, "budgets": [2], "scores": [1.0],
+          "grad_norms": [0.1]}
 BAD_INPUT_FILES = {
     "BAD_CONFIG": '{"kernel": {"pieces": 0}}',
     "NOT_JSON": "not json",
     "NO_CONFIG": '{"seed": 0}',
     "UNKNOWN_KEY": json.dumps({**_TRACE, "loss": 1.0}),
     "NO_LAYERS": json.dumps({**_TRACE, "layer_caps": []}),
-    "RAGGED": json.dumps({**_TRACE, "epochs": [{
-        "epoch": 0, "mean_loss": 1.0, "global_budget": 2, "budgets": [2], "ratios": [],
-        "scores": [1.0], "grad_norms": [0.1]}]}),
+    "RAGGED": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": []}]}),
+    "RATIO_ABOVE_ONE": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": [1.5]}]}),
+    "RATIO_NAN": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": ["nan"]}]}),
 }
 
 

@@ -20,6 +20,7 @@ from klora.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from klora.choices import SettingError
 from klora.config import (
     ATTENTION_DEFAULTS,
     ConfigError,
@@ -33,7 +34,7 @@ from klora.config import (
 )
 from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
 from klora.kernels import KernelKind
-from klora.model import Adam, RunTrace, SettingError, TrainerConfig, build_model, fine_tune
+from klora.model import Adam, RunTrace, TrainerConfig, build_model, fine_tune
 from klora.reports import read_csv, write_csv
 from klora.svgplot import emit_heatmap_svg, render_heatmap_svg
 
