@@ -693,7 +693,7 @@ class ExperimentType:
 
 def _params_of(driver, *fixed) -> tuple:
     """The `_checked` driver's parameters with their defaults, less `fixed`, and
-    a check(params, config) that runs the driver's checks on params."""
+    a check(params, config) that runs its `_checked` rules on params."""
     params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
               if p.name not in fixed}
     return params, lambda given, config: driver.check(**given)
