@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choices import Choice
+from .choices import Choice, Unit, check
 from .tensor import Tensor, absolute, mul, rectify, scalar_add, soft_threshold
 
 
@@ -74,11 +74,9 @@ class ImportanceState:
     with constants beta1 (sensitivity) and beta2 (deviation).
     """
 
-    def __init__(self, beta1: float = 0.85, beta2: float = 0.85):
-        if not (0.0 <= beta1 <= 1.0 and 0.0 <= beta2 <= 1.0):
-            raise ValueError("smoothing constants must lie in [0, 1]")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
+    def __init__(self, beta1: Unit = 0.85, beta2: Unit = 0.85):
+        self.beta1 = check("beta1", beta1, Unit)
+        self.beta2 = check("beta2", beta2, Unit)
         self.t = -1
         self.i_bar = None
         self.u_bar = None

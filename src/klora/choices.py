@@ -1,10 +1,11 @@
 """User-facing names, each parsed by its own enum, the JSON type rule, and the
-range rules a setting or param declares in its annotation."""
+range rules a setting, param or assert declares in its annotation."""
 
 from __future__ import annotations
 
 import enum
 import json
+import numbers
 import typing
 from typing import Annotated
 
@@ -31,30 +32,48 @@ class Choice(enum.Enum):
         return member
 
 
-# the JSON values each type takes; any other type (a Choice) takes a name or a member
-_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((int,), "an integer"),
-               float: ((int, float), "a number")}
+# the JSON values each type or container takes (a numpy integer counts as an
+# integer, a tuple as a list); any other type (a Choice) takes a name or a member
+_JSON_TYPES = {bool: ((bool,), "a boolean"), int: ((numbers.Integral,), "an integer"),
+               float: ((numbers.Real,), "a number"), dict: ((dict,), "an object"),
+               list: ((list, tuple), "a list"), tuple: ((list, tuple), "a list")}
 
 
-def typed(value, hint):
+def typed(value, hint, name: str = "value"):
     """`value` held to the type `hint` (which may add `| None`): read as a float where
     a float is wanted (a bool is no number), parsed to its member where a `Choice` is,
-    and held item by item where a `list[...]` is (a tuple counts as a list). Raises
-    TypeError saying what it must be, or the enum's ValueError for an unknown name."""
+    held item by item where a `list[...]` is (a tuple counts as a list), as a list of
+    fixed length where a `tuple[...]` is, key by key and value by value where a
+    `dict[K, V]` is, and then to the range rule an `Annotated[type, rule]` carries,
+    which a None value skips. Raises TypeError saying what it must be, or ValueError
+    for a value outside its rule (naming it `name`) or the enum's for an unknown name."""
+    if typing.get_origin(hint) is Annotated:
+        hint, (holds, what) = typing.get_args(hint)
+        held = typed(value, hint, name)
+        if held is None or holds(held):
+            return held
+        shown = repr(held) if isinstance(held, (int, float)) else json.dumps(value, default=str)
+        raise ValueError(f"{name} {what}, got {shown}")
     optional = type(None) in typing.get_args(hint)
     if optional:
         if value is None:
             return value
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
-    listed = typing.get_origin(hint) is list
-    types, what = (((list, tuple), "a list") if listed
-                   else _JSON_TYPES.get(hint, ((str, hint), "a name")))
-    if isinstance(value, bool) is not (hint is bool) or not isinstance(value, types):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    types, what = _JSON_TYPES.get(origin or hint, ((str, hint), "a name"))
+    if origin is tuple:
+        what = f"a list of {len(args)} items"
+    if (isinstance(value, bool) is not (hint is bool) or not isinstance(value, types)
+            or origin is tuple and len(value) != len(args)):
         raise TypeError(f"need {what}{' or null' if optional else ''}, "
                         f"got {json.dumps(value, default=str)}")
-    if listed:
-        item_hint, = typing.get_args(hint)
-        return [typed(item, item_hint) for item in value]
+    if origin is list:
+        return [typed(item, args[0], name) for item in value]
+    if origin is tuple:
+        return tuple(typed(item, arg, name) for item, arg in zip(value, args))
+    if origin is dict:
+        return {typed(key, args[0], name): typed(item, args[1], name)
+                for key, item in value.items()}
     return hint(value)
 
 
@@ -87,18 +106,11 @@ def hints(obj) -> dict:
 
 
 def check(name: str, value, hint):
-    """`value` held to the type of `hint` (`typed`), then to the range rule an
-    `Annotated[type, rule]` hint carries, which a None value skips. Raises a
-    SettingError for `name` saying which of the two it fails."""
-    rule = None
-    if typing.get_origin(hint) is Annotated:
-        hint, rule = typing.get_args(hint)
+    """`value` held to `hint`, type and range rules (`typed`). Raises a SettingError
+    for `name` saying which of the two it fails."""
     try:
-        value = typed(value, hint)
+        return typed(value, hint, name)
     except TypeError as err:
         raise SettingError(name, str(err), "wrong type") from None
     except ValueError as err:
         raise SettingError(name, str(err)) from None
-    if rule is not None and value is not None and not rule[0](value):
-        raise SettingError(name, f"{name} {rule[1]}, got {value!r}")
-    return value

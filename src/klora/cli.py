@@ -20,9 +20,10 @@ import numpy as np
 
 from . import experiments as ex
 from .checkpoint import save_checkpoint
+from .choices import Count, Positive
 from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
                      trainer_config_from)
-from .experiments import default_run_config
+from .experiments import _check_ranks, _checked, default_run_config
 from .kernels import KernelKind, KernelSpec, LowRankPair, merge
 from .model import RunTrace, Trainer, build_model
 from .reports import write_csv
@@ -40,8 +41,8 @@ def _out_dir(out) -> Path:
 def _usage_errors():
     """A bad argument value is a usage error (exit code 2), not a traceback.
 
-    `apply_defaults` and `KernelKind` raise ValueError (ConfigError is one)
-    for argument values they cannot run with.
+    `apply_defaults` and a driver's `check` raise ValueError (ConfigError and
+    SettingError are ones) for argument values they cannot run with.
     """
     try:
         yield
@@ -220,26 +221,13 @@ def memory_model_cmd(out, layers, m, n, **params):
     _run("memory-model", out, layer_dims=[[m, n]] * layers, **params)
 
 
-@main.command("grad-check")
-@click.option("--seeds", type=int, default=5, show_default=True, help="Number of seeds.")
-@click.option("--kernel", "kernels", multiple=True, help="Kernel name (repeatable).")
-@click.option("--m", type=int, default=8, show_default=True)
-@click.option("--n", type=int, default=6, show_default=True)
-@click.option("--rank", type=int, default=4, show_default=True)
-@click.option("--pieces", type=int, default=2, show_default=True)
-@click.option("--h", "step", type=float, default=1e-5, show_default=True)
-@click.option("--tol", type=float, default=1e-5, show_default=True)
-def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
-    """Finite-difference validation of merge gradients for each kernel kind."""
-    with _usage_errors():
-        kinds = [KernelKind(k) for k in kernels] if kernels else list(KernelKind)
-    if min(m, n, rank, seeds) < 1:
-        raise click.UsageError(f"m, n, rank and seeds must be >= 1, got {m}, {n}, {rank}, {seeds}")
-    if not (step > 0 and tol > 0):
-        raise click.UsageError(f"h and tol must be positive, got {step}, {tol}")
-    rank = min(rank, m, n)
-    failures = 0
-    for kind in kinds:
+@_checked(lambda m, n, rank, **_: _check_ranks(m, n, r=rank))
+def _grad_check(kernels: list[KernelKind], seeds: Count, m: Count, n: Count, rank: Count,
+               pieces: Count, h: Positive, tol: Positive):
+    """Yield (kind, largest relative error) per kernel of finite-difference checks
+    (step `h`, tolerance `tol`) of the merge's gradients at `seeds` random (m, n)
+    factor pairs of rank `rank`, canonical coefficients, pieces capped at the rank."""
+    for kind in kernels:
         worst = 0.0
         for seed in range(seeds):
             rng = np.random.default_rng([seed, 0xEC])
@@ -247,15 +235,33 @@ def grad_check_cmd(seeds, kernels, m, n, rank, pieces, step, tol):
                 A=Tensor(rng.normal(size=(n, rank)), requires_grad=True),
                 B=Tensor(rng.normal(size=(m, rank)), requires_grad=True),
             )
-            with _usage_errors():
-                spec = KernelSpec.canonical(kind, pieces=min(pieces, rank), trainable=True)
+            spec = KernelSpec.canonical(kind, pieces=min(pieces, rank), trainable=True)
             weights = Tensor(rng.normal(size=(m, n)))
             params = [pair.A, pair.B, *spec.coefficients()]
             report = finite_diff_check(
-                lambda: reduce_sum(mul(merge(spec, pair), weights)), params, h=step, tol=tol
+                lambda: reduce_sum(mul(merge(spec, pair), weights)), params, h=h, tol=tol
             )
             worst = max(worst, report.max_rel_err)
-        ok = worst < tol
+        yield kind, worst
+
+
+@main.command("grad-check")
+@click.option("--seeds", type=int, default=5, show_default=True, help="Number of seeds.")
+@click.option("--kernel", "kernels", multiple=True, help="Kernel name (repeatable).")
+@click.option("--m", type=int, default=8, show_default=True)
+@click.option("--n", type=int, default=6, show_default=True)
+@click.option("--rank", type=int, default=4, show_default=True)
+@click.option("--pieces", type=int, default=2, show_default=True)
+@click.option("--h", type=float, default=1e-5, show_default=True)
+@click.option("--tol", type=float, default=1e-5, show_default=True)
+def grad_check_cmd(kernels, **options):
+    """Finite-difference validation of merge gradients for each kernel kind."""
+    options["kernels"] = kernels or tuple(KernelKind)
+    with _usage_errors():
+        _grad_check.check(**options)
+    failures = 0
+    for kind, worst in _grad_check(**options):
+        ok = worst < options["tol"]
         failures += not ok
         click.echo(f"{'PASS' if ok else 'FAIL'} {kind.value}: max rel err {worst:.3g}")
     if failures:

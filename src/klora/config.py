@@ -101,7 +101,7 @@ def located(err: SettingError, key: str) -> ConfigError:
 
 
 def check_type(key: str, value, hint):
-    """`value` at `key` held to a field's or param's type and range rule
+    """`value` at `key` held to a field's, param's or assert's type and range rule
     (`choices.check`, the key's leaf naming it); a ConfigError names the key."""
     try:
         return check(key.rsplit(".", 1)[-1], value, hint)

@@ -23,7 +23,7 @@ import numpy as np
 from .allocation import BudgetSchedule, ScheduleKind, budget_at
 from .choices import (COUNT, Choice, Count, Natural, NonNegative, OpenUnit, Positive,
                       SettingError, Unit, check, hints)
-from .config import (ConfigError, RunConfig, apply_defaults, dataset_from, located,
+from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from, located,
                      trainer_config_from)
 from .kernels import (
     KINDS,
@@ -127,13 +127,6 @@ def _check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=
     # the fits split the rank into pieces; the rank sweep caps pieces at each rank
     if r is not None and pieces > r and any(KINDS[k].piecewise for k in kernels):
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
-
-
-def _check_layers(layer_dims, **_):
-    """The memory model's rule on its layer list, whose items are [m, n] pairs."""
-    if not layer_dims or any(len(dims) != 2 or min(dims) <= 0 for dims in layer_dims):
-        raise ValueError("need at least one layer, with positive dimensions, "
-                         "each an [m, n] pair")
 
 
 def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, pieces: int,
@@ -453,8 +446,12 @@ class MemoryMode(Choice, what="memory mode"):
 MEMORY_MODES = tuple(mode.value for mode in MemoryMode)
 
 
-@_checked(_check_layers)
-def memory_footprint_estimate(layer_dims: list[list[int]], r: Natural, mode: MemoryMode,
+Layers = Annotated[list[tuple[Count, Count]],
+                   (lambda layers: len(layers) > 0, "must list at least one layer")]
+
+
+@_checked()
+def memory_footprint_estimate(layer_dims: Layers, r: Natural, mode: MemoryMode,
                               kernel_kind: KernelKind = "mix-k", pieces: Count = 2) -> dict:
     """Analytic float counts for parameters and optimizer state.
 
@@ -535,18 +532,17 @@ def _run_memory_model(params, config):
 
 def _train_config(params, config) -> RunConfig:
     """The run config with the entry's `config` overrides applied."""
-    overrides = params.get("config", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("must be an object")
+    overrides = check("config", params.get("config", {}), dict)
     sub_config = apply_defaults(_merge_dicts(config.to_dict(), overrides))
     sub_config.experiments = []
     return sub_config
 
 
-def _check_train(params, config) -> None:
+def _check_train(params, config) -> dict:
     """Everything `_run_train` checks before its first step: the config
-    overrides and whether the task's `min_rank` is reachable."""
+    overrides and whether the task's `min_rank` is reachable; returns params."""
     dataset_from(_train_config(params, config))
+    return params
 
 
 def _run_train(params, config):
@@ -554,110 +550,71 @@ def _run_train(params, config):
     return report, alloc_trace_table(trace)
 
 
-def _check_mse_ordering(report, table, ordered, asserts):
-    frac = ordering_fraction(report, ordered)
+# a kernel order: one that repeats a kernel can never hold
+Ordering = Annotated[list[KernelKind],
+                     (lambda kinds: len(set(kinds)) == len(kinds), "must name each kernel once")]
+
+
+# a check reads assert keys: the first key given runs it, and those after are options
+def _check_mse_ordering(report, table, mse_ordering: Ordering, min_seed_fraction: Unit = 0.8):
+    frac = ordering_fraction(report, mse_ordering)
     report.aggregates["ordering_fraction"] = frac
-    need = float(asserts.get("min_seed_fraction", 0.8))
-    means = [report.aggregates["mean_final_mse"][KernelKind(k).value] for k in ordered]
+    names = [k.value for k in mse_ordering]
+    means = [report.aggregates["mean_final_mse"][k] for k in names]
     if not all(a < b for a, b in zip(means, means[1:])):
-        yield f"mean MSE not ordered {ordered}: {means}"
-    if not frac >= need:
-        yield f"strict per-seed ordering fraction {frac} < {need}"
+        yield f"mean MSE not ordered {names}: {means}"
+    if not frac >= min_seed_fraction:
+        yield f"strict per-seed ordering fraction {frac} < {min_seed_fraction}"
 
 
-def _check_max_final_mse(report, table, bounds, asserts):
-    for k, bound in bounds.items():
-        got = report.aggregates["mean_final_mse"][KernelKind(k).value]
+def _check_max_final_mse(report, table, max_final_mse: dict[KernelKind, NonNegative]):
+    for kind, bound in max_final_mse.items():
+        got = report.aggregates["mean_final_mse"][kind.value]
         if not got <= bound:
-            yield f"{k} mean MSE {got} > {bound}"
+            yield f"{kind.value} mean MSE {got} > {bound}"
 
 
-def _check_max_rbf_mixk_ratio(report, table, bound, asserts):
+def _check_max_rbf_mixk_ratio(report, table, max_rbf_mixk_ratio: NonNegative):
     ratio = report.aggregates.get("rbf_mixk_ratio")
-    if not (ratio is not None and ratio <= float(bound)):
-        yield f"rbf/mix-k gradient ratio {ratio} > {float(bound)}"
+    if not (ratio is not None and ratio <= max_rbf_mixk_ratio):
+        yield f"rbf/mix-k gradient ratio {ratio} > {max_rbf_mixk_ratio}"
 
 
-def _check_rank_at_most(report, table, bounds, asserts):
-    for key, bound in bounds.items():
+_check_max_rbf_mixk_ratio.needs = ("rbf", "mix-k")  # the ratio needs both kernels
+
+
+def _check_rank_at_most(report, table, rank_at_most: dict[str, Natural]):
+    for key, bound in rank_at_most.items():
         if not report.aggregates[key]["max"] <= bound:
             yield f"{key} max rank {report.aggregates[key]['max']} > {bound}"
 
 
-def _check_rank_above(report, table, bounds, asserts):
-    for key, bound in bounds.items():
+def _check_rank_above(report, table, rank_above: dict[str, Natural]):
+    for key, bound in rank_above.items():
         if not report.aggregates[key]["min"] > bound:
             yield f"{key} min rank {report.aggregates[key]['min']} <= {bound}"
 
 
-def _check_schedule_values(report, table, values, asserts):
+def _check_schedule_values(report, table, values: list[tuple[ScheduleKind, Natural, Natural]]):
     header, rows = table
     for kind, t, expected in values:
-        kind_i = header.index(ScheduleKind(kind).value)
+        kind_i = header.index(kind.value)
         row = next((r for r in rows if r[0] == t), None)
         if not (row is not None and row[kind_i] == expected):
-            yield f"{kind} at t={t}: {None if row is None else row[kind_i]} != {expected}"
+            yield f"{kind.value} at t={t}: {None if row is None else row[kind_i]} != {expected}"
 
 
-def _check_lowrank_fullft_ratio(report, table, target_rel, asserts):
-    target, rel = target_rel
+def _check_lowrank_fullft_ratio(report, table,
+                                lowrank_fullft_ratio: tuple[Positive, NonNegative]):
+    target, rel = lowrank_fullft_ratio
     got = report.aggregates["lowrank_fullft_ratio"]
     if not abs(got - target) <= rel * target:
         yield f"ratio {got} not within {rel} of {target}"
 
 
-def _check_max_final_loss(report, table, bound, asserts):
-    if not report.aggregates["final_loss"] <= bound:
-        yield f"final loss {report.aggregates['final_loss']} > {bound}"
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _need(holds: bool, what: str, value) -> None:
-    if not holds:
-        raise TypeError(f"need {what}, got {value!r}")
-
-
-# the shape of each assert value: each checks it and returns the names it lists
-def _bound(value) -> list:
-    _need(_is_number(value), "a number", value)
-    return []
-
-
-def _name_list(value) -> list:
-    _need(isinstance(value, list) and all(isinstance(v, str) for v in value),
-          "a list of names", value)
-    return value
-
-
-def _bound_per_name(value) -> list:
-    _need(isinstance(value, dict) and all(map(_is_number, value.values())),
-          "an object of numeric bounds", value)
-    return list(value)
-
-
-def _schedule_rows(value) -> list:
-    _need(isinstance(value, list) and all(
-        isinstance(row, list) and len(row) == 3 and isinstance(row[0], str)
-        and all(map(_is_number, row[1:])) for row in value),
-        "a list of [kind, step, budget] rows", value)
-    return [row[0] for row in value]
-
-
-def _target_rel(value) -> list:
-    _need(isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)),
-          "[target, relative tolerance]", value)
-    return []
-
-
-def _kernel(name) -> str:
-    return KernelKind(name).value
-
-
-def _kind(name) -> str:
-    return ScheduleKind(name).value
+def _check_max_final_loss(report, table, max_final_loss: NonNegative):
+    if not report.aggregates["final_loss"] <= max_final_loss:
+        yield f"final loss {report.aggregates['final_loss']} > {max_final_loss}"
 
 
 REQUIRED = inspect.Parameter.empty  # the default of a parameter without one
@@ -673,62 +630,76 @@ class ExperimentType:
     that writes no table. `params` maps the driver's parameter names to
     their defaults, REQUIRED for those without one; `check_params(params,
     config)` raises what the run would raise for their values, a
-    SettingError for a single param's. `checks` maps each assert key, in
-    evaluation order, to its value's shape(value), which raises a
-    TypeError for a malformed value and returns the names it lists, and a
-    check(report, table, value, asserts) that yields one detail per
-    failure, where table is the run's (header, rows); None marks a key that
-    another check reads. `names` is None or (parse, produced): the
-    canonical form of a listed name, and produced(params) the kernels, rank
-    keys or schedule kinds that a run with those params reports.
+    SettingError for a single param's, and returns them parsed. `checks`
+    holds the assert checks in evaluation order, each a check(report, table,
+    **values) that yields one detail per failure, where table is the run's
+    (header, rows): its keyword params are the assert keys it reads, each
+    value held to the param's annotation, and an entry that gives its first
+    key runs it. `names` is None or names(parsed params), the kernels, rank
+    keys or schedule kinds that a run with those params reports; each name in
+    an assert value (a member or an object key) and in its check's `needs`
+    must be one of them.
     """
 
     run: Callable
     params: dict
     check_params: Callable
-    checks: dict
-    names: tuple | None = None
+    checks: tuple
+    names: Callable | None = None
     table: str | None = None
 
 
 def _params_of(driver, *fixed) -> tuple:
     """The `_checked` driver's parameters with their defaults, less `fixed`, and
-    a check(params, config) that runs its `_checked` rules on params."""
+    a check(params, config) that runs its `_checked` rules on params and
+    returns them parsed, defaults filled in."""
     params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
               if p.name not in fixed}
-    return params, lambda given, config: driver.check(**given)
+    return params, lambda given, config: driver.check(**given).arguments
 
 
-_KERNEL_NAMES = (_kernel, lambda params: [_kernel(k) for k in params["kernels"]])
+def _kernel_names(params) -> list:
+    return [k.value for k in params["kernels"]]
+
+
 EXPERIMENT_TYPES = {
     "fit-matrix": ExperimentType(
         _report_only(fit_matrix_experiment), *_params_of(fit_matrix_experiment),
-        {"mse_ordering": (_name_list, _check_mse_ordering), "min_seed_fraction": (_bound, None),
-         "max_final_mse": (_bound_per_name, _check_max_final_mse)},
-        _KERNEL_NAMES),
+        (_check_mse_ordering, _check_max_final_mse), _kernel_names),
     "grad-evolution": ExperimentType(
         _report_only(grad_evolution_experiment), *_params_of(grad_evolution_experiment),
-        # the ratio needs both kernels
-        {"max_rbf_mixk_ratio": (lambda value: [*_bound(value), "rbf", "mix-k"],
-                                _check_max_rbf_mixk_ratio)}, _KERNEL_NAMES),
+        (_check_max_rbf_mixk_ratio,), _kernel_names),
     "rank-sweep": ExperimentType(
-        _run_rank_sweep, *_params_of(rank_sweep),
-        {"rank_at_most": (_bound_per_name, _check_rank_at_most),
-         "rank_above": (_bound_per_name, _check_rank_above)},
-        (str, lambda params: [f"{_kernel(k)}@r={r}" for k in params["kernels"]
-                              for r in params["r_values"]]), table=""),
+        _run_rank_sweep, *_params_of(rank_sweep), (_check_rank_at_most, _check_rank_above),
+        lambda params: [f"{k.value}@r={r}" for k in params["kernels"]
+                        for r in params["r_values"]], table=""),
     # the entry's one param is an optional override of the run config
     "train": ExperimentType(
-        _run_train, {"config": {}}, _check_train,
-        {"max_final_loss": (_bound, _check_max_final_loss)}, table="-sparsity"),
+        _run_train, {"config": {}}, _check_train, (_check_max_final_loss,), table="-sparsity"),
     "schedule": ExperimentType(
-        _run_schedule, *_params_of(schedule_table),
-        {"values": (_schedule_rows, _check_schedule_values)},
-        (_kind, lambda params: [_kind(k) for k in params["kinds"]]), table=""),
+        _run_schedule, *_params_of(schedule_table), (_check_schedule_values,),
+        lambda params: [k.value for k in params["kinds"]], table=""),
     "memory-model": ExperimentType(
         _run_memory_model, *_params_of(memory_footprint_estimate, "mode"),
-        {"lowrank_fullft_ratio": (_target_rel, _check_lowrank_fullft_ratio)}),
+        (_check_lowrank_fullft_ratio,)),
 }
+
+
+def _names(value) -> list:
+    """The names a parsed assert value lists: its members and its object keys."""
+    if isinstance(value, Choice):
+        return [value.value]
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, (list, tuple, dict)):
+        return [name for item in value for name in _names(item)]
+    return []
+
+
+def _asserts(assert_check, asserts: dict, where: str = "") -> dict:
+    """The values `asserts` gives for `assert_check`'s keys, each held to its annotation."""
+    return {key: check_type(f"{where}assert.{key}", asserts[key], hint)
+            for key, hint in hints(assert_check).items() if key in asserts}
 
 
 _ENTRY_KEYS = ("name", "type", "params", "assert")
@@ -744,11 +715,9 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
     if etype is None:
         raise ConfigError(f"{where}type {entry.get('type')!r} unknown "
                           f"(known: {', '.join(sorted(EXPERIMENT_TYPES))})")
-    for section, allowed in (("params", etype.params), ("assert", etype.checks)):
-        block = entry.get(section, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"{where}{section} must be an object")
-        for key in block:
+    assert_keys = [key for assert_check in etype.checks for key in hints(assert_check)]
+    for section, allowed in (("params", etype.params), ("assert", assert_keys)):
+        for key in check_type(f"{where}{section}", entry.get(section, {}), dict):
             if key not in allowed:
                 raise ConfigError(f"unknown key '{where}{section}.{key}' "
                                   f"(known: {', '.join(sorted(allowed))})")
@@ -757,27 +726,20 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
     if missing:
         raise ConfigError(f"missing key '{where}params.{missing[0]}'")
     try:
-        etype.check_params(params, config)
+        parsed = etype.check_params(params, config)
     except SettingError as err:
         raise located(err, f"{where}params.{err.name}") from None
     except (TypeError, ValueError) as err:
         # a train entry's one param is its config overrides
         config_key = ".config" if entry["type"] == "train" else ""
         raise ConfigError(f"{where}params{config_key}: {err}") from None
-    given = {**etype.params, **params}
-    for key, value in entry.get("assert", {}).items():
-        shape, _ = etype.checks[key]
-        try:
-            listed = shape(value)
-            if listed:
-                parse, produced = etype.names
-                known = produced(given)
-                for name in listed:
-                    if parse(name) not in known:
-                        raise ValueError(f"the entry reports no {name!r} "
-                                         f"(it reports {', '.join(known)})")
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{where}assert.{key}: {err}") from None
+    known = etype.names(parsed) if etype.names else []
+    for assert_check in etype.checks:
+        for key, value in _asserts(assert_check, entry.get("assert", {}), where).items():
+            for name in [*_names(value), *getattr(assert_check, "needs", ())]:
+                if name not in known:
+                    raise ConfigError(f"{where}assert.{key}: the entry reports no {name!r} "
+                                      f"(it reports {', '.join(known)})")
 
 
 def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple:
@@ -791,9 +753,9 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
     if table is not None:
         paths.append(out_dir / f"{name}{etype.table}.csv")
         write_csv(paths[-1], *table)
-    failures = [f"{name}: {detail}" for key, (_, check) in etype.checks.items()
-                if check is not None and key in asserts
-                for detail in check(report, table, asserts[key], asserts)]
+    failures = [f"{name}: {detail}" for assert_check in etype.checks
+                if next(iter(hints(assert_check))) in asserts
+                for detail in assert_check(report, table, **_asserts(assert_check, asserts))]
     paths.append(report.write(out_dir))
     return report, paths, failures
 
@@ -809,9 +771,7 @@ def run_all(config: RunConfig, out_dir) -> tuple:
     """
     names, writers = [], {}  # writers: file name -> index of the entry writing it
     for i, entry in enumerate(config.experiments):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"experiments[{i}] must be an object")
-        check_entry(entry, config, f"experiments[{i}].")
+        check_entry(check_type(f"experiments[{i}]", entry, dict), config, f"experiments[{i}].")
         name = entry.get("name", f"{entry['type']}-{i}")
         if not (isinstance(name, str) and name not in ("", ".", "..")
                 and Path(name).name == name):

@@ -22,13 +22,12 @@ positive-semidefinite configuration used by analysis utilities.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .choices import Choice
+from .choices import Choice, Count, OpenUnit, check
 from .tensor import (
     Tensor,
     add,
@@ -60,19 +59,11 @@ class KernelKind(Choice, what="kernel"):
         return {alias: row.kind for row in KINDS.values() for alias in row.aliases}
 
 
-def check_pieces(pieces) -> None:
-    """Reject a piece count that is no integer (a bool counts as none) or below 1."""
-    if isinstance(pieces, bool) or not isinstance(pieces, numbers.Integral):
-        raise ValueError(f"pieces must be an integer, got {pieces!r}")
-    if pieces < 1:
-        raise ValueError(f"piece count must be >= 1, got {pieces}")
-
-
 def segment_bounds(r: int, pieces: int):
-    """Split [0, r) into `pieces` contiguous near-equal half-open ranges."""
-    check_pieces(pieces)
-    if pieces > r:
-        raise ValueError(f"piece count {pieces} exceeds rank {r}")
+    """Split [0, r) into `pieces` contiguous near-equal half-open ranges; `pieces`
+    is a checked piece count (`KernelSpec` holds it to `Count`)."""
+    if not 1 <= pieces <= r:
+        raise ValueError(f"piece count {pieces} outside [1, rank {r}]")
     return [(r * (p - 1) // pieces, r * p // pieces) for p in range(1, pieces + 1)]
 
 
@@ -146,7 +137,7 @@ class KindRow:
 
     def count(self, pieces: int) -> int:
         """Number of coefficient values at the given piece count."""
-        check_pieces(pieces)
+        check("pieces", pieces, Count)
         return len(self.coefficients) + (pieces - 1 if self.piecewise else 0)
 
     def pieces_for(self, count: int) -> int:
@@ -210,7 +201,7 @@ class KernelSpec:
         self.kind = KernelKind(self.kind)
         self.coeffs = tuple(self.coeffs)
         row = KINDS[self.kind]
-        check_pieces(self.pieces)
+        self.pieces = check("pieces", self.pieces, Count)
         if len(self.coeffs) != len(row.coefficients):
             raise ValueError(
                 f"{self.kind.value} kernel takes {len(row.coefficients)} coefficient tensors, "
@@ -223,7 +214,7 @@ class KernelSpec:
     @classmethod
     def _filled(cls, kind, pieces: int, trainable: bool, value) -> "KernelSpec":
         kind = KernelKind(kind)
-        check_pieces(pieces)  # before np.full sees it
+        pieces = check("pieces", pieces, Count)  # before np.full sees it
         coeffs = [
             Tensor(np.full(pieces if c.per_piece else (), value(c), dtype=np.float64),
                    requires_grad=trainable)
@@ -344,8 +335,7 @@ def numerical_rank(matrix, eps_rel: float):
     a = matrix.data if isinstance(matrix, Tensor) else np.asarray(matrix, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if not 0.0 < eps_rel < 1.0:
-        raise ValueError(f"eps_rel must lie in (0, 1), got {eps_rel}")
+    check("eps_rel", eps_rel, OpenUnit)
     s = np.linalg.svd(a, compute_uv=False)
     top = s[..., :1]  # sigma_max, empty for an empty matrix
     counts = np.count_nonzero((s >= eps_rel * top) & (top > 0.0), axis=-1)

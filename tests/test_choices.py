@@ -1,5 +1,6 @@
 """User-facing names parsed by their own enums, and the JSON type rule."""
 
+import inspect
 import typing
 
 import pytest
@@ -92,6 +93,13 @@ UNKNOWN_POLY = ("unknown kernel 'poly' "
     ("rbf", KernelKind, KernelKind.RBF),
     (None, int | None, None),
     (3, int | None, 3),
+    ({"linear": 1, " MixK": 2.5}, dict[KernelKind, float],
+     {KernelKind.LINEAR: 1.0, KernelKind.MIX_K: 2.5}),
+    ({"linear@r=4": 4}, dict[str, Natural], {"linear@r=4": 4}),
+    ({}, dict[str, int], {}),
+    (["cubic", 5, 125], tuple[ScheduleKind, Natural, Natural], (ScheduleKind.CUBIC, 5, 125)),
+    ([[1, 0], (2, 0.5)], list[tuple[Positive, NonNegative]], [(1.0, 0.0), (2.0, 0.5)]),
+    ({"a": [1]}, dict, {"a": [1]}),
 ])
 def test_typed_parses_names_and_holds_lists_item_by_item(value, hint, held):
     got = typed(value, hint)
@@ -111,6 +119,27 @@ def test_typed_parses_names_and_holds_lists_item_by_item(value, hint, held):
     ("poly", KernelKind, ValueError, UNKNOWN_POLY),
     (2.0, int | None, TypeError, "need an integer or null, got 2.0"),
     (True, int | None, TypeError, "need an integer or null, got true"),
+    (4, dict[str, int], TypeError, "need an object, got 4"),
+    ([["a", 1]], dict[str, int], TypeError, 'need an object, got [["a", 1]]'),
+    ({"a": 1.5}, dict[str, int], TypeError, "need an integer, got 1.5"),
+    ({"poly": 1}, dict[KernelKind, float], ValueError, UNKNOWN_POLY),
+    ({"linear": -1}, dict[KernelKind, NonNegative], ValueError,
+     "value must be nonnegative, got -1.0"),
+    ({"linear": float("nan")}, dict[KernelKind, NonNegative], ValueError,
+     "value must be nonnegative, got nan"),
+    (["cubic", 5], tuple[ScheduleKind, int, int], TypeError,
+     'need a list of 3 items, got ["cubic", 5]'),
+    (["cubic", 5, 1, 2], tuple[ScheduleKind, int, int], TypeError,
+     'need a list of 3 items, got ["cubic", 5, 1, 2]'),
+    (0.02, tuple[float, float], TypeError, "need a list of 2 items, got 0.02"),
+    ([["cubic", 5.5, 1]], list[tuple[ScheduleKind, Natural, Natural]], TypeError,
+     "need an integer, got 5.5"),
+    ([[0.02, -0.01]], list[tuple[Positive, NonNegative]], ValueError,
+     "value must be nonnegative, got -0.01"),
+    ([1, 0], list[Count], ValueError, "value must be >= 1, got 0"),
+    ([1, 1], typing.Annotated[list[int], (lambda v: len(set(v)) == len(v), "must not repeat")],
+     ValueError, "value must not repeat, got [1, 1]"),
+    ("x", dict, TypeError, 'need an object, got "x"'),
 ])
 def test_typed_says_which_value_or_item_fails(value, hint, error, message):
     with pytest.raises(error) as err:
@@ -146,6 +175,21 @@ def test_every_list_or_name_param_has_a_list_or_choice_hint():
                 assert isinstance(item, type) and issubclass(item, Choice), key
                 checked.append(key)
     assert set(checked) == {"kernels", "kinds", "kernel_kind"}
+
+
+def test_every_assert_key_has_an_annotation():
+    """run-all holds an assert value to its check's annotation alone: the keyword
+    params of every check after (report, table) are its assert keys, each with an
+    annotation its default holds to, and the first, which runs it, has no default."""
+    for etype in EXPERIMENT_TYPES.values():
+        for assert_check in etype.checks:
+            params = list(inspect.signature(assert_check).parameters.values())
+            check_hints = hints(assert_check)
+            assert [p.name for p in params[:2]] == ["report", "table"]
+            assert [p.name for p in params[2:]] == list(check_hints), assert_check.__name__
+            assert params[2].default is REQUIRED, assert_check.__name__
+            for param in params[3:]:
+                check(param.name, param.default, check_hints[param.name])
 
 
 # each range rule alias, with values at and just past its edges, and the rule's words

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from klora.choices import SettingError
+from klora.choices import SettingError, check, hints
 from klora.cli import main as cli_main
 from klora.config import ConfigError, apply_defaults, dataset_from
 from klora.experiments import (
@@ -88,7 +88,7 @@ BAD_DOCUMENTS = [
 # param, an out-of-range train override, misspelled schedule names, param
 # values the driver rejects, every bad document as a train override, more
 # values the driver rejects, a train task whose min_rank no draw reaches, assert
-# values of the wrong shape or naming what the entry does not report, names
+# values of the wrong type or naming what the entry does not report, names
 # that are not one new file name, a ratio assert on an entry without rbf,
 # params of the wrong type (list items too), the removed schedule `points`,
 # list params given as one value, negative seed bases, factor scales that are not
@@ -115,7 +115,7 @@ TYPO_ENTRIES = [
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": -1}},
      "experiments[1].params.r': r must be nonnegative, got -1"),
     ({"type": "memory-model", "params": {"layer_dims": [], "r": 4}},
-     "experiments[1].params: need at least one layer, with positive dimensions"),
+     "experiments[1].params.layer_dims': layer_dims must list at least one layer, got []"),
     ({"type": "grad-evolution", "params": {"scale": 0}},
      "experiments[1].params.scale': scale must be positive, got 0.0"),
     *[({"type": "train", "params": {"config": document}},
@@ -145,9 +145,9 @@ TYPO_ENTRIES = [
      "experiments[1].params.density': density must lie in [0, 1], got 1.5"),
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
       "assert": {"lowrank_fullft_ratio": 0.02}},
-     "experiments[1].assert.lowrank_fullft_ratio: need [target, relative tolerance], got 0.02"),
+     "experiments[1].assert.lowrank_fullft_ratio': need a list of 2 items, got 0.02"),
     ({"type": "rank-sweep", "assert": {"rank_at_most": 4}},
-     "experiments[1].assert.rank_at_most: need an object of numeric bounds, got 4"),
+     "experiments[1].assert.rank_at_most': need an object, got 4"),
     ({"type": "rank-sweep", "params": {"r_values": [2]},
       "assert": {"rank_at_most": {"linear@r=4": 4}}},
      "experiments[1].assert.rank_at_most: the entry reports no 'linear@r=4' "
@@ -159,12 +159,11 @@ TYPO_ENTRIES = [
       "assert": {"mse_ordering": ["mix-k", "linear"]}},
      "experiments[1].assert.mse_ordering: the entry reports no 'mix-k' (it reports linear)"),
     ({"type": "fit-matrix", "assert": {"min_seed_fraction": "most"}},
-     "experiments[1].assert.min_seed_fraction: need a number, got 'most'"),
+     "experiments[1].assert.min_seed_fraction': need a number, got \"most\""),
     ({"type": "train", "assert": {"max_final_loss": "low"}},
-     "experiments[1].assert.max_final_loss: need a number, got 'low'"),
+     "experiments[1].assert.max_final_loss': need a number, got \"low\""),
     ({"type": "schedule", "assert": {"values": [["cubic", 1]]}},
-     "experiments[1].assert.values: need a list of [kind, step, budget] rows, "
-     "got [['cubic', 1]]"),
+     "experiments[1].assert.values': need a list of 3 items, got [\"cubic\", 1]"),
     ({"type": "schedule", "params": {"kinds": ["linear"]},
       "assert": {"values": [["cubic", 1, 3]]}},
      "experiments[1].assert.values: the entry reports no 'cubic' (it reports linear)"),
@@ -230,6 +229,47 @@ BAD_DOCUMENTS.append(({"train": {"task": {"kind": 3}}},
                       "wrong type for 'train.task.kind': need a name, got 3"))
 TYPO_ENTRIES.append(({"type": "train", "params": {"config": BAD_DOCUMENTS[-1][0]}},
                      f"experiments[1].params.config: {BAD_DOCUMENTS[-1][1]}"))
+# assert values outside their annotations' rules, sections and layers of the wrong
+# shape, and a train override that is no object
+TYPO_ENTRIES += [
+    ({"type": "fit-matrix", "assert": {"min_seed_fraction": 1.5}},
+     "value out of range for 'experiments[1].assert.min_seed_fraction': min_seed_fraction "
+     "must lie in [0, 1], got 1.5"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8]], "r": 4},
+      "assert": {"lowrank_fullft_ratio": [0.0208, -0.01]}},
+     "value out of range for 'experiments[1].assert.lowrank_fullft_ratio': "
+     "lowrank_fullft_ratio must be nonnegative, got -0.01"),
+    ({"type": "schedule", "assert": {"values": [["cubic", 5.5, 125.25]]}},
+     "wrong type for 'experiments[1].assert.values': need an integer, got 5.5"),
+    ({"type": "train", "assert": {"max_final_loss": float("nan")}},
+     "value out of range for 'experiments[1].assert.max_final_loss': max_final_loss "
+     "must be nonnegative, got nan"),
+    ({"type": "fit-matrix", "params": {"kernels": ["linear"]},
+      "assert": {"max_final_mse": {"linear": -1}}},
+     "value out of range for 'experiments[1].assert.max_final_mse': max_final_mse "
+     "must be nonnegative, got -1.0"),
+    ({"type": "fit-matrix", "assert": {"mse_ordering": ["linear", "linear"]}},
+     "value out of range for 'experiments[1].assert.mse_ordering': mse_ordering "
+     "must name each kernel once, got [\"linear\", \"linear\"]"),
+    ({"type": "grad-evolution", "assert": {"max_rbf_mixk_ratio": -0.1}},
+     "value out of range for 'experiments[1].assert.max_rbf_mixk_ratio': max_rbf_mixk_ratio "
+     "must be nonnegative, got -0.1"),
+    ({"type": "rank-sweep", "params": {"r_values": [4]},
+      "assert": {"rank_above": {"mix-k@r=4": 4.5}}},
+     "wrong type for 'experiments[1].assert.rank_above': need an integer, got 4.5"),
+    ({"type": "schedule", "params": 3},
+     "wrong type for 'experiments[1].params': need an object, got 3"),
+    ({"type": "schedule", "assert": ["values"]},
+     "wrong type for 'experiments[1].assert': need an object, got [\"values\"]"),
+    ({"type": "train", "params": {"config": 3}},
+     "wrong type for 'experiments[1].params.config': need an object, got 3"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 0]], "r": 2}},
+     "value out of range for 'experiments[1].params.layer_dims': layer_dims must be >= 1, "
+     "got 0"),
+    ({"type": "memory-model", "params": {"layer_dims": [[8, 8, 8]], "r": 2}},
+     "wrong type for 'experiments[1].params.layer_dims': need a list of 2 items, "
+     "got [8, 8, 8]"),
+]
 
 
 class TestFitTargets:
@@ -433,7 +473,7 @@ class TestMemoryModel:
 
     @pytest.mark.parametrize("kind", ["mix-k", "linear"])
     def test_piece_count_below_one_rejected(self, kind):
-        with pytest.raises(ValueError, match="piece count must be >= 1, got -5"):
+        with pytest.raises(ValueError, match="pieces must be >= 1, got -5"):
             kernel_coefficient_count(kind, -5)
         with pytest.raises(ValueError, match="pieces must be >= 1, got 0"):
             memory_footprint_estimate([(8, 8)], 2, "low-rank", kernel_kind=kind, pieces=0)
@@ -644,9 +684,10 @@ def test_assert_check_passes_a_met_bound_and_reports_a_missed_one(
         etype, key, fields, table, met, missed, details):
     report = ExperimentReport(etype, {}, [], fields.get("per_seed", []),
                               fields.get("aggregates", {}))
-    _, check = EXPERIMENT_TYPES[etype].checks[key]
-    assert list(check(report, table, met, {key: met})) == []
-    assert list(check(report, table, missed, {key: missed})) == details
+    assert_check, = [c for c in EXPERIMENT_TYPES[etype].checks if key in hints(c)]
+    for value, yielded in ((met, []), (missed, details)):
+        parsed = check(key, value, hints(assert_check)[key])
+        assert list(assert_check(report, table, **{key: parsed})) == yielded
 
 
 # direct driver calls with one bad param, the run-all entry giving the same value, and
@@ -875,15 +916,15 @@ BAD_INPUT_COMMANDS = [
     (["train", "--config", "BAD_CONFIG"], "value out of range for 'kernel.pieces'"),
     (["schedule", "--b0", "-5"], "need 0 <= bT <= b0, got bT=0, b0=-5"),
     (["schedule", "--steps", "0"], "need T >= 1, got 0"),
-    (["grad-check", "--pieces", "0"], "piece count must be >= 1, got 0"),
-    (["grad-check", "--m", "0"], "m, n, rank and seeds must be >= 1, got 0, 6, 4, 5"),
-    (["grad-check", "--seeds", "0"], "m, n, rank and seeds must be >= 1, got 8, 6, 4, 0"),
+    (["grad-check", "--pieces", "0"], "pieces must be >= 1, got 0"),
+    (["grad-check", "--m", "0"], "m must be >= 1, got 0"),
+    (["grad-check", "--seeds", "0"], "seeds must be >= 1, got 0"),
     (["train", "--seed", "-1"], "value out of range for 'train.seed'"),
     (["fit-matrix", "--steps", "-5"], "steps must be nonnegative, got -5"),
     (["grad-evolution", "--steps", "-1"], "steps must be nonnegative, got -1"),
-    (["memory-model", "--layers", "0"], "need at least one layer, with positive dimensions"),
-    (["grad-check", "--h", "0"], "h and tol must be positive, got 0.0, 1e-05"),
-    (["grad-check", "--tol", "-1"], "h and tol must be positive, got 1e-05, -1.0"),
+    (["memory-model", "--layers", "0"], "layer_dims must list at least one layer, got []"),
+    (["grad-check", "--h", "0"], "h must be positive, got 0.0"),
+    (["grad-check", "--tol", "-1"], "tol must be positive, got -1.0"),
     (["alloc-trace", "NOT_JSON"], "Expecting value: line 1 column 1"),
     (["alloc-trace", "NO_CONFIG"], "missing 4 required positional arguments: 'config'"),
     (["alloc-trace", "UNKNOWN_KEY"], "unexpected keyword argument 'loss'"),
@@ -906,6 +947,7 @@ BAD_INPUT_COMMANDS = [
     (["fit-matrix", "--factor-std", "0"], "factor_std must be positive, got 0.0"),
     (["alloc-trace", "RATIO_ABOVE_ONE"], "epoch 0, layer 0: ratio 1.5 not in [0, 1]"),
     (["alloc-trace", "RATIO_NAN"], "epoch 0, layer 0: ratio nan not in [0, 1]"),
+    (["grad-check", "--rank", "7"], "rank 7 outside [1, min(m, n) = 6]"),
 ]
 
 # files the commands above name by a placeholder

@@ -374,20 +374,20 @@ class TestSpecPlumbing:
     @pytest.mark.parametrize("pieces", [2.5, True, 2.0])
     def test_non_integer_piece_count_rejected(self, pieces):
         for kind in ("mix-k", "linear"):
-            with pytest.raises(ValueError, match="pieces must be an integer"):
+            with pytest.raises(ValueError, match="need an integer, got"):
                 kernel_coefficient_count(kind, pieces)
-            with pytest.raises(ValueError, match="pieces must be an integer"):
+            with pytest.raises(ValueError, match="need an integer, got"):
                 KernelSpec(kind=kind, pieces=pieces)
         for build in (KernelSpec.zero_init, KernelSpec.canonical):
-            with pytest.raises(ValueError, match="pieces must be an integer"):
+            with pytest.raises(ValueError, match="need an integer, got"):
                 build("p-linear", pieces=pieces)
 
     @pytest.mark.parametrize("kind", ["linear", "rbf", "mix-k"])
     def test_piece_count_below_one_rejected_for_every_kind(self, kind):
         for build in (KernelSpec.zero_init, KernelSpec.canonical):
-            with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+            with pytest.raises(ValueError, match="pieces must be >= 1, got 0"):
                 build(kind, pieces=0)
-        with pytest.raises(ValueError, match="piece count must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="pieces must be >= 1, got 0"):
             kernel_coefficient_count(kind, 0)
 
     def test_numpy_integer_piece_count_accepted(self):
