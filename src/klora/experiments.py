@@ -34,13 +34,14 @@ from .kernels import (
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
+    stacked_block,
 )
 # the rank worker's name for numerical_rank: perfbench's span recorder wraps
 # `numerical_rank` here and keeps one span stack for all threads
 from .kernels import numerical_rank as _rank_off_thread
 from .model import Adam, RunTrace, fine_tune
 from .reports import ExperimentReport, StopWatch, write_csv
-from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack
+from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack, take
 # the fits no longer call these; perfbench's span recorder wraps them by name here
 from .tensor import reduce_mean, square, sub  # noqa: F401
 
@@ -140,11 +141,13 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
     stream. Each step merges every kind, stacks the K merges into
     (K, S, m, n), and records one graph whose loss is the sum of the K x S
     mean squared errors against the targets ((S, m, n), or (K, S, m, n) for
-    one set per kind); one backward pass and one Adam step follow. Every
-    fit gets exactly its own gradient and shares no values with the others,
-    and Adam is elementwise, so each (kind, seed) result is that of a fit on
-    its own. A fit whose loss turns non-finite is marked diverged and keeps
-    the parameters it had at that step; the others carry on.
+    one set per kind); one backward pass and one Adam step follow. The
+    distance kinds (mix-k and p-linear) merge as one block (`_block`), so a
+    step makes one distance op for all of them. Every fit gets exactly its
+    own gradient and shares no values with the others, and Adam is
+    elementwise, so each (kind, seed) result is that of a fit on its own. A
+    fit whose loss turns non-finite is marked diverged and keeps the
+    parameters it had at that step; the others carry on.
 
     `piece_init_eps` > 0 starts the piece coefficients antisymmetric
     (+eps, -eps, ...), which keeps the merged values mean-centered and
@@ -171,10 +174,18 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
                 alpha_p.data[:] = piece_init_eps * signs
         fits.append((spec.stacked(len(seeds)), pair))
     params = [[pair.A, pair.B, *spec.coefficients()] for spec, pair in fits]
-    opt = Adam([p for kind_params in params for p in kind_params], lr=lr)
+    members = sorted((k for k, kind in enumerate(kinds) if KINDS[kind].piecewise),
+                     key=lambda k: kinds[k] is not KernelKind.MIX_K)
+    block = _block([fits[k] for k in members]) if len(members) > 1 else None
+    slot = {k: t for t, k in enumerate(members)} if block else {}
+    leaves = [block[1].A, block[1].B, *block[0].coefficients()] if block else []
+    opt = Adam(leaves + [p for k, kind_params in enumerate(params) if k not in slot
+                         for p in kind_params], lr=lr)
 
     def losses():
-        return mean_squared_error(stack([merge(spec, pair) for spec, pair in fits]), targets)
+        merged = merge(*block) if block else None
+        return mean_squared_error(stack([take(merged, slot[k]) if k in slot else merge(spec, pair)
+                                         for k, (spec, pair) in enumerate(fits)]), targets)
 
     record_every = max(1, steps // record_points) if steps else 1
     traces = [[[] for _ in seeds] for _ in fits]
@@ -195,9 +206,11 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
         backward(reduce_sum(loss))
         if step % record_every == 0:
             for k, (_, pair) in enumerate(fits):
+                ga, gb = ((block[1].A.grad[slot[k]], block[1].B.grad[slot[k]]) if k in slot
+                          else (pair.A.grad, pair.B.grad))
                 # mean |gradient| over both factors, per seed
-                mag = (np.abs(pair.A.grad).sum(axis=(-2, -1))
-                       + np.abs(pair.B.grad).sum(axis=(-2, -1))) / ((m + n) * r)
+                mag = (np.abs(ga).sum(axis=(-2, -1))
+                       + np.abs(gb).sum(axis=(-2, -1))) / ((m + n) * r)
                 kind_values, mags = values[k].tolist(), mag.tolist()
                 for s in np.flatnonzero(live[k]):
                     traces[k][s].append([step, kind_values[s]])
@@ -211,6 +224,23 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
               "trace": trace, "grad_trace": grad_trace}
              for final, ok, trace, grad_trace in zip(*kind_runs)]
             for kind_runs in zip(finals, live.tolist(), traces, grad_traces)]
+
+
+def _block(fits) -> tuple:
+    """The (spec, pair) that merges fits of the distance kinds as one, mix-k's
+    first: each factor and coefficient stacked on a new leading axis, alpha and
+    beta over the mix-k fits alone (the partial mix of
+    `tensor.mixed_segment_distances`). Each fit's own tensors become views of
+    its slice of the blocks (`stacked_block`, as in `model.LayerGroup`)."""
+    mixing = [spec for spec, _ in fits if spec.kind is KernelKind.MIX_K]
+    groups = [[pair.A for _, pair in fits], [pair.B for _, pair in fits],
+              [spec.coeffs[0] for spec, _ in fits]]
+    if mixing:
+        groups += [[spec.coeffs[c] for spec in mixing] for c in (1, 2)]
+    blocks = [stacked_block(tensors) for tensors in groups]
+    kind = KernelKind.MIX_K if mixing else KernelKind.P_LINEAR
+    return (KernelSpec(kind, pieces=fits[0][0].pieces, coeffs=blocks[2:]),
+            LowRankPair(A=blocks[0], B=blocks[1]))
 
 
 def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
@@ -410,15 +440,12 @@ def alloc_trace_table(trace: RunTrace):
     n_layers = len(trace.layer_caps)
     header = ["epoch"] + [f"layer_{i}" for i in range(n_layers)]
     rows = [[0] + [0.0] * n_layers]  # warm start: nothing sparsified yet
-    for record in trace.epochs:
+    for k, record in enumerate(trace.epochs):
         if len(record.ratios) != n_layers:
             raise ValueError(f"epoch {record.epoch} has {len(record.ratios)} ratios "
                              f"for {n_layers} layers")
-        ratios = [float(x) for x in record.ratios]
-        for layer, ratio in enumerate(ratios):
-            if not 0.0 <= ratio <= 1.0:
-                raise ValueError(f"epoch {record.epoch}, layer {layer}: ratio {ratio} "
-                                 f"not in [0, 1]")
+        ratios = [check_type(f"epochs[{k}].ratios[{layer}]", x, Unit)
+                  for layer, x in enumerate(record.ratios)]
         rows.append([record.epoch + 1] + ratios)
     return header, rows
 

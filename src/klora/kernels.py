@@ -270,12 +270,24 @@ def stacked_leaf(tensors) -> Tensor:
     return Tensor(data, requires_grad=first.requires_grad)
 
 
+def stacked_block(tensors) -> Tensor:
+    """`stacked_leaf(tensors)`, with each tensor's data made a view of its slice
+    of the block in its own shape: an optimizer steps the block in place, and
+    every tensor reads the new values."""
+    block = stacked_leaf(tensors)
+    data = block.data.reshape((len(tensors), *tensors[0].data.shape))
+    for k, t in enumerate(tensors):
+        t.data = data[k, ...]  # a view even where slice k is 0-d
+    return block
+
+
 @dataclass
 class LowRankPair:
     """The factor matrices A (n x r) and B (m x r) for one adapted weight.
 
     A stacked pair holds S independent pairs as A (S, n, r) and B (S, m, r);
-    its merge is the (S, m, n) stack of their merges.
+    its merge is the (S, m, n) stack of their merges. The distance kinds also
+    take more stack axes, as in the fits' (kinds, seeds) block.
     """
 
     A: Tensor
@@ -283,7 +295,7 @@ class LowRankPair:
 
     def __post_init__(self):
         a, b = self.A.data.shape, self.B.data.shape
-        if len(a) not in (2, 3) or len(b) != len(a) or a[:-2] != b[:-2]:
+        if len(a) < 2 or len(b) != len(a) or a[:-2] != b[:-2]:
             raise ValueError(f"factors must be matrices or equal stacks of them, got {a} and {b}")
         if a[-1] != b[-1]:
             raise ValueError(f"factor ranks differ: A has {a[-1]}, B has {b[-1]}")

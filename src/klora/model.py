@@ -36,7 +36,7 @@ from .allocation import (
 )
 from .choices import (COUNT, Choice, Count, Decay, Natural, NonNegative, Positive, Unit,
                       check, hints)
-from .kernels import KernelKind, KernelSpec, LowRankPair, merge, stacked_leaf
+from .kernels import KernelKind, KernelSpec, LowRankPair, merge, stacked_block
 from .tensor import (
     Tensor,
     add,
@@ -94,7 +94,8 @@ class Adam:
     parameters. `step` subtracts each parameter's update from its array in
     place, so a parameter keeps its array, and every view of it, for its
     whole life; it returns the flat gradient, laid out parameter by
-    parameter. `slots` holds each parameter's (slice, shape) in that layout.
+    parameter. `slots` holds each parameter's (slice, shape) in that layout,
+    and `_updates` each parameter's view of the update buffer, in its shape.
     """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -115,6 +116,7 @@ class Adam:
         self._v = np.zeros(bounds[-1])
         self._x = np.empty(bounds[-1])  # scratch for the step's intermediates
         self._y = np.empty(bounds[-1])
+        self._updates = [self._y[part].reshape(shape) for part, shape in self.slots]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -143,8 +145,8 @@ class Adam:
         np.divide(m, bc1, out=y)
         y *= self.lr
         y /= x
-        for p, (part, shape) in zip(self.params, self.slots):
-            p.data -= y[part].reshape(shape)
+        for p, update in zip(self.params, self._updates):
+            p.data -= update
         return g
 
 
@@ -223,13 +225,9 @@ class LayerGroup:
             self.pair, self.spec = first.pair, first.spec
             return
         members = [layer.trainables() for layer in self.layers]
-        blocks = [stacked_leaf(tensors) for tensors in zip(*members)]
+        blocks = [stacked_block(tensors) for tensors in zip(*members)]
         self.pair = LowRankPair(A=blocks[0], B=blocks[1])
         self.spec = first.spec.with_coefficients(blocks[2:])
-        for block, tensors in zip(blocks, zip(*members)):
-            data = block.data.reshape((len(tensors), *tensors[0].data.shape))
-            for k, t in enumerate(tensors):
-                t.data = data[k, ...]  # a view even where slice k is 0-d
 
     def trainables(self) -> list:
         return [self.pair.A, self.pair.B, *self.spec.coefficients()]

@@ -431,12 +431,13 @@ def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
     n = shape[-2] * shape[-1]
     diff = x.data - target
     diff *= diff
-    data = np.asarray(diff.mean(axis=(-2, -1)))
+    # the sum and the division of `ndarray.mean`, without its Python wrapper
+    data = np.asarray(np.add.reduce(diff, axis=(-2, -1)) / n)
 
     def bwd(g):
         gx = x.data - target
         gx *= 2.0
-        gx *= np.expand_dims(g / n, (-2, -1))
+        gx *= (g / n)[..., None, None]
         return (gx,)
 
     return _make(data, (x,), bwd)
@@ -447,7 +448,10 @@ def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
 # Entries with d² <= _GUARD * (|b_s|² + |a_s|²) are recomputed from explicit
 # row differences: there the Gram identity cancels away most of d²'s digits.
 # An unguarded distance keeps a relative error of about eps / (2 * _GUARD),
-# near 1e-10.
+# near 1e-10. The scalar bound _GUARD * (max |b|² + max |a|²) is at least every
+# entry's, so only entries under it are candidates, and only the candidates are
+# held to their own bound: a full (..., m, n) array of per-entry bounds took
+# most of a guarded call's time.
 _GUARD = 1e-6
 
 
@@ -468,12 +472,17 @@ def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
     d2 *= -2.0
     d2 += nb
     d2 += na
-    if np.min(d2, initial=np.inf) > _GUARD * (nb.max(initial=0.0) + na.max(initial=0.0)):
+    # fmax skips a NaN norm, whose row of d2 is NaN and never guarded
+    bound = _GUARD * (np.fmax.reduce(nb, axis=None, initial=0.0)
+                      + np.fmax.reduce(na, axis=None, initial=0.0))
+    if np.min(d2, initial=np.inf) > bound:
         return d2, None  # no entry is near cancellation
-    flat = np.flatnonzero(d2 <= _GUARD * (nb + na))
-    if not flat.size:
+    flat = np.flatnonzero(d2 <= bound)
+    *lead, i, j = np.unravel_index(flat, d2.shape)
+    near = d2.reshape(-1)[flat] <= _GUARD * (nb[(*lead, i, 0)] + na[(*lead, 0, j)])
+    if not near.any():
         return d2, None
-    index = np.unravel_index(flat, d2.shape)
+    index = tuple(axis[near] for axis in (*lead, i, j))
     *lead, i, j = index
     diff = bs[(*lead, i)] - as_[(*lead, j)]
     d2[index] = np.einsum("kr,kr->k", diff, diff)
@@ -665,23 +674,38 @@ def mixed_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, alpha: Tensor
     """The mix-k merge k + alpha * column_softmax(k) + beta, as one recorded op.
 
     k is weighted_segment_distances(b, a, alpha_p, bounds); alpha and beta
-    are 0-d, or (S, 1, 1) for a stack of S, one value per slice. The output
-    is written over k's own array, so the op holds the (..., P, m, n)
-    distances, the column softmax and its output: (P + 2) matrices per
-    slice. Forward and backward repeat, in order, the floating-point
-    operations of add(add(k, mul(alpha, column_softmax(k))), beta) on the
-    distance op.
+    are 0-d, or one value per slice of a stack. For a stack (S, ..., m, n)
+    they are (M, ..., 1, 1) with M <= S: the column mix covers the first M
+    slices along the first stack axis, and the other S - M slices are the
+    plain weighted distances, so one op serves a block of mix-k and p-linear
+    fits. The output is written over k's own array, so the op holds the
+    (..., P, m, n) distances, the column softmax and its output: (P + 2)
+    matrices per mixed slice. Forward and backward repeat, in order, the
+    floating-point operations of add(add(k, mul(alpha, column_softmax(k))),
+    beta) on the distance op, on the mixed slices; a partial mix's chain
+    takes those slices apart and stacks them (`take`, `stack`), so their
+    gradient is laid out as `_assemble` lays out a stack's slices.
     """
     lead = b.data.shape[:-2]
-    scalar = (*lead, 1, 1) if lead else ()
-    if alpha.data.shape != scalar or beta.data.shape != scalar:
-        raise ValueError(f"need alpha and beta of shape {scalar}, "
+    mixes = alpha.data.shape[0] if lead and alpha.data.ndim else None
+    scalar = (mixes, *lead[1:], 1, 1) if lead else ()
+    if alpha.data.shape != scalar or beta.data.shape != scalar or lead and mixes > lead[0]:
+        fewer = ", or with fewer slices on the first axis" if lead else ""
+        raise ValueError(f"need alpha and beta of shape {(*lead, 1, 1) if lead else ()}{fewer}, "
                          f"got {alpha.data.shape} and {beta.data.shape}")
     k, saved = _segment_distances(b, a, alpha_p, bounds)
-    s = _column_mix(k, alpha.data, beta.data)
+    whole = not lead or mixes == lead[0]
+    s = _column_mix(k if whole else k[:mixes], alpha.data, beta.data)
 
     def bwd(g):
-        gk, galpha, gbeta = _column_mix_backward(g, s, alpha.data, beta.data)
+        if whole:
+            gk, galpha, gbeta = _column_mix_backward(g, s, alpha.data, beta.data)
+        else:
+            head = g[:mixes]
+            if not head.flags.c_contiguous:
+                head = _assemble(head.shape, [_SliceGrad(i, x) for i, x in enumerate(head)], None)
+            gk, galpha, gbeta = _column_mix_backward(head, s, alpha.data, beta.data)
+            gk = np.concatenate((gk, g[mixes:]))
         return (*_segment_distances_backward(gk, saved), galpha, gbeta)
 
     return _make(k, (b, a, alpha_p, alpha, beta), bwd)

@@ -3,8 +3,11 @@
 `klora.tensor.mixed_segment_distances`, `soft_threshold` and `affine`
 each replace a chain of recorded ops and promise to repeat its
 floating-point operations in order; the first one's chain is the column
-mix below on the distance op `weighted_segment_distances`. The chains below are those compositions, built from
-the elementary ops alone. `patched_in()` swaps them in at the
+mix below on the distance op `weighted_segment_distances`, over the
+mixed slices of a stack. The chains below are those compositions, built
+from the elementary ops alone. `weighted_segment_distances` on a stack
+promises the bits of each slice's op on its own; its chain takes the
+stack apart slice by slice. `patched_in()` swaps the first three in at the
 package's call sites (the mix-k merge, the soft sparsify and the adapted
 layer's forward pass), so a whole training run can be replayed on them.
 """
@@ -24,6 +27,8 @@ from klora.tensor import (
     rectify,
     scalar_add,
     sign,
+    stack,
+    take,
     transpose,
     weighted_segment_distances,
 )
@@ -34,7 +39,24 @@ def column_mix(k, alpha, beta) -> Tensor:
 
 
 def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:
-    return column_mix(weighted_segment_distances(b, a, alpha_p, bounds), alpha, beta)
+    """The column mix on the first M slices of the distances, M = len(alpha) (all for 0-d)."""
+    k = weighted_segment_distances(b, a, alpha_p, bounds)
+    mixes = alpha.data.shape[0] if alpha.data.ndim else None
+    if mixes is None or mixes == k.data.shape[0]:
+        return column_mix(k, alpha, beta)
+    slices = [take(k, s) for s in range(k.data.shape[0])]
+    if mixes:
+        mixed = column_mix(stack(slices[:mixes]), alpha, beta)
+        slices[:mixes] = [take(mixed, s) for s in range(mixes)]
+    return stack(slices)
+
+
+def weighted_segment_distances_by_slice(b, a, alpha_p, bounds) -> Tensor:
+    """The distance op on each matrix of a stack on its own, stacked again."""
+    if b.data.ndim == 2:
+        return weighted_segment_distances(b, a, alpha_p, bounds)
+    return stack([weighted_segment_distances_by_slice(take(b, s), take(a, s), take(alpha_p, s),
+                                                      bounds) for s in range(b.data.shape[0])])
 
 
 def soft_threshold(x, tau) -> Tensor:

@@ -945,9 +945,13 @@ BAD_INPUT_COMMANDS = [
     (["rank-sweep", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
     (["grad-evolution", "--seed", "-1"], "seed_base must be nonnegative, got -1"),
     (["fit-matrix", "--factor-std", "0"], "factor_std must be positive, got 0.0"),
-    (["alloc-trace", "RATIO_ABOVE_ONE"], "epoch 0, layer 0: ratio 1.5 not in [0, 1]"),
-    (["alloc-trace", "RATIO_NAN"], "epoch 0, layer 0: ratio nan not in [0, 1]"),
+    (["alloc-trace", "RATIO_ABOVE_ONE"],
+     "value out of range for 'epochs[0].ratios[0]': ratios[0] must lie in [0, 1], got 1.5"),
+    (["alloc-trace", "RATIO_NAN"],
+     "value out of range for 'epochs[0].ratios[0]': ratios[0] must lie in [0, 1], got nan"),
     (["grad-check", "--rank", "7"], "rank 7 outside [1, min(m, n) = 6]"),
+    (["alloc-trace", "RATIO_STRING"],
+     "wrong type for 'epochs[0].ratios[0]': need a number, got \"0.5\""),
 ]
 
 # files the commands above name by a placeholder
@@ -962,7 +966,8 @@ BAD_INPUT_FILES = {
     "NO_LAYERS": json.dumps({**_TRACE, "layer_caps": []}),
     "RAGGED": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": []}]}),
     "RATIO_ABOVE_ONE": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": [1.5]}]}),
-    "RATIO_NAN": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": ["nan"]}]}),
+    "RATIO_NAN": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": [math.nan]}]}),
+    "RATIO_STRING": json.dumps({**_TRACE, "epochs": [{**_EPOCH, "ratios": ["0.5"]}]}),
 }
 
 

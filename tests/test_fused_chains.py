@@ -4,26 +4,35 @@
 the floating-point operations of the chains in `composed_chains`, in order.
 These tests hold each op to the same forward bits and the same bits in
 every gradient, and a whole training run to the same trace and checkpoint
-bytes.
+bytes. On drawn stacks (`distance_cases`), the distance ops are held to
+their chains, partial mixes and `weighted_segment_distances` slice by
+slice included, and the cancellation guard to its full-mask definition.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composed_chains
 from klora import checkpoint, config, model
 from klora.allocation import threshold_for_budget
 from klora.kernels import segment_bounds
 from klora.tensor import (
+    _GUARD,
     Tensor,
+    _piece_columns,
+    _segment_sq_distances,
+    _split_pieces,
     affine,
     backward,
     mixed_segment_distances,
     mul,
     reduce_sum,
     soft_threshold,
+    weighted_segment_distances,
 )
 
 # (batch axes, m, n, r): two trainer layer shapes and the stacked fit-small shape
@@ -38,11 +47,13 @@ def assert_same_bits(got, want):
 
 
 def value_and_gradients(build, arrays, upstream):
-    """Forward value of build(*leaves) and each leaf's gradient of sum(upstream * value)."""
+    """Forward value of build(*leaves) and each leaf's gradient of sum(upstream * value);
+    an empty leaf's gradient is empty whether or not the graph reaches it."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(*leaves)
     backward(reduce_sum(mul(out, Tensor(upstream))))
-    return [out.data] + [leaf.grad for leaf in leaves]
+    return [out.data] + [np.zeros(leaf.data.shape) if leaf.grad is None and not leaf.data.size
+                         else leaf.grad for leaf in leaves]
 
 
 def assert_fused_equals_chain(fused, chain, arrays, upstream):
@@ -86,6 +97,96 @@ def test_a_stack_of_1x1_mixes_equals_its_chain():
     assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, [(0, 1)]),
                               lambda *t: composed_chains.mixed_segment_distances(*t, [(0, 1)]),
                               arrays, upstream)
+
+
+# rows this far apart, relative to their scale, sit near the guard's edge: a
+# piece's d² is about offset² * (|b_p|² + |a_p|²) / 2 there, against
+# _GUARD * (|b_p|² + |a_p|²)
+NEAR_GUARD = [0.0, 1e-9, 3e-4, 1e-3, 1.4e-3, 2e-3]
+LAYOUTS = ["c-order", "fortran", "transposed"]
+
+
+@st.composite
+def distance_cases(draw):
+    """Factor stacks for the distance ops: 0-2 stack axes, pieces of unequal
+    widths, zero-distance and near-guard row pairs, the number M of mixed
+    slices and the layout of the incoming gradient."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m, n, r = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    edges = [0, *sorted(draw(st.sets(st.integers(1, r - 1))) if r > 1 else ()), r]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([-3, 0, 3]))
+    b, a = scale * rng.normal(size=(*lead, m, r)), scale * rng.normal(size=(*lead, n, r))
+    for j in range(draw(st.integers(0, n))):
+        offset = draw(st.sampled_from(NEAR_GUARD))
+        a[..., j, :] = b[..., draw(st.integers(0, m - 1)), :] + offset * scale * rng.normal(
+            size=(*lead, r))
+    mixes = draw(st.integers(0, lead[0])) if lead else None
+    layout = draw(st.sampled_from(LAYOUTS))
+    if layout == "transposed":
+        upstream = np.swapaxes(rng.normal(size=(*lead, n, m)), -1, -2)
+    else:
+        upstream = np.asarray(rng.normal(size=(*lead, m, n)), order="F" if layout == "fortran"
+                              else "C")
+    return b, a, list(zip(edges, edges[1:])), mixes, upstream, rng
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(distance_cases())
+def test_distance_ops_equal_their_chains_bit_for_bit(case):
+    b, a, bounds, mixes, upstream, rng = case
+    lead = b.shape[:-2]
+    alpha_p = rng.normal(size=(*lead, len(bounds)))
+    scalar = (mixes, *lead[1:], 1, 1) if lead else ()
+    alpha, beta = rng.normal(size=scalar), rng.normal(size=scalar)
+    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, bounds),
+                              lambda *t: composed_chains.mixed_segment_distances(*t, bounds),
+                              [b, a, alpha_p, alpha, beta], upstream)
+    assert_fused_equals_chain(
+        lambda *t: weighted_segment_distances(*t, bounds),
+        lambda *t: composed_chains.weighted_segment_distances_by_slice(*t, bounds),
+        [b, a, alpha_p], upstream)
+
+
+def full_mask_guard(bs, as_):
+    """The guard by its definition: the index of every entry with
+    d² <= _GUARD * (|b_i|² + |a_j|²), from a full array of per-entry bounds."""
+    nb = np.einsum("...ik,...ik->...i", bs, bs)[..., :, None]
+    na = np.einsum("...jk,...jk->...j", as_, as_)[..., None, :]
+    d2 = bs @ np.swapaxes(as_, -1, -2)
+    d2 *= -2.0
+    d2 += nb
+    d2 += na
+    return np.nonzero(d2 <= _GUARD * (nb + na))
+
+
+def assert_guard_is_its_full_mask(bs, as_):
+    want = full_mask_guard(bs, as_)
+    d2, guarded = _segment_sq_distances(bs, as_)
+    got = want if guarded is None and not want[0].size else guarded[0]
+    assert len(got) == d2.ndim
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(distance_cases())
+def test_the_guard_takes_the_entries_of_its_full_mask(case):
+    # on the factors, and on the piece views the distance op hands it
+    b, a, bounds, *_ = case
+    w, cols = _piece_columns(bounds, b.shape[-1])
+    assert_guard_is_its_full_mask(b, a)
+    assert_guard_is_its_full_mask(_split_pieces(b, w, cols), _split_pieces(a, w, cols))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_the_guard_skips_rows_with_nan_or_infinite_norms():
+    # a NaN norm makes the largest norm NaN; rows beside it keep their guard
+    rng = np.random.default_rng(5)
+    b, a = rng.normal(size=(3, 6, 4)), rng.normal(size=(3, 5, 4))
+    a[..., 2, :] = b[..., 4, :]
+    b[0, 1, 0], b[1, 3, 2], a[2, 0, 1] = np.nan, np.inf, -np.inf
+    assert_guard_is_its_full_mask(b, a)
 
 
 @pytest.mark.parametrize("lead, m, n, r", SHAPES, ids=SHAPE_IDS)

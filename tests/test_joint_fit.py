@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import per_kind_fit
-from klora import experiments, model
+from klora import experiments, kernels, model
 from klora.experiments import _fit, fit_matrix_experiment, grad_evolution_experiment
 from klora.kernels import KINDS, KernelKind
 from klora.tensor import Tensor
@@ -73,6 +73,48 @@ def test_a_diverged_kind_leaves_every_other_fit_unchanged():
     assert mixed[1] == per_kind_fit.fit(kinds[1], targets[1], SEEDS, **kwargs)
 
 
+@pytest.mark.parametrize("kinds", [
+    ["p-linear", "linear", "mix-k"],  # p-linear ahead of mix-k, another kind between
+    ["p-linear"],
+    ["rbf", "mix-k"],  # a lone distance kind merges on its own
+    ["mix-k", "p-linear", "mix-k", "p-linear"],  # repeated kinds share the block
+], ids=["interleaved", "lone-p-linear", "lone-mix-k", "repeated"])
+def test_any_order_of_kinds_equals_the_per_kind_fits(monkeypatch, kinds):
+    distance_ops = []
+
+    def counted(op):
+        def call(*args):
+            distance_ops.append(op.__name__)
+            return op(*args)
+        return call
+
+    for name in ("mixed_segment_distances", "weighted_segment_distances"):
+        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    kinds = [KernelKind(k) for k in kinds]
+    targets = targets_for(SEEDS)
+    kwargs = dict(r=4, steps=40, lr=1e-2, pieces=2, factor_std=1.0, piece_init_eps=0.5,
+                  record_points=7)
+    joint = _fit(kinds, targets, SEEDS, **kwargs)
+    assert len(distance_ops) == 41  # one per step, and one for the final losses
+    monkeypatch.undo()
+    assert joint == per_kind_fit.fit_each(kinds, targets, SEEDS, **kwargs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverged_mix_k_fit_leaves_its_block_unchanged():
+    # mix-k and p-linear merge in one block; one mix-k seed diverges in it
+    kinds = [KernelKind.P_LINEAR, KernelKind.LINEAR, KernelKind.MIX_K]
+    targets = np.broadcast_to(targets_for(SEEDS), (3, len(SEEDS), 10, 8)).copy()
+    kwargs = dict(r=4, steps=30, lr=1e-2, pieces=2, factor_std=1.0, piece_init_eps=0.5)
+    healthy = _fit(kinds, targets, SEEDS, **kwargs)
+    targets[2, 1] *= 1e308
+    mixed = _fit(kinds, targets, SEEDS, **kwargs)
+    assert mixed[:2] == healthy[:2]
+    assert mixed[2][1]["diverged"] and mixed[2][1]["trace"] == []
+    assert mixed[2][0] == healthy[2][0] and mixed[2][2] == healthy[2][2]
+    assert mixed[2] == per_kind_fit.fit(kinds[2], targets[2], SEEDS, **kwargs)
+
+
 def test_a_fit_step_records_one_graph(monkeypatch):
     calls = {"backward": 0, "loss": 0}
     marks = []  # the next node id at each optimizer step
@@ -97,10 +139,10 @@ def test_a_fit_step_records_one_graph(monkeypatch):
     _fit(kinds, targets_for(SEEDS), SEEDS, r=4, steps=5, lr=1e-3, pieces=2, factor_std=1.0)
     assert calls == {"backward": 5, "loss": 6}  # one per step, and the final losses
     assert len(marks) == 5
-    # mix-k 1 (the fused distances and column mix), p-linear 1, linear 2
-    # (transpose, matmul), the stack, the loss and its sum; the mark's own
-    # tensor is 1 more
-    assert {b - a - 1 for a, b in zip(marks, marks[1:])} == {7}
+    # the mix-k and p-linear block 1 (the fused distances and partial column
+    # mix) and a slice of it for each, linear 2 (transpose, matmul), the
+    # stack, the loss and its sum; the mark's own tensor is 1 more
+    assert {b - a - 1 for a, b in zip(marks, marks[1:])} == {8}
 
 
 def test_a_mix_k_fit_step_holds_few_matrices():

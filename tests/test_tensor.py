@@ -311,7 +311,9 @@ def test_a_stack_of_one_part_views_it():
 def test_mixed_segment_distances_rejects_misshaped_coefficients():
     b, a = Tensor(np.ones((2, 4, 2))), Tensor(np.ones((2, 3, 2)))
     alpha_p, good = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1, 1)))
-    for alpha, beta in [(Tensor(1.0), good), (good, Tensor(np.ones((2, 4, 3))))]:
+    more = Tensor(np.ones((3, 1, 1)))  # a mix of more slices than the stack has
+    for alpha, beta in [(Tensor(1.0), good), (good, Tensor(np.ones((2, 4, 3)))), (more, more),
+                        (good, Tensor(np.ones((1, 1, 1))))]:
         with pytest.raises(ValueError, match="alpha and beta of shape"):
             mixed_segment_distances(b, a, alpha_p, alpha, beta, [(0, 1), (1, 2)])
 
