@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import numbers
 import typing
 from typing import Annotated
@@ -46,7 +47,8 @@ def typed(value, hint, name: str = "value"):
     fixed length where a `tuple[...]` is, key by key and value by value where a
     `dict[K, V]` is, and then to the range rule an `Annotated[type, rule]` carries,
     which a None value skips. Raises TypeError saying what it must be, or ValueError
-    for a value outside its rule (naming it `name`) or the enum's for an unknown name."""
+    for a float that is not finite or a value outside its rule (naming it `name`) or
+    the enum's for an unknown name."""
     if typing.get_origin(hint) is Annotated:
         hint, (holds, what) = typing.get_args(hint)
         held = typed(value, hint, name)
@@ -74,7 +76,10 @@ def typed(value, hint, name: str = "value"):
     if origin is dict:
         return {typed(key, args[0], name): typed(item, args[1], name)
                 for key, item in value.items()}
-    return hint(value)
+    held = hint(value)
+    if hint is float and not math.isfinite(held):
+        raise ValueError(f"{name} must be finite, got {held!r}")
+    return held
 
 
 class SettingError(ValueError):
@@ -87,8 +92,8 @@ class SettingError(ValueError):
         self.problem = problem
 
 
-# range rules: (holds, what a value must be), each carried by an `Annotated` alias;
-# NaN holds to none of them. COUNT is named for `Annotated[int | None, COUNT]` too.
+# range rules: (holds, what a value must be), each carried by an `Annotated` alias,
+# which sees only finite floats. COUNT is named for `Annotated[int | None, COUNT]` too.
 COUNT = (lambda v: v >= 1, "must be >= 1")
 NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 Count, Natural = Annotated[int, COUNT], Annotated[int, NONNEGATIVE]

@@ -18,11 +18,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from . import datasets
-from .choices import SettingError, check
+from .choices import Count, SettingError, check
 from .model import TrainerConfig
 
 
@@ -44,6 +45,8 @@ SETTINGS = {
     "train.seed": "seed", "train.recompute_merge": "recompute_merge",
 }
 ATTENTION_DEFAULTS = {"position": 0, "tokens": 2}
+# model.layer_dims: the layer widths, input first
+LayerDims = Annotated[list[Count], (lambda dims: len(dims) >= 2, "must list at least two widths")]
 
 
 def _defaults() -> dict:
@@ -175,9 +178,8 @@ def apply_defaults(raw: dict) -> RunConfig:
                           for section in ("model", "kernel", "sparsity", "train")},
                        experiments=experiments)
 
-    dims = config.model["layer_dims"]
-    ok = isinstance(dims, list) and len(dims) >= 2 and all(type(d) is int and d > 0 for d in dims)
-    _check_range(ok, "model.layer_dims", "need at least two positive integer dimensions")
+    config.model["layer_dims"] = check_type("model.layer_dims", config.model["layer_dims"],
+                                            LayerDims)
     check_type("model.bias", config.model["bias"], bool)
     _attention(config.model)
     _task(config)
@@ -192,7 +194,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:  # JSON is UTF-8 text
         raise ConfigError(f"malformed JSON in {path}: {err}") from None
     return apply_defaults(raw)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import json
 import math
 import threading
 from dataclasses import dataclass
@@ -787,6 +788,11 @@ def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple
     return report, paths, failures
 
 
+# an entry's name: the stem of the files it writes under the output directory
+EntryName = Annotated[str, (lambda name: name not in ("", ".", "..") and Path(name).name == name,
+                            "must be a nonempty string, not '.' or '..', with no path separator")]
+
+
 def run_all(config: RunConfig, out_dir) -> tuple:
     """Execute every experiment in the config; returns (report paths, failures).
 
@@ -799,19 +805,16 @@ def run_all(config: RunConfig, out_dir) -> tuple:
     names, writers = [], {}  # writers: file name -> index of the entry writing it
     for i, entry in enumerate(config.experiments):
         check_entry(check_type(f"experiments[{i}]", entry, dict), config, f"experiments[{i}].")
-        name = entry.get("name", f"{entry['type']}-{i}")
-        if not (isinstance(name, str) and name not in ("", ".", "..")
-                and Path(name).name == name):
-            raise ConfigError(f"experiments[{i}].name must be a nonempty string, not '.' or "
-                              f"'..', with no path separator, got {name!r}")
+        name = check_type(f"experiments[{i}].name", entry.get("name", f"{entry['type']}-{i}"),
+                          EntryName)
         if name in names:
-            raise ConfigError(f"experiments[{i}].name {name!r} repeats "
+            raise ConfigError(f"experiments[{i}].name {json.dumps(name)} repeats "
                               f"experiments[{names.index(name)}]'s name")
         names.append(name)
         suffix = EXPERIMENT_TYPES[entry["type"]].table
         for file in [f"{name}.json", *([] if suffix is None else [f"{name}{suffix}.csv"])]:
             if file in writers:
-                raise ConfigError(f"experiments[{i}].name {name!r} writes {file}, which "
+                raise ConfigError(f"experiments[{i}].name {json.dumps(name)} writes {file}, which "
                                   f"experiments[{writers[file]}] writes too")
             writers[file] = i
     out_dir = Path(out_dir)

@@ -31,7 +31,6 @@ from .choices import Choice, Count, OpenUnit, check
 from .tensor import (
     Tensor,
     add,
-    column_softmax,
     exp,
     matmul,
     mixed_segment_distances,
@@ -51,7 +50,6 @@ class KernelKind(Choice, what="kernel"):
     P_LINEAR = "p-linear"
     SIGMOID = "sigmoid"
     RBF = "rbf"
-    RBF_NORMALIZED = "rbf-normalized"
     MIX_K = "mix-k"
 
     @classmethod
@@ -86,10 +84,6 @@ def _rbf(spec, b, a):
     return add(mul(alpha, exp(mul(beta, -squared_distances(b, a)))), gamma)
 
 
-def _rbf_normalized(spec, b, a):
-    return column_softmax(_rbf(spec, b, a))
-
-
 def _p_linear(spec, b, a):
     bounds = segment_bounds(b.data.shape[-1], spec.pieces)
     return weighted_segment_distances(b, a, spec.coeffs[0], bounds)
@@ -119,9 +113,10 @@ class Coefficient:
 class KindRow:
     """Every per-kind fact.
 
-    `kind_id` is the stable id in checkpoint format v1; `aliases` are the
-    accepted spellings besides the kind's value. `coefficients` lists the
-    per-piece vector first, then the scalars, in checkpoint order.
+    `kind_id` is the stable id in checkpoint format v1 (id 4 is retired);
+    `aliases` are the accepted spellings besides the kind's value.
+    `coefficients` lists the per-piece vector first, then the scalars, in
+    checkpoint order.
     `merge(spec, B, A)` builds the m x n matrix of kernel values.
     """
 
@@ -175,8 +170,6 @@ KINDS = {
         KindRow(KernelKind.P_LINEAR, 1, ("plinear", "p_linear"), (_ALPHA_P,), _p_linear),
         KindRow(KernelKind.SIGMOID, 2, (), _SIGMOID, _sigmoid),
         KindRow(KernelKind.RBF, 3, (), _RBF, _rbf),
-        KindRow(KernelKind.RBF_NORMALIZED, 4, ("rbfnorm", "rbf-norm", "rbf_normalized"), _RBF,
-                _rbf_normalized),
         KindRow(KernelKind.MIX_K, 5, ("mixk", "mix_k"), _MIX_K, _mix_k),
     )
 }
@@ -327,8 +320,7 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
 
     Entry (i, j) is the kernel between A's row j and B's row i. The mixed
     kind adds alpha * (softmax down each column of the piecewise-linear
-    matrix) + beta; rbf-normalized applies that column softmax to the RBF
-    matrix alone. The result participates in gradient recording. Distances
+    matrix) + beta. The result participates in gradient recording. Distances
     come from the fused ops in `klora.tensor`, so a merge holds O(mn * P)
     floats for P pieces and never an (m, n, r) array; the mix-k merge is one
     op that keeps (P + 2) * mn floats for its backward: the piece distances,

@@ -638,13 +638,8 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     return _make(s, (a,), bwd)
 
 
-def column_softmax(a: Tensor) -> Tensor:
-    """Softmax down each column (over the row index) of a matrix or a stack of them."""
-    return softmax(a, axis=-2)
-
-
 def _column_mix(k: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Overwrite k with k + alpha * column_softmax(k) + beta; return the softmax."""
+    """Add alpha * (softmax down each column of k) + beta to k; return the softmax."""
     s = _softmax_data(k, k.ndim - 2)
     k += alpha * s
     k += beta
@@ -671,7 +666,7 @@ def _column_mix_backward(g: np.ndarray, s: np.ndarray, alpha: np.ndarray, beta: 
 
 def mixed_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, alpha: Tensor, beta: Tensor,
                             bounds) -> Tensor:
-    """The mix-k merge k + alpha * column_softmax(k) + beta, as one recorded op.
+    """One recorded op for the mix-k merge k + alpha * (softmax down each column of k) + beta.
 
     k is weighted_segment_distances(b, a, alpha_p, bounds); alpha and beta
     are 0-d, or one value per slice of a stack. For a stack (S, ..., m, n)
@@ -681,7 +676,7 @@ def mixed_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, alpha: Tensor
     fits. The output is written over k's own array, so the op holds the
     (..., P, m, n) distances, the column softmax and its output: (P + 2)
     matrices per mixed slice. Forward and backward repeat, in order, the
-    floating-point operations of add(add(k, mul(alpha, column_softmax(k))),
+    floating-point operations of add(add(k, mul(alpha, softmax(k, axis=-2))),
     beta) on the distance op, on the mixed slices; a partial mix's chain
     takes those slices apart and stacks them (`take`, `stack`), so their
     gradient is laid out as `_assemble` lays out a stack's slices.

@@ -21,12 +21,12 @@ from klora.tensor import (
     Tensor,
     absolute,
     add,
-    column_softmax,
     matmul,
     mul,
     rectify,
     scalar_add,
     sign,
+    softmax,
     stack,
     take,
     transpose,
@@ -35,7 +35,7 @@ from klora.tensor import (
 
 
 def column_mix(k, alpha, beta) -> Tensor:
-    return add(add(k, mul(alpha, column_softmax(k))), beta)
+    return add(add(k, mul(alpha, softmax(k, axis=-2))), beta)
 
 
 def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:

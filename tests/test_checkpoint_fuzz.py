@@ -1,13 +1,12 @@
 """Property tests of the format-v1 checkpoint loader on damaged and crafted bytes.
 
 Every file the loader cannot read must end in a `CheckpointError`, never in
-another exception: truncations of the golden file, bit flips whose checksum
-is re-sealed so the parser sees them, and layer headers with arbitrary
-sizes, ranks, kind ids and coefficient counts. A file that does load must
-save back to the same bytes.
+another exception: truncations of the golden file (one layer of each kind),
+bit flips whose checksum is re-sealed so the parser sees them, and layer
+headers with arbitrary sizes, ranks, kind ids and coefficient counts. A file
+that does load must save back to the same bytes.
 """
 
-import hashlib
 import struct
 from types import SimpleNamespace
 
@@ -16,28 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from klora.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from test_persistence import GOLDEN_V1, write_crafted
+from test_persistence import GOLDEN_V1_LIVE, layer_spans, seal, write_crafted
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
-PAYLOAD = GOLDEN_V1[:-8]
-
-
-def seal(payload: bytes) -> bytes:
-    return payload + hashlib.blake2b(payload, digest_size=8).digest()
-
-
-def header_offsets() -> list:
-    """Byte offsets of the file header and of each layer header in GOLDEN_V1."""
-    offsets, offset = list(range(10)), 10
-    while offset < len(PAYLOAD):
-        m, n, r, _, n_coeff = struct.unpack_from("<IIIHI", PAYLOAD, offset)
-        offsets.extend(range(offset, offset + 18))
-        offset += 18 + 8 * (n_coeff + (m + n) * r)
-    return offsets
-
-
-HEADER_BITS = [8 * byte + bit for byte in header_offsets() for bit in range(8)]
+PAYLOAD = GOLDEN_V1_LIVE[:-8]
+# the byte offsets of the file header and of each layer header
+HEADER_BYTES = [*range(10), *(byte for start, _, _ in layer_spans(PAYLOAD)
+                              for byte in range(start, start + 18))]
+HEADER_BITS = [8 * byte + bit for byte in HEADER_BYTES for bit in range(8)]
 
 
 def load_or_reject(blob: bytes, directory) -> bool:
@@ -60,9 +46,9 @@ def load_or_reject(blob: bytes, directory) -> bool:
 
 
 @FUZZ
-@given(cut=st.integers(0, len(GOLDEN_V1) - 1))
+@given(cut=st.integers(0, len(GOLDEN_V1_LIVE) - 1))
 def test_every_truncation_is_rejected(tmp_path, cut):
-    assert not load_or_reject(GOLDEN_V1[:cut], tmp_path)
+    assert not load_or_reject(GOLDEN_V1_LIVE[:cut], tmp_path)
 
 
 def flipped(bits) -> bytes:
@@ -110,4 +96,4 @@ def test_rank_zero_layer_is_rejected(tmp_path, m, n):
 
 def test_golden_file_loads_and_saves_back(tmp_path):
     # the property tests damage a file that loads
-    assert load_or_reject(GOLDEN_V1, tmp_path)
+    assert load_or_reject(GOLDEN_V1_LIVE, tmp_path)

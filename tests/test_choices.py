@@ -80,7 +80,7 @@ def test_train_options_parse_like_the_document(tmp_path):
 
 
 UNKNOWN_POLY = ("unknown kernel 'poly' "
-                "(known: linear, p-linear, sigmoid, rbf, rbf-normalized, mix-k)")
+                "(known: linear, p-linear, sigmoid, rbf, mix-k)")
 
 
 @pytest.mark.parametrize("value, hint, held", [
@@ -126,7 +126,7 @@ def test_typed_parses_names_and_holds_lists_item_by_item(value, hint, held):
     ({"linear": -1}, dict[KernelKind, NonNegative], ValueError,
      "value must be nonnegative, got -1.0"),
     ({"linear": float("nan")}, dict[KernelKind, NonNegative], ValueError,
-     "value must be nonnegative, got nan"),
+     "value must be finite, got nan"),
     (["cubic", 5], tuple[ScheduleKind, int, int], TypeError,
      'need a list of 3 items, got ["cubic", 5]'),
     (["cubic", 5, 1, 2], tuple[ScheduleKind, int, int], TypeError,
@@ -140,6 +140,8 @@ def test_typed_parses_names_and_holds_lists_item_by_item(value, hint, held):
     ([1, 1], typing.Annotated[list[int], (lambda v: len(set(v)) == len(v), "must not repeat")],
      ValueError, "value must not repeat, got [1, 1]"),
     ("x", dict, TypeError, 'need an object, got "x"'),
+    (float("inf"), float, ValueError, "value must be finite, got inf"),
+    ([1.0, -float("inf")], list[float], ValueError, "value must be finite, got -inf"),
 ])
 def test_typed_says_which_value_or_item_fails(value, hint, error, message):
     with pytest.raises(error) as err:
@@ -210,11 +212,17 @@ def test_check_holds_each_alias_to_its_range(alias, held, broken, what):
     for value in held:
         got = check("x", value, alias)
         assert got == value and type(got) is base
-    for value in broken + ([float("nan")] if base is float else []):
+    for value in broken:
         with pytest.raises(SettingError) as err:
             check("x", value, alias)
         assert (err.value.name, err.value.problem, str(err.value)) == (
             "x", "value out of range", f"x {what}, got {base(value)!r}")
+    # a float that is not finite fails before the alias's own rule
+    for value in [float("nan"), float("inf"), -float("inf")] if base is float else []:
+        with pytest.raises(SettingError) as err:
+            check("x", value, alias)
+        assert (err.value.problem, str(err.value)) == ("value out of range",
+                                                       f"x must be finite, got {value!r}")
 
 
 def test_check_of_an_optional_rule_passes_none_and_holds_the_rest():

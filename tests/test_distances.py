@@ -178,8 +178,7 @@ def _gradients(merge_fn, kind, pieces, a, b, weights, values=None, spec=None):
 
 
 @pytest.mark.parametrize("pieces", [1, 2, 3])
-@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.RBF,
-                                  KernelKind.RBF_NORMALIZED])
+@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.RBF])
 def test_merge_matches_composed_oracle_at_64x48(kind, pieces):
     rng = np.random.default_rng([pieces, 48])
     a, b = 0.5 * rng.normal(size=(48, 8)), 0.5 * rng.normal(size=(64, 8))
@@ -225,8 +224,7 @@ def test_merge_holds_no_m_n_r_array(kind):
     assert peak < m * n * r * 8 / 4, f"{kind.value}: peak {peak} bytes"
 
 
-@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.RBF,
-                                  KernelKind.RBF_NORMALIZED])
+@pytest.mark.parametrize("kind", [KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.RBF])
 def test_stacked_merge_equals_merge_of_each_slice(kind):
     # three slices with their own factors and coefficients; one slice has a
     # row pair inside the cancellation guard
@@ -256,7 +254,7 @@ def _grad_check_case(kind, seed):
     return a, b, Tensor(rng.normal(size=(8, 6))), spec
 
 
-@pytest.mark.parametrize("kind, seed", [(KernelKind.RBF_NORMALIZED, 0), (KernelKind.RBF, 12)])
+@pytest.mark.parametrize("kind, seed", [(KernelKind.RBF, 12)])
 def test_grad_check_failures_were_not_gradient_errors(kind, seed):
     # the entries `klora grad-check` used to fail on (gradients near 1e-8 to
     # 1e-6) agree with the composed oracle to rounding: the check, not the

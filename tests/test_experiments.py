@@ -66,7 +66,7 @@ BAD_DOCUMENTS = [
     ({"model": {"attention": {"position": 1}}},
      "value out of range for 'model.attention.position'"),
     ({"model": {"attention": True}}, "wrong type for 'model.attention'"),
-    ({"model": {"layer_dims": [16, 2.5]}}, "value out of range for 'model.layer_dims'"),
+    ({"model": {"layer_dims": [16]}}, "value out of range for 'model.layer_dims'"),
     ({"model": {"rank": 0}}, "value out of range for 'model.rank'"),
     ({"kernel": {"pieces": 0}}, "value out of range for 'kernel.pieces'"),
     ({"model": {"factor_std": 0}}, "value out of range for 'model.factor_std'"),
@@ -167,11 +167,17 @@ TYPO_ENTRIES = [
     ({"type": "schedule", "params": {"kinds": ["linear"]},
       "assert": {"values": [["cubic", 1, 3]]}},
      "experiments[1].assert.values: the entry reports no 'cubic' (it reports linear)"),
-    ({"name": "s", "type": "schedule"}, "experiments[1].name 's' repeats experiments[0]'s name"),
-    ({"name": "../escaped", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
-    ({"name": ["x"], "type": "schedule"}, "experiments[1].name must be a nonempty string"),
-    ({"name": "", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
-    ({"name": "..", "type": "schedule"}, "experiments[1].name must be a nonempty string"),
+    ({"name": "s", "type": "schedule"}, "experiments[1].name \"s\" repeats experiments[0]'s name"),
+    ({"name": "../escaped", "type": "schedule"},
+     "experiments[1].name': name must be a nonempty string, not '.' or '..', with no path "
+     'separator, got "../escaped"'),
+    ({"name": ["x"], "type": "schedule"}, "experiments[1].name': need a name, got [\"x\"]"),
+    ({"name": "", "type": "schedule"},
+     "experiments[1].name': name must be a nonempty string, not '.' or '..', with no path "
+     'separator, got ""'),
+    ({"name": "..", "type": "schedule"},
+     "experiments[1].name': name must be a nonempty string, not '.' or '..', with no path "
+     'separator, got ".."'),
     ({"type": "grad-evolution", "params": {"kernels": ["linear"]},
       "assert": {"max_rbf_mixk_ratio": 0.1}},
      "experiments[1].assert.max_rbf_mixk_ratio: the entry reports no 'rbf' (it reports linear)"),
@@ -243,7 +249,7 @@ TYPO_ENTRIES += [
      "wrong type for 'experiments[1].assert.values': need an integer, got 5.5"),
     ({"type": "train", "assert": {"max_final_loss": float("nan")}},
      "value out of range for 'experiments[1].assert.max_final_loss': max_final_loss "
-     "must be nonnegative, got nan"),
+     "must be finite, got nan"),
     ({"type": "fit-matrix", "params": {"kernels": ["linear"]},
       "assert": {"max_final_mse": {"linear": -1}}},
      "value out of range for 'experiments[1].assert.max_final_mse': max_final_mse "
@@ -269,6 +275,21 @@ TYPO_ENTRIES += [
     ({"type": "memory-model", "params": {"layer_dims": [[8, 8, 8]], "r": 2}},
      "wrong type for 'experiments[1].params.layer_dims': need a list of 2 items, "
      "got [8, 8, 8]"),
+]
+# appended last, so that the rows above keep their ids: an lr that JSON reads
+# as inf and a layer width that is no integer (in a document and a train
+# override each), and a piece init that is NaN
+BAD_DOCUMENTS += [
+    ({"train": {"lr": 1e400}}, "value out of range for 'train.lr': lr must be finite, got inf"),
+    ({"model": {"layer_dims": [16, 2.5]}},
+     "wrong type for 'model.layer_dims': need an integer, got 2.5"),
+]
+TYPO_ENTRIES += [
+    *[({"type": "train", "params": {"config": document}},
+       f"experiments[1].params.config: {message}") for document, message in BAD_DOCUMENTS[-2:]],
+    ({"type": "fit-matrix", "params": {"piece_init_eps": float("nan")}},
+     "value out of range for 'experiments[1].params.piece_init_eps': piece_init_eps "
+     "must be finite, got nan"),
 ]
 
 
@@ -630,7 +651,7 @@ class TestRunAll:
     def test_name_equal_to_an_earlier_default_rejected(self, tmp_path):
         entries = [{"type": "schedule"}, {"name": "schedule-0", "type": "schedule"}]
         with pytest.raises(ConfigError, match=re.escape(
-                "experiments[1].name 'schedule-0' repeats experiments[0]'s name")):
+                "experiments[1].name \"schedule-0\" repeats experiments[0]'s name")):
             run_all(apply_defaults({"experiments": entries}), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -639,7 +660,7 @@ class TestRunAll:
         entries = [{"name": "a", "type": "train"}, {"name": "a-sparsity", "type": "schedule"}]
         later = entries[second]
         with pytest.raises(ConfigError, match=re.escape(
-                f"experiments[1].name {later['name']!r} writes a-sparsity.csv, "
+                f"experiments[1].name {json.dumps(later['name'])} writes a-sparsity.csv, "
                 "which experiments[0] writes too")):
             run_all(apply_defaults({"experiments": [entries[first], later]}), tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -875,7 +896,7 @@ class TestCli:
         entries = [{"name": "a", "type": "train"}, {"name": "a-sparsity", "type": "schedule"}]
         later = entries[second]
         with pytest.raises(ConfigError, match=re.escape(
-                f"experiments[1].name {later['name']!r} writes a-sparsity.csv, "
+                f"experiments[1].name {json.dumps(later['name'])} writes a-sparsity.csv, "
                 "which experiments[0] writes too")):
             run_all(apply_defaults({"experiments": [entries[first], later]}), tmp_path / "out")
         assert not (tmp_path / "out").exists()
@@ -948,10 +969,11 @@ BAD_INPUT_COMMANDS = [
     (["alloc-trace", "RATIO_ABOVE_ONE"],
      "value out of range for 'epochs[0].ratios[0]': ratios[0] must lie in [0, 1], got 1.5"),
     (["alloc-trace", "RATIO_NAN"],
-     "value out of range for 'epochs[0].ratios[0]': ratios[0] must lie in [0, 1], got nan"),
+     "value out of range for 'epochs[0].ratios[0]': ratios[0] must be finite, got nan"),
     (["grad-check", "--rank", "7"], "rank 7 outside [1, min(m, n) = 6]"),
     (["alloc-trace", "RATIO_STRING"],
      "wrong type for 'epochs[0].ratios[0]': need a number, got \"0.5\""),
+    (["fit-matrix", "--piece-init-eps", "inf"], "piece_init_eps must be finite, got inf"),
 ]
 
 # files the commands above name by a placeholder
@@ -1014,6 +1036,31 @@ def test_cli_train_rejects_bad_document(tmp_path, document, message):
     assert not out.exists()
 
 
+# config files that each command rejects before any work: one that is not
+# UTF-8 ("{}" in UTF-16, with its byte-order mark), and one that names the
+# retired rbf-normalized kernel
+BAD_CONFIG_FILES = {
+    "utf-16": (b"\xff\xfe{\x00}\x00", "malformed JSON in {path}: 'utf-8' codec can't decode"),
+    "rbf-normalized": (b'{"kernel": {"kind": "rbf-normalized"}}',
+                       "value out of range for 'kernel.kind': unknown kernel 'rbf-normalized'"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "run-all"])
+@pytest.mark.parametrize("name", BAD_CONFIG_FILES)
+def test_cli_rejects_a_bad_config_file_before_any_work(tmp_path, name, command):
+    content, message = BAD_CONFIG_FILES[name]
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(cli_main, [command, "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message.format(path=path) in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_cli_train_rejects_an_unreachable_min_rank(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"train": {"task": {"min_rank": 15}}}))
@@ -1032,13 +1079,13 @@ def test_cli_train_rejects_an_unreachable_min_rank(tmp_path):
 def test_cli_grad_check_passes(args):
     result = CliRunner().invoke(cli_main, ["grad-check", *args])
     assert result.exit_code == 0, result.output
-    assert result.output.count("PASS") == 6
+    assert result.output.count("PASS") == len(KernelKind)
 
 
 @pytest.mark.parametrize("args", [
     ["memory-model", "--kernel", "MixK"],
     ["memory-model", "--kernel", "p_linear"],
-    ["memory-model", "--kernel", "rbfnorm"],
+    ["memory-model", "--kernel", "mix_k"],
     ["schedule", "--schedule", " Cubic ", "--schedule", "LINEAR"],
     ["train", "--sparsify-mode", "SOFT", "--alloc-period", "Per-Step", "--epochs", "1"],
 ])

@@ -158,13 +158,6 @@ class TestMerge:
             col_sums = (full - plain - beta).sum(axis=0)
             np.testing.assert_allclose(col_sums, alpha, atol=1e-9)
 
-    def test_rbf_normalized_columns_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        pair = random_pair(rng, 6, 4, 2)
-        spec = KernelSpec.canonical(KernelKind.RBF_NORMALIZED)
-        out = merge(spec, pair).data
-        np.testing.assert_allclose(out.sum(axis=0), 1.0, atol=1e-12)
-
     def test_zero_init_merge_is_zero_for_zeroable_kinds(self):
         rng = np.random.default_rng(3)
         pair = random_pair(rng, 5, 4, 3)
@@ -279,9 +272,8 @@ class TestPsd:
 
     def test_column_normalized_kinds_rejected(self):
         pts = np.random.default_rng(10).normal(size=(5, 2))
-        for kind in (KernelKind.MIX_K, KernelKind.RBF_NORMALIZED):
-            with pytest.raises(ValueError, match="not symmetric"):
-                psd_check(KernelSpec.canonical(kind), pts)
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_check(KernelSpec.canonical(KernelKind.MIX_K), pts)
 
 
 class TestMergeGradients:
@@ -354,7 +346,9 @@ class TestSpecPlumbing:
     def test_parse_aliases(self):
         assert KernelKind("MixK") is KernelKind.MIX_K
         assert KernelKind("p_linear") is KernelKind.P_LINEAR
-        assert KernelKind("rbf-normalized") is KernelKind.RBF_NORMALIZED
+        for retired in ("rbf-normalized", "rbfnorm"):
+            with pytest.raises(ValueError, match=f"unknown kernel '{retired}'"):
+                KernelKind(retired)
 
     def test_parse_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):

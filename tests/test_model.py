@@ -116,7 +116,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("settings, message", [
         ({"beta1": 1.0}, "beta1 must lie in"), ({"beta1": -0.1}, "beta1 must lie in"),
-        ({"beta2": 1.5}, "beta2 must lie in"), ({"beta2": float("nan")}, "beta2 must lie in"),
+        ({"beta2": 1.5}, "beta2 must lie in"), ({"beta2": float("nan")}, "beta2 must be finite"),
         ({"eps": -1.0}, "eps must be positive"), ({"eps": 0.0}, "eps must be positive"),
     ])
     def test_out_of_range_settings_rejected(self, settings, message):

@@ -33,7 +33,7 @@ from klora.config import (
     trainer_config_from,
 )
 from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
-from klora.kernels import KernelKind
+from klora.kernels import KINDS, KernelKind
 from klora.model import Adam, RunTrace, TrainerConfig, build_model, fine_tune
 from klora.reports import read_csv, write_csv
 from klora.svgplot import emit_heatmap_svg, render_heatmap_svg
@@ -45,12 +45,12 @@ SETTING_ERRORS = [
     ("pieces", 0, "pieces must be >= 1, got 0"),
     ("factor_std", 0.0, "factor_std must be positive, got 0.0"),
     ("smoothing_beta1", 1.5, "smoothing_beta1 must lie in [0, 1], got 1.5"),
-    ("smoothing_beta2", float("nan"), "smoothing_beta2 must lie in [0, 1], got nan"),
+    ("smoothing_beta2", float("nan"), "smoothing_beta2 must be finite, got nan"),
     ("seed", -1, "seed must be nonnegative, got -1"),
     ("epochs", -1, "epochs must be nonnegative, got -1"),
-    ("lr", float("nan"), "lr must be nonnegative, got nan"),
+    ("lr", float("nan"), "lr must be finite, got nan"),
     ("kernel_kind", "polynomial",
-     "unknown kernel 'polynomial' (known: linear, p-linear, sigmoid, rbf, rbf-normalized, mix-k)"),
+     "unknown kernel 'polynomial' (known: linear, p-linear, sigmoid, rbf, mix-k)"),
     ("budget_ratio", 1.5, "budget_ratio must lie in [0, 1], got 1.5"),
     ("adam_beta1", 1.0, "adam_beta1 must lie in [0, 1), got 1.0"),
     ("adam_beta1", -0.1, "adam_beta1 must lie in [0, 1), got -0.1"),
@@ -58,7 +58,7 @@ SETTING_ERRORS = [
     ("adam_beta2", 1.0, "adam_beta2 must lie in [0, 1), got 1.0"),
     ("adam_eps", -1.0, "adam_eps must be positive, got -1.0"),
     ("adam_eps", 0.0, "adam_eps must be positive, got 0.0"),
-    ("adam_eps", float("nan"), "adam_eps must be positive, got nan"),
+    ("adam_eps", float("nan"), "adam_eps must be finite, got nan"),
 ]
 # the Adam argument of each setting it takes
 ADAM_ARGUMENTS = {"lr": "lr", "adam_beta1": "beta1", "adam_beta2": "beta2", "adam_eps": "eps"}
@@ -232,13 +232,13 @@ class TestConfig:
         assert (ds.attention["position"], ds.attention["tokens"]) == (1, 2)
 
 
-def _readme_configuration():
+def _readme_section(title):
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    return text.split("\n## Configuration\n")[1].split("\n## ")[0]
+    return text.split(f"\n## {title}\n")[1].split("\n## ")[0]
 
 
 def test_readme_configuration_table_lists_every_key():
-    rows = re.findall(r"^\| `([a-z_0-9.-]+)` \|", _readme_configuration(), re.M)
+    rows = re.findall(r"^\| `([a-z_0-9.-]+)` \|", _readme_section("Configuration"), re.M)
     keys = [f"{section}.{key}" for section, values in DEFAULTS.items()
             if isinstance(values, dict) for key in values]
     keys += [f"model.attention.{key}" for key in ATTENTION_DEFAULTS]
@@ -250,7 +250,7 @@ def test_readme_configuration_table_lists_every_key():
 
 def test_each_trainer_setting_has_one_readme_row_showing_its_default():
     rows = re.findall(r"^\| `([a-z_0-9.]+)` \| [^|]+ \| `([^`]*)` \|",
-                      _readme_configuration(), re.M)
+                      _readme_section("Configuration"), re.M)
     documented = [(SETTINGS[key], default) for key, default in rows if key in SETTINGS]
     defaults = [(name, value if isinstance(value, str) else json.dumps(value))
                 for name, value in TrainerConfig().to_dict().items()]
@@ -259,9 +259,23 @@ def test_each_trainer_setting_has_one_readme_row_showing_its_default():
 
 @pytest.mark.parametrize("kind", list(TaskKind))
 def test_readme_lists_each_task_kinds_keys(kind):
-    row = re.search(rf"^\| `{kind.value}` \| (.*) \|$", _readme_configuration(), re.M)
+    row = re.search(rf"^\| `{kind.value}` \| (.*) \|$", _readme_section("Configuration"), re.M)
     assert row is not None
     assert re.findall(r"`([a-z_]+)`", row.group(1)) == list(TASK_KEYS[kind])
+
+
+def test_readme_checkpoint_kind_table_lists_every_kind_row():
+    rows = re.findall(r"^\| (\d+) \| ([^|]+) \| ([^|]+) \|$",
+                      _readme_section("Checkpoint format"), re.M)
+    by_id = {row.kind_id: row for row in KINDS.values()}
+    assert [int(kind_id) for kind_id, *_ in rows] == sorted([*by_id, RETIRED_KIND_ID])
+    for kind_id, kind, coefficients in rows:
+        row = by_id.get(int(kind_id))
+        if row is None:
+            assert kind.startswith("retired"), kind_id
+        else:
+            assert kind == f"`{row.kind.value}`"
+            assert re.findall(r"`(\w+)`", coefficients) == [c.name for c in row.coefficients]
 
 
 def small_model(seed=0, kind=KernelKind.MIX_K, dims=(6, 5, 7), **settings):
@@ -415,8 +429,23 @@ def write_crafted(path, layers):
     for m, n, r, kind_id, coeffs, floats in layers:
         parts.append(struct.pack("<IIIHI", m, n, r, kind_id, len(coeffs)))
         parts.append(np.asarray(list(coeffs) + list(floats), dtype="<f8").tobytes())
-    payload = b"".join(parts)
-    path.write_bytes(payload + hashlib.blake2b(payload, digest_size=8).digest())
+    path.write_bytes(seal(b"".join(parts)))
+
+
+def seal(payload: bytes) -> bytes:
+    """The payload and its 8-byte BLAKE2b checksum: a format-v1 file."""
+    return payload + hashlib.blake2b(payload, digest_size=8).digest()
+
+
+def layer_spans(payload: bytes) -> list:
+    """(start, end, kind id) of each layer in a format-v1 payload."""
+    spans, start = [], 10
+    while start < len(payload):
+        m, n, r, kind_id, n_coeff = struct.unpack_from("<IIIHI", payload, start)
+        end = start + 18 + 8 * (n_coeff + (m + n) * r)
+        spans.append((start, end, kind_id))
+        start = end
+    return spans
 
 
 class TestCraftedCheckpoint:
@@ -440,7 +469,8 @@ class TestCraftedCheckpoint:
 
 
 # A format-v1 file written before the kernel registry existed: one 2 x 2
-# layer per kind id 0..5, built by `golden_layers` below.
+# layer per kind id 0..5. Kind id 4 (rbf-normalized) is retired, so the file
+# no longer loads.
 GOLDEN_V1 = bytes.fromhex(
     "534e4c41010006000000020000000200000001000000000000000000000000000000e0bf000000000000d8bf"
     "000000000000d03f000000000000b03f020000000200000002000000010002000000000000000000e03f0000"
@@ -457,18 +487,26 @@ GOLDEN_V1 = bytes.fromhex(
 )
 
 
+RETIRED_KIND_ID = 4
+# GOLDEN_V1 less its layer of the retired kind: the other five layers keep
+# their pinned bytes, under a new layer count and checksum
+GOLDEN_V1_LIVE = seal(GOLDEN_V1[:6] + struct.pack("<I", 5) + b"".join(
+    GOLDEN_V1[start:end] for start, end, kind_id in layer_spans(GOLDEN_V1[:-8])
+    if kind_id != RETIRED_KIND_ID))
+
+
 def golden_layers():
-    """(kind, coefficients, A, B) per layer of GOLDEN_V1."""
+    """(kind, coefficients, A, B) per layer of GOLDEN_V1_LIVE, built from its kind id."""
     coeffs = {
         KernelKind.LINEAR: [],
         KernelKind.P_LINEAR: [0.5, -0.25],
         KernelKind.SIGMOID: [1.5, 0.75, -0.125],
         KernelKind.RBF: [2.0, 0.5, 0.25],
-        KernelKind.RBF_NORMALIZED: [-1.0, 4.0, 0.0625],
         KernelKind.MIX_K: [0.375, -0.625, 1.25, -2.5],
     }
     out = []
-    for i, (kind, values) in enumerate(coeffs.items()):
+    for kind, values in coeffs.items():
+        i = KINDS[kind].kind_id
         r = 2 if kind in (KernelKind.P_LINEAR, KernelKind.MIX_K) else 1
         grid = np.arange(2 * r, dtype=float).reshape(2, r)
         out.append((kind, values, (grid + i) / 8.0 - 0.5, -(grid * 3 + i) / 16.0 + 0.25))
@@ -478,9 +516,9 @@ def golden_layers():
 class TestFormatV1:
     def test_golden_file_loads_and_resaves_byte_for_byte(self, tmp_path):
         path = tmp_path / "golden.bin"
-        path.write_bytes(GOLDEN_V1)
+        path.write_bytes(GOLDEN_V1_LIVE)
         records = load_checkpoint(path)
-        assert len(records) == 6
+        assert len(records) == 5
         for rec, (kind, values, a, b) in zip(records, golden_layers()):
             assert rec.kind is kind
             np.testing.assert_array_equal(rec.coefficients, values)
@@ -490,7 +528,16 @@ class TestFormatV1:
                   for pair, spec in (rec.to_pair_and_spec() for rec in records)]
         again = tmp_path / "again.bin"
         save_checkpoint(layers, again)
-        assert again.read_bytes() == GOLDEN_V1
+        assert again.read_bytes() == GOLDEN_V1_LIVE
+
+    def test_golden_file_naming_the_retired_kind_is_rejected(self, tmp_path):
+        # the live golden holds one layer of each kind; the pinned file adds id 4
+        live = [kind_id for *_, kind_id in layer_spans(GOLDEN_V1_LIVE[:-8])]
+        assert live == sorted(row.kind_id for row in KINDS.values())
+        path = tmp_path / "golden.bin"
+        path.write_bytes(GOLDEN_V1)
+        with pytest.raises(CheckpointError, match=f"unknown kernel kind id {RETIRED_KIND_ID}"):
+            load_checkpoint(path)
 
 
 class TestCsv:
