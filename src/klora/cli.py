@@ -23,7 +23,7 @@ from .checkpoint import save_checkpoint
 from .choices import Count, Positive
 from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
                      trainer_config_from)
-from .experiments import _check_ranks, _checked, default_run_config
+from .experiments import check_ranks, checked, default_run_config
 from .kernels import KernelKind, KernelSpec, LowRankPair, merge
 from .model import RunTrace, Trainer, build_model
 from .reports import write_csv
@@ -159,7 +159,7 @@ _OVERRIDE_KEYS = {key.split(".")[1]: key for key in SETTINGS}
 def train_cmd(config, out, checkpoint_path, **overrides):
     """Fine-tune adapters on the configured synthetic task."""
     with _usage_errors():
-        raw = {} if config is None else load_config(config).to_dict()
+        raw = {} if config is None else load_config(config)
         for option, value in overrides.items():
             if value is not None:
                 section, key = _OVERRIDE_KEYS[option].split(".")
@@ -221,7 +221,7 @@ def memory_model_cmd(out, layers, m, n, **params):
     _run("memory-model", out, layer_dims=[[m, n]] * layers, **params)
 
 
-@_checked(lambda m, n, rank, **_: _check_ranks(m, n, r=rank))
+@checked(lambda m, n, rank, **_: check_ranks(m, n, r=rank))
 def _grad_check(kernels: list[KernelKind], seeds: Count, m: Count, n: Count, rank: Count,
                pieces: Count, h: Positive, tol: Positive):
     """Yield (kind, largest relative error) per kernel of finite-difference checks

@@ -1,7 +1,8 @@
 """Run configuration: one JSON document, strict keys, every setting described once.
 
 The document has nested sections `model`, `kernel`, `sparsity`, `train`,
-and `experiments`. Unknown keys are rejected. This module owns the layout,
+and `experiments`; `apply_defaults` returns it defaulted and checked, as
+a plain dict. Unknown keys are rejected. This module owns the layout,
 `klora.model` what a setting means: a trainer setting is one `TrainerConfig`
 field (default, and type or name enum with any range rule) plus one SETTINGS row,
 the document key that sets it. `model.layer_dims`, `model.bias`,
@@ -14,9 +15,7 @@ trainer construction.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Annotated
 
@@ -68,23 +67,15 @@ def _defaults() -> dict:
 DEFAULTS = _defaults()
 
 
-@dataclass
-class RunConfig:
-    """Validated, fully defaulted configuration."""
-
-    model: dict = field(default_factory=dict)
-    kernel: dict = field(default_factory=dict)
-    sparsity: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    experiments: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def value(self, key: str):
-        """The value at a `section.leaf` document key."""
-        section, leaf = key.split(".")
-        return getattr(self, section)[leaf]
+def merged(base: dict, overrides: dict) -> dict:
+    """`overrides` laid over `base`, object by object: an object given over an
+    object merges into it, any other value replaces. The result shares no list
+    or dict with either input."""
+    out = copy.deepcopy(base)
+    for key, value in overrides.items():
+        both = isinstance(value, dict) and isinstance(out.get(key), dict)
+        out[key] = merged(out[key], value) if both else copy.deepcopy(value)
+    return out
 
 
 def _reject_unknown(given: dict, allowed, where: str) -> None:
@@ -112,27 +103,13 @@ def check_type(key: str, value, hint):
         raise located(err, key) from None
 
 
-def _merge_section(section: str, given) -> dict:
-    base = copy.deepcopy(DEFAULTS[section])
-    if given is None:
-        return base
-    if not isinstance(given, dict):
-        raise ConfigError(f"section '{section}' must be an object")
-    _reject_unknown(given, base.keys(), section)
-    for key, value in given.items():
-        if key == "task" and isinstance(value, dict):
-            value = {**base["task"], **value}
-        base[key] = copy.deepcopy(value)
-    return base
-
-
-def _task(config: RunConfig) -> tuple:
+def _task(config: dict) -> tuple:
     """The configured task's kind and builder arguments, checked against its
     builder's parameters, their annotations and the rules that read the
     model's layer dims."""
-    if not isinstance(config.train["task"], dict):
+    if not isinstance(config["train"]["task"], dict):
         raise ConfigError("wrong type for 'train.task': need an object")
-    args = dict(config.train["task"])
+    args = dict(config["train"]["task"])
     kind = check_type("train.task.kind", args.pop("kind"), datasets.TaskKind)
     keys, ranges = datasets.TASK_KEYS[kind], datasets.TASKS[kind][2]
     _reject_unknown(args, keys, "train.task")
@@ -141,7 +118,7 @@ def _task(config: RunConfig) -> tuple:
             check_type(f"train.task.{key}", value, keys[key])
         if key in ranges:
             holds, rule = ranges[key]
-            _check_range(holds(value, config.model["layer_dims"]), f"train.task.{key}",
+            _check_range(holds(value, config["model"]["layer_dims"]), f"train.task.{key}",
                          f"{key} {rule}, got {json.dumps(value)}")
     return kind, args
 
@@ -166,22 +143,25 @@ def _attention(model: dict):
     return position, tokens
 
 
-def apply_defaults(raw: dict) -> RunConfig:
-    """Fill defaults, reject unknown keys, and check every value's type and range."""
+def apply_defaults(raw: dict) -> dict:
+    """`raw` laid over DEFAULTS, a section given as null taking its defaults,
+    with unknown keys rejected and every value's type and range checked."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     _reject_unknown(raw, DEFAULTS.keys(), "<root>")
-    experiments = raw.get("experiments", [])
-    if not isinstance(experiments, list):
+    if not isinstance(raw.get("experiments", []), list):
         raise ConfigError("section 'experiments' must be a list")
-    config = RunConfig(**{section: _merge_section(section, raw.get(section))
-                          for section in ("model", "kernel", "sparsity", "train")},
-                       experiments=experiments)
+    for section in ("model", "kernel", "sparsity", "train"):
+        given = raw.get(section)
+        if given is not None and not isinstance(given, dict):
+            raise ConfigError(f"section '{section}' must be an object")
+        _reject_unknown(given or {}, DEFAULTS[section], section)
+    config = merged(DEFAULTS, {key: value for key, value in raw.items() if value is not None})
 
-    config.model["layer_dims"] = check_type("model.layer_dims", config.model["layer_dims"],
-                                            LayerDims)
-    check_type("model.bias", config.model["bias"], bool)
-    _attention(config.model)
+    model = config["model"]
+    model["layer_dims"] = check_type("model.layer_dims", model["layer_dims"], LayerDims)
+    check_type("model.bias", model["bias"], bool)
+    _attention(model)
     _task(config)
     try:
         trainer_config_from(config)
@@ -190,7 +170,7 @@ def apply_defaults(raw: dict) -> RunConfig:
     return config
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -199,18 +179,13 @@ def load_config(path) -> RunConfig:
     return apply_defaults(raw)
 
 
-def save_config(config: RunConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def trainer_config_from(config: RunConfig) -> TrainerConfig:
+def trainer_config_from(config: dict) -> TrainerConfig:
     """Translate the document into the trainer's dataclass."""
-    return TrainerConfig(**{name: config.value(key) for key, name in SETTINGS.items()})
+    return TrainerConfig(**{name: config[section][leaf] for key, name in SETTINGS.items()
+                            for section, leaf in [key.split(".")]})
 
 
-def dataset_from(config: RunConfig):
+def dataset_from(config: dict):
     """Build the configured synthetic dataset (model dims drive the task).
 
     A `min_rank` that no sparse draw at the task's density reaches is a
@@ -218,15 +193,15 @@ def dataset_from(config: RunConfig):
     `apply_defaults` cannot rule it out.
     """
     kind, args = _task(config)
-    dims, seed = config.model["layer_dims"], config.train["seed"]
-    supplied = {"layer_dims": tuple(dims), "bias": config.model["bias"]}
+    dims, seed = config["model"]["layer_dims"], config["train"]["seed"]
+    supplied = {"layer_dims": tuple(dims), "bias": config["model"]["bias"]}
     args.update((key, supplied[key]) for key in datasets.TASKS[kind][1])
     try:
         dataset = datasets.synth_dataset(kind, seed=seed, **args)
     except datasets.UnreachableRank as err:
         raise ConfigError(f"value out of range for 'train.task.min_rank': {err}") from None
 
-    attention = _attention(config.model)
+    attention = _attention(config["model"])
     if attention is not None:
         position, tokens = attention
         dh = dims[position + 1] // tokens

@@ -24,7 +24,7 @@ import numpy as np
 from .allocation import BudgetSchedule, ScheduleKind, budget_at
 from .choices import (COUNT, Choice, Count, Natural, NonNegative, OpenUnit, Positive,
                       SettingError, Unit, check, hints)
-from .config import (ConfigError, RunConfig, apply_defaults, check_type, dataset_from, located,
+from .config import (ConfigError, apply_defaults, check_type, dataset_from, located, merged,
                      trainer_config_from)
 from .kernels import (
     KINDS,
@@ -90,7 +90,7 @@ def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r
     return a, b
 
 
-def _checked(*cross):
+def checked(*cross):
     """A driver that holds each annotated argument to its type and range rule
     (`choices.check`), then runs the rules across params `cross`, and runs on
     the parsed values; `driver.check(**params)` runs the checks alone."""
@@ -108,17 +108,17 @@ def _checked(*cross):
             return bound
 
         @functools.wraps(driver)
-        def checked(*args, **kwargs):
+        def run(*args, **kwargs):
             bound = bind(signature.bind, *args, **kwargs)
             return driver(*bound.args, **bound.kwargs)
 
-        checked.check = functools.partial(bind, signature.bind_partial)
-        return checked
+        run.check = functools.partial(bind, signature.bind_partial)
+        return run
 
     return decorate
 
 
-def _check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=(), **_):
+def check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=(), **_):
     """The fitting and rank drivers' rules across params: every rank and the
     target rank within min(m, n), and a fit's pieces within its rank."""
     if target_rank is not None and target_rank > min(m, n):
@@ -267,7 +267,7 @@ def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
     return runs, out["ranks"]
 
 
-@_checked(_check_ranks)
+@checked(check_ranks)
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4,
                           target_rank: Annotated[int | None, COUNT] = None,
                           kernels: list[KernelKind] = DEFAULT_KERNELS, steps: Natural = 20000,
@@ -340,7 +340,7 @@ def ordering_fraction(report: ExperimentReport, ordering) -> float:
     return wins / max(len(report.per_seed), 1)
 
 
-@_checked(_check_ranks)
+@checked(check_ranks)
 def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "linear"),
                               scale: Positive = 10.0, steps: Natural = 300, m: int = 16,
                               n: int = 16, r: int = 4, seeds: Count = 3, lr: NonNegative = 1e-3,
@@ -389,7 +389,7 @@ def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "line
                             duration_s=watch.elapsed())
 
 
-@_checked(_check_ranks)
+@checked(check_ranks)
 def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
                kernels: list[KernelKind] = DEFAULT_KERNELS,
                seeds: Count = 10, eps_rel: OpenUnit = 1e-6, pieces: Count = 2,
@@ -451,7 +451,7 @@ def alloc_trace_table(trace: RunTrace):
     return header, rows
 
 
-@_checked(lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T))
+@checked(lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T))
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
                    kinds: list[ScheduleKind] = ("constant", "linear", "quadratic", "cubic")):
     """(t, budget) at every step t = 0..T, per schedule kind."""
@@ -478,7 +478,7 @@ Layers = Annotated[list[tuple[Count, Count]],
                    (lambda layers: len(layers) > 0, "must list at least one layer")]
 
 
-@_checked()
+@checked()
 def memory_footprint_estimate(layer_dims: Layers, r: Natural, mode: MemoryMode,
                               kernel_kind: KernelKind = "mix-k", pieces: Count = 2) -> dict:
     """Analytic float counts for parameters and optimizer state.
@@ -511,7 +511,7 @@ def memory_footprint_estimate(layer_dims: Layers, r: Natural, mode: MemoryMode,
     }
 
 
-def train_experiment(config: RunConfig) -> tuple:
+def train_experiment(config: dict) -> tuple:
     """Run the configured fine-tune; returns (report, trace)."""
     watch = StopWatch()
     dataset = dataset_from(config)
@@ -519,7 +519,7 @@ def train_experiment(config: RunConfig) -> tuple:
     trace = fine_tune(trainer_cfg, dataset)
     report = ExperimentReport(
         name="train",
-        config=config.to_dict(),
+        config=config,
         seeds=[trace.seed],
         per_seed=[{"seed": trace.seed, "initial_loss": trace.initial_loss,
                    "final_loss": trace.final_loss,
@@ -558,11 +558,11 @@ def _run_memory_model(params, config):
     return report, None
 
 
-def _train_config(params, config) -> RunConfig:
+def _train_config(params, config) -> dict:
     """The run config with the entry's `config` overrides applied."""
     overrides = check("config", params.get("config", {}), dict)
-    sub_config = apply_defaults(_merge_dicts(config.to_dict(), overrides))
-    sub_config.experiments = []
+    sub_config = apply_defaults(merged(config, overrides))
+    sub_config["experiments"] = []
     return sub_config
 
 
@@ -678,8 +678,8 @@ class ExperimentType:
 
 
 def _params_of(driver, *fixed) -> tuple:
-    """The `_checked` driver's parameters with their defaults, less `fixed`, and
-    a check(params, config) that runs its `_checked` rules on params and
+    """The `checked` driver's parameters with their defaults, less `fixed`, and
+    a check(params, config) that runs its `checked` rules on params and
     returns them parsed, defaults filled in."""
     params = {p.name: p.default for p in inspect.signature(driver).parameters.values()
               if p.name not in fixed}
@@ -733,7 +733,7 @@ def _asserts(assert_check, asserts: dict, where: str = "") -> dict:
 _ENTRY_KEYS = ("name", "type", "params", "assert")
 
 
-def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
+def check_entry(entry: dict, config: dict, where: str = "") -> None:
     """Raise a ConfigError for any key or value of one experiment entry that
     its run would fail on; `where` prefixes the keys a message names."""
     for key in entry:
@@ -770,7 +770,7 @@ def check_entry(entry: dict, config: RunConfig, where: str = "") -> None:
                                       f"(it reports {', '.join(known)})")
 
 
-def run_entry(entry: dict, config: RunConfig, out_dir: Path, name: str) -> tuple:
+def run_entry(entry: dict, config: dict, out_dir: Path, name: str) -> tuple:
     """Run one checked entry, write its table and report as `name` under
     `out_dir`, and evaluate its asserts; returns (report, paths, failures)."""
     etype = EXPERIMENT_TYPES[entry["type"]]
@@ -793,7 +793,7 @@ EntryName = Annotated[str, (lambda name: name not in ("", ".", "..") and Path(na
                             "must be a nonempty string, not '.' or '..', with no path separator")]
 
 
-def run_all(config: RunConfig, out_dir) -> tuple:
+def run_all(config: dict, out_dir) -> tuple:
     """Execute every experiment in the config; returns (report paths, failures).
 
     All entries are checked before anything runs, their names too: each
@@ -803,7 +803,7 @@ def run_all(config: RunConfig, out_dir) -> tuple:
     experiment's results; failures are collected, not fatal.
     """
     names, writers = [], {}  # writers: file name -> index of the entry writing it
-    for i, entry in enumerate(config.experiments):
+    for i, entry in enumerate(config["experiments"]):
         check_entry(check_type(f"experiments[{i}]", entry, dict), config, f"experiments[{i}].")
         name = check_type(f"experiments[{i}].name", entry.get("name", f"{entry['type']}-{i}"),
                           EntryName)
@@ -820,24 +820,14 @@ def run_all(config: RunConfig, out_dir) -> tuple:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths, failures = [], []
-    for entry, name in zip(config.experiments, names):
+    for entry, name in zip(config["experiments"], names):
         _, written, failed = run_entry(entry, config, out_dir, name)
         paths += written
         failures += failed
     return paths, failures
 
 
-def _merge_dicts(base: dict, overrides: dict) -> dict:
-    out = {k: (v.copy() if isinstance(v, dict) else v) for k, v in base.items()}
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_dicts(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
-def default_run_config() -> RunConfig:
+def default_run_config() -> dict:
     """The bundled configuration exercised by `run-all` with no --config."""
     return apply_defaults(
         {

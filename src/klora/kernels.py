@@ -12,9 +12,11 @@ Every per-kind fact lives in the kind's row of `KINDS`; a new kind is one row.
 
 Coefficient conventions
 -----------------------
-zero_init: every learnable coefficient starts at 0 (so the merge is the
-zero matrix and an adapted layer equals its base layer) except the RBF and
-sigmoid bandwidths, which start at 1 and must stay positive.
+zero_init: every learnable coefficient starts at 0 except the RBF and
+sigmoid bandwidths, which start at 1 and must stay positive. A kind with
+coefficients then merges to the zero matrix, so an adapted layer starts as
+its base layer. `linear` has none: its merge starts at B A^T, with both
+factors Gaussian in the trainer; only the fits start B at zero.
 canonical:  every learnable coefficient is 1 except additive offsets
 (gamma terms and the mixed kind's offset), which are 0. This is the
 positive-semidefinite configuration used by analysis utilities.

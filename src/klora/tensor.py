@@ -164,11 +164,14 @@ def scalar_add(a: Tensor, c) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
+    """e^a; an overflow gives inf, and its gradient inf or nan, unwarned: a fit
+    that gets there has diverged, which its caller sees in the loss."""
     with np.errstate(over="ignore"):
         e = np.exp(a.data)
 
     def bwd(g):
-        return (g * e,)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (g * e,)
 
     return _make(e, (a,), bwd)
 

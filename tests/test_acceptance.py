@@ -334,7 +334,7 @@ class TestAcceptance:
         except ChecksumError:
             corrupt_detected = True
         once = apply_defaults({"train": {"lr": 0.5}})
-        idempotent = apply_defaults(once.to_dict()).to_dict() == once.to_dict()
+        idempotent = apply_defaults(once) == once
         passed = roundtrip and corrupt_detected and idempotent
         detail = (f"roundtrip {roundtrip}, corruption detected {corrupt_detected}, "
                   f"defaulting idempotent {idempotent}, {_timed(5, start, 'criterion 12')}")

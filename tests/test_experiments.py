@@ -291,6 +291,17 @@ TYPO_ENTRIES += [
      "value out of range for 'experiments[1].params.piece_init_eps': piece_init_eps "
      "must be finite, got nan"),
 ]
+# appended last, so that the rows above keep their ids: sections that are no
+# object or list, the first in section order named (in a document and a train
+# override each)
+BAD_DOCUMENTS += [
+    ({"model": 3}, "section 'model' must be an object"),
+    ({"experiments": None}, "section 'experiments' must be a list"),
+    ({"train": 3, "model": 3}, "section 'model' must be an object"),
+]
+TYPO_ENTRIES += [({"type": "train", "params": {"config": document}},
+                  f"experiments[1].params.config: {message}")
+                 for document, message in BAD_DOCUMENTS[-3:]]
 
 
 class TestFitTargets:
@@ -804,6 +815,16 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "rank-sweep.csv").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverging_fit_is_reported_without_a_numpy_warning(self, tmp_path):
+        # sigmoid at this lr overflows exp within the steps: inf in the forward
+        # pass, and inf times a zero gradient in the backward pass
+        result = CliRunner().invoke(cli_main, [
+            "fit-matrix", "--kernel", "sigmoid", "--size", "32", "--rank", "4", "--steps",
+            "3000", "--seeds", "1", "--density", "1.0", "--lr", "1e-2", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "diverged_runs: 1" in result.output
+
     def test_train_and_alloc_trace_commands(self, tmp_path):
         runner = CliRunner()
         cfg = {
@@ -1134,7 +1155,7 @@ def test_cli_command_writes_what_its_run_all_entry_writes(tmp_path, args, params
 
 def test_default_run_config_is_valid():
     cfg = default_run_config()
-    assert len(cfg.experiments) == 6
+    assert len(cfg["experiments"]) == 6
 
 
 class TestConcurrencyDeterminism:

@@ -6,7 +6,8 @@ These tests hold each op to the same forward bits and the same bits in
 every gradient, and a whole training run to the same trace and checkpoint
 bytes. On drawn stacks (`distance_cases`), the distance ops are held to
 their chains, partial mixes and `weighted_segment_distances` slice by
-slice included, and the cancellation guard to its full-mask definition.
+slice included, and the cancellation guard to its full-mask definition;
+`soft_threshold` and `affine` are held to theirs on drawn cases too.
 """
 
 import json
@@ -106,6 +107,13 @@ NEAR_GUARD = [0.0, 1e-9, 3e-4, 1e-3, 1.4e-3, 2e-3]
 LAYOUTS = ["c-order", "fortran", "transposed"]
 
 
+def incoming_gradient(rng, layout, shape):
+    """A drawn gradient of `shape`: C order, Fortran order, or a transposed view."""
+    if layout == "transposed":
+        return np.swapaxes(rng.normal(size=(*shape[:-2], shape[-1], shape[-2])), -1, -2)
+    return np.asarray(rng.normal(size=shape), order="F" if layout == "fortran" else "C")
+
+
 @st.composite
 def distance_cases(draw):
     """Factor stacks for the distance ops: 0-2 stack axes, pieces of unequal
@@ -122,12 +130,7 @@ def distance_cases(draw):
         a[..., j, :] = b[..., draw(st.integers(0, m - 1)), :] + offset * scale * rng.normal(
             size=(*lead, r))
     mixes = draw(st.integers(0, lead[0])) if lead else None
-    layout = draw(st.sampled_from(LAYOUTS))
-    if layout == "transposed":
-        upstream = np.swapaxes(rng.normal(size=(*lead, n, m)), -1, -2)
-    else:
-        upstream = np.asarray(rng.normal(size=(*lead, m, n)), order="F" if layout == "fortran"
-                              else "C")
+    upstream = incoming_gradient(rng, draw(st.sampled_from(LAYOUTS)), (*lead, m, n))
     return b, a, list(zip(edges, edges[1:])), mixes, upstream, rng
 
 
@@ -213,6 +216,51 @@ def test_affine_equals_its_chain(m, n, with_bias):
     assert_fused_equals_chain(lambda x, d: affine(x, w0, d, bias),
                               lambda x, d: composed_chains.affine(x, w0, d, bias),
                               arrays, rng.normal(size=(32, m)))
+
+
+@st.composite
+def threshold_cases(draw):
+    """Stacks for `soft_threshold`: 0-2 stack axes, a scalar or per-slice tau,
+    entries exactly at +-tau and at +-0, and the layout of the incoming gradient."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(*lead, m, n))
+    per_slice = np.abs(rng.normal(size=(*lead, 1, 1)))
+    tau = per_slice if draw(st.booleans()) else float(per_slice.flat[0])
+    slice_tau = np.broadcast_to(tau, per_slice.shape)[..., 0, 0]
+    for _ in range(draw(st.integers(0, m * n))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        x[..., i, j] = draw(st.sampled_from([1.0, -1.0, 0.0, -0.0])) * slice_tau
+    return x, tau, incoming_gradient(rng, draw(st.sampled_from(LAYOUTS)), x.shape)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(threshold_cases())
+def test_soft_threshold_equals_its_chain_bit_for_bit(case):
+    x, tau, upstream = case
+    assert_fused_equals_chain(lambda t: soft_threshold(t, tau),
+                              lambda t: composed_chains.soft_threshold(t, tau), [x], upstream)
+
+
+@st.composite
+def affine_cases(draw):
+    """A batch for `affine`: its size, the layer widths, a bias or none, and
+    the layout of the incoming gradient."""
+    k, m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w0, bias = rng.normal(size=(m, n)), rng.normal(size=m) if draw(st.booleans()) else None
+    arrays = [rng.normal(size=(k, n)), rng.normal(size=(m, n))]
+    return w0, bias, arrays, incoming_gradient(rng, draw(st.sampled_from(LAYOUTS)), (k, m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(affine_cases())
+def test_affine_equals_its_chain_bit_for_bit(case):
+    w0, bias, arrays, upstream = case
+    assert_fused_equals_chain(lambda x, d: affine(x, w0, d, bias),
+                              lambda x, d: composed_chains.affine(x, w0, d, bias),
+                              arrays, upstream)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])

@@ -29,7 +29,6 @@ from klora.config import (
     apply_defaults,
     dataset_from,
     load_config,
-    save_config,
     trainer_config_from,
 )
 from klora.datasets import TASK_KEYS, TaskKind, high_rank_regression
@@ -69,14 +68,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"layer_dims": [8, 8]}}))
         cfg = load_config(path)
-        assert cfg.kernel["kind"] == "mix-k"
-        assert cfg.kernel["pieces"] == 2
-        assert cfg.sparsity["smoothing_beta1"] == 0.85
-        assert cfg.sparsity["smoothing_beta2"] == 0.85
-        assert cfg.sparsity["schedule"] == "cubic"
-        assert cfg.sparsity["budget_ratio"] == 0.3
-        assert cfg.sparsity["sparsify_mode"] == "soft"
-        assert cfg.model["layer_dims"] == [8, 8]
+        assert cfg["kernel"]["kind"] == "mix-k"
+        assert cfg["kernel"]["pieces"] == 2
+        assert cfg["sparsity"]["smoothing_beta1"] == 0.85
+        assert cfg["sparsity"]["smoothing_beta2"] == 0.85
+        assert cfg["sparsity"]["schedule"] == "cubic"
+        assert cfg["sparsity"]["budget_ratio"] == 0.3
+        assert cfg["sparsity"]["sparsify_mode"] == "soft"
+        assert cfg["model"]["layer_dims"] == [8, 8]
 
     def test_budget_ratio_range_error_names_key(self):
         with pytest.raises(ConfigError, match="sparsity.budget_ratio"):
@@ -92,7 +91,7 @@ class TestConfig:
 
     def test_adam_settings_at_the_edges_accepted(self):
         cfg = apply_defaults({"train": {"adam_beta1": 0.0, "adam_beta2": 0.0, "adam_eps": 1e-300}})
-        assert cfg.train["adam_eps"] == 1e-300
+        assert cfg["train"]["adam_eps"] == 1e-300
 
     def test_unknown_key_rejected_with_name(self):
         with pytest.raises(ConfigError, match="unknown key 'train.momentum'"):
@@ -113,14 +112,26 @@ class TestConfig:
     def test_roundtrip_save_load_structurally_equal(self, tmp_path):
         cfg = apply_defaults({"model": {"layer_dims": [8, 8], "rank": 3}})
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
-        again = load_config(path)
-        assert again.to_dict() == cfg.to_dict()
+        path.write_text(json.dumps(cfg))
+        assert load_config(path) == cfg
 
     def test_defaulting_is_idempotent(self):
         once = apply_defaults({"train": {"lr": 0.5}})
-        twice = apply_defaults(once.to_dict())
-        assert once.to_dict() == twice.to_dict()
+        assert apply_defaults(once) == once
+
+    def test_a_null_section_takes_its_defaults(self):
+        assert apply_defaults({"model": None}) == apply_defaults({})
+
+    def test_the_checked_document_shares_nothing_with_its_input_or_the_defaults(self):
+        raw = {"model": {"layer_dims": [8, 8]}, "train": {"task": {"samples": 32}},
+               "experiments": [{"type": "schedule"}]}
+        inputs = json.loads(json.dumps([raw, DEFAULTS]))
+        for cfg in (apply_defaults(raw), apply_defaults({})):
+            cfg["model"]["layer_dims"].append(8)
+            cfg["train"]["task"]["samples"] = 16
+            cfg["experiments"].append({"type": "train"})
+            cfg["experiments"][0]["type"] = "train"
+        assert [raw, DEFAULTS] == inputs
 
     def test_trainer_config_translation(self):
         cfg = apply_defaults(

@@ -56,6 +56,19 @@ def _referenced_names(tree: ast.Module) -> set:
     return names
 
 
+def test_no_module_imports_another_modules_private_names():
+    """A klora module reaches another only through its public names; tests and
+    perfbench are outside this rule."""
+    private = {f"{path.name}: {node.module}.{alias.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "klora")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")}
+    assert private == set()
+
+
 def test_every_private_module_name_is_referenced():
     """A module-level `_name` that nothing in the package reads is dead code."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
