@@ -104,6 +104,11 @@ Decay = Annotated[float, (lambda v: 0 <= v < 1, "must lie in [0, 1)")]
 OpenUnit = Annotated[float, (lambda v: 0 < v < 1, "must lie in (0, 1)")]
 
 
+def once_each(what: str) -> tuple:
+    """The range rule of a list that names no `what` twice."""
+    return (lambda items: len(set(items)) == len(items), f"must name each {what} once")
+
+
 def hints(obj) -> dict:
     """The annotations of a function's params or a class's fields, each with any
     range rule it carries."""

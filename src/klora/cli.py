@@ -23,8 +23,8 @@ from .checkpoint import save_checkpoint
 from .choices import Count, Positive
 from .config import (SETTINGS, ConfigError, apply_defaults, dataset_from, load_config,
                      trainer_config_from)
-from .experiments import check_ranks, checked, default_run_config
-from .kernels import KernelKind, KernelSpec, LowRankPair, merge
+from .experiments import Kernels, check_ranks, checked, default_run_config
+from .kernels import KernelKind, KernelSpec, LowRankPair, adapter_leaves, merge
 from .model import RunTrace, Trainer, build_model
 from .reports import write_csv
 from .svgplot import emit_heatmap_svg
@@ -166,6 +166,11 @@ def train_cmd(config, out, checkpoint_path, **overrides):
                 raw.setdefault(section, {})[key] = value
         run_config = apply_defaults(raw)
         dataset = dataset_from(run_config)
+    # the checkpoint is written after training, into a directory that must be there by then
+    if checkpoint_path is not None:
+        folder = Path(checkpoint_path).parent
+        if not (folder.is_dir() or folder.resolve() == Path(out).resolve()):
+            raise click.UsageError(f"checkpoint {checkpoint_path}: no directory {folder}")
     trainer_cfg = trainer_config_from(run_config)
     model = build_model(dataset, trainer_cfg)
     trainer = Trainer(model, trainer_cfg, dataset)
@@ -222,7 +227,7 @@ def memory_model_cmd(out, layers, m, n, **params):
 
 
 @checked(lambda m, n, rank, **_: check_ranks(m, n, r=rank))
-def _grad_check(kernels: list[KernelKind], seeds: Count, m: Count, n: Count, rank: Count,
+def _grad_check(kernels: Kernels, seeds: Count, m: Count, n: Count, rank: Count,
                pieces: Count, h: Positive, tol: Positive):
     """Yield (kind, largest relative error) per kernel of finite-difference checks
     (step `h`, tolerance `tol`) of the merge's gradients at `seeds` random (m, n)
@@ -231,16 +236,11 @@ def _grad_check(kernels: list[KernelKind], seeds: Count, m: Count, n: Count, ran
         worst = 0.0
         for seed in range(seeds):
             rng = np.random.default_rng([seed, 0xEC])
-            pair = LowRankPair(
-                A=Tensor(rng.normal(size=(n, rank)), requires_grad=True),
-                B=Tensor(rng.normal(size=(m, rank)), requires_grad=True),
-            )
+            pair = LowRankPair.random(m, n, rank, rng, std=1.0)
             spec = KernelSpec.canonical(kind, pieces=min(pieces, rank), trainable=True)
             weights = Tensor(rng.normal(size=(m, n)))
-            params = [pair.A, pair.B, *spec.coefficients()]
-            report = finite_diff_check(
-                lambda: reduce_sum(mul(merge(spec, pair), weights)), params, h=h, tol=tol
-            )
+            report = finite_diff_check(lambda: reduce_sum(mul(merge(spec, pair), weights)),
+                                       adapter_leaves(spec, pair), h=h, tol=tol)
             worst = max(worst, report.max_rel_err)
         yield kind, worst
 

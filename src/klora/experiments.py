@@ -1,8 +1,9 @@
 """Desk-scale experiment drivers behind the CLI.
 
 Each driver returns an ExperimentReport whose aggregates are recomputable
-from the per-seed entries. The fitting drivers run every kernel and seed
-together, the seeds stacked on a leading axis and the kernels' merges
+from the per-seed entries. The fitting drivers each draw their own adapters,
+one per kernel and seed, and `_fit` runs them together: the seeds stacked
+on a leading axis (`kernels.stack_adapters`) and the kernels' merges
 stacked on one more, with one recorded graph and one optimizer step for
 all of them per step; the fits share no values, so each (kernel, seed)
 result is that of a run on its own. Every run is deterministic per seed.
@@ -23,7 +24,7 @@ import numpy as np
 
 from .allocation import BudgetSchedule, ScheduleKind, budget_at
 from .choices import (COUNT, Choice, Count, Natural, NonNegative, OpenUnit, Positive,
-                      SettingError, Unit, check, hints)
+                      SettingError, Unit, check, hints, once_each)
 from .config import (ConfigError, apply_defaults, check_type, dataset_from, located, merged,
                      trainer_config_from)
 from .kernels import (
@@ -31,11 +32,12 @@ from .kernels import (
     KernelKind,
     KernelSpec,
     LowRankPair,
+    adapter_leaves,
     kernel_coefficient_count,
     mean_abs_factor_gradient,
     merge,
     numerical_rank,
-    stacked_block,
+    stack_adapters,
 )
 # the rank worker's name for numerical_rank: perfbench's span recorder wraps
 # `numerical_rank` here and keeps one span stack for all threads
@@ -47,6 +49,10 @@ from .tensor import Tensor, backward, mean_squared_error, reduce_sum, stack, tak
 from .tensor import reduce_mean, square, sub  # noqa: F401
 
 DEFAULT_KERNELS = ("mix-k", "p-linear", "linear")
+
+# a driver's list of kernels, or a kernel order: a repeat would run twice and
+# report once, and an order that repeats a kernel can never hold
+Kernels = Annotated[list[KernelKind], once_each("kernel")]
 
 # SVD work (targets x m x n x min(m, n)) from which fit_matrix_experiment runs
 # the targets' ranks on a worker thread during the fit. On a 2-core x86_64
@@ -67,27 +73,6 @@ def make_fit_target(rng: np.random.Generator, m: int, n: int, rank: int,
     if density < 1.0:
         target = target * (rng.random((m, n)) < density)
     return target
-
-
-def _fresh_factors(kind: KernelKind, rng: np.random.Generator, m: int, n: int, r: int,
-                   factor_std: float, scale: float | None = None) -> tuple:
-    """Fit-experiment factor init: the (A, B) arrays of one seed.
-
-    Both factors start Gaussian; a kind without coefficients (linear)
-    starts with B at zero (the classic zero-update init, and its only route
-    to a zero merge). Every kernel's merge is therefore zero before the
-    first step. `scale` switches to uniform [-scale, scale] draws for
-    the gradient-evolution probes.
-    """
-    if scale is not None:
-        a = rng.uniform(-scale, scale, size=(n, r))
-        b = rng.uniform(-scale, scale, size=(m, r))
-    else:
-        a = factor_std * rng.normal(size=(n, r))
-        b = factor_std * rng.normal(size=(m, r))
-        if not KINDS[kind].coefficients:
-            b = np.zeros((m, r))
-    return a, b
 
 
 def checked(*cross):
@@ -131,67 +116,48 @@ def check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=(
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
 
 
-def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, pieces: int,
-         factor_std: float, record_points: int = 40, init_scale: float | None = None,
-         canonical_coeffs: bool = False, piece_init_eps: float = 0.0) -> list:
-    """Fit every kernel kind to every seed's target at once; returns, per kind,
-    one run dict per seed.
+def _fit(fits, targets: np.ndarray, steps: int, lr: float, record_points: int = 40) -> list:
+    """Fit every adapter of `fits`, one list of 2-D adapters (spec, pair) per
+    kind, one per seed, to its seed's target at once; returns, per kind, one
+    run dict per seed.
 
-    Each kind keeps its own factors (S, n, r) and (S, m, r) and coefficients,
-    stacked on a leading seed axis; each seed's factors come from its own
-    stream. Each step merges every kind, stacks the K merges into
-    (K, S, m, n), and records one graph whose loss is the sum of the K x S
-    mean squared errors against the targets ((S, m, n), or (K, S, m, n) for
-    one set per kind); one backward pass and one Adam step follow. The
-    distance kinds (mix-k and p-linear) merge as one block (`_block`), so a
-    step makes one distance op for all of them. Every fit gets exactly its
-    own gradient and shares no values with the others, and Adam is
-    elementwise, so each (kind, seed) result is that of a fit on its own. A
-    fit whose loss turns non-finite is marked diverged and keeps the
-    parameters it had at that step; the others carry on.
-
-    `piece_init_eps` > 0 starts the piece coefficients antisymmetric
-    (+eps, -eps, ...), which keeps the merged values mean-centered and
-    closes the offset-drift corridor (piece scales all one sign with the
-    additive offset racing the other way) that can trap the mixed kernel
-    at this step budget.
+    Each kind's adapters stack on a leading seed axis (`stack_adapters`).
+    Each step merges every kind, stacks the K merges into (K, S, m, n), and
+    records one graph whose loss is the sum of the K x S mean squared errors
+    against the targets ((S, m, n), or (K, S, m, n) for one set per kind);
+    one backward pass and one Adam step follow. The piecewise kinds stack
+    once more into one block, those with more coefficients first, so a step
+    makes one distance op for all of them. Every fit gets exactly its own
+    gradient and shares no values with the others, and Adam is elementwise,
+    so each (kind, seed) result is that of a fit on its own. A fit whose
+    loss turns non-finite is marked diverged and keeps the parameters it had
+    at that step; the others carry on. The adapters of a kind in the block
+    keep their first values: the block re-points their seed stack's tensors.
     """
-    m, n = targets.shape[-2:]
-    if not kinds:
+    if not fits:
         return []
-    fits = []
-    for kind in kinds:
-        factors = [_fresh_factors(kind, np.random.default_rng([seed, 0xF1]), m, n, r,
-                                  factor_std, scale=init_scale) for seed in seeds]
-        pair = LowRankPair(A=Tensor(np.stack([a for a, _ in factors]), requires_grad=True),
-                           B=Tensor(np.stack([b for _, b in factors]), requires_grad=True))
-        if canonical_coeffs:
-            spec = KernelSpec.canonical(kind, pieces=pieces, trainable=True)
-        else:
-            spec = KernelSpec.zero_init(kind, pieces=pieces)
-            if piece_init_eps and KINDS[kind].piecewise:
-                alpha_p = spec.coeffs[0]
-                signs = np.where(np.arange(alpha_p.data.size) % 2 == 0, 1.0, -1.0)
-                alpha_p.data[:] = piece_init_eps * signs
-        fits.append((spec.stacked(len(seeds)), pair))
-    params = [[pair.A, pair.B, *spec.coefficients()] for spec, pair in fits]
-    members = sorted((k for k, kind in enumerate(kinds) if KINDS[kind].piecewise),
-                     key=lambda k: kinds[k] is not KernelKind.MIX_K)
-    block = _block([fits[k] for k in members]) if len(members) > 1 else None
+    stacks = [stack_adapters(seed_fits) for seed_fits in fits]
+    m, n = targets.shape[-2:]
+    seeds, r = len(fits[0]), stacks[0][1].r
+    rows = [KINDS[spec.kind] for spec, _ in stacks]
+    members = sorted((k for k, row in enumerate(rows) if row.piecewise),
+                     key=lambda k: -len(rows[k].coefficients))
+    block = stack_adapters([stacks[k] for k in members]) if len(members) > 1 else None
     slot = {k: t for t, k in enumerate(members)} if block else {}
-    leaves = [block[1].A, block[1].B, *block[0].coefficients()] if block else []
-    opt = Adam(leaves + [p for k, kind_params in enumerate(params) if k not in slot
-                         for p in kind_params], lr=lr)
+    params = [adapter_leaves(*adapter) for adapter in stacks]
+    opt = Adam((adapter_leaves(*block) if block else [])
+               + [p for k, kind_params in enumerate(params) if k not in slot for p in kind_params],
+               lr=lr)
 
     def losses():
         merged = merge(*block) if block else None
-        return mean_squared_error(stack([take(merged, slot[k]) if k in slot else merge(spec, pair)
-                                         for k, (spec, pair) in enumerate(fits)]), targets)
+        return mean_squared_error(stack([take(merged, slot[k]) if k in slot else merge(*adapter)
+                                         for k, adapter in enumerate(stacks)]), targets)
 
     record_every = max(1, steps // record_points) if steps else 1
-    traces = [[[] for _ in seeds] for _ in fits]
-    grad_traces = [[[] for _ in seeds] for _ in fits]
-    live = np.ones((len(fits), len(seeds)), dtype=bool)
+    traces = [[[] for _ in range(seeds)] for _ in fits]
+    grad_traces = [[[] for _ in range(seeds)] for _ in fits]
+    live = np.ones((len(fits), seeds), dtype=bool)
     held = {}  # kind index -> parameters of its diverged seeds, as of their divergence
     for step in range(steps):
         opt.zero_grad()
@@ -206,7 +172,7 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
                 held[k] = [p.data[~live[k]] for p in params[k]]  # boolean indexing copies
         backward(reduce_sum(loss))
         if step % record_every == 0:
-            for k, (_, pair) in enumerate(fits):
+            for k, (_, pair) in enumerate(stacks):
                 ga, gb = ((block[1].A.grad[slot[k]], block[1].B.grad[slot[k]]) if k in slot
                           else (pair.A.grad, pair.B.grad))
                 # mean |gradient| over both factors, per seed
@@ -225,23 +191,6 @@ def _fit(kinds, targets: np.ndarray, seeds, r: int, steps: int, lr: float, piece
               "trace": trace, "grad_trace": grad_trace}
              for final, ok, trace, grad_trace in zip(*kind_runs)]
             for kind_runs in zip(finals, live.tolist(), traces, grad_traces)]
-
-
-def _block(fits) -> tuple:
-    """The (spec, pair) that merges fits of the distance kinds as one, mix-k's
-    first: each factor and coefficient stacked on a new leading axis, alpha and
-    beta over the mix-k fits alone (the partial mix of
-    `tensor.mixed_segment_distances`). Each fit's own tensors become views of
-    its slice of the blocks (`stacked_block`, as in `model.LayerGroup`)."""
-    mixing = [spec for spec, _ in fits if spec.kind is KernelKind.MIX_K]
-    groups = [[pair.A for _, pair in fits], [pair.B for _, pair in fits],
-              [spec.coeffs[0] for spec, _ in fits]]
-    if mixing:
-        groups += [[spec.coeffs[c] for spec in mixing] for c in (1, 2)]
-    blocks = [stacked_block(tensors) for tensors in groups]
-    kind = KernelKind.MIX_K if mixing else KernelKind.P_LINEAR
-    return (KernelSpec(kind, pieces=fits[0][0].pieces, coeffs=blocks[2:]),
-            LowRankPair(A=blocks[0], B=blocks[1]))
 
 
 def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
@@ -270,7 +219,7 @@ def _fit_beside_ranks(fit: Callable, targets: np.ndarray) -> tuple:
 @checked(check_ranks)
 def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4,
                           target_rank: Annotated[int | None, COUNT] = None,
-                          kernels: list[KernelKind] = DEFAULT_KERNELS, steps: Natural = 20000,
+                          kernels: Kernels = DEFAULT_KERNELS, steps: Natural = 20000,
                           lr: NonNegative = 1e-3, seeds: Count = 5, density: Unit = 0.1,
                           pieces: Count = 2, factor_std: Positive = 1.0,
                           piece_init_eps: float = 0.0,
@@ -280,7 +229,14 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4,
     Per kernel and seed, minimizes the mean squared entrywise error between
     the merge and a fixed random target of the given rank and density,
     reporting the final error. Targets and factor draws are shared across
-    kernels within a seed so comparisons are paired.
+    kernels within a seed so comparisons are paired. Factors start Gaussian
+    with coefficients at `zero_init`; a kind without coefficients (linear)
+    starts with B at zero, its only route to a zero merge, so every merge is
+    zero before the first step. `piece_init_eps` > 0 starts the piece
+    coefficients antisymmetric (+eps, -eps, ...), which keeps the merged
+    values mean-centered and closes the offset-drift corridor (piece scales
+    all one sign with the additive offset racing the other way) that can
+    trap the mixed kernel at this step budget.
     """
     watch = StopWatch()
     if target_rank is None:
@@ -291,9 +247,20 @@ def fit_matrix_experiment(m: int = 32, n: int = 32, r: int = 4,
         for seed in seed_list
     ])
 
+    def adapter(kind, seed):
+        pair = LowRankPair.random(m, n, r, np.random.default_rng([seed, 0xF1]), std=factor_std)
+        if not KINDS[kind].coefficients:
+            pair.B.data[...] = 0.0
+        spec = KernelSpec.zero_init(kind, pieces=pieces)
+        if piece_init_eps and KINDS[kind].piecewise:
+            alpha_p = spec.coeffs[0].data
+            alpha_p[:] = piece_init_eps * np.where(np.arange(alpha_p.size) % 2 == 0, 1.0, -1.0)
+        return spec, pair
+
+    fits = [[adapter(kind, seed) for seed in seed_list] for kind in kernels]
+
     def fit():
-        return _fit(kernels, targets, seed_list, r, steps, lr, pieces, factor_std,
-                    piece_init_eps=piece_init_eps)
+        return _fit(fits, targets, steps, lr)
 
     if targets.size * min(m, n) >= RANK_THREAD_WORK:
         runs, ranks = _fit_beside_ranks(fit, targets)
@@ -341,7 +308,7 @@ def ordering_fraction(report: ExperimentReport, ordering) -> float:
 
 
 @checked(check_ranks)
-def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "linear"),
+def grad_evolution_experiment(kernels: Kernels = ("mix-k", "rbf", "linear"),
                               scale: Positive = 10.0, steps: Natural = 300, m: int = 16,
                               n: int = 16, r: int = 4, seeds: Count = 3, lr: NonNegative = 1e-3,
                               pieces: Count = 2, seed_base: Natural = 0) -> ExperimentReport:
@@ -358,16 +325,18 @@ def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "line
         make_fit_target(np.random.default_rng([seed, 0x7B]), m, n, min(m, n), 1.0)
         for seed in seed_list
     ])
+    def uniform_pair(rng):
+        return LowRankPair(A=Tensor(rng.uniform(-scale, scale, size=(n, r)), requires_grad=True),
+                           B=Tensor(rng.uniform(-scale, scale, size=(m, r)), requires_grad=True))
+
+    fits = [[(KernelSpec.canonical(kind, pieces=pieces, trainable=True),
+              uniform_pair(np.random.default_rng([seed, 0xF1]))) for seed in seed_list]
+            for kind in kernels]
     per_seed = [{"seed": seed, "kernels": {}} for seed in seed_list]
-    runs = _fit(kernels, targets, seed_list, r, steps, lr, pieces, factor_std=1.0,
-                init_scale=scale, canonical_coeffs=True)
+    runs = _fit(fits, targets, steps, lr)
     for kind, kind_runs in zip(kernels, runs):
         for entry, run in zip(per_seed, kind_runs):
-            rng = np.random.default_rng([entry["seed"], 0xC3])
-            probe = LowRankPair(
-                A=Tensor(rng.uniform(-scale, scale, size=(n, r)), requires_grad=True),
-                B=Tensor(rng.uniform(-scale, scale, size=(m, r)), requires_grad=True),
-            )
+            probe = uniform_pair(np.random.default_rng([entry["seed"], 0xC3]))
             static = mean_abs_factor_gradient(KernelSpec.canonical(kind, pieces=pieces), probe)
             run["static_mean_abs_gradient"] = static
             entry["kernels"][kind.value] = run
@@ -390,8 +359,9 @@ def grad_evolution_experiment(kernels: list[KernelKind] = ("mix-k", "rbf", "line
 
 
 @checked(check_ranks)
-def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
-               kernels: list[KernelKind] = DEFAULT_KERNELS,
+def rank_sweep(m: int = 64, n: int = 64,
+               r_values: Annotated[list[int], once_each("rank")] = (2, 4, 8),
+               kernels: Kernels = DEFAULT_KERNELS,
                seeds: Count = 10, eps_rel: OpenUnit = 1e-6, pieces: Count = 2,
                seed_base: Natural = 0) -> ExperimentReport:
     """Numerical ranks of merges of random factor pairs per (kernel, r)."""
@@ -402,9 +372,7 @@ def rank_sweep(m: int = 64, n: int = 64, r_values: list[int] = (2, 4, 8),
         rng = np.random.default_rng([seed, 0xA4])
         entry = {"seed": seed, "ranks": {}}
         for r in r_values:
-            pair = LowRankPair(
-                A=Tensor(rng.normal(size=(n, r))), B=Tensor(rng.normal(size=(m, r)))
-            )
+            pair = LowRankPair.random(m, n, r, rng, std=1.0, trainable=False)
             for kind in kernels:
                 spec = KernelSpec.canonical(kind, pieces=min(pieces, r))
                 rank = numerical_rank(merge(spec, pair).data, eps_rel)
@@ -453,7 +421,8 @@ def alloc_trace_table(trace: RunTrace):
 
 @checked(lambda b0, bT, T, **_: BudgetSchedule(b0=b0, bT=bT, T=T))
 def schedule_table(b0: int = 1000, bT: int = 0, T: int = 10,
-                   kinds: list[ScheduleKind] = ("constant", "linear", "quadratic", "cubic")):
+                   kinds: Annotated[list[ScheduleKind], once_each("schedule")] = (
+                       "constant", "linear", "quadratic", "cubic")):
     """(t, budget) at every step t = 0..T, per schedule kind."""
     header = ["t"] + [k.value for k in kinds]
     rows = []
@@ -578,13 +547,8 @@ def _run_train(params, config):
     return report, alloc_trace_table(trace)
 
 
-# a kernel order: one that repeats a kernel can never hold
-Ordering = Annotated[list[KernelKind],
-                     (lambda kinds: len(set(kinds)) == len(kinds), "must name each kernel once")]
-
-
 # a check reads assert keys: the first key given runs it, and those after are options
-def _check_mse_ordering(report, table, mse_ordering: Ordering, min_seed_fraction: Unit = 0.8):
+def _check_mse_ordering(report, table, mse_ordering: Kernels, min_seed_fraction: Unit = 0.8):
     frac = ordering_fraction(report, mse_ordering)
     report.aggregates["ordering_fraction"] = frac
     names = [k.value for k in mse_ordering]

@@ -10,6 +10,11 @@ bare RBF flatlines.
 
 Every per-kind fact lives in the kind's row of `KINDS`; a new kind is one row.
 
+An adapter is a (KernelSpec, LowRankPair) pair. `stack_adapters` is the one
+rule that puts adapters on a leading axis (the trainer's layer groups, the
+fits' seeds and their block of distance kinds), and `adapter_leaves` the one
+order of an adapter's leaves, for every optimizer and recompute.
+
 Coefficient conventions
 -----------------------
 zero_init: every learnable coefficient starts at 0 except the RBF and
@@ -225,10 +230,6 @@ class KernelSpec:
     def canonical(cls, kind, pieces: int = 2, trainable: bool = False) -> "KernelSpec":
         return cls._filled(kind, pieces, trainable, lambda c: c.canonical)
 
-    def coefficients(self) -> list:
-        """Learnable coefficient tensors in checkpoint order."""
-        return list(self.coeffs)
-
     def coefficient_values(self) -> np.ndarray:
         vals = [np.atleast_1d(c.data).ravel() for c in self.coeffs]
         return np.concatenate(vals) if vals else np.zeros(0)
@@ -247,33 +248,6 @@ class KernelSpec:
     def with_coefficients(self, tensors) -> "KernelSpec":
         """Copy of this spec with coefficient tensors replaced (same order)."""
         return replace(self, coeffs=tuple(tensors))
-
-    def stacked(self, count: int) -> "KernelSpec":
-        """This spec's coefficients repeated for `count` factor pairs, laid out by `stacked_leaf`."""
-        return self.with_coefficients(stacked_leaf([c] * count) for c in self.coeffs)
-
-
-def stacked_leaf(tensors) -> Tensor:
-    """A leaf holding the tensors' values on a new leading axis; scalars become (1, 1).
-
-    A per-piece coefficient stacks to (S, P) and a scalar to (S, 1, 1), so
-    that each broadcasts against its own slice of an (S, m, n) merge.
-    """
-    first = tensors[0]
-    part = first.data.shape if first.data.ndim else (1, 1)
-    data = np.array([t.data for t in tensors]).reshape((len(tensors), *part))
-    return Tensor(data, requires_grad=first.requires_grad)
-
-
-def stacked_block(tensors) -> Tensor:
-    """`stacked_leaf(tensors)`, with each tensor's data made a view of its slice
-    of the block in its own shape: an optimizer steps the block in place, and
-    every tensor reads the new values."""
-    block = stacked_leaf(tensors)
-    data = block.data.reshape((len(tensors), *tensors[0].data.shape))
-    for k, t in enumerate(tensors):
-        t.data = data[k, ...]  # a view even where slice k is 0-d
-    return block
 
 
 @dataclass
@@ -315,6 +289,66 @@ class LowRankPair:
         a = rng.normal(0.0, std, size=(n, r))
         b = rng.normal(0.0, std, size=(m, r))
         return cls(A=Tensor(a, requires_grad=trainable), B=Tensor(b, requires_grad=trainable))
+
+
+# -- adapters: (KernelSpec, LowRankPair) pairs ----------------------------------
+
+
+def adapter_leaves(spec: KernelSpec, pair: LowRankPair) -> list:
+    """An adapter's leaves in the one order that optimizers step and recomputes
+    rebuild them: A, B, then the coefficients in `KINDS` order."""
+    return [pair.A, pair.B, *spec.coeffs]
+
+
+def adapter_on(spec: KernelSpec, leaves) -> tuple:
+    """The adapter of `spec`'s kind and pieces on `leaves`, given in `adapter_leaves` order."""
+    a, b, *coeffs = leaves
+    return spec.with_coefficients(coeffs), LowRankPair(A=a, B=b)
+
+
+def stack_adapters(adapters) -> tuple:
+    """The adapters (spec, pair) on a new leading axis, as one adapter (spec, pair).
+
+    A and B stack to (S, ..., n, r) and (S, ..., m, r), a per-piece coefficient
+    to (S, ..., P) and a scalar one to (S, ..., 1, 1), so each broadcasts
+    against its own slice of the (S, ..., m, n) merge. Each member's tensors
+    become views of its slice, in their own shapes: an optimizer steps the
+    stack in place, and every member reads the new values (a member that is
+    itself a stack re-points its own tensors, not its members'). Members of
+    several kinds share a stack only where every kind is piecewise and the
+    kinds with more coefficients come first: coefficient c stacks over the
+    members that have it, and the stack takes the first member's kind, whose
+    merge then mixes those slices alone (`tensor.mixed_segment_distances`).
+    Any other mix of kinds, piece counts or factor shapes is a ValueError.
+    """
+    specs = [spec for spec, _ in adapters]
+    rows = [KINDS[spec.kind] for spec in specs]
+    counts = [len(row.coefficients) for row in rows]
+    if len({spec.kind for spec in specs}) > 1 and not (
+            all(row.piecewise for row in rows) and counts == sorted(counts, reverse=True)):
+        raise ValueError("only piecewise kinds share a stack, those with more coefficients "
+                         f"first; got {', '.join(spec.kind.value for spec in specs)}")
+    if len({(spec.pieces, pair.A.data.shape, pair.B.data.shape)
+            for spec, pair in adapters}) > 1:
+        raise ValueError("stacked adapters need equal piece counts and factor shapes")
+    pair = LowRankPair(A=_stacked([pair.A for _, pair in adapters]),
+                       B=_stacked([pair.B for _, pair in adapters]))
+    return specs[0].with_coefficients(
+        _stacked([spec.coeffs[c] for spec in specs if c < len(spec.coeffs)])
+        for c in range(counts[0])), pair
+
+
+def _stacked(tensors) -> Tensor:
+    """A leaf holding the tensors' values on a new leading axis, a scalar as (1, 1);
+    each tensor's data becomes a view of its slice, in its own shape."""
+    first = tensors[0]
+    part = first.data.shape if first.data.ndim else (1, 1)
+    block = Tensor(np.array([t.data for t in tensors]).reshape((len(tensors), *part)),
+                   requires_grad=first.requires_grad)
+    views = block.data.reshape((len(tensors), *first.data.shape))
+    for k, t in enumerate(tensors):
+        t.data = views[k, ...]  # a view even where slice k is 0-d
+    return block
 
 
 def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:

@@ -36,7 +36,8 @@ from .allocation import (
 )
 from .choices import (COUNT, Choice, Count, Decay, Natural, NonNegative, Positive, Unit,
                       check, hints)
-from .kernels import KernelKind, KernelSpec, LowRankPair, merge, stacked_block
+from .kernels import (KernelKind, KernelSpec, LowRankPair, adapter_leaves, adapter_on, merge,
+                      stack_adapters)
 from .tensor import (
     Tensor,
     add,
@@ -204,48 +205,36 @@ class AdaptedLinear:
         return affine(x, self.w0, delta, self.bias)
 
     def trainables(self) -> list:
-        return [self.pair.A, self.pair.B, *self.spec.coefficients()]
+        return adapter_leaves(self.spec, self.pair)
 
 
 class LayerGroup:
     """Adapted layers sharing a `group_key`, trained from one leaf per parameter.
 
-    A group of S >= 2 stacks its layers' factors and coefficients into
-    blocks: A (S, n, r), B (S, m, r), a per-piece coefficient (S, P) and
-    each scalar one (S, 1, 1). Layer k's own pair and spec tensors become
-    views of slice k of the blocks, in their own shapes; an optimizer steps
-    the blocks in place, so the views stay current. A group of one keeps its
-    layer's own tensors.
+    A group of S >= 2 stacks its layers' adapters (`stack_adapters`): A
+    (S, n, r), B (S, m, r), a per-piece coefficient (S, P) and each scalar
+    one (S, 1, 1). Layer k's own pair and spec tensors become views of slice
+    k of the blocks, in their own shapes; an optimizer steps the blocks in
+    place, so the views stay current. A group of one keeps its layer's own
+    tensors.
     """
 
     def __init__(self, layers):
         self.layers = list(layers)
-        first = self.layers[0]
-        if len(self.layers) == 1:
-            self.pair, self.spec = first.pair, first.spec
-            return
-        members = [layer.trainables() for layer in self.layers]
-        blocks = [stacked_block(tensors) for tensors in zip(*members)]
-        self.pair = LowRankPair(A=blocks[0], B=blocks[1])
-        self.spec = first.spec.with_coefficients(blocks[2:])
+        adapters = [(layer.spec, layer.pair) for layer in self.layers]
+        self.spec, self.pair = adapters[0] if len(adapters) == 1 else stack_adapters(adapters)
 
     def trainables(self) -> list:
-        return [self.pair.A, self.pair.B, *self.spec.coefficients()]
-
-
-def _merge(spec: KernelSpec, pair: LowRankPair, recompute: bool) -> Tensor:
-    if not recompute:
-        return merge(spec, pair)
-
-    def rebuild(a, b, *coeffs):
-        return merge(spec.with_coefficients(coeffs), LowRankPair(A=a, B=b))
-
-    return checkpoint(rebuild, pair.A, pair.B, *spec.coefficients())
+        return adapter_leaves(self.spec, self.pair)
 
 
 def group_merge(group: LayerGroup) -> Tensor:
-    """One merge of a group's parameters: (S, m, n) for a block, (m, n) for a group of one."""
-    return _merge(group.spec, group.pair, group.layers[0].recompute_merge)
+    """One merge of a group's parameters: (S, m, n) for a block, (m, n) for a group
+    of one; under `recompute_merge`, inside one `tensor.checkpoint`."""
+    if not group.layers[0].recompute_merge:
+        return merge(group.spec, group.pair)
+    return checkpoint(lambda *leaves: merge(*adapter_on(group.spec, leaves)),
+                      *group.trainables())
 
 
 def group_deltas(group: LayerGroup) -> list:

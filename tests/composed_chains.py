@@ -7,7 +7,8 @@ mix below on the distance op `weighted_segment_distances`, over the
 mixed slices of a stack. The chains below are those compositions, built
 from the elementary ops alone. `weighted_segment_distances` on a stack
 promises the bits of each slice's op on its own; its chain takes the
-stack apart slice by slice. `patched_in()` swaps the first three in at the
+stack apart slice by slice. `mean_squared_error` is the loss chain that the
+fused loss of the same name replaces. `patched_in()` swaps the first three in at the
 package's call sites (the mix-k merge, the soft sparsify and the adapted
 layer's forward pass), so a whole training run can be replayed on them.
 """
@@ -24,10 +25,13 @@ from klora.tensor import (
     matmul,
     mul,
     rectify,
+    reduce_mean,
     scalar_add,
     sign,
     softmax,
+    square,
     stack,
+    sub,
     take,
     transpose,
     weighted_segment_distances,
@@ -57,6 +61,10 @@ def weighted_segment_distances_by_slice(b, a, alpha_p, bounds) -> Tensor:
         return weighted_segment_distances(b, a, alpha_p, bounds)
     return stack([weighted_segment_distances_by_slice(take(b, s), take(a, s), take(alpha_p, s),
                                                       bounds) for s in range(b.data.shape[0])])
+
+
+def mean_squared_error(x, target) -> Tensor:
+    return reduce_mean(square(sub(x, Tensor(target))), axis=(-2, -1))
 
 
 def soft_threshold(x, tau) -> Tensor:

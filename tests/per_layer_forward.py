@@ -41,7 +41,7 @@ def delta_w(layer) -> Tensor:
         def rebuild(a, b, *coeffs):
             return merge(layer.spec.with_coefficients(coeffs), LowRankPair(A=a, B=b))
 
-        dw = checkpoint(rebuild, layer.pair.A, layer.pair.B, *layer.spec.coefficients())
+        dw = checkpoint(rebuild, layer.pair.A, layer.pair.B, *layer.spec.coeffs)
     else:
         dw = merge(layer.spec, layer.pair)
     if layer.budget is None:

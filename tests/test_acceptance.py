@@ -84,7 +84,7 @@ class TestAcceptance:
                 pair = _pair_away_from_kinks(rng, m, n, r)
                 spec = KernelSpec.canonical(kind, pieces=2, trainable=True)
                 weights = Tensor(rng.normal(size=(m, n)))
-                params = [pair.A, pair.B, *spec.coefficients()]
+                params = [pair.A, pair.B, *spec.coeffs]
                 check = finite_diff_check(
                     lambda: reduce_sum(mul(merge(spec, pair), weights)),
                     params, h=1e-5, tol=1e-5,
@@ -107,7 +107,7 @@ class TestAcceptance:
                         break
                 tau = (mags[b - 1] + mags[b]) / 2.0
                 weights = Tensor(rng.normal(size=(m, n)))
-                params = [pair.A, pair.B, *spec.coefficients()]
+                params = [pair.A, pair.B, *spec.coeffs]
                 check = finite_diff_check(
                     lambda: reduce_sum(
                         mul(sparsify_with_threshold(merge(spec, pair), tau, mode), weights)

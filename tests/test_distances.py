@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from composed_merge import composed_merge, segment_l2_norm
-from klora.kernels import KernelKind, KernelSpec, LowRankPair, merge, segment_bounds
+from klora.kernels import (KernelKind, KernelSpec, LowRankPair, merge, segment_bounds,
+                           stack_adapters)
 from klora.tensor import (
     Tensor,
     backward,
@@ -171,7 +172,7 @@ def _gradients(merge_fn, kind, pieces, a, b, weights, values=None, spec=None):
     if values is None:
         values = KernelSpec.canonical(kind, pieces=pieces).coefficient_values() * 0.9 + 0.05
     spec = spec or KernelSpec.from_coefficient_values(kind, values)
-    params = [pair.A, pair.B, *spec.coefficients()]
+    params = [pair.A, pair.B, *spec.coeffs]
     out = merge_fn(spec, pair)
     grads = record_and_backward(lambda: reduce_sum(mul(merge_fn(spec, pair), weights)), params)
     return [out.data] + [grads[p].data for p in params]
@@ -236,10 +237,9 @@ def test_stacked_merge_equals_merge_of_each_slice(kind):
     values = [base * 0.9 + 0.05 + 0.1 * rng.uniform(size=base.size) for _ in range(3)]
     solo = [_gradients(merge, kind, 3, a[s], b[s], Tensor(weights[s]), values[s])
             for s in range(3)]
-    specs = [KernelSpec.from_coefficient_values(kind, v) for v in values]
-    stacked = specs[0].stacked(3)
-    for c, *slices in zip(stacked.coeffs, *(spec.coeffs for spec in specs)):
-        c.data[...] = np.stack([x.data for x in slices]).reshape(c.data.shape)
+    stacked, _ = stack_adapters([
+        (KernelSpec.from_coefficient_values(kind, values[s]),
+         LowRankPair(A=Tensor(a[s]), B=Tensor(b[s]))) for s in range(3)])
     batched = _gradients(merge, kind, 3, a, b, Tensor(weights), spec=stacked)
     for s in range(3):
         for got, want in zip(batched, solo[s]):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import per_kind_fit
 from klora.choices import SettingError, check, hints
 from klora.cli import main as cli_main
 from klora.config import ConfigError, apply_defaults, dataset_from
@@ -376,8 +377,8 @@ class TestFitMatrix:
         targets = np.stack([rng.normal(size=(8, 6)), 1e308 * rng.normal(size=(8, 6))])
 
         def fit(index, seeds):
-            return _fit([kind], targets[index], seeds, r=2, steps=30, lr=1e-2, pieces=2,
-                        factor_std=1.0)[0]
+            return _fit(per_kind_fit.adapters([kind], seeds, 8, 6, r=2, pieces=2),
+                        targets[index], 30, 1e-2)[0]
 
         healthy, diverged = fit([0, 1], [0, 1])
         assert healthy == fit([0], [0])[0]
@@ -995,6 +996,8 @@ BAD_INPUT_COMMANDS = [
     (["alloc-trace", "RATIO_STRING"],
      "wrong type for 'epochs[0].ratios[0]': need a number, got \"0.5\""),
     (["fit-matrix", "--piece-init-eps", "inf"], "piece_init_eps must be finite, got inf"),
+    (["train", "--checkpoint", "no-such-dir/adapter.bin", "--epochs", "1"],
+     "checkpoint no-such-dir/adapter.bin: no directory no-such-dir"),
 ]
 
 # files the commands above name by a placeholder
@@ -1028,6 +1031,58 @@ def test_cli_rejects_unknown_name_as_usage_error(tmp_path, args, message):
     assert message in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_cli_train_writes_a_checkpoint_into_the_out_directory_it_makes(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"layer_dims": [8, 8], "rank": 2},
+                               "train": {"epochs": 1, "batch_size": 8, "task": {"samples": 8}}}))
+    result = CliRunner().invoke(cli_main, ["train", "--config", str(cfg), "--out", str(out),
+                                           "--checkpoint", str(out / "adapter.bin")])
+    assert result.exit_code == 0, result.output
+    assert (out / "adapter.bin").exists() and (out / "train-trace.json").exists()
+
+
+# a list param that names an item twice, which the drivers used to run twice
+# and report once: (driver, params, CLI args, param, message)
+REPEATS = [
+    (fit_matrix_experiment, {"kernels": ["sigmoid", "sigmoid"]},
+     ["fit-matrix", "--kernel", "sigmoid", "--kernel", "sigmoid"],
+     "kernels", 'kernels must name each kernel once, got ["sigmoid", "sigmoid"]'),
+    (grad_evolution_experiment, {"kernels": ["rbf", "RBF"]},
+     ["grad-evolution", "--kernel", "rbf", "--kernel", "RBF"],
+     "kernels", 'kernels must name each kernel once, got ["rbf", "RBF"]'),
+    (rank_sweep, {"kernels": ["linear", "mix-k", "linear"]},
+     ["rank-sweep", "--kernel", "linear", "--kernel", "mix-k", "--kernel", "linear"],
+     "kernels", 'kernels must name each kernel once, got ["linear", "mix-k", "linear"]'),
+    (rank_sweep, {"r_values": [2, 2]}, ["rank-sweep", "--rank", "2", "--rank", "2"],
+     "r_values", "r_values must name each rank once, got [2, 2]"),
+    (schedule_table, {"kinds": ["cubic", "cubic"]},
+     ["schedule", "--schedule", "cubic", "--schedule", "cubic"],
+     "kinds", 'kinds must name each schedule once, got ["cubic", "cubic"]'),
+]
+
+
+@pytest.mark.parametrize("driver, params, args, name, message", REPEATS,
+                         ids=[f"{row[0].__name__}-{row[3]}" for row in REPEATS])
+def test_a_repeated_list_item_is_rejected_before_any_work(
+        driver, params, args, name, message, monkeypatch, tmp_path):
+    called = []
+    for work in ("make_fit_target", "merge", "numerical_rank", "budget_at"):
+        monkeypatch.setattr(f"klora.experiments.{work}",
+                            lambda *a, work=work, **k: called.append(work))
+    with pytest.raises(SettingError) as err:
+        driver(**params)
+    assert (err.value.name, str(err.value)) == (name, message)
+    entry = {"type": args[0], "params": params}
+    with pytest.raises(ConfigError) as err:
+        run_all(apply_defaults({"experiments": [entry]}), tmp_path / "out")
+    assert str(err.value) == f"value out of range for 'experiments[0].params.{name}': {message}"
+    result = CliRunner().invoke(cli_main, [*args, "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 2 and message in result.output, result.output
+    assert called == []
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cli").exists()
 
 
 @pytest.mark.parametrize("train, key", [

@@ -7,7 +7,10 @@ every gradient, and a whole training run to the same trace and checkpoint
 bytes. On drawn stacks (`distance_cases`), the distance ops are held to
 their chains, partial mixes and `weighted_segment_distances` slice by
 slice included, and the cancellation guard to its full-mask definition;
-`soft_threshold` and `affine` are held to theirs on drawn cases too.
+`soft_threshold`, `affine` and `mean_squared_error` are held to theirs on
+drawn cases too. `squared_distances` is held to the composed (m, n, r)
+formulation within rounding, and it and `mean_squared_error` pass the
+finite-difference check on drawn cases.
 """
 
 import json
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import composed_chains
+import composed_merge
 from klora import checkpoint, config, model
 from klora.allocation import threshold_for_budget
 from klora.kernels import segment_bounds
@@ -29,10 +33,15 @@ from klora.tensor import (
     _split_pieces,
     affine,
     backward,
+    finite_diff_check,
+    mean_squared_error,
     mixed_segment_distances,
     mul,
     reduce_sum,
     soft_threshold,
+    squared_distances,
+    stack,
+    take,
     weighted_segment_distances,
 )
 
@@ -261,6 +270,67 @@ def test_affine_equals_its_chain_bit_for_bit(case):
     assert_fused_equals_chain(lambda x, d: affine(x, w0, d, bias),
                               lambda x, d: composed_chains.affine(x, w0, d, bias),
                               arrays, upstream)
+
+
+@st.composite
+def mse_cases(draw):
+    """A stack for `mean_squared_error`: 0-2 stack axes, a target that broadcasts
+    to it (fewer axes, axes of 1, or both), and the layout of the incoming gradient."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    shape = (*lead, draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    kept = shape[draw(st.integers(0, len(lead))):]
+    tshape = tuple(1 if draw(st.booleans()) else size for size in kept)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([-3, 0, 3]))
+    x, target = scale * rng.normal(size=shape), scale * rng.normal(size=tshape)
+    layouts = LAYOUTS if len(lead) == 2 else ["c-order"]
+    upstream = (incoming_gradient(rng, draw(st.sampled_from(layouts)), lead) if lead
+                else rng.normal(size=()))
+    return x, target, upstream
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mse_cases())
+def test_mean_squared_error_equals_its_chain_bit_for_bit(case):
+    x, target, upstream = case
+    assert_fused_equals_chain(lambda t: mean_squared_error(t, target),
+                              lambda t: composed_chains.mean_squared_error(t, target),
+                              [x], upstream)
+
+
+def composed_squared_distances(b, a) -> Tensor:
+    """`composed_merge.squared_distances` on each matrix of a stack on its own."""
+    if b.data.ndim == 2:
+        return composed_merge.squared_distances(b, a)
+    return stack([composed_squared_distances(take(b, s), take(a, s))
+                  for s in range(b.data.shape[0])])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(distance_cases())
+def test_squared_distances_equal_the_composed_distances(case):
+    # exact row copies and near-guard pairs: the Gram form is guarded there
+    b, a, *_, upstream, _ = case
+    got = value_and_gradients(squared_distances, [b, a], upstream)
+    want = value_and_gradients(composed_squared_distances, [b, a], upstream)
+    for x, y in zip(got, want):
+        np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-9 * max(1.0, np.abs(y).max()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(distance_cases(), mse_cases())
+def test_squared_distances_and_the_loss_pass_the_finite_difference_check(distances, loss):
+    b, a, *_, upstream, _ = distances
+    leaves = [Tensor(b.copy(), requires_grad=True), Tensor(a.copy(), requires_grad=True)]
+    weights = Tensor(upstream)
+    report = finite_diff_check(lambda: reduce_sum(mul(squared_distances(*leaves), weights)),
+                               leaves, h=1e-5 * max(1.0, np.abs(b).max()), tol=1e-5)
+    assert report.passed, report.max_rel_err
+    x, target, upstream = loss
+    leaf, weights = Tensor(x.copy(), requires_grad=True), Tensor(upstream)
+    report = finite_diff_check(lambda: reduce_sum(mul(mean_squared_error(leaf, target), weights)),
+                               [leaf], h=1e-5 * max(1.0, np.abs(x).max()), tol=1e-5)
+    assert report.passed, report.max_rel_err
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])

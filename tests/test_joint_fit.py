@@ -3,7 +3,7 @@
 `experiments._fit` fits every kernel kind of an experiment in one recorded
 graph per step. Each (kind, seed) result must equal the fit of that kind
 alone in `per_kind_fit`, for every kind, for both fit drivers, and when
-another kind diverges.
+another kind diverges. Each fit gets fresh adapters from `per_kind_fit.adapters`.
 """
 
 import tracemalloc
@@ -25,6 +25,11 @@ def targets_for(seeds, m=10, n=8):
     return np.stack([np.random.default_rng([seed, 0x7A]).normal(size=(m, n)) for seed in seeds])
 
 
+def fits_for(kinds, r, pieces=2, **init):
+    """Fresh adapters for `_fit`, one per (kind, seed of SEEDS), for 10 x 8 targets."""
+    return per_kind_fit.adapters(kinds, SEEDS, 10, 8, r=r, pieces=pieces, **init)
+
+
 # the fit-matrix set-up (zero-init coefficients, antisymmetric pieces) and the
 # grad-evolution one (uniform factors, canonical coefficients)
 SETUPS = {
@@ -36,14 +41,13 @@ SETUPS = {
 @pytest.mark.parametrize("setup", SETUPS)
 def test_every_kind_equals_its_per_kind_fit(setup):
     targets = targets_for(SEEDS)
-    args = (targets, SEEDS)
-    kwargs = dict(r=4, steps=60, lr=1e-2, pieces=2, record_points=7, **SETUPS[setup])
-    joint = _fit(ALL_KINDS, *args, **kwargs)
+    init = dict(r=4, **SETUPS[setup])
+    joint = _fit(fits_for(ALL_KINDS, **init), targets, 60, 1e-2, record_points=7)
     assert len(joint) == len(ALL_KINDS)
-    for kind, runs in zip(ALL_KINDS, joint):
-        solo = per_kind_fit.fit(kind, *args, **kwargs)
+    for kind_fits, runs in zip(fits_for(ALL_KINDS, **init), joint):
+        solo = per_kind_fit.fit(kind_fits, targets, 60, 1e-2, record_points=7)
         assert not any(run["diverged"] for run in solo)
-        assert runs == solo, kind.value
+        assert runs == solo, kind_fits[0][0].kind.value
 
 
 @pytest.mark.parametrize("driver, params", [
@@ -63,14 +67,13 @@ def test_drivers_equal_the_per_kind_oracle(driver, params):
 def test_a_diverged_kind_leaves_every_other_fit_unchanged():
     kinds = [KernelKind.MIX_K, KernelKind.LINEAR, KernelKind.P_LINEAR]
     targets = np.broadcast_to(targets_for(SEEDS), (3, len(SEEDS), 10, 8)).copy()
-    kwargs = dict(r=2, steps=30, lr=1e-2, pieces=2, factor_std=1.0)
-    healthy = _fit(kinds, targets, SEEDS, **kwargs)
+    healthy = _fit(fits_for(kinds, r=2), targets, 30, 1e-2)
     # the linear kind's squared errors overflow from the first step on
     targets[1] *= 1e308
-    mixed = _fit(kinds, targets, SEEDS, **kwargs)
+    mixed = _fit(fits_for(kinds, r=2), targets, 30, 1e-2)
     assert mixed[0] == healthy[0] and mixed[2] == healthy[2]
     assert all(run["diverged"] and run["trace"] == [] for run in mixed[1])
-    assert mixed[1] == per_kind_fit.fit(kinds[1], targets[1], SEEDS, **kwargs)
+    assert mixed[1] == per_kind_fit.fit(fits_for(kinds, r=2)[1], targets[1], 30, 1e-2)
 
 
 @pytest.mark.parametrize("kinds", [
@@ -92,12 +95,12 @@ def test_any_order_of_kinds_equals_the_per_kind_fits(monkeypatch, kinds):
         monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
     kinds = [KernelKind(k) for k in kinds]
     targets = targets_for(SEEDS)
-    kwargs = dict(r=4, steps=40, lr=1e-2, pieces=2, factor_std=1.0, piece_init_eps=0.5,
-                  record_points=7)
-    joint = _fit(kinds, targets, SEEDS, **kwargs)
+    init = dict(r=4, piece_init_eps=0.5)
+    joint = _fit(fits_for(kinds, **init), targets, 40, 1e-2, record_points=7)
     assert len(distance_ops) == 41  # one per step, and one for the final losses
     monkeypatch.undo()
-    assert joint == per_kind_fit.fit_each(kinds, targets, SEEDS, **kwargs)
+    assert joint == per_kind_fit.fit_each(fits_for(kinds, **init), targets, 40, 1e-2,
+                                          record_points=7)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -105,14 +108,14 @@ def test_a_diverged_mix_k_fit_leaves_its_block_unchanged():
     # mix-k and p-linear merge in one block; one mix-k seed diverges in it
     kinds = [KernelKind.P_LINEAR, KernelKind.LINEAR, KernelKind.MIX_K]
     targets = np.broadcast_to(targets_for(SEEDS), (3, len(SEEDS), 10, 8)).copy()
-    kwargs = dict(r=4, steps=30, lr=1e-2, pieces=2, factor_std=1.0, piece_init_eps=0.5)
-    healthy = _fit(kinds, targets, SEEDS, **kwargs)
+    init = dict(r=4, piece_init_eps=0.5)
+    healthy = _fit(fits_for(kinds, **init), targets, 30, 1e-2)
     targets[2, 1] *= 1e308
-    mixed = _fit(kinds, targets, SEEDS, **kwargs)
+    mixed = _fit(fits_for(kinds, **init), targets, 30, 1e-2)
     assert mixed[:2] == healthy[:2]
     assert mixed[2][1]["diverged"] and mixed[2][1]["trace"] == []
     assert mixed[2][0] == healthy[2][0] and mixed[2][2] == healthy[2][2]
-    assert mixed[2] == per_kind_fit.fit(kinds[2], targets[2], SEEDS, **kwargs)
+    assert mixed[2] == per_kind_fit.fit(fits_for(kinds, **init)[2], targets[2], 30, 1e-2)
 
 
 def test_a_fit_step_records_one_graph(monkeypatch):
@@ -136,7 +139,7 @@ def test_a_fit_step_records_one_graph(monkeypatch):
 
     monkeypatch.setattr(model.Adam, "step", marked_step)
     kinds = [KernelKind.MIX_K, KernelKind.P_LINEAR, KernelKind.LINEAR]
-    _fit(kinds, targets_for(SEEDS), SEEDS, r=4, steps=5, lr=1e-3, pieces=2, factor_std=1.0)
+    _fit(fits_for(kinds, r=4), targets_for(SEEDS), 5, 1e-3)
     assert calls == {"backward": 5, "loss": 6}  # one per step, and the final losses
     assert len(marks) == 5
     # the mix-k and p-linear block 1 (the fused distances and partial column

@@ -170,7 +170,7 @@ class TestMerge:
         pair = random_pair(rng, 5, 4, 3)
         for kind in (KernelKind.P_LINEAR, KernelKind.MIX_K, KernelKind.SIGMOID, KernelKind.RBF):
             spec = KernelSpec.zero_init(kind, pieces=2)
-            coeffs = spec.coefficients()
+            coeffs = list(spec.coeffs)
             grads = record_and_backward(lambda: reduce_sum(merge(spec, pair)), coeffs)
             assert any(np.abs(grads[c].data).max() > 0 for c in coeffs), kind
 
@@ -281,7 +281,7 @@ class TestMergeGradients:
         rng = np.random.default_rng(31)
         pair = random_pair(rng, 4, 3, 2, std=0.8)
         spec = KernelSpec.canonical(KernelKind.MIX_K, pieces=2, trainable=True)
-        params = [pair.A, pair.B, *spec.coefficients()]
+        params = [pair.A, pair.B, *spec.coeffs]
         report = finite_diff_check(
             lambda: reduce_sum(merge(spec, pair)), params, h=1e-4, tol=1e-5
         )
@@ -307,7 +307,7 @@ class TestMergeGradients:
         rng = np.random.default_rng(17)
         pair = random_pair(rng, 4, 3, 2, std=0.8)
         spec = KernelSpec.canonical(kind, pieces=2, trainable=True)
-        params = [pair.A, pair.B] + spec.coefficients()
+        params = [pair.A, pair.B, *spec.coeffs]
         weights = Tensor(rng.normal(size=(4, 3)))
 
         def program():

@@ -413,7 +413,7 @@ class TestCheckpoint:
         rec = load_checkpoint(path)[0]
         before = [rec.a.copy(), rec.b.copy(), rec.coefficients.copy()]
         pair, spec = rec.to_pair_and_spec()
-        params = [pair.A, pair.B, *spec.coefficients()]
+        params = [pair.A, pair.B, *spec.coeffs]
         opt = Adam(params, lr=0.1)
         for p in params:
             p.grad = np.ones_like(p.data)

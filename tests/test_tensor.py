@@ -221,7 +221,7 @@ def _merge_program(kind, seed, grad_scale=1.0):
         out = reduce_sum(mul(merge(spec, pair), weights))
         return _make(out.data, (out,), lambda g: (g * grad_scale,))
 
-    return program, [pair.A, pair.B, *spec.coefficients()]
+    return program, [pair.A, pair.B, *spec.coeffs]
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6])
