@@ -60,6 +60,9 @@ Kernels = Annotated[list[KernelKind], once_each("kernel")]
 # 0.15 ms, and with a worker a 100-step fit of them took 3% longer (51.9
 # against 50.2 ms, medians of 40 alternating calls); one 256 x 256 target
 # (2**24) takes 6 ms, and one 768 x 768 target 134 ms, 43% of a 4-step fit.
+# So a 768 x 768, r 8 mix-k fit of 4 steps is bound by its target's SVD: the
+# whole call took 163-180 ms at 0 steps and 177-184 ms at 4 steps, against
+# about 135 ms for the SVD alone, and a faster merge barely moves it.
 RANK_THREAD_WORK = 2**24
 
 
@@ -114,6 +117,11 @@ def check_ranks(m, n, r=None, r_values=(), target_rank=None, pieces=1, kernels=(
     # the fits split the rank into pieces; the rank sweep caps pieces at each rank
     if r is not None and pieces > r and any(KINDS[k].piecewise for k in kernels):
         raise ValueError(f"piece count {pieces} exceeds rank {r}")
+
+
+def _abs_sums(x: np.ndarray) -> np.ndarray:
+    """sum |x| over each matrix of a stack."""
+    return np.add.reduce(np.abs(x), axis=(-2, -1))
 
 
 def _fit(fits, targets: np.ndarray, steps: int, lr: float, record_points: int = 40) -> list:
@@ -172,16 +180,19 @@ def _fit(fits, targets: np.ndarray, steps: int, lr: float, record_points: int = 
                 held[k] = [p.data[~live[k]] for p in params[k]]  # boolean indexing copies
         backward(reduce_sum(loss))
         if step % record_every == 0:
+            # mean |gradient| over both factors, per kind and seed; the block's
+            # factors are reduced once for all its kinds
+            block_mags = (_abs_sums(block[1].A.grad) + _abs_sums(block[1].B.grad)
+                          if block else None)
+            step_values, step_live = values.tolist(), live.tolist()
             for k, (_, pair) in enumerate(stacks):
-                ga, gb = ((block[1].A.grad[slot[k]], block[1].B.grad[slot[k]]) if k in slot
-                          else (pair.A.grad, pair.B.grad))
-                # mean |gradient| over both factors, per seed
-                mag = (np.abs(ga).sum(axis=(-2, -1))
-                       + np.abs(gb).sum(axis=(-2, -1))) / ((m + n) * r)
-                kind_values, mags = values[k].tolist(), mag.tolist()
-                for s in np.flatnonzero(live[k]):
-                    traces[k][s].append([step, kind_values[s]])
-                    grad_traces[k][s].append([step, mags[s]])
+                mags = (block_mags[slot[k]] if k in slot
+                        else _abs_sums(pair.A.grad) + _abs_sums(pair.B.grad))
+                mags = (mags / ((m + n) * r)).tolist()
+                for s, (value, mag, ok) in enumerate(zip(step_values[k], mags, step_live[k])):
+                    if ok:
+                        traces[k][s].append([step, value])
+                        grad_traces[k][s].append([step, mag])
         opt.step()
         for k, kept in held.items():
             for p, p_kept in zip(params[k], kept):

@@ -12,6 +12,7 @@ carries no gradient at all (its output is a detached constant).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -104,10 +105,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.add.reduce(g, axis=tuple(range(extra)))
     axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
+        g = np.add.reduce(g, axis=axes, keepdims=True)
     return g.reshape(shape)
 
 
@@ -252,9 +253,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bwd(g):
-        at = np.swapaxes(a.data, -1, -2)
-        bt = np.swapaxes(b.data, -1, -2)
-        return g @ bt, at @ g
+        return g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g
 
     return _make(data, (a, b), bwd)
 
@@ -285,10 +284,10 @@ def affine(x: Tensor, w0: np.ndarray, delta: Tensor, bias: np.ndarray | None = N
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim < 2:
         raise ValueError("transpose needs at least 2 dimensions")
-    data = np.swapaxes(a.data, -1, -2)
+    data = a.data.swapaxes(-1, -2)
 
     def bwd(g):
-        return (np.swapaxes(g, -1, -2),)
+        return (g.swapaxes(-1, -2),)
 
     return _make(data, (a,), bwd)
 
@@ -354,16 +353,17 @@ def _assemble(shape: tuple, parts: list, rest) -> np.ndarray:
     The slices take the memory layout of the first slice gradient: when it
     is transposed (an `affine` weight gradient is), each slice is stored
     transposed, so every later reduction over a slice adds in the order it
-    would on that slice's own gradient. Slices nobody took are zero; a
-    slice's first gradient is copied, not added to zero, so signed zeros
-    survive.
+    would on that slice's own gradient. Slices nobody took are zero, and
+    when every slice was taken nothing is zero-filled; a slice's first
+    gradient is copied, not added to zero, so signed zeros survive.
     """
     first = parts[0].g
+    new = np.empty if len({part.k for part in parts}) == shape[0] else np.zeros
     if first.ndim >= 2 and not first.flags.c_contiguous and first.T.flags.c_contiguous:
         axes = (0, *range(len(shape) - 1, 0, -1))
-        out = np.zeros(tuple(shape[ax] for ax in axes)).transpose(axes)
+        out = new(tuple(shape[ax] for ax in axes)).transpose(axes)
     else:
-        out = np.zeros(shape)
+        out = new(shape)
     written = set()
     for part in parts:
         if part.k in written:
@@ -379,14 +379,14 @@ def _assemble(shape: tuple, parts: list, rest) -> np.ndarray:
 
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     if axis is None:
-        data = np.asarray(a.data.sum())
+        data = np.asarray(np.add.reduce(a.data, axis=None))
 
         def bwd(g):
             return (np.broadcast_to(g, a.data.shape),)
 
         return _make(data, (a,), bwd)
     ax = axis % a.data.ndim
-    data = a.data.sum(axis=ax)
+    data = np.add.reduce(a.data, axis=ax)
 
     def bwd_axis(g):
         return (np.broadcast_to(np.expand_dims(g, ax), a.data.shape),)
@@ -457,39 +457,83 @@ def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
 # most of a guarded call's time.
 _GUARD = 1e-6
 
+# The widest pieces whose d² is one GEMM over k + 2 terms (`_gram_sq_distances`).
+# That GEMM adds its terms in the order of the GEMM and three passes it
+# replaces only for short rows of a matrix product: with OpenBLAS 0.3's Haswell
+# kernels the bits agreed up to k + 2 = 31 at 32 x 32, and mostly not when m or
+# n was 1, where BLAS forms a matrix-vector product. Other widths and shapes
+# take the passes, so every d² keeps its bits.
+_GRAM_WIDTH = 16
+
+
+def _gram_sq_distances(bs: np.ndarray, as_: np.ndarray):
+    """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k),
+    with the operands of their GEMM and the guarded entries.
+
+    Returns (d2, bt, at, guarded). bt (..., 2k + 2, m) holds the rows -2 bs^T,
+    |bs|², ones and bs^T, and at (..., k + 2, n) the rows as_^T, ones and
+    |as_|², so bt[..., :k + 2, :]^T @ at is -2 b_i . a_j + |b_i|² + |a_j|²,
+    added in that order; the scaling by -2 is exact. Each operand row is a
+    whole column of a factor, so every copy runs along m or n, not along k.
+    The backward reads [1 | bs]^T from bt's last k + 1 rows and [as_ | 1]^T
+    from at's first k + 1. guarded is None or (flat, slices, i, j, diff): the
+    guarded entries' indices in d2.ravel(), the index of each one's matrix in
+    d2.reshape(-1, m, n), its row and column there, and diff[e] = b_i - a_j
+    of entry e, from which entry e's d² is recomputed. Every unguarded entry
+    exceeds a nonnegative bound, so d² needs no clamp at zero.
+    """
+    k, m, n = bs.shape[-1], bs.shape[-2], as_.shape[-2]
+    nb = np.einsum("...ik,...ik->...i", bs, bs)
+    na = np.einsum("...jk,...jk->...j", as_, as_)
+    bt = np.empty((*bs.shape[:-2], 2 * k + 2, m))
+    bt[..., k + 2:, :] = bs.swapaxes(-1, -2)
+    np.multiply(bt[..., k + 2:, :], -2.0, out=bt[..., :k, :])
+    bt[..., k, :] = nb
+    bt[..., k + 1, :] = 1.0
+    at = np.empty((*as_.shape[:-2], k + 2, n))
+    at[..., :k, :] = as_.swapaxes(-1, -2)
+    at[..., k, :] = 1.0
+    at[..., k + 1, :] = na
+    if m > 1 and n > 1 and k <= _GRAM_WIDTH:
+        d2 = bt[..., :k + 2, :].swapaxes(-1, -2) @ at
+    else:  # the same terms in the same order, one pass each
+        d2 = bs @ as_.swapaxes(-1, -2)
+        d2 *= -2.0
+        d2 += nb[..., :, None]
+        d2 += na[..., None, :]
+    # fmax skips a NaN norm, whose row of d2 is NaN and never guarded
+    bound = _GUARD * (np.fmax.reduce(nb, axis=None, initial=0.0)
+                      + np.fmax.reduce(na, axis=None, initial=0.0))
+    if np.minimum.reduce(d2, axis=None, initial=np.inf) > bound:
+        return d2, bt, at, None  # no entry is near cancellation
+    d2v = d2.reshape(-1)
+    flat = np.flatnonzero(d2 <= bound)
+    rows, j = np.divmod(flat, n)
+    slices, i = np.divmod(rows, m)
+    near = d2v[flat] <= _GUARD * (nb.reshape(-1)[rows] + na.reshape(-1)[slices * n + j])
+    if not near.any():
+        return d2, bt, at, None
+    flat, slices, i, j = flat[near], slices[near], i[near], j[near]
+    diff = np.subtract(bt.reshape(-1, 2 * k + 2, m)[slices, k + 2:, i],
+                       at.reshape(-1, k + 2, n)[slices, :k, j], out=np.empty((flat.size, k)))
+    d2v[flat] = np.einsum("ek,ek->e", diff, diff)
+    return d2, bt, at, (flat, slices, i, j, diff)
+
 
 def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
     """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k).
 
-    Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j, so no
-    (m, n, k) array is formed. Leading axes are a batch of independent
-    slices. Returns (d2, guarded): the (..., m, n) array of d², and None or
-    the guarded entries as (index, diff), where index is the tuple of index
-    arrays of those entries in d2 (batch axes, then i, then j) and diff[k]
-    the row difference bs_i - as_j that gave entry k. Every unguarded entry
-    exceeds a nonnegative bound, so d² needs no clamp at zero.
+    Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j as one
+    GEMM (`_gram_sq_distances`), so no (m, n, k) array is formed. Leading axes
+    are a batch of independent slices. Returns (d2, guarded): the (..., m, n)
+    array of d², and None or the guarded entries as (index, diff), where
+    index is the tuple of index arrays of those entries in d2 (batch axes,
+    then i, then j) and diff[e] the row difference bs_i - as_j of entry e.
     """
-    nb = np.einsum("...ik,...ik->...i", bs, bs)[..., :, None]
-    na = np.einsum("...jk,...jk->...j", as_, as_)[..., None, :]
-    d2 = bs @ np.swapaxes(as_, -1, -2)
-    d2 *= -2.0
-    d2 += nb
-    d2 += na
-    # fmax skips a NaN norm, whose row of d2 is NaN and never guarded
-    bound = _GUARD * (np.fmax.reduce(nb, axis=None, initial=0.0)
-                      + np.fmax.reduce(na, axis=None, initial=0.0))
-    if np.min(d2, initial=np.inf) > bound:
-        return d2, None  # no entry is near cancellation
-    flat = np.flatnonzero(d2 <= bound)
-    *lead, i, j = np.unravel_index(flat, d2.shape)
-    near = d2.reshape(-1)[flat] <= _GUARD * (nb[(*lead, i, 0)] + na[(*lead, 0, j)])
-    if not near.any():
+    d2, _, _, guarded = _gram_sq_distances(bs, as_)
+    if guarded is None:
         return d2, None
-    index = tuple(axis[near] for axis in (*lead, i, j))
-    *lead, i, j = index
-    diff = bs[(*lead, i)] - as_[(*lead, j)]
-    d2[index] = np.einsum("kr,kr->k", diff, diff)
-    return d2, (index, diff)
+    return d2, (np.unravel_index(guarded[0], d2.shape), guarded[-1])
 
 
 def _check_factors(b: Tensor, a: Tensor) -> None:
@@ -511,20 +555,45 @@ def _piece_columns(bounds, r: int):
     return w, cols
 
 
+@functools.cache
+def _piece_layout(bounds: tuple, r: int):
+    """The checked segments `bounds` of [0, r) as (P, w, cols, keep): the piece
+    count, `_piece_columns`' w and cols, and None or the columns of the joined
+    pieces that are not padding. Cached per (bounds, r), so the index arrays
+    are shared and read-only; bad segments raise on every call."""
+    for s, e in bounds:
+        if not (0 <= s < e <= r):
+            raise ValueError(f"segment ({s}, {e}) out of range for axis length {r}")
+    starts = [s for s, _ in bounds]
+    if not bounds or starts != [0, *(e for _, e in bounds[:-1])] or bounds[-1][1] != r:
+        raise ValueError(f"segments must tile [0, {r}) in order, got {list(bounds)}")
+    w, cols = _piece_columns(bounds, r)
+    if cols is None:
+        return len(bounds), w, None, None
+    keep = np.flatnonzero(cols.ravel() < r)
+    cols.flags.writeable = keep.flags.writeable = False
+    return len(bounds), w, cols, keep
+
+
 def _split_pieces(x: np.ndarray, w: int, cols) -> np.ndarray:
     """(..., k, r) -> (..., P, k, w): the pieces of x's columns, narrower ones zero-padded."""
     if cols is None:
         y = x.reshape(*x.shape[:-1], -1, w)
     else:
         y = np.concatenate((x, np.zeros((*x.shape[:-1], 1))), axis=-1).take(cols, axis=-1)
-    return np.swapaxes(y, -3, -2)
+    return y.swapaxes(-3, -2)
 
 
-def _join_pieces(y: np.ndarray, r: int, cols) -> np.ndarray:
-    """The inverse of `_split_pieces`: (..., P, k, w) -> (..., k, r), padding dropped."""
-    y = np.swapaxes(y, -3, -2)
-    y = y.reshape(*y.shape[:-2], -1)
-    return y if cols is None else y.take(np.flatnonzero(cols.ravel() < r), axis=-1)
+def _join_pieces(yt: np.ndarray, scale: np.ndarray, keep) -> np.ndarray:
+    """scale * y for pieces given as yt = y^T (..., P, w, k), as (..., k, r): the
+    inverse of `_split_pieces`, padding dropped (keep from `_piece_layout`)."""
+    *lead, pieces, w, k = yt.shape
+    if keep is None:
+        out = np.empty((*lead, k, pieces * w))
+        np.multiply(yt, scale, out=out.swapaxes(-1, -2).reshape(yt.shape))
+        return out
+    y = np.multiply(yt, scale).reshape(*lead, pieces * w, k).take(keep, axis=-2)
+    return np.ascontiguousarray(y.swapaxes(-1, -2))
 
 
 def _slice_dot(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -538,49 +607,54 @@ def _segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds):
     """The value of `weighted_segment_distances`, a fresh array, and what its backward needs."""
     _check_factors(b, a)
     lead, r = b.data.shape[:-2], b.data.shape[-1]
-    for s, e in bounds:
-        if not (0 <= s < e <= r):
-            raise ValueError(f"segment ({s}, {e}) out of range for axis length {r}")
-    starts = [s for s, _ in bounds]
-    if not bounds or starts != [0, *(e for _, e in bounds[:-1])] or bounds[-1][1] != r:
-        raise ValueError(f"segments must tile [0, {r}) in order, got {list(bounds)}")
-    if alpha_p.data.shape != (*lead, len(bounds)):
-        raise ValueError(f"need {len(bounds)} segment weights per slice, "
+    pieces, w, cols, keep = _piece_layout(tuple(map(tuple, bounds)), r)
+    if alpha_p.data.shape != (*lead, pieces):
+        raise ValueError(f"need {pieces} segment weights per slice, "
                          f"got shape {alpha_p.data.shape}")
-    w, cols = _piece_columns(bounds, r)
-    bp, ap = _split_pieces(b.data, w, cols), _split_pieces(a.data, w, cols)
-    d, guarded = _segment_sq_distances(bp, ap)
+    d, bt, at, guarded = _gram_sq_distances(_split_pieces(b.data, w, cols),
+                                            _split_pieces(a.data, w, cols))
     np.sqrt(d, out=d)
     out = np.einsum("...p,...pij->...ij", alpha_p.data, d)
-    return out, (bp, ap, alpha_p.data, d, guarded, r, cols)
+    return out, (bt, at, alpha_p.data, d, guarded, keep)
 
 
 def _segment_distances_backward(g: np.ndarray, saved):
     """The gradients of B, A and alpha_p from the gradient g of the distance matrix."""
-    bp, ap, alpha_p, d, guarded, r, cols = saved
+    bt, at, alpha_p, d, guarded, keep = saved
+    w = at.shape[-2] - 2
     galpha = _slice_dot(g, d)
-    # sum_j W_ij (b_i - a_j) with W = w g / d per piece, in Gram form; that
-    # form cancels badly at the guarded entries, so they use their differences.
-    # Only a guarded entry can be a zero distance.
-    gb = np.zeros_like(bp)
-    ga = np.zeros_like(ap)
-    if guarded is None:
-        weight = g[..., None, :, :] / d
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = g[..., None, :, :] / d
-        index, diff = guarded
-        *lead_i, p, i, j = index
-        weight[index] = 0.0
-        dg = d[index]
-        wg = alpha_p[(*lead_i, p)] * g[(*lead_i, i, j)]
-        scale = np.where(dg > 0.0, wg / np.where(dg > 0.0, dg, 1.0), 0.0)
-        np.add.at(gb, (*lead_i, p, i), scale[:, None] * diff)
-        np.add.at(ga, (*lead_i, p, j), -scale[:, None] * diff)
-    weight *= alpha_p[..., None, None]
-    gb += weight.sum(axis=-1)[..., None] * bp - weight @ ap
-    ga += weight.sum(axis=-2)[..., None] * ap - np.swapaxes(weight, -1, -2) @ bp
-    return _join_pieces(gb, r, cols), _join_pieces(ga, r, cols), galpha
+    # sum_j W_ij (b_i - a_j) per piece, with W = g / d, in Gram form: one GEMM
+    # gives W A and the row sums, another the column sums and W^T B, and
+    # alpha_p scales the results. That form cancels badly at the guarded
+    # entries, so they use their differences; only a guarded entry can be a
+    # zero distance, and W there is g / 1 until it is zeroed.
+    dv = d.reshape(-1)
+    if guarded is not None:
+        flat, slices, i, j, diff = guarded
+        dg = dv[flat]
+        dv[flat] = 1.0
+    weight = np.divide(g[..., None, :, :], d, out=np.empty(d.shape))
+    if guarded is not None:
+        dv[flat] = dg
+        wv = weight.reshape(-1)
+        scale = np.divide(wv[flat], dg, out=np.zeros(dg.shape), where=dg > 0.0)
+        wv[flat] = 0.0
+    # W is each GEMM's left operand: as the right one, OpenBLAS packed it into
+    # more of its buffer, and a 768 x 768 fit's peak RSS rose by 4.5 MiB. Both
+    # results are read as rows: (W A)^T and the row sums; the column sums and
+    # (W^T B)^T.
+    wa = (weight @ at[..., :w + 1, :].swapaxes(-1, -2)).swapaxes(-1, -2)
+    wb = (weight.swapaxes(-1, -2) @ bt[..., w + 1:, :].swapaxes(-1, -2)).swapaxes(-1, -2)
+    gb = np.multiply(bt[..., w + 2:, :], wa[..., w:, :], out=np.empty(wa[..., :w, :].shape))
+    gb -= wa[..., :w, :]
+    ga = np.multiply(at[..., :w, :], wb[..., :1, :], out=np.empty(wb[..., 1:, :].shape))
+    ga -= wb[..., 1:, :]
+    if guarded is not None:  # gb and ga are C-ordered, so reshape gives views
+        step = scale[:, None] * diff
+        np.add.at(gb.reshape(-1, w, gb.shape[-1]), (slices, slice(None), i), step)
+        np.subtract.at(ga.reshape(-1, w, ga.shape[-1]), (slices, slice(None), j), step)
+    alpha_p = alpha_p[..., None, None]
+    return _join_pieces(gb, alpha_p, keep), _join_pieces(ga, alpha_p, keep), galpha
 
 
 def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
@@ -593,7 +667,9 @@ def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) ->
     recorded op with a closed-form backward. The pieces lie on one axis,
     (..., P, m, w) for the widest piece's width w, narrower pieces padded
     with zero columns; it holds a (..., P, m, n) array of distances, never
-    an (m, n, r) array. The subgradient at a zero distance is 0.
+    an (m, n, r) array. Each piece's d² is one GEMM of operands augmented by
+    their row norms and a column of ones, and the backward two more
+    (`_gram_sq_distances`). The subgradient at a zero distance is 0.
     """
     out, saved = _segment_distances(b, a, alpha_p, bounds)
 
@@ -614,8 +690,8 @@ def squared_distances(b: Tensor, a: Tensor) -> Tensor:
 
     def bwd(g):
         # d(d²)/db_i = 2 (b_i - a_j) is bounded, so the Gram form is accurate here
-        gb = 2.0 * (g.sum(axis=-1)[..., None] * b.data - g @ a.data)
-        ga = 2.0 * (g.sum(axis=-2)[..., None] * a.data - np.swapaxes(g, -1, -2) @ b.data)
+        gb = 2.0 * (np.add.reduce(g, axis=-1)[..., None] * b.data - g @ a.data)
+        ga = 2.0 * (np.add.reduce(g, axis=-2)[..., None] * a.data - g.swapaxes(-1, -2) @ b.data)
         return gb, ga
 
     return _make(d2, (b, a), bwd)
@@ -624,9 +700,9 @@ def squared_distances(b: Tensor, a: Tensor) -> Tensor:
 def _softmax_data(x: np.ndarray, ax: int) -> np.ndarray:
     if x.shape[ax] == 0:
         raise ValueError("softmax over an empty axis")
-    e = x - x.max(axis=ax, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=ax, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=ax, keepdims=True)
+    e /= np.add.reduce(e, axis=ax, keepdims=True)
     return e
 
 
@@ -635,7 +711,7 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     s = _softmax_data(a.data, ax)
 
     def bwd(g):
-        dot = (g * s).sum(axis=ax, keepdims=True)
+        dot = np.add.reduce(g * s, axis=ax, keepdims=True)
         return (s * (g - dot),)
 
     return _make(s, (a,), bwd)
@@ -657,7 +733,7 @@ def _column_mix_backward(g: np.ndarray, s: np.ndarray, alpha: np.ndarray, beta: 
     """
     gs = g * alpha
     t = gs * s
-    dot = t.sum(axis=-2, keepdims=True)
+    dot = np.add.reduce(t, axis=-2, keepdims=True)
     galpha = _unbroadcast(np.multiply(g, s, out=t), alpha.shape)
     if galpha is t:  # a stack of 1 x 1 matrices; t is overwritten below
         galpha = t.copy()

@@ -131,6 +131,21 @@ def test_rejects_bad_segments_and_shapes():
         squared_distances(b, Tensor(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("bounds", [[(0, 2), (2, 5)], [(0, 1), (2, 4)], [[0, 2]], ()],
+                         ids=["out-of-range", "gap", "short", "empty"])
+def test_bad_segments_raise_on_every_call(bounds):
+    # the checked piece layout is cached per (bounds, r); a rejection is not,
+    # and a good layout cached between the calls does not stand in for it
+    b, a = Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4)))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as error:
+            weighted_segment_distances(b, a, Tensor(np.ones(max(len(bounds), 1))), bounds)
+        messages.append(str(error.value))
+        weighted_segment_distances(b, a, Tensor(np.ones(2)), [(0, 2), (2, 4)])
+    assert messages == messages[:1] * 3
+
+
 @st.composite
 def factor_cases(draw):
     m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))

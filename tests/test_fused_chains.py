@@ -10,7 +10,10 @@ slice included, and the cancellation guard to its full-mask definition;
 `soft_threshold`, `affine` and `mean_squared_error` are held to theirs on
 drawn cases too. `squared_distances` is held to the composed (m, n, r)
 formulation within rounding, and it and `mean_squared_error` pass the
-finite-difference check on drawn cases.
+finite-difference check on drawn cases. On the same drawn stacks, the two
+distance ops are held to the composed formulation within rounding, partial
+mixes included, and pass the finite-difference check away from zero
+distances.
 """
 
 import json
@@ -331,6 +334,76 @@ def test_squared_distances_and_the_loss_pass_the_finite_difference_check(distanc
     report = finite_diff_check(lambda: reduce_sum(mul(mean_squared_error(leaf, target), weights)),
                                [leaf], h=1e-5 * max(1.0, np.abs(x).max()), tol=1e-5)
     assert report.passed, report.max_rel_err
+
+
+def distance_leaves(case):
+    """Leaves b, a, alpha_p, alpha and beta of a `distance_cases` draw, the
+    coefficients drawn from its generator; alpha and beta mix its M slices."""
+    b, a, bounds, mixes, _, rng = case
+    lead = b.shape[:-2]
+    scalar = (mixes, *lead[1:], 1, 1) if lead else ()
+    arrays = [b, a, rng.normal(size=(*lead, len(bounds))), rng.normal(size=scalar),
+              rng.normal(size=scalar)]
+    return [Tensor(x.copy(), requires_grad=True) for x in arrays]
+
+
+def composed_distances(b, a, alpha_p, mix, bounds) -> Tensor:
+    """The composed distances of `composed_merge` on each matrix of a stack on its
+    own, with the column mix of `mix` = (alpha, beta), or None, on the first
+    len(alpha) slices of each stack axis it covers."""
+    if b.data.ndim == 2:
+        k = composed_merge.weighted_segment_distances(b, a, alpha_p, bounds)
+        return k if mix is None else composed_chains.column_mix(k, *mix)
+    mixes = 0 if mix is None else mix[0].data.shape[0]
+    return stack([composed_distances(take(b, s), take(a, s), take(alpha_p, s),
+                                     tuple(take(x, s) for x in mix) if s < mixes else None,
+                                     bounds)
+                  for s in range(b.data.shape[0])])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(distance_cases())
+def test_distance_ops_equal_the_composed_distances(case):
+    # exact row copies and near-guard pairs included; a zero distance has the
+    # subgradient 0 in both
+    b, a, bounds, _, upstream, _ = case
+    leaves = distance_leaves(case)
+    arrays = [leaf.data for leaf in leaves]
+    for fused, composed, n in [
+            (lambda *t: mixed_segment_distances(*t, bounds),
+             lambda b, a, p, *mix: composed_distances(b, a, p, mix, bounds), 5),
+            (lambda *t: weighted_segment_distances(*t, bounds),
+             lambda *t: composed_distances(*t, None, bounds), 3)]:
+        got = value_and_gradients(fused, arrays[:n], upstream)
+        want = value_and_gradients(composed, arrays[:n], upstream)
+        for x, y in zip(got, want):  # alpha and beta are empty when no slice is mixed
+            np.testing.assert_allclose(x, y, rtol=0.0, atol=1e-9 * np.abs(y).max(initial=1.0))
+
+
+def piece_distances(b, a, bounds) -> np.ndarray:
+    """(P, ..., m, n): each piece's distances, from explicit row differences."""
+    diff = b[..., :, None, :] - a[..., None, :, :]
+    return np.stack([np.sqrt((diff[..., s:e] ** 2).sum(axis=-1)) for s, e in bounds])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(distance_cases())
+def test_distance_ops_pass_the_finite_difference_check(case):
+    # A zero distance is a kink, and so is a distance the step can cross: the
+    # incoming gradient leaves out every column that holds one, since the
+    # column mix spreads an entry over its column. Near-guard pairs stay in.
+    # The factors step with their scale, the coefficients by 1e-6: a smaller
+    # step would lose their gradients to the rounding of the weighted sum.
+    b, a, bounds, _, upstream, _ = case
+    leaves = distance_leaves(case)
+    h = 1e-6 * max(np.abs(b).max(), np.abs(a).max())
+    smooth = (piece_distances(b, a, bounds) > 1e3 * h).all(axis=(0, -2), keepdims=True)[0]
+    weights = Tensor(upstream * smooth)
+    for op, n in [(mixed_segment_distances, 5), (weighted_segment_distances, 3)]:
+        for params, step in [(leaves[:2], h), (leaves[2:n], 1e-6)]:
+            report = finite_diff_check(lambda: reduce_sum(mul(op(*leaves[:n], bounds), weights)),
+                                       params, h=step, tol=1e-5)
+            assert report.passed, (op.__name__, report.max_rel_err)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
