@@ -341,10 +341,13 @@ def take(x: Tensor, k: int) -> Tensor:
     The backward fills slice k of the stack's gradient alone; see `_assemble`.
     """
 
+    data = x.data[k]
+    k %= x.data.shape[0]  # so take(x, -1) and take(x, S - 1) name one slice
+
     def bwd(g):
         return (_SliceGrad(k, g),)
 
-    return _make(x.data[k], (x,), bwd)
+    return _make(data, (x,), bwd)
 
 
 def _assemble(shape: tuple, parts: list, rest) -> np.ndarray:
@@ -457,83 +460,63 @@ def mean_squared_error(x: Tensor, target: np.ndarray) -> Tensor:
 # most of a guarded call's time.
 _GUARD = 1e-6
 
-# The widest pieces whose d² is one GEMM over k + 2 terms (`_gram_sq_distances`).
-# That GEMM adds its terms in the order of the GEMM and three passes it
-# replaces only for short rows of a matrix product: with OpenBLAS 0.3's Haswell
-# kernels the bits agreed up to k + 2 = 31 at 32 x 32, and mostly not when m or
-# n was 1, where BLAS forms a matrix-vector product. Other widths and shapes
-# take the passes, so every d² keeps its bits.
-_GRAM_WIDTH = 16
-
-
-def _gram_sq_distances(bs: np.ndarray, as_: np.ndarray):
+def _gram_sq_distances(bs: np.ndarray, as_: np.ndarray, grad: bool = True):
     """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k),
     with the operands of their GEMM and the guarded entries.
 
-    Returns (d2, bt, at, guarded). bt (..., 2k + 2, m) holds the rows -2 bs^T,
-    |bs|², ones and bs^T, and at (..., k + 2, n) the rows as_^T, ones and
-    |as_|², so bt[..., :k + 2, :]^T @ at is -2 b_i . a_j + |b_i|² + |a_j|²,
-    added in that order; the scaling by -2 is exact. Each operand row is a
-    whole column of a factor, so every copy runs along m or n, not along k.
-    The backward reads [1 | bs]^T from bt's last k + 1 rows and [as_ | 1]^T
-    from at's first k + 1. guarded is None or (flat, slices, i, j, diff): the
-    guarded entries' indices in d2.ravel(), the index of each one's matrix in
-    d2.reshape(-1, m, n), its row and column there, and diff[e] = b_i - a_j
-    of entry e, from which entry e's d² is recomputed. Every unguarded entry
+    Returns (d2, bt, at, guarded). bt (..., k + 2, m) holds the rows -2 bs^T,
+    |bs|² and ones, and at (..., k + 2, n) the rows as_^T, ones and |as_|²,
+    so bt^T @ at is -2 b_i . a_j + |b_i|² + |a_j|²; the scaling by -2 is
+    exact. Each operand row is a whole column of a factor, so every copy
+    runs along m or n, not along k. With grad, bt also holds bs^T in k more
+    rows, and the backward reads [1 | bs]^T from bt's last k + 1 rows and
+    [as_ | 1]^T from at's first k + 1. guarded is None or the guarded
+    entries as (index, diff): index is the tuple of index arrays of those
+    entries in d2 (batch axes, then i, then j), and diff[e] = b_i - a_j of
+    entry e, from which entry e's d² is recomputed. Every unguarded entry
     exceeds a nonnegative bound, so d² needs no clamp at zero.
     """
     k, m, n = bs.shape[-1], bs.shape[-2], as_.shape[-2]
     nb = np.einsum("...ik,...ik->...i", bs, bs)
     na = np.einsum("...jk,...jk->...j", as_, as_)
-    bt = np.empty((*bs.shape[:-2], 2 * k + 2, m))
-    bt[..., k + 2:, :] = bs.swapaxes(-1, -2)
-    np.multiply(bt[..., k + 2:, :], -2.0, out=bt[..., :k, :])
+    bt = np.empty((*bs.shape[:-2], 2 * k + 2 if grad else k + 2, m))
+    np.multiply(bs.swapaxes(-1, -2), -2.0, out=bt[..., :k, :])
     bt[..., k, :] = nb
     bt[..., k + 1, :] = 1.0
+    if grad:
+        bt[..., k + 2:, :] = bs.swapaxes(-1, -2)
     at = np.empty((*as_.shape[:-2], k + 2, n))
     at[..., :k, :] = as_.swapaxes(-1, -2)
     at[..., k, :] = 1.0
     at[..., k + 1, :] = na
-    if m > 1 and n > 1 and k <= _GRAM_WIDTH:
-        d2 = bt[..., :k + 2, :].swapaxes(-1, -2) @ at
-    else:  # the same terms in the same order, one pass each
-        d2 = bs @ as_.swapaxes(-1, -2)
-        d2 *= -2.0
-        d2 += nb[..., :, None]
-        d2 += na[..., None, :]
+    d2 = bt[..., :k + 2, :].swapaxes(-1, -2) @ at
     # fmax skips a NaN norm, whose row of d2 is NaN and never guarded
     bound = _GUARD * (np.fmax.reduce(nb, axis=None, initial=0.0)
                       + np.fmax.reduce(na, axis=None, initial=0.0))
     if np.minimum.reduce(d2, axis=None, initial=np.inf) > bound:
         return d2, bt, at, None  # no entry is near cancellation
-    d2v = d2.reshape(-1)
     flat = np.flatnonzero(d2 <= bound)
-    rows, j = np.divmod(flat, n)
-    slices, i = np.divmod(rows, m)
-    near = d2v[flat] <= _GUARD * (nb.reshape(-1)[rows] + na.reshape(-1)[slices * n + j])
+    *lead, i, j = np.unravel_index(flat, d2.shape)
+    near = d2.reshape(-1)[flat] <= _GUARD * (nb[(*lead, i)] + na[(*lead, j)])
     if not near.any():
         return d2, bt, at, None
-    flat, slices, i, j = flat[near], slices[near], i[near], j[near]
-    diff = np.subtract(bt.reshape(-1, 2 * k + 2, m)[slices, k + 2:, i],
-                       at.reshape(-1, k + 2, n)[slices, :k, j], out=np.empty((flat.size, k)))
-    d2v[flat] = np.einsum("ek,ek->e", diff, diff)
-    return d2, bt, at, (flat, slices, i, j, diff)
+    index = tuple(axis[near] for axis in (*lead, i, j))
+    *lead, i, j = index
+    diff = bs[(*lead, i)] - as_[(*lead, j)]
+    d2[index] = np.einsum("ek,ek->e", diff, diff)
+    return d2, bt, at, (index, diff)
 
 
 def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
     """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k).
 
     Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j as one
-    GEMM (`_gram_sq_distances`), so no (m, n, k) array is formed. Leading axes
-    are a batch of independent slices. Returns (d2, guarded): the (..., m, n)
-    array of d², and None or the guarded entries as (index, diff), where
-    index is the tuple of index arrays of those entries in d2 (batch axes,
-    then i, then j) and diff[e] the row difference bs_i - as_j of entry e.
+    GEMM (`_gram_sq_distances`, without the backward's operand rows), so no
+    (m, n, k) array is formed. Leading axes are a batch of independent
+    slices. Returns d2 (..., m, n) and `_gram_sq_distances`' guarded.
     """
-    d2, _, _, guarded = _gram_sq_distances(bs, as_)
-    if guarded is None:
-        return d2, None
-    return d2, (np.unravel_index(guarded[0], d2.shape), guarded[-1])
+    d2, _, _, guarded = _gram_sq_distances(bs, as_, grad=False)
+    return d2, guarded
 
 
 def _check_factors(b: Tensor, a: Tensor) -> None:
@@ -626,19 +609,16 @@ def _segment_distances_backward(g: np.ndarray, saved):
     # sum_j W_ij (b_i - a_j) per piece, with W = g / d, in Gram form: one GEMM
     # gives W A and the row sums, another the column sums and W^T B, and
     # alpha_p scales the results. That form cancels badly at the guarded
-    # entries, so they use their differences; only a guarded entry can be a
-    # zero distance, and W there is g / 1 until it is zeroed.
-    dv = d.reshape(-1)
-    if guarded is not None:
-        flat, slices, i, j, diff = guarded
-        dg = dv[flat]
-        dv[flat] = 1.0
-    weight = np.divide(g[..., None, :, :], d, out=np.empty(d.shape))
-    if guarded is not None:
-        dv[flat] = dg
-        wv = weight.reshape(-1)
-        scale = np.divide(wv[flat], dg, out=np.zeros(dg.shape), where=dg > 0.0)
-        wv[flat] = 0.0
+    # entries, so they use their differences and W is zero there; only a
+    # guarded entry can be a zero distance.
+    if guarded is None:
+        weight = np.divide(g[..., None, :, :], d, out=np.empty(d.shape))
+    else:
+        index, diff = guarded
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = np.divide(g[..., None, :, :], d, out=np.empty(d.shape))
+        scale = np.where(d[index] > 0.0, weight[index], 0.0)
+        weight[index] = 0.0
     # W is each GEMM's left operand: as the right one, OpenBLAS packed it into
     # more of its buffer, and a 768 x 768 fit's peak RSS rose by 4.5 MiB. Both
     # results are read as rows: (W A)^T and the row sums; the column sums and
@@ -649,10 +629,11 @@ def _segment_distances_backward(g: np.ndarray, saved):
     gb -= wa[..., :w, :]
     ga = np.multiply(at[..., :w, :], wb[..., :1, :], out=np.empty(wb[..., 1:, :].shape))
     ga -= wb[..., 1:, :]
-    if guarded is not None:  # gb and ga are C-ordered, so reshape gives views
+    if guarded is not None:
+        *lead, i, j = index
         step = scale[:, None] * diff
-        np.add.at(gb.reshape(-1, w, gb.shape[-1]), (slices, slice(None), i), step)
-        np.subtract.at(ga.reshape(-1, w, ga.shape[-1]), (slices, slice(None), j), step)
+        np.add.at(gb, (*lead, slice(None), i), step)
+        np.subtract.at(ga, (*lead, slice(None), j), step)
     alpha_p = alpha_p[..., None, None]
     return _join_pieces(gb, alpha_p, keep), _join_pieces(ga, alpha_p, keep), galpha
 

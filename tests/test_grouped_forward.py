@@ -243,3 +243,11 @@ def test_stack_and_take_route_gradients_to_their_parts():
         want = scalars[k].data + (weights if k == 0 else 2.0 if k == 2 else 0.0)
         np.testing.assert_array_equal(part.grad, np.broadcast_to(want, (3, 2)))
         assert scalars[k].grad == part.data.sum()
+
+
+def test_take_by_a_negative_index_names_the_same_slice():
+    # take(x, -1) and take(x, 2) add into slice 2; slice 1, never taken, is zero
+    x = Tensor(np.ones((3, 2, 2)), requires_grad=True)
+    backward(reduce_sum(take(x, 0)) + reduce_sum(take(x, 2)) + reduce_sum(take(x, -1)))
+    np.testing.assert_array_equal(x.grad, np.array([1.0, 0.0, 2.0])[:, None, None]
+                                  * np.ones((3, 2, 2)))
