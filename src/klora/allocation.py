@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choices import Choice, Unit, check
+from .choices import Choice, SettingError, Unit, check
 from .tensor import Tensor, absolute, mul, rectify, scalar_add, soft_threshold
 
 
@@ -108,13 +108,18 @@ class ImportanceState:
         self.t += 1
 
 
-def layer_score(parts) -> float:
-    """A layer's importance score: the sum, over its nonnegative arrays, of their means.
+def layer_score(parts) -> list:
+    """The importance scores of S stacked layers: score k is the sum, over the
+    nonnegative (S, ...) arrays `parts`, of the mean of slice k.
 
+    Each slice is summed on its own, as one row of its array, and divided by
+    its size, which is how numpy forms a float mean: score k has the bits of
+    sum(x[k].sum() / x[k].size for x in parts) on C-contiguous parts. A layer
+    group passes its factor or merge blocks, a lone layer a stack of one.
     `Trainer.layer_scores` picks the arrays each metric reads.
     """
-    # sum / size is how numpy forms a float mean
-    return float(sum(x.sum() / x.size for x in parts))
+    rows = [x.reshape(x.shape[0], -1) for x in parts]
+    return sum(np.add.reduce(x, axis=1) / x.shape[1] for x in rows).tolist()
 
 
 @dataclass
@@ -232,23 +237,39 @@ def _hand_out(budgets: list, caps: list, scores: list, remaining: int) -> None:
         budgets[l] += 1
 
 
+def _hold_budgets(budgets, size: int) -> None:
+    """Hold each budget to a non-bool integer in [0, size], or raise a
+    `SettingError` naming "budget"."""
+    for b in budgets:
+        if isinstance(b, bool) or not isinstance(b, (int, np.integer)):
+            raise SettingError("budget", f"need an integer budget, got {b!r}", "wrong type")
+        if not 0 <= b <= size:
+            raise SettingError("budget", f"budget {b} outside [0, {size}]")
+
+
+def _thresholds(mags: np.ndarray, budgets) -> np.ndarray:
+    """Row k's threshold for budget k: the (b+1)-th largest entry of row k of the
+    magnitudes (S, N), +inf at b = 0 and 0 at b = N. Each row is partitioned on
+    its own, in place, so `mags` is overwritten."""
+    n = mags.shape[1]
+    tau = np.empty(len(budgets))
+    for k, (row, b) in enumerate(zip(mags, budgets)):
+        if 0 < b < n:
+            row.partition(n - 1 - b)
+        tau[k] = math.inf if b == 0 else 0.0 if b == n else row[n - 1 - b]
+    return tau
+
+
 def threshold_for_budget(delta_w, b: int) -> float:
     """Magnitude threshold below which update entries are zeroed.
 
     Returns the (b+1)-th largest |entry| so that entries strictly above
     the threshold survive: 0 when everything survives, +inf when nothing
-    does.
+    does. A budget that is not an integer in [0, size] is a `SettingError`.
     """
-    a = np.abs(_as_array(delta_w)).ravel()
-    n = a.size
-    if not 0 <= b <= n:
-        raise ValueError(f"budget {b} outside [0, {n}]")
-    if b == 0:
-        return math.inf
-    if b == n:
-        return 0.0
-    idx = n - 1 - b
-    return float(np.partition(a, idx)[idx])
+    a = _as_array(delta_w)
+    _hold_budgets((b,), a.size)
+    return float(_thresholds(np.abs(a).reshape(1, -1), (b,))[0])
 
 
 def sparsify_with_threshold(delta_w: Tensor, tau, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
@@ -273,12 +294,20 @@ def sparsify(delta_w: Tensor, b, mode=SparsifyMode.SOFT_SIGN) -> Tensor:
     treated as a constant, so gradients flow to surviving entries only.
     With distinct magnitudes exactly min(b, size) entries stay nonzero.
     For a stack of S matrices, `b` is a sequence of S budgets: each slice
-    gets its own threshold, applied as one (S, 1, 1) array.
+    gets its own threshold, applied as one (S, 1, 1) array. A matrix and a
+    stack share one path: |delta_w| is taken once, as one row per budget (the
+    whole array for a single budget), and each threshold comes from a
+    partition of its row. Every budget is held to a non-bool integer in
+    [0, row size] first, or the call raises a `SettingError`.
     """
-    if np.ndim(b) == 0:
-        return sparsify_with_threshold(delta_w, threshold_for_budget(delta_w.data, b), mode)
-    if delta_w.data.ndim != 3 or len(b) != delta_w.data.shape[0]:
+    data = delta_w.data
+    stacked = np.ndim(b) != 0
+    if stacked and (data.ndim != 3 or len(b) != data.shape[0]):
         raise ValueError(f"need one budget per slice of an (S, m, n) stack, got {len(b)} "
-                         f"budgets for shape {delta_w.data.shape}")
-    tau = np.array([threshold_for_budget(d, bk) for d, bk in zip(delta_w.data, b)])
-    return sparsify_with_threshold(delta_w, tau.reshape(-1, 1, 1), mode)
+                         f"budgets for shape {data.shape}")
+    budgets = b if stacked else (b,)
+    size = data.size // max(len(budgets), 1)
+    _hold_budgets(budgets, size)
+    tau = _thresholds(np.abs(data).reshape(len(budgets), size), budgets)
+    return sparsify_with_threshold(delta_w, tau.reshape(-1, 1, 1) if stacked else float(tau[0]),
+                                   mode)

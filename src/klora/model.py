@@ -443,9 +443,10 @@ class Trainer:
     Its state is flat: Adam's moment and gradient vectors, laid out group by
     group, and one importance arena aligned with them. Each step gathers the
     parameters into that layout before Adam steps them in place, so the
-    sensitivity |g·w| reads the values the gradient was taken at. A layer's
-    score and grad norm reduce its slices of its group's two factor blocks,
-    each one contiguous; the kernel-coefficient slices are skipped.
+    sensitivity |g·w| reads the values the gradient was taken at. Scores and
+    grad norms are reduced once per group: each of the group's two factor
+    runs (`factor_runs`) is read as (S, ·) rows, one contiguous row per
+    layer; the kernel-coefficient slices are skipped.
     """
 
     def __init__(self, model: TinyModel, config: TrainerConfig, dataset):
@@ -458,12 +459,9 @@ class Trainer:
                         beta2=config.adam_beta2, eps=config.adam_eps)
         self.importance = ImportanceState(config.smoothing_beta1, config.smoothing_beta2)
         slice_of = {id(p): part for p, (part, _) in zip(self.params, self.opt.slots)}
-
-        def factor_parts(group):
-            count = len(group.layers)
-            return zip(*(_split(slice_of[id(p)], count) for p in (group.pair.A, group.pair.B)))
-
-        self.factor_parts = model.per_group(factor_parts)
+        # each group's A run and B run of the flat layout
+        self.factor_runs = {group: (slice_of[id(group.pair.A)], slice_of[id(group.pair.B)])
+                            for group in model.groups}
         self.grad = None  # the flat gradient of the last step
         n = dataset.x.shape[0]
         self.steps_per_epoch = config.steps_per_epoch or max(1, n // config.batch_size)
@@ -495,28 +493,36 @@ class Trainer:
         return value
 
     def layer_scores(self) -> list:
-        """Each layer's `layer_score` over the arrays its importance metric reads:
-        its A and B slices of i_bar·u_bar (sensitivity, after a step), |A| and |B|
-        (magnitude), or |merge| from one `group_merge` per group (w-magnitude)."""
+        """Each layer's score, from one `layer_score` call per group on the (S, ·)
+        rows its importance metric reads: the group's A and B runs of i_bar·u_bar
+        (sensitivity, after a step), |A| and |B| of its blocks (magnitude), or
+        |merge| from one `group_merge` (w-magnitude); spread back in layer order."""
         metric, state = self.config.importance_metric, self.importance
         if metric is Metric.SENSITIVITY:
             if not state.initialized:
                 raise ValueError("sensitivity metric needs an updated importance state")
             product = state.i_bar * state.u_bar
-            arrays = [(product[a], product[b]) for a, b in self.factor_parts]
-        elif metric is Metric.MAGNITUDE:
-            arrays = [(np.abs(layer.pair.A.data), np.abs(layer.pair.B.data))
-                      for layer in self.layers]
-        else:
-            arrays = [(np.abs(merged),) for merged in self.model.per_group(
-                lambda group: group_merge(group).data.reshape(
-                    len(group.layers), group.layers[0].m, group.layers[0].n))]
-        return [layer_score(parts) for parts in arrays]
+
+        def scores(group):
+            if metric is Metric.SENSITIVITY:
+                arrays = [product[run] for run in self.factor_runs[group]]
+            elif metric is Metric.MAGNITUDE:
+                arrays = [np.abs(group.pair.A.data), np.abs(group.pair.B.data)]
+            else:
+                arrays = [np.abs(group_merge(group).data)]
+            return layer_score([x.reshape(len(group.layers), -1) for x in arrays])
+
+        return self.model.per_group(scores)
 
     def grad_norms(self) -> list:
-        """Per-layer norm of the last step's factor gradients."""
+        """Per-layer norm of the last step's factor gradients, reduced group by group."""
         gg = self.grad * self.grad
-        return [math.sqrt(gg[a].sum() + gg[b].sum()) for a, b in self.factor_parts]
+
+        def norms(group):
+            a, b = (gg[run].reshape(len(group.layers), -1) for run in self.factor_runs[group])
+            return np.sqrt(np.add.reduce(a, axis=1) + np.add.reduce(b, axis=1))
+
+        return self.model.per_group(norms)
 
     def allocate(self) -> AllocationResult:
         if self.global_step == 0:
@@ -544,12 +550,13 @@ class Trainer:
         for epoch in range(cfg.epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             perm = rng.permutation(n)
+            xs, ys = self.dataset.x[perm], self.dataset.y[perm]
             losses = []
             norms = np.zeros(len(self.layers))
             for step in range(self.steps_per_epoch):
                 lo, hi = step * cfg.batch_size, (step + 1) * cfg.batch_size
-                idx = perm[lo:hi] if hi <= n else np.take(perm, np.arange(lo, hi), mode="wrap")
-                losses.append(self.train_step(self.dataset.x[idx], self.dataset.y[idx]))
+                batch = slice(lo, hi) if hi <= n else np.arange(lo, hi) % n
+                losses.append(self.train_step(xs[batch], ys[batch]))
                 norms += self.grad_norms()
                 if cfg.alloc_period is AllocPeriod.PER_STEP:
                     result = self.allocate()
@@ -570,12 +577,6 @@ class Trainer:
         trace.final_loss = self.evaluate()
         trace.duration_s = time.perf_counter() - start
         return trace
-
-
-def _split(part: slice, count: int) -> list:
-    """`part` cut into `count` equal consecutive slices."""
-    size = (part.stop - part.start) // count
-    return [slice(part.start + k * size, part.start + (k + 1) * size) for k in range(count)]
 
 
 def build_model(dataset, config: TrainerConfig) -> TinyModel:

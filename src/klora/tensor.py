@@ -222,17 +222,22 @@ def rectify(a: Tensor) -> Tensor:
 def soft_threshold(x: Tensor, tau) -> Tensor:
     """sign(x) * max(|x| - tau, 0) as one recorded op; tau carries no gradient.
 
-    tau is a float, or an array that broadcasts to x's shape (one threshold
-    per slice of a stack, shaped (S, 1, 1)). The subgradient is 0 where
-    |x| <= tau, kinks and x = 0 included. Forward and backward repeat, in
-    order, the floating-point operations of
-    mul(sign(x), rectify(scalar_add(absolute(x), -tau))).
+    tau is a nonnegative float, or an array of them that broadcasts to x's
+    shape (one threshold per slice of a stack, shaped (S, 1, 1)). The
+    subgradient is 0 where |x| <= tau, kinks and x = 0 included. The forward
+    repeats, in order, the floating-point operations of
+    mul(sign(x), rectify(scalar_add(absolute(x), -tau))) and keeps its
+    mask |x| - tau > 0, so the backward is the one multiply g * mask. On
+    finite inputs that equals the chain's ((g * sign) * mask) * sign bit for
+    bit, signed zeros and memory layout included: sign is ±1 wherever the
+    mask holds, and the product takes g's sign where it does not.
     """
     sgn = np.sign(x.data)
     shifted = np.abs(x.data) - _constant(tau)
+    keep = shifted > 0.0
 
     def bwd(g):
-        return ((g * sgn) * (shifted > 0.0) * sgn,)
+        return (g * keep,)
 
     return _make(sgn * np.maximum(shifted, 0.0), (x,), bwd)
 

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import per_unit_alloc
+from klora import allocation, config
 from klora.allocation import (
     AllocationResult,
     BudgetSchedule,
@@ -22,7 +25,9 @@ from klora.allocation import (
     sparsify_with_threshold,
     threshold_for_budget,
 )
-from klora.tensor import Tensor, finite_diff_check, reduce_sum
+from klora.choices import SettingError
+from klora.model import Trainer, build_model, group_merge
+from klora.tensor import Tensor, backward, finite_diff_check, mul, reduce_sum
 
 
 class TestSensitivity:
@@ -107,32 +112,87 @@ class TestLayerScore:
     def test_fresh_state_sensitivity_is_zero(self):
         st = ImportanceState()
         st.update(np.abs(np.random.default_rng(0).normal(size=8)))
-        assert layer_score([st.i_bar * st.u_bar]) == 0.0
+        product = st.i_bar * st.u_bar
+        assert layer_score([product.reshape(1, 8)]) == [0.0]
+        assert layer_score([product.reshape(2, 4)]) == [0.0, 0.0]
 
     def test_magnitude_hand_value(self):
-        assert layer_score([np.abs([[1.0, -1.0]]), np.abs([[2.0, 2.0]])]) == pytest.approx(3.0)
+        # one layer, a stack of one; then two layers with (1, 2) A and B slices
+        assert layer_score([np.abs([[1.0, -1.0]]), np.abs([[2.0, 2.0]])]) == [3.0]
+        a = np.abs(np.array([[[1.0, -1.0]], [[3.0, 5.0]]]))
+        b = np.abs(np.array([[[2.0, 2.0]], [[0.0, -1.0]]]))
+        assert layer_score([a, b]) == [3.0, 4.5]
 
     def test_sensitivity_matches_elementwise_oracle(self):
-        # a (3, 2) factor A, a (2, 2) factor B and two kernel coefficients
-        # the score skips, laid out as in the trainer's flat arena
+        # two layers' (3, 2) A slices and (2, 2) B slices, and two kernel
+        # coefficients the score skips, laid out as in the trainer's flat arena
         rng = np.random.default_rng(3)
         st = ImportanceState(beta1=0.9, beta2=0.8)
         for _ in range(4):
-            st.update(np.abs(rng.normal(size=12)))
-        a, b = slice(0, 6), slice(6, 10)
+            st.update(np.abs(rng.normal(size=22)))
+        a, b = slice(0, 12), slice(12, 20)
         product = st.i_bar * st.u_bar
-        score = layer_score([product[a], product[b]])
-        i_a, u_a = st.i_bar[a].reshape(3, 2), st.u_bar[a].reshape(3, 2)
-        i_b, u_b = st.i_bar[b].reshape(2, 2), st.u_bar[b].reshape(2, 2)
-        expected = float(np.mean(i_a * u_a) + np.mean(i_b * u_b))
-        assert score == expected
-        assert score >= 0.0
-        assert layer_score([product]) == pytest.approx(np.mean(st.i_bar * st.u_bar))
+        scores = layer_score([product[a].reshape(2, 3, 2), product[b].reshape(2, 2, 2)])
+        i_a, u_a = st.i_bar[a].reshape(2, 3, 2), st.u_bar[a].reshape(2, 3, 2)
+        i_b, u_b = st.i_bar[b].reshape(2, 2, 2), st.u_bar[b].reshape(2, 2, 2)
+        expected = [float(np.mean(i_a[k] * u_a[k]) + np.mean(i_b[k] * u_b[k])) for k in range(2)]
+        assert scores == expected
+        assert min(scores) >= 0.0
+        assert layer_score([product.reshape(1, -1)]) == pytest.approx([np.mean(product)])
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda metric: metric.value)
+    def test_group_scores_equal_the_per_layer_sums(self, metric):
+        # groups of 1 (16 -> 8), 2 (the two 16 x 16 layers) and 4 (the attention
+        # projections), each layer scored on its own by the sums of the reduction
+        # the grouped scores replaced
+        trainer = grouped_trainer(metric)
+        assert sorted(len(group.layers) for group in trainer.model.groups) == [1, 2, 4]
+        product = trainer.importance.i_bar * trainer.importance.u_bar
+        want = []
+        for group in trainer.model.groups:
+            count = len(group.layers)
+            if metric is Metric.SENSITIVITY:
+                runs = [np.split(product[run], count) for run in trainer.factor_runs[group]]
+                parts = list(zip(*runs))
+            elif metric is Metric.MAGNITUDE:
+                parts = [(np.abs(layer.pair.A.data), np.abs(layer.pair.B.data))
+                         for layer in group.layers]
+            else:
+                merged = group_merge(group).data.reshape(count, *group.layers[0].w0.shape)
+                parts = [(np.abs(w),) for w in merged]
+            want.extend(float(sum(x.sum() / x.size for x in layer)) for layer in parts)
+        scores = trainer.layer_scores()
+        got = [scores[i] for group in trainer.model.groups for i in layer_indices(trainer, group)]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_metric_aliases(self):
         assert Metric("W-Magnitude") is Metric.W_MAGNITUDE
         with pytest.raises(ValueError, match="unknown"):
             Metric("entropy")
+
+
+def grouped_trainer(metric):
+    """A trainer two steps in whose layers form groups of 1, 2 and 4."""
+    raw = {
+        "model": {"layer_dims": [16, 16, 16, 8], "rank": 4,
+                  "attention": {"position": 0, "tokens": 2}},
+        "kernel": {"kind": "mix-k", "pieces": 2},
+        "sparsity": {"importance_metric": metric.value},
+        "train": {"batch_size": 8, "task": {"kind": "high-rank-regression", "samples": 16}},
+    }
+    run_config = config.apply_defaults(raw)
+    dataset = config.dataset_from(run_config)
+    trainer_config = config.trainer_config_from(run_config)
+    trainer = Trainer(build_model(dataset, trainer_config), trainer_config, dataset)
+    for lo in (0, 8):
+        trainer.train_step(dataset.x[lo:lo + 8], dataset.y[lo:lo + 8])
+    return trainer
+
+
+def layer_indices(trainer, group) -> list:
+    """The positions of a group's layers among the trainer's layers."""
+    return [next(i for i, layer in enumerate(trainer.layers) if layer is member)
+            for member in group.layers]
 
 
 class TestBudgetSchedule:
@@ -293,6 +353,81 @@ class TestThreshold:
             threshold_for_budget(dw, 5)
         with pytest.raises(ValueError):
             threshold_for_budget(dw, -1)
+
+    @pytest.mark.parametrize("budget, problem", [
+        (2.5, "wrong type"), (True, "wrong type"), (np.float64(2.0), "wrong type"),
+        ("2", "wrong type"), (None, "wrong type"), (5, "value out of range"),
+        (-1, "value out of range")])
+    def test_bad_budgets_raise_setting_errors(self, budget, problem):
+        dw = np.zeros((2, 2))
+        for call in (lambda: threshold_for_budget(dw, budget),
+                     lambda: sparsify(Tensor(dw), budget)):
+            with pytest.raises(SettingError, match="budget") as err:
+                call()
+            assert (err.value.name, err.value.problem) == ("budget", problem)
+
+    @pytest.mark.parametrize("budgets", [[1, 2.5], [2.5, 1], [True, 1], [1, 5], [-1, 1]])
+    def test_a_bad_budget_in_a_stack_raises_before_any_partition(self, monkeypatch, budgets):
+        def thresholds(*args):
+            raise AssertionError("partitioned before the budgets were checked")
+
+        monkeypatch.setattr(allocation, "_thresholds", thresholds)
+        with pytest.raises(SettingError, match="budget"):
+            sparsify(Tensor(np.ones((2, 2, 2))), budgets)
+
+    def test_numpy_integer_budgets_are_budgets(self):
+        dw = np.array([[3.0, -1.0], [0.5, -2.0]])
+        assert threshold_for_budget(dw, np.int64(2)) == 1.0
+        out = sparsify(Tensor(np.stack([dw, -dw])), np.array([2, 4]))
+        np.testing.assert_array_equal(out.data, [[[2.0, 0.0], [0.0, -1.0]], -dw])
+
+
+@st.composite
+def stacked_sparsify_cases(draw):
+    """A stack of S matrices with a budget per slice (0, 1, m·n - 1, m·n or any),
+    entries from a few magnitudes (ties at the threshold) or drawn, +-0 entries,
+    and an incoming gradient."""
+    count, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    size = m * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.choice([0.0, 0.5, 1.0, 2.0], size=(count, m, n))
+    else:
+        x = rng.normal(size=(count, m, n))
+    x *= rng.choice([-1.0, 1.0], size=x.shape)  # -0 where a zero was drawn
+    x[rng.random(x.shape) < 0.1] = draw(st.sampled_from([0.0, -0.0]))
+    budgets = [draw(st.sampled_from([0, 1, size - 1, size, int(rng.integers(0, size + 1))]))
+               for _ in range(count)]
+    return x, budgets, rng.normal(size=x.shape)
+
+
+def sparsified_with_gradient(x, budgets, mode, upstream):
+    leaf = Tensor(x.copy(), requires_grad=True)
+    out = sparsify(leaf, budgets, mode)
+    backward(reduce_sum(mul(out, Tensor(upstream))))
+    return out.data, leaf.grad
+
+
+@pytest.mark.parametrize("mode", list(SparsifyMode), ids=lambda mode: mode.value)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=stacked_sparsify_cases())
+def test_stacked_sparsify_equals_each_slice_on_its_own(mode, case):
+    # each slice's own threshold_for_budget, the (b+1)-th largest magnitude by
+    # a sort, applied on its own, and sparsify of the slice as a matrix: the
+    # same outputs and gradients, bit for bit
+    x, budgets, upstream = case
+    got = sparsified_with_gradient(x, budgets, mode, upstream)
+    for k, b in enumerate(budgets):
+        tau = threshold_for_budget(x[k], b)
+        ordered = np.sort(np.abs(x[k]), axis=None)[::-1]
+        assert tau == (math.inf if b == 0 else 0.0 if b == x[k].size else ordered[b])
+        leaf = Tensor(x[k].copy(), requires_grad=True)
+        out = sparsify_with_threshold(leaf, tau, mode)
+        backward(reduce_sum(mul(out, Tensor(upstream[k]))))
+        matrix = sparsified_with_gradient(x[k], b, mode, upstream[k])
+        for want in ((out.data, leaf.grad), matrix):
+            assert got[0][k].tobytes() == want[0].tobytes()
+            assert got[1][k].tobytes() == want[1].tobytes()
 
 
 def _distinct_magnitude_matrix(rng, m, n):

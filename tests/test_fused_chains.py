@@ -6,11 +6,12 @@ These tests hold each op to the same forward bits and the same bits in
 every gradient, and a whole training run to the same trace and checkpoint
 bytes. On drawn stacks (`distance_cases`), the distance ops are held to
 their chains, partial mixes and `weighted_segment_distances` slice by
-slice included, and the cancellation guard to its full-mask definition;
-`soft_threshold`, `affine` and `mean_squared_error` are held to theirs on
-drawn cases too. `squared_distances` is held to the composed (m, n, r)
-formulation within rounding, and it and `mean_squared_error` pass the
-finite-difference check on drawn cases. On the same drawn stacks, the two
+slice included, and the cancellation guard to its full-mask definition
+over the op's augmented GEMM, written out; `soft_threshold`, `affine` and
+`mean_squared_error` are held to theirs on drawn cases too.
+`squared_distances` is held to the composed (m, n, r) formulation within
+rounding, and it, `mean_squared_error`, `affine` and `soft_threshold` (away
+from its kinks) pass the finite-difference check on drawn cases. On the same drawn stacks, the two
 distance ops are held to the composed formulation within rounding, partial
 mixes included, and pass the finite-difference check away from zero
 distances.
@@ -164,24 +165,33 @@ def test_distance_ops_equal_their_chains_bit_for_bit(case):
 
 
 def full_mask_guard(bs, as_):
-    """The guard by its definition: the index of every entry with
-    d² <= _GUARD * (|b_i|² + |a_j|²), from a full array of per-entry bounds."""
-    nb = np.einsum("...ik,...ik->...i", bs, bs)[..., :, None]
-    na = np.einsum("...jk,...jk->...j", as_, as_)[..., None, :]
-    d2 = bs @ np.swapaxes(as_, -1, -2)
-    d2 *= -2.0
-    d2 += nb
-    d2 += na
-    return np.nonzero(d2 <= _GUARD * (nb + na))
+    """The guard by its definition: d² and the index of every entry with
+    d² <= _GUARD * (|b_i|² + |a_j|²), from a full array of per-entry bounds.
+
+    d² is the op's one augmented GEMM, [-2 b | |b|² | 1] @ [a | 1 | |a|²]^T,
+    written out here with each operand stored as the op stores it: row-major,
+    one factor column per row. BLAS may round another layout differently.
+    """
+    nb = np.einsum("...ik,...ik->...i", bs, bs)
+    na = np.einsum("...jk,...jk->...j", as_, as_)
+    left = np.ascontiguousarray(np.concatenate(
+        [-2.0 * np.swapaxes(bs, -1, -2), nb[..., None, :], np.ones_like(nb)[..., None, :]],
+        axis=-2))
+    right = np.ascontiguousarray(np.concatenate(
+        [np.swapaxes(as_, -1, -2), np.ones_like(na)[..., None, :], na[..., None, :]], axis=-2))
+    d2 = np.swapaxes(left, -1, -2) @ right
+    return d2, np.nonzero(d2 <= _GUARD * (nb[..., :, None] + na[..., None, :]))
 
 
 def assert_guard_is_its_full_mask(bs, as_):
-    want = full_mask_guard(bs, as_)
+    d2_want, want = full_mask_guard(bs, as_)
     d2, guarded = _segment_sq_distances(bs, as_)
     got = want if guarded is None and not want[0].size else guarded[0]
     assert len(got) == d2.ndim
     for x, y in zip(got, want):
         assert x.dtype == y.dtype and np.array_equal(x, y)
+    d2_want[want] = d2[want]  # the op recomputes the guarded entries
+    assert_same_bits(d2, d2_want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -273,6 +283,28 @@ def test_affine_equals_its_chain_bit_for_bit(case):
     assert_fused_equals_chain(lambda x, d: affine(x, w0, d, bias),
                               lambda x, d: composed_chains.affine(x, w0, d, bias),
                               arrays, upstream)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(threshold_cases(), affine_cases())
+def test_soft_threshold_and_affine_pass_the_finite_difference_check(threshold, affine_case):
+    # soft_threshold away from its kinks: an entry closer than 10 h to +-tau or
+    # to 0, those drawn on them included, moves to +-(tau + 1)
+    x, tau, upstream = threshold
+    h = 1e-6
+    slice_tau = np.broadcast_to(tau, x.shape)
+    near = (np.abs(np.abs(x) - slice_tau) < 10 * h) | (np.abs(x) < 10 * h)
+    x = np.where(near, np.copysign(slice_tau + 1.0, x), x)
+    leaf, weights = Tensor(x, requires_grad=True), Tensor(upstream)
+    report = finite_diff_check(lambda: reduce_sum(mul(soft_threshold(leaf, tau), weights)),
+                               [leaf], h=h, tol=1e-5)
+    assert report.passed, report.max_rel_err
+    w0, bias, arrays, upstream = affine_case
+    leaves, weights = [Tensor(a.copy(), requires_grad=True) for a in arrays], Tensor(upstream)
+    report = finite_diff_check(lambda: reduce_sum(mul(affine(*leaves[:1], w0, leaves[1], bias),
+                                                      weights)),
+                               leaves, h=h, tol=1e-5)
+    assert report.passed, report.max_rel_err
 
 
 @st.composite
