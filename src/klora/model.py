@@ -454,6 +454,7 @@ class Trainer:
         self.config = config
         self.dataset = dataset
         self.layers = model.adapted_layers()
+        self.caps = [layer.cap for layer in self.layers]  # fixed once the model is built
         self.params = model.trainables()
         self.opt = Adam(self.params, lr=config.lr, beta1=config.adam_beta1,
                         beta2=config.adam_beta2, eps=config.adam_eps)
@@ -466,7 +467,7 @@ class Trainer:
         n = dataset.x.shape[0]
         self.steps_per_epoch = config.steps_per_epoch or max(1, n // config.batch_size)
         total_steps = max(1, config.epochs * self.steps_per_epoch)
-        b0 = sum(layer.cap for layer in self.layers)
+        b0 = sum(self.caps)
         bT = int(math.floor(config.budget_ratio * b0 + 0.5))
         self.schedule = BudgetSchedule(b0=b0, bT=bT, T=total_steps, kind=config.schedule_kind)
         self.global_step = 0
@@ -529,9 +530,7 @@ class Trainer:
             raise ValueError("allocation needs at least one completed step")
         t = min(self.global_step, self.schedule.T)
         target = budget_at(self.schedule, t)
-        scores = self.layer_scores()
-        caps = [layer.cap for layer in self.layers]
-        result = alloc(scores, caps, target)
+        result = alloc(self.layer_scores(), self.caps, target)
         for layer, b in zip(self.layers, result.budgets):
             layer.budget = b
         return result
@@ -542,7 +541,7 @@ class Trainer:
         trace = RunTrace(
             seed=cfg.seed,
             config=cfg.to_dict(),
-            layer_caps=[layer.cap for layer in self.layers],
+            layer_caps=list(self.caps),
             initial_loss=self.evaluate(),
             final_loss=math.nan,
         )
@@ -562,14 +561,13 @@ class Trainer:
                     result = self.allocate()
             if cfg.alloc_period is AllocPeriod.PER_EPOCH:
                 result = self.allocate()
-            caps = [layer.cap for layer in self.layers]
             trace.epochs.append(
                 EpochRecord(
                     epoch=epoch,
                     mean_loss=float(np.mean(losses)),
                     global_budget=result.global_budget,
                     budgets=list(result.budgets),
-                    ratios=[1.0 - b / c for b, c in zip(result.budgets, caps)],
+                    ratios=[1.0 - b / c for b, c in zip(result.budgets, self.caps)],
                     scores=result.scores,
                     grad_norms=(norms / self.steps_per_epoch).tolist(),
                 )
