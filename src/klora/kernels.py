@@ -40,7 +40,6 @@ from .tensor import (
     add,
     exp,
     matmul,
-    mixed_segment_distances,
     mul,
     reciprocal,
     record_and_backward,
@@ -91,15 +90,11 @@ def _rbf(spec, b, a):
     return add(mul(alpha, exp(mul(beta, -squared_distances(b, a)))), gamma)
 
 
-def _p_linear(spec, b, a):
+def _piecewise(spec, b, a):
+    # p-linear has alpha_p alone; mix-k adds the column mix's alpha and beta
+    alpha_p, *mix = spec.coeffs
     bounds = segment_bounds(b.data.shape[-1], spec.pieces)
-    return weighted_segment_distances(b, a, spec.coeffs[0], bounds)
-
-
-def _mix_k(spec, b, a):
-    alpha_p, alpha, beta = spec.coeffs
-    return mixed_segment_distances(b, a, alpha_p, alpha, beta,
-                                   segment_bounds(b.data.shape[-1], spec.pieces))
+    return weighted_segment_distances(b, a, alpha_p, bounds, *mix)
 
 
 # -- the registry -------------------------------------------------------------
@@ -174,10 +169,10 @@ KINDS = {
     row.kind: row
     for row in (
         KindRow(KernelKind.LINEAR, 0, (), (), _linear),
-        KindRow(KernelKind.P_LINEAR, 1, ("plinear", "p_linear"), (_ALPHA_P,), _p_linear),
+        KindRow(KernelKind.P_LINEAR, 1, ("plinear", "p_linear"), (_ALPHA_P,), _piecewise),
         KindRow(KernelKind.SIGMOID, 2, (), _SIGMOID, _sigmoid),
         KindRow(KernelKind.RBF, 3, (), _RBF, _rbf),
-        KindRow(KernelKind.MIX_K, 5, ("mixk", "mix_k"), _MIX_K, _mix_k),
+        KindRow(KernelKind.MIX_K, 5, ("mixk", "mix_k"), _MIX_K, _piecewise),
     )
 }
 
@@ -318,7 +313,8 @@ def stack_adapters(adapters) -> tuple:
     several kinds share a stack only where every kind is piecewise and the
     kinds with more coefficients come first: coefficient c stacks over the
     members that have it, and the stack takes the first member's kind, whose
-    merge then mixes those slices alone (`tensor.mixed_segment_distances`).
+    merge then mixes those slices alone: the one piecewise op
+    (`tensor.weighted_segment_distances`) mixes the first M slices of a stack.
     Any other mix of kinds, piece counts or factor shapes is a ValueError.
     """
     specs = [spec for spec, _ in adapters]
@@ -358,9 +354,10 @@ def merge(spec: KernelSpec, pair: LowRankPair) -> Tensor:
     kind adds alpha * (softmax down each column of the piecewise-linear
     matrix) + beta. The result participates in gradient recording. Distances
     come from the fused ops in `klora.tensor`, so a merge holds O(mn * P)
-    floats for P pieces and never an (m, n, r) array; the mix-k merge is one
-    op that keeps (P + 2) * mn floats for its backward: the piece distances,
-    the column softmax and its output.
+    floats for P pieces and never an (m, n, r) array. The p-linear and mix-k
+    merges are one op, `weighted_segment_distances`, with and without the
+    column mix; a mixed slice keeps (P + 2) * mn floats for its backward:
+    the piece distances, the column softmax and its output.
     """
     return KINDS[spec.kind].merge(spec, pair.B, pair.A)
 

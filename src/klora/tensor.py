@@ -512,18 +512,6 @@ def _gram_sq_distances(bs: np.ndarray, as_: np.ndarray, grad: bool = True):
     return d2, bt, at, (index, diff)
 
 
-def _segment_sq_distances(bs: np.ndarray, as_: np.ndarray):
-    """Squared distances between the rows of bs (..., m, k) and as_ (..., n, k).
-
-    Built from the Gram identity d² = |b_i|² + |a_j|² - 2 b_i . a_j as one
-    GEMM (`_gram_sq_distances`, without the backward's operand rows), so no
-    (m, n, k) array is formed. Leading axes are a batch of independent
-    slices. Returns d2 (..., m, n) and `_gram_sq_distances`' guarded.
-    """
-    d2, _, _, guarded = _gram_sq_distances(bs, as_, grad=False)
-    return d2, guarded
-
-
 def _check_factors(b: Tensor, a: Tensor) -> None:
     bs, as_ = b.data.shape, a.data.shape
     if len(bs) < 2 or len(as_) != len(bs) or bs[:-2] != as_[:-2] or bs[-1] != as_[-1]:
@@ -591,21 +579,6 @@ def _slice_dot(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (g @ d.reshape(*d.shape[:-2], -1, 1))[..., 0, 0]
 
 
-def _segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds):
-    """The value of `weighted_segment_distances`, a fresh array, and what its backward needs."""
-    _check_factors(b, a)
-    lead, r = b.data.shape[:-2], b.data.shape[-1]
-    pieces, w, cols, keep = _piece_layout(tuple(map(tuple, bounds)), r)
-    if alpha_p.data.shape != (*lead, pieces):
-        raise ValueError(f"need {pieces} segment weights per slice, "
-                         f"got shape {alpha_p.data.shape}")
-    d, bt, at, guarded = _gram_sq_distances(_split_pieces(b.data, w, cols),
-                                            _split_pieces(a.data, w, cols))
-    np.sqrt(d, out=d)
-    out = np.einsum("...p,...pij->...ij", alpha_p.data, d)
-    return out, (bt, at, alpha_p.data, d, guarded, keep)
-
-
 def _segment_distances_backward(g: np.ndarray, saved):
     """The gradients of B, A and alpha_p from the gradient g of the distance matrix."""
     bt, at, alpha_p, d, guarded, keep = saved
@@ -643,28 +616,6 @@ def _segment_distances_backward(g: np.ndarray, saved):
     return _join_pieces(gb, alpha_p, keep), _join_pieces(ga, alpha_p, keep), galpha
 
 
-def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds) -> Tensor:
-    """The m x n matrix sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|.
-
-    Row i of B (m x r) against row j of A (n x r), with segment p the
-    columns [start, end) of bounds[p]; the segments tile [0, r) in order.
-    B and A may carry the same leading batch axes, with alpha_p shaped
-    (..., P): every slice is computed on its own, with its own weights. One
-    recorded op with a closed-form backward. The pieces lie on one axis,
-    (..., P, m, w) for the widest piece's width w, narrower pieces padded
-    with zero columns; it holds a (..., P, m, n) array of distances, never
-    an (m, n, r) array. Each piece's d² is one GEMM of operands augmented by
-    their row norms and a column of ones, and the backward two more
-    (`_gram_sq_distances`). The subgradient at a zero distance is 0.
-    """
-    out, saved = _segment_distances(b, a, alpha_p, bounds)
-
-    def bwd(g):
-        return _segment_distances_backward(g, saved)
-
-    return _make(out, (b, a, alpha_p), bwd)
-
-
 def squared_distances(b: Tensor, a: Tensor) -> Tensor:
     """The m x n matrix |b_i - a_j|² between rows of B (m x r) and A (n x r).
 
@@ -672,7 +623,7 @@ def squared_distances(b: Tensor, a: Tensor) -> Tensor:
     One recorded op with a closed-form backward and no (m, n, r) array.
     """
     _check_factors(b, a)
-    d2, _ = _segment_sq_distances(b.data, a.data)
+    d2, _, _, _ = _gram_sq_distances(b.data, a.data, grad=False)
 
     def bwd(g):
         # d(d²)/db_i = 2 (b_i - a_j) is bounded, so the Gram form is accurate here
@@ -729,31 +680,58 @@ def _column_mix_backward(g: np.ndarray, s: np.ndarray, alpha: np.ndarray, beta: 
     return t, galpha, _unbroadcast(g, beta.shape)
 
 
-def mixed_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, alpha: Tensor, beta: Tensor,
-                            bounds) -> Tensor:
-    """One recorded op for the mix-k merge k + alpha * (softmax down each column of k) + beta.
+def weighted_segment_distances(b: Tensor, a: Tensor, alpha_p: Tensor, bounds,
+                               alpha: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
+    """The piecewise merge: k = sum_p alpha_p[p] * |b_i[s_p] - a_j[s_p]|, and with
+    alpha and beta the mix-k merge k + alpha * (softmax down each column of k) + beta.
 
-    k is weighted_segment_distances(b, a, alpha_p, bounds); alpha and beta
-    are 0-d, or one value per slice of a stack. For a stack (S, ..., m, n)
-    they are (M, ..., 1, 1) with M <= S: the column mix covers the first M
-    slices along the first stack axis, and the other S - M slices are the
-    plain weighted distances, so one op serves a block of mix-k and p-linear
-    fits. The output is written over k's own array, so the op holds the
-    (..., P, m, n) distances, the column softmax and its output: (P + 2)
-    matrices per mixed slice. Forward and backward repeat, in order, the
-    floating-point operations of add(add(k, mul(alpha, softmax(k, axis=-2))),
-    beta) on the distance op, on the mixed slices; a partial mix's chain
+    Row i of B (m x r) against row j of A (n x r), with segment p the
+    columns [start, end) of bounds[p]; the segments tile [0, r) in order.
+    B and A may carry the same leading batch axes, with alpha_p shaped
+    (..., P): every slice is computed on its own, with its own weights.
+    alpha and beta come together or not at all; they are 0-d, or one value
+    per slice of a stack. For a stack (S, ..., m, n) they are (M, ..., 1, 1)
+    with M <= S: the column mix covers the first M slices along the first
+    stack axis, and the other S - M slices are the plain k, so one op serves
+    a block of mix-k and p-linear fits.
+
+    One recorded op with a closed-form backward. The pieces lie on one
+    axis, (..., P, m, w) for the widest piece's width w, narrower pieces
+    padded with zero columns; the op holds a (..., P, m, n) array of
+    distances, never an (m, n, r) array. Each piece's d² is one GEMM of
+    operands augmented by their row norms and a column of ones, and the
+    backward two more (`_gram_sq_distances`). The subgradient at a zero
+    distance is 0. The mix is written over k's own array, so a mixed slice
+    holds (P + 2) matrices: the distances, the column softmax and the
+    output. Forward and backward repeat, in order, the floating-point
+    operations of add(add(k, mul(alpha, softmax(k, axis=-2))), beta) on the
+    op without alpha and beta, on the mixed slices; a partial mix's chain
     takes those slices apart and stacks them (`take`, `stack`), so their
     gradient is laid out as `_assemble` lays out a stack's slices.
     """
+    if (alpha is None) != (beta is None):
+        raise ValueError(f"need alpha and beta together or neither, got "
+                         f"{'no alpha' if alpha is None else 'no beta'}")
     lead = b.data.shape[:-2]
-    mixes = alpha.data.shape[0] if lead and alpha.data.ndim else None
-    scalar = (mixes, *lead[1:], 1, 1) if lead else ()
-    if alpha.data.shape != scalar or beta.data.shape != scalar or lead and mixes > lead[0]:
-        fewer = ", or with fewer slices on the first axis" if lead else ""
-        raise ValueError(f"need alpha and beta of shape {(*lead, 1, 1) if lead else ()}{fewer}, "
-                         f"got {alpha.data.shape} and {beta.data.shape}")
-    k, saved = _segment_distances(b, a, alpha_p, bounds)
+    if alpha is not None:
+        mixes = alpha.data.shape[0] if lead and alpha.data.ndim else None
+        scalar = (mixes, *lead[1:], 1, 1) if lead else ()
+        if alpha.data.shape != scalar or beta.data.shape != scalar or lead and mixes > lead[0]:
+            fewer = ", or with fewer slices on the first axis" if lead else ""
+            raise ValueError(f"need alpha and beta of shape {(*lead, 1, 1) if lead else ()}"
+                             f"{fewer}, got {alpha.data.shape} and {beta.data.shape}")
+    _check_factors(b, a)
+    pieces, w, cols, keep = _piece_layout(tuple(map(tuple, bounds)), b.data.shape[-1])
+    if alpha_p.data.shape != (*lead, pieces):
+        raise ValueError(f"need {pieces} segment weights per slice, "
+                         f"got shape {alpha_p.data.shape}")
+    d, bt, at, guarded = _gram_sq_distances(_split_pieces(b.data, w, cols),
+                                            _split_pieces(a.data, w, cols))
+    np.sqrt(d, out=d)
+    k = np.einsum("...p,...pij->...ij", alpha_p.data, d)
+    saved = (bt, at, alpha_p.data, d, guarded, keep)
+    if alpha is None:
+        return _make(k, (b, a, alpha_p), lambda g: _segment_distances_backward(g, saved))
     whole = not lead or mixes == lead[0]
     s = _column_mix(k if whole else k[:mixes], alpha.data, beta.data)
 

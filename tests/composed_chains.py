@@ -1,23 +1,24 @@
 """The composed chains behind the fused per-layer ops: the test oracle.
 
-`klora.tensor.mixed_segment_distances`, `soft_threshold` and `affine`
-each replace a chain of recorded ops and promise to repeat its
-floating-point operations in order; the first one's chain is the column
-mix below on the distance op `weighted_segment_distances`, over the
-mixed slices of a stack. The chains below are those compositions, built
-from the elementary ops alone. `weighted_segment_distances` on a stack
-promises the bits of each slice's op on its own; its chain takes the
-stack apart slice by slice. `mean_squared_error` is the loss chain that the
-fused loss of the same name replaces. `patched_in()` swaps the first three in at the
-package's call sites (the mix-k merge, the soft sparsify and the adapted
-layer's forward pass), so a whole training run can be replayed on them.
+`klora.tensor.weighted_segment_distances` with alpha and beta (the column
+mix), `soft_threshold` and `affine` each replace a chain of recorded ops
+and promise to repeat its floating-point operations in order. The column
+mix's chain is `column_mix` below on the same op without alpha and beta,
+over the mixed slices of a stack. The chains below are those
+compositions, built from the elementary ops alone. The op without the mix
+promises, on a stack, the bits of each slice's op on its own; its chain
+takes the stack apart slice by slice. `mean_squared_error` is the loss
+chain that the fused loss of the same name replaces. `patched_in()` swaps
+the first three in at the package's call sites (the piecewise merge, the
+soft sparsify and the adapted layer's forward pass), so a whole training
+run can be replayed on them.
 """
 
 from __future__ import annotations
 
 import contextlib
 
-from klora import allocation, kernels, model
+from klora import allocation, kernels, model, tensor
 from klora.tensor import (
     Tensor,
     absolute,
@@ -34,7 +35,6 @@ from klora.tensor import (
     sub,
     take,
     transpose,
-    weighted_segment_distances,
 )
 
 
@@ -42,9 +42,12 @@ def column_mix(k, alpha, beta) -> Tensor:
     return add(add(k, mul(alpha, softmax(k, axis=-2))), beta)
 
 
-def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:
-    """The column mix on the first M slices of the distances, M = len(alpha) (all for 0-d)."""
-    k = weighted_segment_distances(b, a, alpha_p, bounds)
+def weighted_segment_distances(b, a, alpha_p, bounds, alpha=None, beta=None) -> Tensor:
+    """The column mix on the first M slices of the op's plain distances,
+    M = len(alpha) (all for 0-d); without alpha and beta, those distances."""
+    k = tensor.weighted_segment_distances(b, a, alpha_p, bounds)
+    if alpha is None:
+        return k
     mixes = alpha.data.shape[0] if alpha.data.ndim else None
     if mixes is None or mixes == k.data.shape[0]:
         return column_mix(k, alpha, beta)
@@ -58,7 +61,7 @@ def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:
 def weighted_segment_distances_by_slice(b, a, alpha_p, bounds) -> Tensor:
     """The distance op on each matrix of a stack on its own, stacked again."""
     if b.data.ndim == 2:
-        return weighted_segment_distances(b, a, alpha_p, bounds)
+        return tensor.weighted_segment_distances(b, a, alpha_p, bounds)
     return stack([weighted_segment_distances_by_slice(take(b, s), take(a, s), take(alpha_p, s),
                                                       bounds) for s in range(b.data.shape[0])])
 
@@ -79,7 +82,7 @@ def affine(x, w0, delta, bias=None) -> Tensor:
 @contextlib.contextmanager
 def patched_in():
     """Run the package with the three fused ops replaced by their chains."""
-    sites = [(kernels, "mixed_segment_distances", mixed_segment_distances),
+    sites = [(kernels, "weighted_segment_distances", weighted_segment_distances),
              (allocation, "soft_threshold", soft_threshold), (model, "affine", affine)]
     saved = [(module, name, getattr(module, name)) for module, name, _ in sites]
     for module, name, chain in sites:

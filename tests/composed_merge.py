@@ -4,9 +4,10 @@ It builds the (m, n, r) tensor of row differences and reduces it with
 elementary recorded ops, so its values and gradients come from code that
 shares nothing with `klora.tensor.weighted_segment_distances` and
 `klora.tensor.squared_distances`. `composed_merge` runs a kind's registry
-merge with those two ops swapped for the composed ones, and the fused mix-k
-op for its chain of elementary ops on the composed distances; everything
-the merge builds on top of the distances is the package's own code.
+merge with those two ops swapped for the composed ones; the piecewise op's
+column mix becomes its chain of elementary ops on the composed distances.
+Everything the merge builds on top of the distances is the package's own
+code.
 """
 
 from __future__ import annotations
@@ -53,24 +54,20 @@ def row_differences(b: Tensor, a: Tensor) -> Tensor:
     return sub(reshape(b, (m, 1, r)), reshape(a, (1, n, r)))
 
 
-def weighted_segment_distances(b, a, alpha_p, bounds) -> Tensor:
-    return reduce_sum(mul(segment_l2_norm(row_differences(b, a), bounds), alpha_p), axis=2)
+def weighted_segment_distances(b, a, alpha_p, bounds, alpha=None, beta=None) -> Tensor:
+    """The piecewise distances of one matrix pair, column-mixed when alpha and beta are given."""
+    k = reduce_sum(mul(segment_l2_norm(row_differences(b, a), bounds), alpha_p), axis=2)
+    return k if alpha is None else composed_chains.column_mix(k, alpha, beta)
 
 
 def squared_distances(b, a) -> Tensor:
     return reduce_sum(square(row_differences(b, a)), axis=2)
 
 
-def mixed_segment_distances(b, a, alpha_p, alpha, beta, bounds) -> Tensor:
-    return composed_chains.column_mix(weighted_segment_distances(b, a, alpha_p, bounds),
-                                      alpha, beta)
-
-
 def composed_merge(spec, pair) -> Tensor:
     """`kernels.merge` with its distance ops swapped for the composed ones."""
     composed = {"weighted_segment_distances": weighted_segment_distances,
-                "squared_distances": squared_distances,
-                "mixed_segment_distances": mixed_segment_distances}
+                "squared_distances": squared_distances}
     saved = {name: getattr(kernels, name) for name in composed}
     for name, op in composed.items():
         setattr(kernels, name, op)

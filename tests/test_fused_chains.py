@@ -1,20 +1,21 @@
 """The fused per-layer ops against their composed chains, bit for bit.
 
-`mixed_segment_distances`, `soft_threshold` and `affine` promise to repeat
-the floating-point operations of the chains in `composed_chains`, in order.
-These tests hold each op to the same forward bits and the same bits in
-every gradient, and a whole training run to the same trace and checkpoint
-bytes. On drawn stacks (`distance_cases`), the distance ops are held to
-their chains, partial mixes and `weighted_segment_distances` slice by
-slice included, and the cancellation guard to its full-mask definition
-over the op's augmented GEMM, written out; `soft_threshold`, `affine` and
-`mean_squared_error` are held to theirs on drawn cases too.
-`squared_distances` is held to the composed (m, n, r) formulation within
-rounding, and it, `mean_squared_error`, `affine` and `soft_threshold` (away
-from its kinks) pass the finite-difference check on drawn cases. On the same drawn stacks, the two
-distance ops are held to the composed formulation within rounding, partial
-mixes included, and pass the finite-difference check away from zero
-distances.
+`weighted_segment_distances` with its column mix, `soft_threshold` and
+`affine` promise to repeat the floating-point operations of the chains in
+`composed_chains`, in order. These tests hold each op to the same forward
+bits and the same bits in every gradient, and a whole training run to the
+same trace and checkpoint bytes. On drawn stacks (`distance_cases`), the
+piecewise op is held to its chains with a whole, a partial and an empty
+mix (M = 0..S), and without the mix slice by slice, and the cancellation
+guard to its full-mask definition over the op's augmented GEMM, written
+out; `soft_threshold`, `affine` and `mean_squared_error` are held to
+theirs on drawn cases too. `squared_distances` is held to the composed
+(m, n, r) formulation within rounding, and it, `mean_squared_error`,
+`affine` and `soft_threshold` (away from its kinks) pass the
+finite-difference check on drawn cases. On the same drawn stacks, the
+piecewise op, with and without the mix, is held to the composed
+formulation within rounding and passes the finite-difference check away
+from zero distances.
 """
 
 import json
@@ -32,14 +33,13 @@ from klora.kernels import segment_bounds
 from klora.tensor import (
     _GUARD,
     Tensor,
+    _gram_sq_distances,
     _piece_columns,
-    _segment_sq_distances,
     _split_pieces,
     affine,
     backward,
     finite_diff_check,
     mean_squared_error,
-    mixed_segment_distances,
     mul,
     reduce_sum,
     soft_threshold,
@@ -76,6 +76,11 @@ def assert_fused_equals_chain(fused, chain, arrays, upstream):
         assert_same_bits(got, want)
 
 
+def distances(op, bounds):
+    """A piecewise distance op on its leaves: b, a, alpha_p, then alpha and beta if mixed."""
+    return lambda b, a, alpha_p, *mix: op(b, a, alpha_p, bounds, *mix)
+
+
 @pytest.mark.parametrize("lead, m, n, r", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("layout", ["c-order", "transposed"])
 def test_mixed_segment_distances_equals_its_chain(lead, m, n, r, layout):
@@ -93,8 +98,8 @@ def test_mixed_segment_distances_equals_its_chain(lead, m, n, r, layout):
         upstream = rng.normal(size=(*lead, m, n))
     else:
         upstream = np.swapaxes(rng.normal(size=(*lead, n, m)), -1, -2)
-    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, bounds),
-                              lambda *t: composed_chains.mixed_segment_distances(*t, bounds),
+    assert_fused_equals_chain(distances(weighted_segment_distances, bounds),
+                              distances(composed_chains.weighted_segment_distances, bounds),
                               arrays, upstream)
 
 
@@ -108,8 +113,8 @@ def test_a_stack_of_1x1_mixes_equals_its_chain():
     arrays[3][1] = -0.5
     upstream = rng.normal(size=(3, 1, 1))
     upstream[1] = -0.0
-    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, [(0, 1)]),
-                              lambda *t: composed_chains.mixed_segment_distances(*t, [(0, 1)]),
+    assert_fused_equals_chain(distances(weighted_segment_distances, [(0, 1)]),
+                              distances(composed_chains.weighted_segment_distances, [(0, 1)]),
                               arrays, upstream)
 
 
@@ -155,12 +160,11 @@ def test_distance_ops_equal_their_chains_bit_for_bit(case):
     alpha_p = rng.normal(size=(*lead, len(bounds)))
     scalar = (mixes, *lead[1:], 1, 1) if lead else ()
     alpha, beta = rng.normal(size=scalar), rng.normal(size=scalar)
-    assert_fused_equals_chain(lambda *t: mixed_segment_distances(*t, bounds),
-                              lambda *t: composed_chains.mixed_segment_distances(*t, bounds),
+    fused = distances(weighted_segment_distances, bounds)
+    assert_fused_equals_chain(fused, distances(composed_chains.weighted_segment_distances, bounds),
                               [b, a, alpha_p, alpha, beta], upstream)
     assert_fused_equals_chain(
-        lambda *t: weighted_segment_distances(*t, bounds),
-        lambda *t: composed_chains.weighted_segment_distances_by_slice(*t, bounds),
+        fused, distances(composed_chains.weighted_segment_distances_by_slice, bounds),
         [b, a, alpha_p], upstream)
 
 
@@ -185,7 +189,7 @@ def full_mask_guard(bs, as_):
 
 def assert_guard_is_its_full_mask(bs, as_):
     d2_want, want = full_mask_guard(bs, as_)
-    d2, guarded = _segment_sq_distances(bs, as_)
+    d2, _, _, guarded = _gram_sq_distances(bs, as_, grad=False)
     got = want if guarded is None and not want[0].size else guarded[0]
     assert len(got) == d2.ndim
     for x, y in zip(got, want):
@@ -401,11 +405,9 @@ def test_distance_ops_equal_the_composed_distances(case):
     b, a, bounds, _, upstream, _ = case
     leaves = distance_leaves(case)
     arrays = [leaf.data for leaf in leaves]
-    for fused, composed, n in [
-            (lambda *t: mixed_segment_distances(*t, bounds),
-             lambda b, a, p, *mix: composed_distances(b, a, p, mix, bounds), 5),
-            (lambda *t: weighted_segment_distances(*t, bounds),
-             lambda *t: composed_distances(*t, None, bounds), 3)]:
+    fused = distances(weighted_segment_distances, bounds)
+    for composed, n in [(lambda b, a, p, *mix: composed_distances(b, a, p, mix, bounds), 5),
+                        (lambda *t: composed_distances(*t, None, bounds), 3)]:
         got = value_and_gradients(fused, arrays[:n], upstream)
         want = value_and_gradients(composed, arrays[:n], upstream)
         for x, y in zip(got, want):  # alpha and beta are empty when no slice is mixed
@@ -431,11 +433,12 @@ def test_distance_ops_pass_the_finite_difference_check(case):
     h = 1e-6 * max(np.abs(b).max(), np.abs(a).max())
     smooth = (piece_distances(b, a, bounds) > 1e3 * h).all(axis=(0, -2), keepdims=True)[0]
     weights = Tensor(upstream * smooth)
-    for op, n in [(mixed_segment_distances, 5), (weighted_segment_distances, 3)]:
+    op = distances(weighted_segment_distances, bounds)
+    for n in (5, 3):  # with the column mix and without
         for params, step in [(leaves[:2], h), (leaves[2:n], 1e-6)]:
-            report = finite_diff_check(lambda: reduce_sum(mul(op(*leaves[:n], bounds), weights)),
+            report = finite_diff_check(lambda: reduce_sum(mul(op(*leaves[:n]), weights)),
                                        params, h=step, tol=1e-5)
-            assert report.passed, (op.__name__, report.max_rel_err)
+            assert report.passed, (n, report.max_rel_err)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])

@@ -91,8 +91,8 @@ def test_any_order_of_kinds_equals_the_per_kind_fits(monkeypatch, kinds):
             return op(*args)
         return call
 
-    for name in ("mixed_segment_distances", "weighted_segment_distances"):
-        monkeypatch.setattr(kernels, name, counted(getattr(kernels, name)))
+    monkeypatch.setattr(kernels, "weighted_segment_distances",
+                        counted(kernels.weighted_segment_distances))
     kinds = [KernelKind(k) for k in kinds]
     targets = targets_for(SEEDS)
     init = dict(r=4, piece_init_eps=0.5)

@@ -20,7 +20,6 @@ from klora.tensor import (
     log,
     matmul,
     mean_squared_error,
-    mixed_segment_distances,
     mul,
     reciprocal,
     record_and_backward,
@@ -159,12 +158,17 @@ def _per_slice(t, fn):
         ("softmax_cols_stacked", lambda a, b: mul(
             softmax(reshape(a, (2, 2, 4)), axis=-2), reshape(b, (2, 2, 4))).sum()),
         # the mix-k merge, with its piece weights drawn from a and alpha, beta from b
-        ("mixed_segment_distances", lambda a, b: mul(mixed_segment_distances(
-            a, b, reduce_mean(reshape(a, (2, 8)), axis=1), reduce_mean(b), reduce_mean(square(b)),
-            [(0, 1), (1, 4)]), transpose(b)).sum()),
-        ("mixed_segment_distances_stacked", lambda a, b: square(mixed_segment_distances(
+        ("mixed_segment_distances", lambda a, b: mul(weighted_segment_distances(
+            a, b, reduce_mean(reshape(a, (2, 8)), axis=1), [(0, 1), (1, 4)], reduce_mean(b),
+            reduce_mean(square(b))), transpose(b)).sum()),
+        ("mixed_segment_distances_stacked", lambda a, b: square(weighted_segment_distances(
             reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4)), reshape(reduce_mean(a, axis=1), (2, 2)),
-            _per_slice(b, lambda t: t), _per_slice(b, square), [(0, 1), (1, 4)])).sum()),
+            [(0, 1), (1, 4)], _per_slice(b, lambda t: t), _per_slice(b, square))).sum()),
+        # a mix of the first slice of two, the second one plain (a joint fit's block)
+        ("segdist_partial_mix", lambda a, b: square(weighted_segment_distances(
+            reshape(a, (2, 2, 4)), reshape(b, (2, 2, 4)), reshape(reduce_mean(a, axis=1), (2, 2)),
+            [(0, 1), (1, 4)], reshape(reduce_mean(b), (1, 1, 1)),
+            reshape(reduce_mean(square(b)), (1, 1, 1)))).sum()),
         ("soft_threshold", lambda a, b: mul(soft_threshold(a, 0.7), b).sum()),
         ("soft_threshold_kinks", lambda a, b: mul(soft_threshold(
             add(mul(a, Tensor(_KINK_MASK)), Tensor(_KINK_OFFSET)), 0.7), b).sum()),
@@ -307,14 +311,22 @@ def test_a_stack_of_one_part_views_it():
     np.testing.assert_array_equal(part.grad, np.arange(6.0).reshape(2, 3))
 
 
-def test_mixed_segment_distances_rejects_misshaped_coefficients():
+def test_weighted_segment_distances_rejects_misshaped_coefficients():
     b, a = Tensor(np.ones((2, 4, 2))), Tensor(np.ones((2, 3, 2)))
     alpha_p, good = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1, 1)))
     more = Tensor(np.ones((3, 1, 1)))  # a mix of more slices than the stack has
     for alpha, beta in [(Tensor(1.0), good), (good, Tensor(np.ones((2, 4, 3)))), (more, more),
                         (good, Tensor(np.ones((1, 1, 1))))]:
         with pytest.raises(ValueError, match="alpha and beta of shape"):
-            mixed_segment_distances(b, a, alpha_p, alpha, beta, [(0, 1), (1, 2)])
+            weighted_segment_distances(b, a, alpha_p, [(0, 1), (1, 2)], alpha, beta)
+    # alpha without beta or beta without alpha, on a stack and on a matrix; the
+    # segments are bad too, and the mix is checked first
+    for b, a, alpha_p, scalar in [(b, a, alpha_p, good),
+                                  (Tensor(np.ones((4, 2))), Tensor(np.ones((3, 2))),
+                                   Tensor(np.ones(2)), Tensor(1.0))]:
+        for alpha, beta in [(scalar, None), (None, scalar)]:
+            with pytest.raises(ValueError, match="alpha and beta together"):
+                weighted_segment_distances(b, a, alpha_p, [(0, 9)], alpha, beta)
 
 
 def test_shape_invariant_product_equals_length():
